@@ -205,15 +205,14 @@ def reference_solution(system, T: float, h_min: float, *, contour: Optional[Cont
     """Final coefficients of a reference solve at half the smallest sweep step.
 
     Uses the highest-order catalog scheme at h_min/2 and caches the
-    result per (system, T, h_min): a second call with the same key
+    result per (system, T, h_min, contour): a second call with the same key
     returns the identical (read-only) array without re-solving.  An
     unstable reference raises UnstableError — the caller's sweep cannot
     proceed without a trusted baseline.
     """
     if not h_min > 0:
         raise ValueError(f"h_min must be positive, got {h_min}")
-    key = (_system_key(system), float(T), float(h_min),
-           None if contour is None else (contour.points, contour.radius))
+    key = (_system_key(system), float(T), float(h_min), contour)
     with _REFERENCE_LOCK:
         cached = _REFERENCE_CACHE.get(key)
     if cached is not None:
@@ -260,8 +259,7 @@ def _snapped_h(h: float, T: float) -> float:
 
 
 def _state_span(name: str) -> int:
-    info = get_scheme(name)
-    return info.steps + 1 if info.engine == "genlawson" else info.steps
+    return get_scheme(name).tableau().steps
 
 
 def _validate_step_counts(plan: SweepPlan) -> None:

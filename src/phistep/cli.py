@@ -342,8 +342,6 @@ def _selftest_reductions() -> tuple:
     checks.append([b.at_zero() for b in rk4.B] == [F(1, 6), F(1, 3), F(1, 3), F(1, 6)])
     consistent = 0
     for info in list_schemes():
-        if info.engine != "tableau":
-            continue
         t = info.tableau()
         total = sum((e.at_zero() for e in (*t.B, *t.V)), F(0))
         checks.append(total == 1)

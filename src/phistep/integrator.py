@@ -11,21 +11,17 @@ with internal stages
 where L is diagonal in coefficient space.  All tableau slots are
 evaluated once per (tableau, h, L) by `precompute`; stepping then costs
 s nonlinear evaluations (2s transforms) plus elementwise arithmetic.
+Every catalog scheme runs on this one engine: Runge-Kutta, multistep,
+predictor-corrector and (generalized) Lawson schemes alike, including
+stage-source overrides (a stage propagated from an earlier stage rather
+than from u^n, as in the fourth stage of ETDRK4).
 
-Two step engines share the same state and bookkeeping:
-
-* the tableau engine above, covering Runge-Kutta, multistep and
-  predictor-corrector exponential schemes, including stage-source
-  overrides (a stage propagated from an earlier stage rather than from
-  u^n, as in the fourth stage of ETDRK4);
-* a generalized Lawson engine that integrates the transformed variable
-  v(t) = e^{-Lt}(u(t) - w(t)) with classical RK4, where w is the exact
-  linear response to the degree-q polynomial interpolating the current
-  nonlinear evaluation together with the q preceding ones.  The current
-  time is always a node, so the first transformed stage derivative
-  N(u^n) - P(t_n) vanishes identically and fixed points are preserved;
-  interpolating through q past values raises the order to q + 1 once
-  q + 1 exceeds the classical order 4 of the outer stages.
+Each row is stepped in difference form: N(v^1) = N(u^n) is multiplied
+by the row sum of its coefficients, and every other nonlinear value
+enters as its coefficient times (value - N(u^n)).  This is the same
+method in exact arithmetic, but at an equilibrium every difference is
+exactly zero, so schemes with the summation property keep fixed points
+to rounding instead of summing large cancelling terms.
 
 Multistep schemes are started by the fixed-point procedure
 `start_multistep`: a low-order bootstrap followed by iterating
@@ -47,22 +43,19 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UnstableError
-from .phifun import ContourSpec, eval_phi_expr, gamma_contour, phi_contour
-from .tableau import SchemeInfo, Tableau, _lagrange_basis, get_scheme
+from .phifun import ContourSpec, PhiExpr, eval_phi_expr, gamma_contour
+from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
     "PrecomputedScheme",
-    "GenLawsonScheme",
     "SimState",
     "StarterResult",
     "IntegrationResult",
     "Snapshot",
     "ScalarProbe",
     "precompute",
-    "precompute_gen_lawson",
     "prepare_scheme",
     "step",
-    "gen_lawson_step",
     "start_multistep",
     "integrate",
     "run_scalar_probe",
@@ -113,9 +106,18 @@ def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: floa
         )
 
 
+def _diagonal(h: float, lam) -> tuple:
+    """h*lam as a contiguous complex array, and whether it is real.
+
+    Coefficient arrays over a real diagonal are stored real: contour
+    evaluation returns exactly-zero imaginary parts there, so taking
+    .real is lossless.
+    """
+    diag = np.ascontiguousarray(h * np.asarray(lam), dtype=np.complex128)
+    return diag, bool(np.all(diag.imag == 0))
+
+
 def _real_if(arr: np.ndarray, make_real: bool) -> np.ndarray:
-    # contour evaluation returns exactly-zero imaginary parts for real
-    # diagonals, so taking .real is lossless
     return np.ascontiguousarray(arr.real) if make_real else np.asarray(arr)
 
 
@@ -125,11 +127,16 @@ def _real_if(arr: np.ndarray, make_real: bool) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PrecomputedScheme:
-    """A tableau with every slot evaluated over the diagonal h*L.
+    """A tableau with its slots evaluated over the diagonal h*L.
 
     Coefficient arrays are the bare weight functions (not premultiplied
     by h); `step` supplies the factor h.  For real diagonals the arrays
-    are real-valued.
+    are real-valued.  Keyed for the difference form: stage_sums[i] and
+    output_sum multiply N(u^n) (absent when the row sums to zero);
+    A[(i, j)] (j >= 2, the stage_source_coeffs row for a chained stage)
+    and B[i] (i >= 2) multiply N(v^j) - N(u^n); U and V multiply
+    N(u^{n-j}) - N(u^n).  B[1] holds the tableau's own B_1, which
+    stepping does not use.
     """
 
     name: str
@@ -140,6 +147,8 @@ class PrecomputedScheme:
     propagator: np.ndarray
     stage_propagators: tuple
     source_propagators: dict
+    stage_sums: dict
+    output_sum: Optional[np.ndarray]
     A: dict
     U: dict
     B: dict
@@ -169,8 +178,9 @@ def _exp_cache(hlam: np.ndarray, make_real: bool):
 
 
 def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSpec()) -> PrecomputedScheme:
-    """Evaluate every tableau slot entrywise at h*lam.
+    """Evaluate the tableau entrywise at h*lam, in difference form.
 
+    Each row's sum is evaluated in place of its first-column entry.
     Requires a complete tableau (summation property filled in, or a
     scheme exempt from it); h must be positive.  Deterministic for fixed
     inputs.
@@ -181,11 +191,14 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     lam = np.asarray(lam)
-    make_real = bool(np.all(np.asarray(lam).imag == 0)) if np.iscomplexobj(lam) else True
-    diag = np.ascontiguousarray(h * lam, dtype=np.complex128)
+    diag, make_real = _diagonal(h, lam)
+    evaluated: dict = {}
 
-    def ev(expr) -> np.ndarray:
-        return _real_if(eval_phi_expr(expr, diag, contour), make_real)
+    def ev(expr: PhiExpr) -> np.ndarray:
+        # equal expressions (e.g. psi_{1,1/2} in several rows) share one array
+        if expr not in evaluated:
+            evaluated[expr] = _real_if(eval_phi_expr(expr, diag, contour), make_real)
+        return evaluated[expr]
 
     exp_of = _exp_cache(diag, make_real)
     s, q = tableau.stages, tableau.steps
@@ -194,17 +207,20 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
         i: exp_of(tableau.C[i - 1] - tableau.C[src - 1])
         for i, src in tableau.stage_source.items()
     }
+    zero = PhiExpr()
     A: dict = {}
+    stage_sums: dict = {}
     for i in range(2, s + 1):
         if i in tableau.stage_source:
-            for (si, sj), expr in tableau.stage_source_coeffs.items():
-                if si == i and not expr.is_zero():
-                    A[(i, sj)] = ev(expr)
+            row = {j: e for (si, j), e in tableau.stage_source_coeffs.items() if si == i}
         else:
-            for j in range(1, i):
-                expr = tableau.A[i - 1][j - 1]
-                if not expr.is_zero():
-                    A[(i, j)] = ev(expr)
+            row = dict(enumerate(tableau.A[i - 1][: i - 1], start=1))
+        total = sum(row.values(), zero) + sum(tableau.U[i - 1], zero)
+        if not total.is_zero():
+            stage_sums[i] = ev(total)
+        for j, expr in row.items():
+            if j > 1 and not expr.is_zero():
+                A[(i, j)] = ev(expr)
     U = {
         (i, j): ev(tableau.U[i - 1][j - 1])
         for i in range(1, s + 1)
@@ -213,10 +229,12 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     }
     B = {i: ev(tableau.B[i - 1]) for i in range(1, s + 1) if not tableau.B[i - 1].is_zero()}
     V = {j: ev(tableau.V[j - 1]) for j in range(1, q) if not tableau.V[j - 1].is_zero()}
+    total = sum(tableau.B, zero) + sum(tableau.V, zero)
     return PrecomputedScheme(
         name=tableau.name, tableau=tableau, h=h, lam=lam, contour=contour,
         propagator=exp_of(Fraction(1)), stage_propagators=stage_props,
-        source_propagators=source_props, A=A, U=U, B=B, V=V,
+        source_propagators=source_props, stage_sums=stage_sums,
+        output_sum=None if total.is_zero() else ev(total), A=A, U=U, B=B, V=V,
     )
 
 
@@ -234,45 +252,51 @@ def step(state: SimState, scheme: PrecomputedScheme, system) -> SimState:
     Evaluates the nonlinearity once per stage; for schemes with history
     (q >= 2) the first stage reuses the stored N(u^n) and the evaluation
     at the new solution is pushed into the history ring, keeping the
-    total at s evaluations (2s transforms) per step.
+    total at s evaluations (2s transforms) per step.  Each stage value
+    N(v^i) - N(u^n) is formed in place on the array that
+    system.nonlinear returned, so that array must be a new one.
     """
     tab = scheme.tableau
     s, q = tab.stages, tab.steps
     _require_history(state, q, scheme.name)
     h = scheme.h
     u = state.coeffs
-    if q > 1:
-        first_nl = state.nl_current
-    else:
-        first_nl = system.nonlinear(u)
-    stage_nl = [first_nl]
+    nl_now = state.nl_current if q > 1 else system.nonlinear(u)
+    past = [value - nl_now for value in state.history[: q - 1]]
+    diffs = [None]  # N(v^j) - N(u^n); stage 1 is u^n itself
     stage_values = [u]
-    hist = state.history
     for i in range(2, s + 1):
         src = tab.stage_source.get(i)
         if src is not None:
             acc = scheme.source_propagators[i] * stage_values[src - 1]
         else:
             acc = scheme.stage_propagators[i - 1] * u
-        for j in range(1, i):
+        coeff = scheme.stage_sums.get(i)
+        if coeff is not None:
+            acc = acc + h * (coeff * nl_now)
+        for j in range(2, i):
             coeff = scheme.A.get((i, j))
             if coeff is not None:
-                acc = acc + h * (coeff * stage_nl[j - 1])
+                acc = acc + h * (coeff * diffs[j - 1])
         for j in range(1, q):
             coeff = scheme.U.get((i, j))
             if coeff is not None:
-                acc = acc + h * (coeff * hist[j - 1])
+                acc = acc + h * (coeff * past[j - 1])
         stage_values.append(acc)
-        stage_nl.append(system.nonlinear(acc))
+        nl = system.nonlinear(acc)
+        np.subtract(nl, nl_now, out=nl)
+        diffs.append(nl)
     out = scheme.propagator * u
-    for i in range(1, s + 1):
+    if scheme.output_sum is not None:
+        out = out + h * (scheme.output_sum * nl_now)
+    for i in range(2, s + 1):
         coeff = scheme.B.get(i)
         if coeff is not None:
-            out = out + h * (coeff * stage_nl[i - 1])
+            out = out + h * (coeff * diffs[i - 1])
     for j in range(1, q):
         coeff = scheme.V.get(j)
         if coeff is not None:
-            out = out + h * (coeff * hist[j - 1])
+            out = out + h * (coeff * past[j - 1])
     new_time = state.time + h
     new_step = state.step + 1
     _check_stable(out, new_time, new_step, state.initial_norm)
@@ -282,131 +306,6 @@ def step(state: SimState, scheme: PrecomputedScheme, system) -> SimState:
     else:
         nl_new = None
         new_hist = ()
-    return SimState(
-        coeffs=out, time=new_time, step=new_step, nl_current=nl_new,
-        history=new_hist, initial_norm=state.initial_norm,
-    )
-
-
-# ---------------------------------------------------------------------------
-# generalized Lawson engine
-
-
-@dataclass(frozen=True)
-class GenLawsonScheme:
-    """Precomputed pieces of the q-step generalized Lawson method.
-
-    The interpolant P passes through the current nonlinear value and the
-    q preceding ones (q + 1 points, degree q) and is kept in monomial
-    form in the step fraction theta = t/h: P(theta h) = sum_j c_j
-    theta^j, with c = monomial_matrix @ history.  w_half/w_full hold the
-    arrays j! alpha^{j+1} phi_{j+1}(alpha h L) for alpha = 1/2, 1, so
-    the particular solution at the half and full step is
-    W(alpha h) = h sum_j w[j] c_j.
-    """
-
-    name: str
-    q: int  # past values interpolated; the stencil has q + 1 points
-    h: float
-    lam: np.ndarray
-    contour: ContourSpec
-    e_half: np.ndarray
-    e_full: np.ndarray
-    monomial_matrix: np.ndarray  # (q+1, q+1), row 0 is exactly (1, 0, ..., 0)
-    w_half: tuple
-    w_full: tuple
-    half_powers: tuple  # (1/2)^j for P(h/2)
-
-    stages = 4
-
-    @property
-    def steps(self) -> int:
-        # solution values the state must retain: u^n plus q past ones
-        return self.q + 1
-
-    def step(self, state: SimState, system) -> SimState:
-        return gen_lawson_step(state, self, system)
-
-
-def precompute_gen_lawson(q: int, h: float, lam, contour: ContourSpec = ContourSpec()) -> GenLawsonScheme:
-    """Propagators, phi arrays and the exact interpolation matrix for
-    the q-step generalized Lawson method (classical RK4 outer stages,
-    interpolation through the current and the q most recent past
-    nonlinear values)."""
-    if not 1 <= q <= 8:
-        raise ValueError(f"generalized Lawson supports 1..8 steps, got {q}")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    lam = np.asarray(lam)
-    make_real = bool(np.all(np.asarray(lam).imag == 0)) if np.iscomplexobj(lam) else True
-    diag = np.ascontiguousarray(h * lam, dtype=np.complex128)
-    e_half = _real_if(np.exp(0.5 * diag), make_real)
-    e_full = _real_if(np.exp(diag), make_real)
-    points = q + 1
-    basis = _lagrange_basis([Fraction(-m) for m in range(points)])
-    matrix = np.array([[float(basis[m][j]) for m in range(points)] for j in range(points)])
-    matrix[0] = 0.0
-    matrix[0, 0] = 1.0  # ell_m(0) = delta_m0 exactly on nodes {0, -1, ...}
-    w_half = tuple(
-        math.factorial(j) * 0.5 ** (j + 1)
-        * _real_if(phi_contour(j + 1, 0.5 * diag, contour), make_real)
-        for j in range(points)
-    )
-    w_full = tuple(
-        math.factorial(j) * _real_if(phi_contour(j + 1, diag, contour), make_real)
-        for j in range(points)
-    )
-    return GenLawsonScheme(
-        name=f"genlawson4{q}", q=q, h=h, lam=lam, contour=contour,
-        e_half=e_half, e_full=e_full, monomial_matrix=matrix,
-        w_half=w_half, w_full=w_full,
-        half_powers=tuple(0.5 ** j for j in range(points)),
-    )
-
-
-def gen_lawson_step(state: SimState, scheme: GenLawsonScheme, system) -> SimState:
-    """One generalized Lawson step: classical RK4 on the transformed
-    variable, expressed directly in stage values.
-
-    With K_i = N(stage_i) - P(stage time) and W the particular solution,
-    the stages are
-
-        s2 = E2 u + W(h/2)
-        s3 = E2 u + (h/2) K2 + W(h/2)
-        s4 = E1 u + h E2 K3 + W(h)
-        u' = E1 u + (h/6)(2 E2 K2 + 2 E2 K3 + K4) + W(h)
-
-    where E2 = e^{hL/2}, E1 = e^{hL}; the first transformed stage
-    derivative K1 = N(u^n) - P(0) vanishes identically.
-    """
-    q, h = scheme.q, scheme.h
-    points = q + 1
-    _require_history(state, points, scheme.name)
-    u = state.coeffs
-    nl_now = state.nl_current
-    history = (nl_now, *state.history[:q])
-    coeffs = [
-        sum(scheme.monomial_matrix[j, m] * history[m] for m in range(points))
-        for j in range(points)
-    ]
-    w_half = h * sum(scheme.w_half[j] * coeffs[j] for j in range(points))
-    w_full = h * sum(scheme.w_full[j] * coeffs[j] for j in range(points))
-    p_half = sum(scheme.half_powers[j] * coeffs[j] for j in range(points))
-    p_full = sum(coeffs)
-
-    e_half, e_full = scheme.e_half, scheme.e_full
-    s2 = e_half * u + w_half
-    k2 = system.nonlinear(s2) - p_half
-    s3 = e_half * u + (0.5 * h) * k2 + w_half
-    k3 = system.nonlinear(s3) - p_half
-    s4 = e_full * u + h * (e_half * k3) + w_full
-    k4 = system.nonlinear(s4) - p_full
-    out = e_full * u + (h / 6.0) * (2.0 * (e_half * k2) + 2.0 * (e_half * k3) + k4) + w_full
-    new_time = state.time + h
-    new_step = state.step + 1
-    _check_stable(out, new_time, new_step, state.initial_norm)
-    nl_new = system.nonlinear(out)
-    new_hist = (nl_now, *state.history)[:q]
     return SimState(
         coeffs=out, time=new_time, step=new_step, nl_current=nl_new,
         history=new_hist, initial_norm=state.initial_norm,
@@ -428,8 +327,6 @@ def prepare_scheme(scheme: SchemeLike, h: float, lam, contour: ContourSpec = Con
     info = get_scheme(scheme) if isinstance(scheme, str) else scheme
     if not isinstance(info, SchemeInfo):
         raise TypeError(f"cannot prepare a scheme from {type(scheme).__name__}")
-    if info.engine == "genlawson":
-        return precompute_gen_lawson(info.steps, h, lam, contour)
     return precompute(info.tableau(), h, lam, contour)
 
 
@@ -489,8 +386,7 @@ def start_multistep(
     if initial_norm is None:
         initial_norm = _max_norm(u0)
     lam = np.asarray(system.lam)
-    diag = np.ascontiguousarray(h * lam, dtype=np.complex128)
-    make_real = bool(np.all(diag.imag == 0))
+    diag, make_real = _diagonal(h, lam)
 
     boot = prepare_scheme(bootstrap, h, lam, contour)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
@@ -717,7 +613,8 @@ class _ProbeSystem:
     name: str = "scalar-probe"
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        return self.func(coeffs)
+        # a new complex array, whatever func returns: `step` overwrites it
+        return np.array(self.func(coeffs), dtype=complex)
 
 
 def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h: float = 0.05) -> float:

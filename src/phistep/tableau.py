@@ -20,8 +20,9 @@ which integrating-factor (Lawson-type) schemes deliberately violate.
 The catalog covers ETD Runge-Kutta schemes (Cox & Matthews, J. Comput.
 Phys. 176 (2002); Krogstad, J. Comput. Phys. 203 (2005)), ETD
 Adams-Bashforth schemes (Norsett, Lecture Notes in Math. 109 (1969)),
-ETD predictor-corrector combinations of those, and Lawson's integrating
-factor methods (Lawson, SIAM J. Numer. Anal. 4 (1967)).  All rational
+ETD predictor-corrector combinations of those, Lawson's integrating
+factor methods (Lawson, SIAM J. Numer. Anal. 4 (1967)) and their
+generalized form (Krogstad, 2005), written as exact tableaux.  All rational
 coefficients are kept exact until evaluation, so each tableau reduces to
 its classical counterpart at z = 0 in exact arithmetic.
 """
@@ -50,6 +51,7 @@ __all__ = [
     "build_pecec",
     "lawson4",
     "ablawson4",
+    "build_gen_lawson",
     "load_tableau_file",
     "SchemeInfo",
     "REGISTRY",
@@ -189,7 +191,7 @@ def complete_summation(t: Tableau) -> Tableau:
 
 
 # ---------------------------------------------------------------------------
-# exact Lagrange machinery for the Adams-type weights
+# exact Lagrange machinery for the Adams-type and generalized Lawson weights
 
 
 def _poly_mul(a: list[Fraction], b: list[Fraction]) -> list[Fraction]:
@@ -391,6 +393,71 @@ def ablawson4() -> Tableau:
     )
 
 
+def build_gen_lawson(q: int) -> Tableau:
+    """Generalized Lawson scheme GenLawson4q (Krogstad, J. Comput. Phys.
+    203 (2005)): classical RK4 on v(t) = e^{-Lt}(u(t) - w(t)), where w
+    is the exact linear response to the degree-q polynomial P through
+    N(u^n), N(u^{n-1}), ..., N(u^{n-q}).
+
+    Written out, that is a 4-stage tableau with q + 1 steps and
+    C = (0, 1/2, 1/2, 1).  With the Lagrange basis M on the nodes
+    0, -1, ..., -q,
+
+        l_m(theta)  = sum_j M[j,m] theta^j,
+        w_{a,m}(z)  = sum_j M[j,m] j! a^{j+1} phi_{j+1}(a z),
+
+    N_m = N(u^{n-m}) (m = 0 is stage 1, m >= 1 the U/V column m) enters
+
+        stage 2:  w_{1/2,m}
+        stage 3:  w_{1/2,m} - l_m(1/2)/2,              A32 = 1/2
+        stage 4:  w_{1,m} - l_m(1/2) e^{z/2},          A43 = e^{z/2}
+        output:   w_{1,m} - 2/3 l_m(1/2) e^{z/2} - l_m(1)/6,
+                  B2 = B3 = e^{z/2}/3,  B4 = 1/6.
+
+    The basis sums to 1, so every row satisfies the summation property
+    exactly.  Since the current time is a node, the first transformed
+    stage derivative N(u^n) - P(0) vanishes and fixed points are kept;
+    the order is max(4, q + 1).
+    """
+    if not 1 <= q <= MAX_STEPS - 1:
+        raise ValueError(f"q must be in [1, {MAX_STEPS - 1}], got {q}")
+    half = Fraction(1, 2)
+    basis = _lagrange_basis([Fraction(-m) for m in range(q + 1)])
+
+    def omega(a: Fraction, coeffs: list) -> PhiExpr:
+        return sum(
+            (phi(j + 1, c * math.factorial(j) * a ** (j + 1), a)
+             for j, c in enumerate(coeffs) if c != 0),
+            _ZERO,
+        )
+
+    def ell(coeffs: list, theta: Fraction) -> Fraction:
+        return sum((c * theta**j for j, c in enumerate(coeffs)), Fraction(0))
+
+    stage2, stage3, stage4, out = [], [], [], []  # column m of each row
+    for c in basis:
+        mid, end = ell(c, half), ell(c, Fraction(1))
+        w_half, w_full = omega(half, c), omega(Fraction(1), c)
+        stage2.append(w_half)
+        stage3.append(w_half - const_term(mid / 2))
+        stage4.append(w_full - exp_term(mid, half))
+        out.append(w_full - exp_term(mid * Fraction(2, 3), half) - const_term(end / 6))
+    return Tableau(
+        name=f"genlawson4{q}", order=max(4, q + 1), stages=4, steps=q + 1,
+        C=(0, half, half, 1),
+        A=(
+            (_ZERO, _ZERO, _ZERO, _ZERO),
+            (stage2[0], _ZERO, _ZERO, _ZERO),
+            (stage3[0], const_term(half), _ZERO, _ZERO),
+            (stage4[0], _ZERO, exp_term(1, half), _ZERO),
+        ),
+        B=(out[0], exp_term(Fraction(1, 3), half), exp_term(Fraction(1, 3), half),
+           const_term(Fraction(1, 6))),
+        U=(tuple(_ZERO for _ in range(q)), stage2[1:], stage3[1:], stage4[1:]),
+        V=out[1:],
+    )
+
+
 # ---------------------------------------------------------------------------
 # tableau files
 
@@ -583,13 +650,17 @@ class SchemeInfo:
     family: str
     order: int
     stages: int
-    steps: int
-    build: Optional[Callable[[], Tableau]] = None  # None: runs via a dedicated engine path
-    engine: str = "tableau"  # or "genlawson"
+    steps: int  # the paper's q; GenLawson4q's tableau keeps q + 1 values
+    build: Callable[[], Tableau]
+
+    @property
+    def engine(self) -> str:
+        # Every scheme runs on the tableau engine.  This tag only keeps the
+        # generalized Lawson rows apart for the frozen acceptance check of
+        # the 16 classical tableau reductions.
+        return "genlawson" if self.family == "Gen. Lawson" else "tableau"
 
     def tableau(self) -> Tableau:
-        if self.build is None:
-            raise ValueError(f"{self.name} has no tableau form; it runs via its own engine")
         return self.build()
 
 
@@ -612,7 +683,7 @@ def _registry() -> dict[str, SchemeInfo]:
         rows.append(
             SchemeInfo(
                 f"genlawson4{q}", f"GenLawson4{q}", "Gen. Lawson",
-                order, 4, q, None, engine="genlawson",
+                order, 4, q, lambda q=q: build_gen_lawson(q),
             )
         )
     for p in (4, 5, 6, 7):

@@ -8,6 +8,7 @@ import xml.etree.ElementTree as ET
 import numpy as np
 import pytest
 
+from phistep import bench
 from phistep.bench import (
     CSV_HEADER,
     SweepPlan,
@@ -26,6 +27,7 @@ from phistep.bench import (
 )
 from phistep.errors import NoDataError, UnstableError
 from phistep.integrator import ScalarProbe, _ProbeSystem
+from phistep.phifun import ContourSpec
 from phistep.problems import default_grid, get_problem
 from phistep.spectral import Grid
 
@@ -83,6 +85,16 @@ def test_reference_cache_returns_identical_array():
     second = reference_solution(system, probe.T, 1e-2)
     assert second is first
     assert not first.flags.writeable
+
+
+def test_reference_cache_distinguishes_contour_real_symmetry():
+    probe, system = _probe_system()
+    with_symmetry = reference_solution(
+        system, probe.T, 1e-2, contour=ContourSpec(real_symmetry=True))
+    without = reference_solution(
+        system, probe.T, 1e-2, contour=ContourSpec(real_symmetry=False))
+    assert without is not with_symmetry
+    assert len(bench._REFERENCE_CACHE) == 2
 
 
 def test_reference_cache_distinguishes_systems_with_same_name():

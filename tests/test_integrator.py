@@ -13,10 +13,8 @@ from phistep.errors import UnstableError
 from phistep.integrator import (
     ScalarProbe,
     SimState,
-    gen_lawson_step,
     integrate,
     precompute,
-    precompute_gen_lawson,
     prepare_scheme,
     run_scalar_probe,
     start_multistep,
@@ -25,7 +23,7 @@ from phistep.integrator import (
 from phistep.phifun import ContourSpec
 from phistep.problems import default_grid, discretize, get_problem, kdv_soliton, nls_breather
 from phistep.spectral import Grid, to_coeffs, to_values
-from phistep.tableau import empirical_order, get_scheme
+from phistep.tableau import empirical_order, get_scheme, list_schemes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -230,12 +228,9 @@ def test_fft_budget_two_s_per_step(name, evals):
     system = discretize(problem, default_grid(problem))  # N = 64
     nsteps = 12
     result = integrate(system, info, 10.0 / nsteps, 10.0)
-    # the generalized Lawson engine retains the current value plus
-    # `steps` past ones, so its state spans one more step than declared
-    state_span = info.steps + 1 if info.engine == "genlawson" else info.steps
-    stepping_steps = nsteps - (state_span - 1)
+    stepping_steps = nsteps - (info.tableau().steps - 1)
     assert result.fft_count == 2 * evals * stepping_steps
-    assert evals == info.stages or info.engine == "genlawson"
+    assert evals == info.stages
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +270,10 @@ def _brute_gen_lawson_step(lam, h, u, nl_values, func):
     return np.exp(lam * h) * v1 + w(1.0)
 
 
-@pytest.mark.parametrize("q", [1, 3, 5])
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5])
 def test_gen_lawson_step_matches_brute_force_transform(q):
-    # engine output vs an independently coded RK4 on the transformed
-    # equation with quadrature-evaluated particular solution
+    # the GenLawson4q tableau's step vs an independently coded RK4 on the
+    # transformed equation with quadrature-evaluated particular solution
     lam = -0.7
     h = 0.1
     logistic = _oracles.logistic_probe_solution
@@ -287,14 +282,14 @@ def test_gen_lawson_step_matches_brute_force_transform(q):
     system = DirectSystem(
         lam=np.array([lam + 0j]), u0=np.array([states[0] + 0j]), func=square
     )
-    scheme = precompute_gen_lawson(q, h, system.lam)
+    scheme = prepare_scheme(f"genlawson4{q}", h, system.lam)
     state = SimState(
         coeffs=np.array([states[0] + 0j]), time=0.0, step=q,
         nl_current=np.array([nl_values[0] + 0j]),
         history=tuple(np.array([v + 0j]) for v in nl_values[1:]),
         initial_norm=abs(states[0]),
     )
-    out = gen_lawson_step(state, scheme, system)
+    out = step(state, scheme, system)
     want = _brute_gen_lawson_step(lam, h, states[0], nl_values, lambda u: u * u)
     assert abs(complex(out.coeffs[0]) - want) <= 1e-12 * abs(want)
 
@@ -311,12 +306,18 @@ def test_gen_lawson_fixed_point_preserved_but_not_by_lawson4():
     assert abs(complex(law.u[0]) - 1.0) > 1e-8
 
 
-def test_gen_lawson_monomial_matrix_row_zero_exact():
-    scheme = precompute_gen_lawson(4, 0.1, np.array([-1.0]))
-    assert scheme.monomial_matrix.shape == (5, 5)
-    np.testing.assert_array_equal(
-        scheme.monomial_matrix[0], [1.0, 0.0, 0.0, 0.0, 0.0]
-    )
+def test_equilibrium_kept_by_schemes_with_summation_property():
+    # u = 1 is a fixed point of u' = -u + u^2.  Stepped in difference form,
+    # every scheme with the summation property stays on it to rounding;
+    # the integrating-factor schemes without it drift off.
+    probe = ScalarProbe(u0=1.0, T=10.0, exact=lambda t: 1.0)
+    for info in list_schemes():
+        err = run_scalar_probe(info.name, probe, h=0.1)
+        if info.tableau().satisfies_summation:
+            assert err <= 1e-12, (info.name, err)
+        else:
+            assert info.name in ("lawson4", "ablawson4")
+            assert err > 1e-8, (info.name, err)
 
 
 def test_gen_lawson_linear_exactness():

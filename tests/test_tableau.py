@@ -191,9 +191,7 @@ def test_etdrk4_override_identity():
     assert set(t.stage_source_coeffs) == {(4, 1), (4, 3)}
 
 
-@pytest.mark.parametrize(
-    "info", [r for r in REGISTRY.values() if r.build is not None], ids=lambda r: r.name
-)
+@pytest.mark.parametrize("info", list(REGISTRY.values()), ids=lambda r: r.name)
 def test_summation_residuals(info):
     t = info.tableau()
     if t.satisfies_summation:
@@ -321,14 +319,11 @@ def test_registry_rows_match_reference_table():
 
 def test_registry_tableau_consistency():
     for info in list_schemes():
-        if info.build is None:
-            assert info.engine == "genlawson"
-            with pytest.raises(ValueError):
-                info.tableau()
-        else:
-            t = info.tableau()
-            assert (t.order, t.stages, t.steps) == (info.order, info.stages, info.steps)
-            assert t.is_complete
+        t = info.tableau()
+        # GenLawson4q keeps u^n and q past values: q + 1 tableau steps
+        steps = info.steps + 1 if info.family == "Gen. Lawson" else info.steps
+        assert (t.order, t.stages, t.steps) == (info.order, info.stages, steps)
+        assert t.is_complete
 
 
 # ---------------------------------------------------------------------------
