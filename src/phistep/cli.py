@@ -43,7 +43,7 @@ from .errors import NoDataError, PhistepError, UnstableError
 from .integrator import _ProbeSystem, integrate
 from .phifun import ContourSpec, phi_contour, phi_scalar
 from .problems import NLS_A, NLS_B, default_grid, discretize, get_problem, nls_breather, problem_names
-from .spectral import to_values
+from .spectral import Grid, to_coeffs, to_values
 from .tableau import REGISTRY, empirical_order, get_scheme, list_schemes
 
 ENV_OUT_VAR = "PHISTEP_OUT"
@@ -368,6 +368,23 @@ def _selftest_linear() -> tuple:
     return worst <= 1e-12, f"worst rel {worst:.2e} ({worst_name}) over {steps} steps"
 
 
+def _selftest_real_layout() -> tuple:
+    rng = np.random.default_rng(2025)
+    worst = 0.0
+    for sizes in ((16,), (8, 12), (6, 8, 10)):
+        grid = Grid(sizes, ((0.0, 1.0),) * len(sizes))
+        u = rng.standard_normal((2, *sizes))
+        half = to_coeffs(u, grid, real=True)
+        full = to_coeffs(u, grid)
+        worst = max(
+            worst,
+            float(np.max(np.abs(half - full[..., : sizes[-1] // 2 + 1]))),
+            float(np.max(np.abs(to_values(half, grid) - u))),
+            float(np.max(np.abs(to_values(half, grid) - to_values(full, grid, real=True)))),
+        )
+    return worst <= 1e-13, f"max abs {worst:.2e} in 1D, 2D and 3D"
+
+
 def _selftest_orders() -> tuple:
     worst, worst_name, ok = 0.0, "", True
     for info in list_schemes():
@@ -385,6 +402,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ("phi kernels (contour vs series)", _selftest_phi),
         ("classical reductions at z=0", _selftest_reductions),
         ("linear exactness (N == 0)", _selftest_linear),
+        ("real fields on the half spectrum", _selftest_real_layout),
         ("order certification (scalar probe)", _selftest_orders),
     ]
     all_ok = True

@@ -26,6 +26,7 @@ kernel (truncated series near 0, closed-form recurrence away from it).
 """
 from __future__ import annotations
 
+import hashlib
 import math
 import threading
 from collections import OrderedDict
@@ -499,17 +500,26 @@ def psi(index: int, node: Scalar) -> PhiExpr:
 # cached evaluation over operator diagonals
 
 _EVAL_CACHE: OrderedDict = OrderedDict()
-_EVAL_CACHE_MAX = 256
+# Byte budget of the cached arrays; the least recently used go first.  It
+# holds about 120 arrays of a 64^3 real problem but only 8 of a complex
+# 128^3 one, so production-size sweeps recompute instead of exhausting
+# memory.  Keys hold a digest of the diagonal, not its bytes.
+_EVAL_CACHE_BYTES = 256 << 20
+_eval_cache_nbytes = 0
 _EVAL_LOCK = threading.Lock()
 
 
 def clear_eval_cache() -> None:
+    global _eval_cache_nbytes
     with _EVAL_LOCK:
         _EVAL_CACHE.clear()
+        _eval_cache_nbytes = 0
 
 
-def _diag_fingerprint(diag: np.ndarray) -> bytes:
-    return diag.shape.__repr__().encode() + diag.tobytes()
+def _diag_fingerprint(diag: np.ndarray) -> str:
+    digest = hashlib.sha1(repr(diag.shape).encode())
+    digest.update(diag)
+    return digest.hexdigest()
 
 
 def _cache_get(key):
@@ -521,11 +531,18 @@ def _cache_get(key):
 
 
 def _cache_put(key, value: np.ndarray) -> None:
+    global _eval_cache_nbytes
     value.setflags(write=False)
+    if value.nbytes > _EVAL_CACHE_BYTES:
+        return
     with _EVAL_LOCK:
+        old = _EVAL_CACHE.pop(key, None)
+        if old is not None:
+            _eval_cache_nbytes -= old.nbytes
+        while _EVAL_CACHE and _eval_cache_nbytes + value.nbytes > _EVAL_CACHE_BYTES:
+            _eval_cache_nbytes -= _EVAL_CACHE.popitem(last=False)[1].nbytes
         _EVAL_CACHE[key] = value
-        while len(_EVAL_CACHE) > _EVAL_CACHE_MAX:
-            _EVAL_CACHE.popitem(last=False)
+        _eval_cache_nbytes += value.nbytes
 
 
 def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> np.ndarray:
@@ -533,10 +550,13 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
 
     Returns a read-only complex array shaped like diag; entries with zero
     imaginary part go through the real-symmetry contour, so a real diagonal
-    yields values whose imaginary parts are exactly zero.  Results are
-    cached on (expression, diagonal bytes, contour), and the underlying
-    phi_index(scale * diag) arrays are cached separately so expressions
-    sharing terms (every tableau does) are evaluated once.
+    yields values whose imaginary parts are exactly zero.  Exponential
+    terms exp(scale * z) are evaluated by np.exp, as the propagators of
+    the step engine are.  Results are cached on (expression, diagonal
+    digest, contour), and the underlying phi_index(scale * diag) arrays
+    are cached separately so expressions sharing terms (every tableau
+    does) are evaluated once; the cache keeps at most _EVAL_CACHE_BYTES
+    of arrays.
     """
     if not isinstance(expr, PhiExpr):
         raise TypeError(f"expected PhiExpr, got {type(expr).__name__}")
@@ -550,6 +570,9 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
     for t in expr.terms:
         if t.index == 0 and t.scale == 0:
             out += complex(t.coeff)
+            continue
+        if t.index == 0:
+            out += complex(t.coeff) * np.exp(float(t.scale) * diag_arr)
             continue
         tkey = ("phi", t.index, float(t.scale), diag_fp, contour)
         vals = _cache_get(tkey)

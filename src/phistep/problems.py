@@ -13,11 +13,13 @@ into the nonlinearity so L stays exactly the stiff linear part.  Initial
 data are sampled on the grid and transformed; for real data the Nyquist
 coefficient produced by the FFT already equals the common value of the
 two extreme modes, so no separate halving convention is needed.
+Nonlinearities are written as plain products (u*u*u, not u**3), which
+numpy evaluates without the general power routine.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -61,9 +63,12 @@ class Problem:
 class DiscreteSystem:
     """A problem sampled on a grid: everything the time stepper needs.
 
-    lam holds the per-component diagonal of L over the mode grid
-    (components, *grid.shape); u0 holds the initial Fourier coefficients
-    in the same layout.
+    lam holds the per-component diagonal of L over the mode grid and u0
+    the initial Fourier coefficients in the same layout.  For a real
+    problem that is the half (rfftn) layout of spectral.py,
+    (components, *grid.shape[:-1], N/2 + 1) with N the last grid size,
+    and so are the op's outer symbol and every state stepped from u0;
+    complex problems use the full layout (components, *grid.shape).
     """
 
     name: str
@@ -83,6 +88,11 @@ def _stack(*arrays) -> np.ndarray:
     return np.stack([np.asarray(a) for a in arrays])
 
 
+def _abs2(u: np.ndarray) -> np.ndarray:
+    """|u|^2 without the square root of np.abs."""
+    return u.real * u.real + u.imag * u.imag
+
+
 # ---------------------------------------------------------------------------
 # 1D problems
 
@@ -92,7 +102,7 @@ def _ac_symbol(grid: Grid) -> np.ndarray:
 
 
 def _ac_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: -u ** 3, real_values=True)
+    return NonlinearOp(lambda u: -(u * u * u), real_values=True)
 
 
 def _ac_ic(grid: Grid) -> np.ndarray:
@@ -116,7 +126,7 @@ def _ch_symbol(grid: Grid) -> np.ndarray:
 
 def _ch_nonlinear(grid: Grid) -> NonlinearOp:
     outer = _CH_ALPHA * diff_symbol(2, 0, grid)
-    return NonlinearOp(lambda u: u ** 3, outer=outer, real_values=True)
+    return NonlinearOp(lambda u: u * u * u, outer=outer, real_values=True)
 
 
 def _ch_ic(grid: Grid) -> np.ndarray:
@@ -127,7 +137,7 @@ def _ch_ic(grid: Grid) -> np.ndarray:
 def _advective_nonlinear(grid: Grid) -> NonlinearOp:
     """-u u_x = -(1/2) d/dx (u^2), the convective term of KdV and KS."""
     outer = -0.5 * diff_symbol(1, 0, grid)
-    return NonlinearOp(lambda u: u ** 2, outer=outer, real_values=True)
+    return NonlinearOp(lambda u: u * u, outer=outer, real_values=True)
 
 
 def _kdv_symbol(grid: Grid) -> np.ndarray:
@@ -161,7 +171,7 @@ def _nls_symbol(grid: Grid) -> np.ndarray:
 
 
 def _nls_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: 1j * (np.abs(u) ** 2) * u)
+    return NonlinearOp(lambda u: 1j * _abs2(u) * u)
 
 
 def _nls_ic(grid: Grid) -> np.ndarray:
@@ -183,7 +193,7 @@ def _gl_symbol(grid: Grid) -> np.ndarray:
 
 
 def _gl_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: -(1 + 1j * GL_B) * u * np.abs(u) ** 2)
+    return NonlinearOp(lambda u: -(1 + 1j * GL_B) * u * _abs2(u))
 
 
 def _gl_ic(grid: Grid) -> np.ndarray:
@@ -231,7 +241,7 @@ def _sh_symbol(grid: Grid) -> np.ndarray:
 
 
 def _sh_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: SH_G * u ** 2 - u ** 3, real_values=True)
+    return NonlinearOp(lambda u: u * u * (SH_G - u), real_values=True)
 
 
 def _sh_ic(grid: Grid) -> np.ndarray:
@@ -398,18 +408,28 @@ def default_grid(problem: Problem, paper_scale: bool = False, size: Optional[int
 
 def discretize(problem: Problem, grid: Grid) -> DiscreteSystem:
     """Sample the problem on a grid: diagonal L, grid-bound nonlinearity,
-    and the initial condition's Fourier coefficients."""
+    and the initial condition's Fourier coefficients.
+
+    A real problem keeps the half layout: its full-grid symbols are cut
+    to the modes 0 .. N/2 of the last axis.  The cut is exact, because an
+    even symbol ignores the sign of the Nyquist wavenumber and an odd one
+    is zero there."""
     if grid.dims != problem.dims:
         raise ValueError(f"{problem.name} is {problem.dims}D but the grid is {grid.dims}D")
     lam = problem.symbol(grid)
+    op = problem.nonlinear(grid)
     values = np.asarray(problem.ic(grid))
-    u0 = to_coeffs(values.astype(complex), grid)
     if lam.shape != (problem.components, *grid.shape):
         raise ValueError(f"symbol shape {lam.shape} inconsistent with {problem.name}")
+    if problem.real:
+        kept = slice(0, grid.sizes[-1] // 2 + 1)
+        lam = np.ascontiguousarray(lam[..., kept])
+        if op.outer is not None:
+            op = replace(op, outer=np.ascontiguousarray(op.outer[..., kept]))
+        u0 = to_coeffs(values, grid, real=True)
+    else:
+        u0 = to_coeffs(values.astype(complex), grid)
     if u0.shape != lam.shape:
         raise ValueError(f"initial condition shape {u0.shape} inconsistent")
     name = problem.name if problem.dims == 1 else f"{problem.name}{problem.dims}"
-    return DiscreteSystem(
-        name=name, grid=grid, lam=lam, op=problem.nonlinear(grid), u0=u0,
-        real=problem.real,
-    )
+    return DiscreteSystem(name=name, grid=grid, lam=lam, op=op, u0=u0, real=problem.real)

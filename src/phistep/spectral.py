@@ -11,6 +11,19 @@ odd-order symbols set to zero so real fields stay real.
 Spectral symbols are plain ndarrays over the mode grid (one per
 component when stacked); nothing here assumes more structure than
 elementwise multiplication.
+
+Coefficient arrays come in two layouts.  The full layout covers every
+mode (shape ending in grid.shape) and holds any field.  The half layout
+is numpy's rfftn layout: the last grid axis keeps only the modes
+0 .. N/2 (shape ending in (*grid.shape[:-1], N/2 + 1)), which determines
+a real field completely because the missing modes are the complex
+conjugates of kept ones.  Real problems store their symbols, initial
+data and every stepped state in the half layout (see
+problems.discretize); to_coeffs(..., real=True) produces it, and
+to_values and apply_nonlinear accept either layout, telling them apart
+by shape.  On grids whose last axis has two points the two layouts
+coincide.  Max norms agree between the layouts, because conjugate modes
+have equal modulus.
 """
 from __future__ import annotations
 
@@ -186,29 +199,64 @@ def _grid_axes(grid: Grid) -> tuple:
     return tuple(range(-grid.dims, 0))
 
 
-def to_coeffs(values: np.ndarray, grid: Grid) -> np.ndarray:
+def _half_shape(grid: Grid) -> tuple:
+    return (*grid.shape[:-1], grid.sizes[-1] // 2 + 1)
+
+
+def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
+    """Whether a coefficient array is in the half layout (shape checked)."""
+    tail = coeffs.shape[-grid.dims:]
+    if tail == grid.shape:
+        return False
+    if tail == _half_shape(grid):
+        return True
+    raise ValueError(
+        f"coefficient shape {coeffs.shape} ends in neither {grid.shape} "
+        f"nor the half layout {_half_shape(grid)}"
+    )
+
+
+def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False) -> np.ndarray:
     """Forward transform over the trailing grid axes, scaled by 1/npoints.
 
-    Leading axes (e.g. a component axis) are preserved.
+    Leading axes (e.g. a component axis) are preserved.  With real=True
+    the values are taken as real (an imaginary part is dropped) and the
+    result is in the half layout.
     """
     values = np.asarray(values)
     if values.shape[-grid.dims:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
     _count_fft()
+    if real:
+        if np.iscomplexobj(values):
+            values = values.real
+        if grid.dims == 1:
+            return np.fft.rfft(values, norm="forward")
+        return np.fft.rfftn(values, axes=_grid_axes(grid), norm="forward")
+    if grid.dims == 1:
+        return np.fft.fft(values, norm="forward")
     return np.fft.fftn(values, axes=_grid_axes(grid), norm="forward")
 
 
 def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False) -> np.ndarray:
     """Inverse transform over the trailing grid axes (unscaled).
 
-    With real=True the imaginary residue is dropped, which is exact for
-    coefficient arrays with Hermitian symmetry (real-valued fields).
+    Half-layout coefficients give a contiguous real array whatever real
+    says.  For full-layout coefficients real=True drops the imaginary
+    residue, which is exact for coefficient arrays with Hermitian
+    symmetry (real-valued fields).
     """
     coeffs = np.asarray(coeffs)
-    if coeffs.shape[-grid.dims:] != grid.shape:
-        raise ValueError(f"coefficient shape {coeffs.shape} does not end in {grid.shape}")
+    half = _is_half(coeffs, grid)
     _count_fft()
-    out = np.fft.ifftn(coeffs, axes=_grid_axes(grid), norm="forward")
+    if half:
+        if grid.dims == 1:
+            return np.fft.irfft(coeffs, grid.sizes[0], norm="forward")
+        return np.fft.irfftn(coeffs, grid.shape, axes=_grid_axes(grid), norm="forward")
+    if grid.dims == 1:
+        out = np.fft.ifft(coeffs, norm="forward")
+    else:
+        out = np.fft.ifftn(coeffs, axes=_grid_axes(grid), norm="forward")
     return out.real if real else out
 
 
@@ -223,7 +271,8 @@ class NonlinearOp:
     func maps the (components, *grid.shape) value array to an array of the
     same shape; outer, when present, multiplies the transformed result in
     coefficient space (e.g. the -D/2 factor of an advective nonlinearity
-    -u u_x = -(1/2)(u^2)_x).  real_values evaluates func on the real part,
+    -u u_x = -(1/2)(u^2)_x) and must be in the layout of the coefficients
+    the op is applied to.  real_values evaluates func on the real part,
     appropriate for real-valued problems.
     """
 
@@ -234,9 +283,12 @@ class NonlinearOp:
 
 def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid) -> np.ndarray:
     """Evaluate F(N(F^{-1} coeffs)): transform to value space, apply the
-    pointwise map, transform back, then apply the outer symbol if any."""
+    pointwise map, transform back, then apply the outer symbol if any.
+
+    The result is a new array in the layout of coeffs."""
+    coeffs = np.asarray(coeffs)
     values = to_values(coeffs, grid, real=op.real_values)
-    out = to_coeffs(np.asarray(op.func(values)), grid)
+    out = to_coeffs(op.func(values), grid, real=_is_half(coeffs, grid))
     if op.outer is not None:
-        out = out * op.outer
+        np.multiply(out, op.outer, out=out)
     return out

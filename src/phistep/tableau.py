@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
@@ -661,7 +662,21 @@ class SchemeInfo:
         return "genlawson" if self.family == "Gen. Lawson" else "tableau"
 
     def tableau(self) -> Tableau:
-        return self.build()
+        """The scheme's tableau, built on the first call.
+
+        Every call returns the same object, so callers must not modify
+        it (dataclasses.replace gives a modified copy).
+        """
+        with _BUILT_LOCK:
+            if self.build not in _BUILT:
+                _BUILT[self.build] = self.build()
+            return _BUILT[self.build]
+
+
+# tableaux by the builder that made them: exact-rational construction
+# takes milliseconds, and a sweep asks once per (scheme, h)
+_BUILT: dict = {}
+_BUILT_LOCK = threading.Lock()
 
 
 def _registry() -> dict[str, SchemeInfo]:

@@ -471,7 +471,7 @@ def test_kdv_single_soliton_vs_analytic():
     (x,) = grid.meshgrid()
     u0 = kdv_soliton(c, 0.0, 0.0, x)[None]
     system = dataclasses.replace(
-        discretize(problem, grid), u0=to_coeffs(u0.astype(complex), grid)
+        discretize(problem, grid), u0=to_coeffs(u0, grid, real=True)
     )
     T = 1e-3
     result = integrate(system, "etdrk4", 1e-6, T)

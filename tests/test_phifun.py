@@ -389,3 +389,43 @@ def test_expr_evaluation_real_diag_is_real_and_cached():
 def test_expr_evaluation_rejects_non_expr():
     with pytest.raises(TypeError):
         eval_phi_expr(phi(1).terms[0], np.array([-1.0]))  # a bare PhiTerm
+
+
+def test_exponential_terms_are_np_exp():
+    clear_eval_cache()
+    lam = np.concatenate([
+        -np.linspace(0.0, 40.0, 33), 1j * np.linspace(-30.0, 30.0, 17), [-2.0 + 3.0j, 5.0],
+    ])
+    for scale in (Fraction(1, 2), 1, Fraction(3, 4)):
+        got = eval_phi_expr(exp_term(1, scale), lam)
+        want = np.exp(float(scale) * lam.astype(np.complex128))
+        assert got.tobytes() == want.tobytes(), scale
+        via_contour = phi_contour(0, float(scale) * lam)
+        assert np.max(np.abs(got - via_contour) / np.abs(got)) <= 1e-13, scale
+    real = eval_phi_expr(exp_term(2, Fraction(1, 2)), -np.linspace(0.0, 9.0, 10))
+    assert np.all(real.imag == 0.0)
+
+
+def test_eval_cache_is_bounded_in_bytes(monkeypatch):
+    budget = 200 * 1024
+    monkeypatch.setattr(phifun, "_EVAL_CACHE_BYTES", budget)
+    clear_eval_cache()
+    rng = np.random.default_rng(3)
+    e = phi(1) + phi(2, -1, Fraction(1, 2))
+    try:
+        for _ in range(12):
+            # 4096 distinct entries: 64 KiB per cached array, three per call
+            lam = -np.abs(rng.normal(size=4096)) * 30
+            out = eval_phi_expr(e, lam)
+            held = sum(v.nbytes for v in phifun._EVAL_CACHE.values())
+            assert held <= budget
+            assert held == phifun._eval_cache_nbytes
+            assert eval_phi_expr(e, lam) is out  # the newest entry survives
+        # keys name the diagonal by a digest, not by its bytes
+        assert all(len(repr(key)) < 300 for key in phifun._EVAL_CACHE)
+        # an array larger than the whole budget is returned but not kept
+        big = eval_phi_expr(phi(1), -np.linspace(0.0, 50.0, 20000))
+        assert big.nbytes > budget
+        assert all(v is not big for v in phifun._EVAL_CACHE.values())
+    finally:
+        clear_eval_cache()

@@ -309,7 +309,10 @@ def test_discretize_shapes_and_dtypes():
         p = get_problem(name)
         g = default_grid(p)
         sys = discretize(p, g)
-        expected = (p.components, *g.shape)
+        if p.real:
+            expected = (p.components, *g.shape[:-1], g.shape[-1] // 2 + 1)
+        else:
+            expected = (p.components, *g.shape)
         assert sys.lam.shape == expected
         assert sys.u0.shape == expected
         assert np.iscomplexobj(sys.u0)
@@ -405,7 +408,7 @@ def test_schnak_fixed_point():
         g = Grid.uniform(p.dims, 8, p.interval)
         sys = discretize(p, g)
         shape = (1,) * p.dims
-        state = np.zeros((2, *g.shape), dtype=complex)
+        state = np.zeros_like(sys.u0)
         state[0][(0,) * p.dims] = 1.0
         state[1][(0,) * p.dims] = 0.9
         rhs = sys.lam * state + sys.nonlinear(state)
@@ -419,11 +422,11 @@ def test_ch_nonlinearity_carries_outer_symbol():
     g = Grid.uniform(1, 32, p.interval)
     sys = discretize(p, g)
     (x,) = g.meshgrid()
-    state = to_coeffs(np.cos(np.pi * x)[None], g)
+    state = to_coeffs(np.cos(np.pi * x)[None], g, real=True)
     out = sys.nonlinear(state)
     analytic = 1e-2 * (-3 * np.pi ** 2 * np.cos(np.pi * x)
                        - 9 * np.pi ** 2 * np.cos(3 * np.pi * x)) / 4
-    np.testing.assert_allclose(out, to_coeffs(analytic[None], g), atol=1e-13)
+    np.testing.assert_allclose(out, to_coeffs(analytic[None], g, real=True), atol=1e-13)
 
 
 def test_ac_initial_spectrum_decays():

@@ -12,6 +12,7 @@ from phistep.tableau import (
     Tableau,
     ablawson4,
     build_abnorsett,
+    build_gen_lawson,
     build_pec,
     build_pecec,
     complete_summation,
@@ -189,6 +190,12 @@ def test_etdrk4_override_identity():
         assert abs(lhs - rhs) <= 1e-25 * max(1, abs(rhs))
     assert t.stage_source == {4: 2}
     assert set(t.stage_source_coeffs) == {(4, 1), (4, 3)}
+
+
+def test_registry_tableau_is_built_once():
+    for info in REGISTRY.values():
+        assert info.tableau() is info.tableau(), info.name
+    assert REGISTRY["genlawson45"].tableau().coefficients_equal(build_gen_lawson(5))
 
 
 @pytest.mark.parametrize("info", list(REGISTRY.values()), ids=lambda r: r.name)
