@@ -292,7 +292,7 @@ def run_sweep(
     _validate_step_counts(plan)
     system = discretize(plan.problem, plan.grid)
     reference = reference_solution(system, plan.T, plan.ladder[-1], contour=plan.contour)
-    ref_values = to_values(reference, system.grid, real=system.real)
+    ref_values = to_values(reference, system.grid)
 
     points = [(scheme, h) for scheme in plan.schemes for h in plan.ladder]
 
@@ -306,7 +306,7 @@ def run_sweep(
                 scheme=scheme, h=h_snap, h_over_T=h_snap / plan.T,
                 error=None, seconds=None, stable=False, starter_converged=True,
             )
-        error = rel_l2_error(to_values(result.u, system.grid, real=system.real), ref_values)
+        error = rel_l2_error(to_values(result.u, system.grid), ref_values)
         if not math.isfinite(error):
             return SweepRecord(
                 scheme=scheme, h=result.h, h_over_T=result.h / plan.T,
@@ -581,8 +581,7 @@ def load_field(path):
 def plan_to_manifest(plan: SweepPlan, **extra) -> dict:
     """A JSON-serializable echo of a plan (plus any extra run flags)."""
     manifest = {
-        "problem": plan.problem.name if plan.problem.dims == 1
-        else f"{plan.problem.name}{plan.problem.dims}",
+        "problem": plan.problem.key,
         "grid": list(plan.grid.sizes),
         "schemes": list(plan.schemes),
         "ladder": list(plan.ladder),

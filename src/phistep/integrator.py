@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UnstableError
-from .phifun import ContourSpec, PhiExpr, eval_phi_expr, gamma_contour
+from .phifun import ContourSpec, PhiExpr, eval_phi_expr, exp_term, gamma_contour
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -106,19 +106,10 @@ def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: floa
         )
 
 
-def _diagonal(h: float, lam) -> tuple:
-    """h*lam as a contiguous complex array, and whether it is real.
-
-    Coefficient arrays over a real diagonal are stored real: contour
-    evaluation returns exactly-zero imaginary parts there, so taking
-    .real is lossless.
-    """
-    diag = np.ascontiguousarray(h * np.asarray(lam), dtype=np.complex128)
-    return diag, bool(np.all(diag.imag == 0))
-
-
-def _real_if(arr: np.ndarray, make_real: bool) -> np.ndarray:
-    return np.ascontiguousarray(arr.real) if make_real else np.asarray(arr)
+def _diagonal(h: float, lam) -> np.ndarray:
+    """h*lam as a contiguous complex array, converted once for every phi
+    and gamma evaluation over it."""
+    return np.ascontiguousarray(h * np.asarray(lam), dtype=np.complex128)
 
 
 # ---------------------------------------------------------------------------
@@ -130,13 +121,13 @@ class PrecomputedScheme:
     """A tableau with its slots evaluated over the diagonal h*L.
 
     Coefficient arrays are the bare weight functions (not premultiplied
-    by h); `step` supplies the factor h.  For real diagonals the arrays
-    are real-valued.  Keyed for the difference form: stage_sums[i] and
-    output_sum multiply N(u^n) (absent when the row sums to zero);
-    A[(i, j)] (j >= 2, the stage_source_coeffs row for a chained stage)
-    and B[i] (i >= 2) multiply N(v^j) - N(u^n); U and V multiply
-    N(u^{n-j}) - N(u^n).  B[1] holds the tableau's own B_1, which
-    stepping does not use.
+    by h); `step` supplies the factor h.  They are the read-only arrays
+    of the phi cache, as eval_phi_expr returns them: float64 over a real
+    diagonal with real weights, complex128 otherwise.  Keyed for the
+    difference form: stage_sums[i] and output_sum multiply N(u^n) (absent
+    when the row sums to zero); A[(i, j)] (j >= 2, the
+    stage_source_coeffs row for a chained stage) and B[i] (i >= 2)
+    multiply N(v^j) - N(u^n); U and V multiply N(u^{n-j}) - N(u^n).
     """
 
     name: str
@@ -166,17 +157,6 @@ class PrecomputedScheme:
         return step(state, self, system)
 
 
-def _exp_cache(hlam: np.ndarray, make_real: bool):
-    cache: dict = {}
-
-    def propagator(c: Fraction) -> np.ndarray:
-        if c not in cache:
-            cache[c] = _real_if(np.exp(float(c) * hlam), make_real)
-        return cache[c]
-
-    return propagator
-
-
 def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSpec()) -> PrecomputedScheme:
     """Evaluate the tableau entrywise at h*lam, in difference form.
 
@@ -191,16 +171,18 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     lam = np.asarray(lam)
-    diag, make_real = _diagonal(h, lam)
+    diag = _diagonal(h, lam)
     evaluated: dict = {}
 
     def ev(expr: PhiExpr) -> np.ndarray:
         # equal expressions (e.g. psi_{1,1/2} in several rows) share one array
         if expr not in evaluated:
-            evaluated[expr] = _real_if(eval_phi_expr(expr, diag, contour), make_real)
+            evaluated[expr] = eval_phi_expr(expr, diag, contour)
         return evaluated[expr]
 
-    exp_of = _exp_cache(diag, make_real)
+    def exp_of(c: Fraction) -> np.ndarray:
+        return ev(exp_term(1, c))
+
     s, q = tableau.stages, tableau.steps
     stage_props = tuple(exp_of(tableau.C[i]) for i in range(s))
     source_props = {
@@ -227,7 +209,7 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
         for j in range(1, q)
         if not tableau.U[i - 1][j - 1].is_zero()
     }
-    B = {i: ev(tableau.B[i - 1]) for i in range(1, s + 1) if not tableau.B[i - 1].is_zero()}
+    B = {i: ev(tableau.B[i - 1]) for i in range(2, s + 1) if not tableau.B[i - 1].is_zero()}
     V = {j: ev(tableau.V[j - 1]) for j in range(1, q) if not tableau.V[j - 1].is_zero()}
     total = sum(tableau.B, zero) + sum(tableau.V, zero)
     return PrecomputedScheme(
@@ -386,7 +368,7 @@ def start_multistep(
     if initial_norm is None:
         initial_norm = _max_norm(u0)
     lam = np.asarray(system.lam)
-    diag, make_real = _diagonal(h, lam)
+    diag = _diagonal(h, lam)
 
     boot = prepare_scheme(bootstrap, h, lam, contour)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
@@ -395,14 +377,8 @@ def start_multistep(
         state = boot.step(state, system)
         states.append(state.coeffs)
 
-    gammas = {
-        (l, j): _real_if(gamma_contour(l, j, diag, contour), make_real)
-        for j in range(1, q)
-        for l in range(q)
-    }
-    propagators = {
-        j: _real_if(np.exp(float(j) * diag), make_real) for j in range(1, q)
-    }
+    gammas = {(l, j): gamma_contour(l, j, diag, contour) for j in range(1, q) for l in range(q)}
+    propagators = {j: eval_phi_expr(exp_term(1, j), diag, contour) for j in range(1, q)}
     nl_values = [system.nonlinear(u) for u in states]
     converged = False
     iterations = 0
@@ -609,7 +585,6 @@ class _ProbeSystem:
     lam: np.ndarray
     u0: np.ndarray
     func: Callable
-    real: bool = False
     name: str = "scalar-probe"
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:

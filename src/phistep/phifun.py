@@ -272,6 +272,10 @@ def _contour_mean(values_fn, lam: np.ndarray, contour: ContourSpec) -> np.ndarra
     the mean (the conjugate-symmetric lower half is implied), complex
     entries the full circle.
 
+    The result is float64 when every entry is real (and real_symmetry is
+    on), complex128 otherwise; there the real entries have exactly zero
+    imaginary part.
+
     values_fn must act entrywise on an ndarray of any shape.  It is called
     on whole (nodes, centres) blocks of at most _BLOCK_BYTES of points: as
     many node rows as fit, with the centres split as well when one row
@@ -282,15 +286,16 @@ def _contour_mean(values_fn, lam: np.ndarray, contour: ContourSpec) -> np.ndarra
     _BLOCK_BYTES, whatever the length of lam.
     """
     lam = np.ascontiguousarray(lam, dtype=np.complex128)
-    out = np.empty(lam.shape, dtype=np.complex128)
     real_mask = (lam.imag == 0.0) if contour.real_symmetry else np.zeros(lam.shape, bool)
     M = contour.points
+    half = contour.radius * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M)
+    if real_mask.all():
+        return _node_sum(values_fn, half, lam, real=True) / M
+    out = np.empty(lam.shape, dtype=np.complex128)
     if real_mask.any():
-        nodes = contour.radius * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M)
-        out[real_mask] = _node_sum(values_fn, nodes, lam[real_mask], real=True) / M
-    if not real_mask.all():
-        nodes = contour.radius * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M)
-        out[~real_mask] = _node_sum(values_fn, nodes, lam[~real_mask], real=False) / M
+        out[real_mask] = _node_sum(values_fn, half, lam[real_mask], real=True) / M
+    full = contour.radius * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M)
+    out[~real_mask] = _node_sum(values_fn, full, lam[~real_mask], real=False) / M
     return out
 
 
@@ -311,7 +316,11 @@ def _dedup_eval(fn, lam: np.ndarray) -> np.ndarray:
 
 
 def phi_contour(index: int, lam, contour: ContourSpec = ContourSpec()):
-    """phi_index at a scalar or ndarray of diagonal entries via contour mean."""
+    """phi_index at a scalar or ndarray of diagonal entries via contour mean.
+
+    An ndarray gives float64 when all its entries are real and the contour
+    has real_symmetry, complex128 otherwise; a scalar gives a complex.
+    """
     if not 0 <= index <= MAX_INDEX:
         raise ValueError(f"phi index must be in [0, {MAX_INDEX}], got {index}")
     arr = np.asarray(lam, dtype=np.complex128)
@@ -322,7 +331,8 @@ def phi_contour(index: int, lam, contour: ContourSpec = ContourSpec()):
 
 
 def gamma_contour(j: int, k: int, lam, contour: ContourSpec = ContourSpec()):
-    """gamma_j(k, .) at a scalar or ndarray of diagonal entries via contour mean."""
+    """gamma_j(k, .) at a scalar or ndarray of diagonal entries via contour
+    mean, with the return types of phi_contour."""
     if not 0 <= j <= MAX_INDEX:
         raise ValueError(f"gamma index must be in [0, {MAX_INDEX}], got {j}")
     if not 1 <= k <= MAX_INDEX:
@@ -501,9 +511,10 @@ def psi(index: int, node: Scalar) -> PhiExpr:
 
 _EVAL_CACHE: OrderedDict = OrderedDict()
 # Byte budget of the cached arrays; the least recently used go first.  It
-# holds about 120 arrays of a 64^3 real problem but only 8 of a complex
-# 128^3 one, so production-size sweeps recompute instead of exhausting
-# memory.  Keys hold a digest of the diagonal, not its bytes.
+# holds about 240 float64 arrays of a 64^3 real problem (half layout) but
+# only 8 of a complex 128^3 one, so production-size sweeps recompute
+# instead of exhausting memory.  Keys hold a digest of the diagonal, not
+# its bytes.
 _EVAL_CACHE_BYTES = 256 << 20
 _eval_cache_nbytes = 0
 _EVAL_LOCK = threading.Lock()
@@ -548,15 +559,16 @@ def _cache_put(key, value: np.ndarray) -> None:
 def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> np.ndarray:
     """Evaluate a PhiExpr entrywise over an operator diagonal.
 
-    Returns a read-only complex array shaped like diag; entries with zero
-    imaginary part go through the real-symmetry contour, so a real diagonal
-    yields values whose imaginary parts are exactly zero.  Exponential
-    terms exp(scale * z) are evaluated by np.exp, as the propagators of
-    the step engine are.  Results are cached on (expression, diagonal
-    digest, contour), and the underlying phi_index(scale * diag) arrays
-    are cached separately so expressions sharing terms (every tableau
-    does) are evaluated once; the cache keeps at most _EVAL_CACHE_BYTES
-    of arrays.
+    Returns a read-only array shaped like diag: float64 when every entry
+    of diag and every term's coefficient is real and the contour has
+    real_symmetry, complex128 otherwise.  Real entries go through the
+    real-symmetry contour, so their values have exactly zero imaginary
+    part either way.  Exponential terms exp(scale * z) are evaluated by
+    np.exp.  Results are cached on (expression, diagonal digest,
+    contour), and the underlying phi_index(scale * diag) arrays are
+    cached separately so expressions sharing terms (every tableau does)
+    are evaluated once; the cache keeps at most _EVAL_CACHE_BYTES of
+    arrays.
     """
     if not isinstance(expr, PhiExpr):
         raise TypeError(f"expected PhiExpr, got {type(expr).__name__}")
@@ -566,20 +578,30 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
     hit = _cache_get(key)
     if hit is not None:
         return hit
-    out = np.zeros(diag_arr.shape, dtype=np.complex128)
+    real = (
+        contour.real_symmetry
+        and not diag_arr.imag.any()
+        and all(complex(t.coeff).imag == 0 for t in expr.terms)
+    )
+    out = np.zeros(diag_arr.shape, dtype=np.float64 if real else np.complex128)
     for t in expr.terms:
+        coeff = complex(t.coeff).real if real else complex(t.coeff)
         if t.index == 0 and t.scale == 0:
-            out += complex(t.coeff)
+            out += coeff
             continue
         if t.index == 0:
-            out += complex(t.coeff) * np.exp(float(t.scale) * diag_arr)
+            # the complex np.exp even on a real diagonal: its real part and
+            # the float64 np.exp differ in the last bit on some entries
+            vals = np.exp(float(t.scale) * diag_arr)
+            out += coeff * (vals.real if real else vals)
             continue
         tkey = ("phi", t.index, float(t.scale), diag_fp, contour)
         vals = _cache_get(tkey)
         if vals is None:
-            vals = phi_contour(t.index, float(t.scale) * diag_arr, contour)
-            vals = np.asarray(vals, dtype=np.complex128)
+            # through 1D, so a 0-d diagonal gives an array, not a scalar
+            vals = phi_contour(t.index, float(t.scale) * diag_arr.ravel(), contour)
+            vals = vals.reshape(diag_arr.shape)
             _cache_put(tkey, vals)
-        out += complex(t.coeff) * vals
+        out += coeff * vals
     _cache_put(key, out)
     return out

@@ -58,6 +58,11 @@ class Problem:
     nonlinear: Callable[[Grid], NonlinearOp]
     ic: Callable[[Grid], np.ndarray]
 
+    @property
+    def key(self) -> str:
+        """Registry name: the base name in 1D, with a dims suffix otherwise."""
+        return self.name if self.dims == 1 else f"{self.name}{self.dims}"
+
 
 @dataclass(frozen=True)
 class DiscreteSystem:
@@ -68,7 +73,8 @@ class DiscreteSystem:
     problem that is the half (rfftn) layout of spectral.py,
     (components, *grid.shape[:-1], N/2 + 1) with N the last grid size,
     and so are the op's outer symbol and every state stepped from u0;
-    complex problems use the full layout (components, *grid.shape).
+    complex problems use the full layout (components, *grid.shape).  The
+    layout is the only record of whether the field is real.
     """
 
     name: str
@@ -76,7 +82,6 @@ class DiscreteSystem:
     lam: np.ndarray
     op: NonlinearOp
     u0: np.ndarray
-    real: bool
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
         from .spectral import apply_nonlinear
@@ -102,7 +107,7 @@ def _ac_symbol(grid: Grid) -> np.ndarray:
 
 
 def _ac_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: -(u * u * u), real_values=True)
+    return NonlinearOp(lambda u: -(u * u * u))
 
 
 def _ac_ic(grid: Grid) -> np.ndarray:
@@ -126,7 +131,7 @@ def _ch_symbol(grid: Grid) -> np.ndarray:
 
 def _ch_nonlinear(grid: Grid) -> NonlinearOp:
     outer = _CH_ALPHA * diff_symbol(2, 0, grid)
-    return NonlinearOp(lambda u: u * u * u, outer=outer, real_values=True)
+    return NonlinearOp(lambda u: u * u * u, outer=outer)
 
 
 def _ch_ic(grid: Grid) -> np.ndarray:
@@ -137,7 +142,7 @@ def _ch_ic(grid: Grid) -> np.ndarray:
 def _advective_nonlinear(grid: Grid) -> NonlinearOp:
     """-u u_x = -(1/2) d/dx (u^2), the convective term of KdV and KS."""
     outer = -0.5 * diff_symbol(1, 0, grid)
-    return NonlinearOp(lambda u: u * u, outer=outer, real_values=True)
+    return NonlinearOp(lambda u: u * u, outer=outer)
 
 
 def _kdv_symbol(grid: Grid) -> np.ndarray:
@@ -219,7 +224,7 @@ def _schnak_func(uv: np.ndarray) -> np.ndarray:
 
 
 def _schnak_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(_schnak_func, real_values=True)
+    return NonlinearOp(_schnak_func)
 
 
 def _schnak_ic(grid: Grid) -> np.ndarray:
@@ -241,7 +246,7 @@ def _sh_symbol(grid: Grid) -> np.ndarray:
 
 
 def _sh_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: u * u * (SH_G - u), real_values=True)
+    return NonlinearOp(lambda u: u * u * (SH_G - u))
 
 
 def _sh_ic(grid: Grid) -> np.ndarray:
@@ -353,10 +358,7 @@ _ALIASES = {"schnakenberg": "schnak", "ginzburg-landau": "gl", "swift-hohenberg"
 
 def problem_names() -> list:
     """CLI-facing names: 1D problems by base name, others with a dims suffix."""
-    names = []
-    for (base, dims) in _REGISTRY:
-        names.append(base if dims == 1 else f"{base}{dims}")
-    return sorted(names)
+    return sorted(p.key for p in _REGISTRY.values())
 
 
 def get_problem(name: str, dims: Optional[int] = None) -> Problem:
@@ -431,5 +433,4 @@ def discretize(problem: Problem, grid: Grid) -> DiscreteSystem:
         u0 = to_coeffs(values.astype(complex), grid)
     if u0.shape != lam.shape:
         raise ValueError(f"initial condition shape {u0.shape} inconsistent")
-    name = problem.name if problem.dims == 1 else f"{problem.name}{problem.dims}"
-    return DiscreteSystem(name=name, grid=grid, lam=lam, op=op, u0=u0, real=problem.real)
+    return DiscreteSystem(name=problem.key, grid=grid, lam=lam, op=op, u0=u0)

@@ -272,13 +272,13 @@ class NonlinearOp:
     same shape; outer, when present, multiplies the transformed result in
     coefficient space (e.g. the -D/2 factor of an advective nonlinearity
     -u u_x = -(1/2)(u^2)_x) and must be in the layout of the coefficients
-    the op is applied to.  real_values evaluates func on the real part,
-    appropriate for real-valued problems.
+    the op is applied to.  The layout also decides what func sees: real
+    values for half-layout coefficients, complex values for full-layout
+    ones.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     outer: Optional[np.ndarray] = None
-    real_values: bool = False
 
 
 def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid) -> np.ndarray:
@@ -287,7 +287,7 @@ def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid) -> np.ndarr
 
     The result is a new array in the layout of coeffs."""
     coeffs = np.asarray(coeffs)
-    values = to_values(coeffs, grid, real=op.real_values)
+    values = to_values(coeffs, grid)
     out = to_coeffs(op.func(values), grid, real=_is_half(coeffs, grid))
     if op.outer is not None:
         np.multiply(out, op.outer, out=out)

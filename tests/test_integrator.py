@@ -20,10 +20,17 @@ from phistep.integrator import (
     start_multistep,
     step,
 )
-from phistep.phifun import ContourSpec
-from phistep.problems import default_grid, discretize, get_problem, kdv_soliton, nls_breather
+from phistep.phifun import ContourSpec, eval_phi_expr, phi
+from phistep.problems import (
+    default_grid,
+    discretize,
+    get_problem,
+    kdv_soliton,
+    nls_breather,
+    problem_names,
+)
 from phistep.spectral import Grid, to_coeffs, to_values
-from phistep.tableau import empirical_order, get_scheme, list_schemes
+from phistep.tableau import empirical_order, etd_euler, get_scheme, list_schemes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -33,7 +40,6 @@ class DirectSystem:
     lam: np.ndarray
     u0: np.ndarray
     func: object
-    real: bool = False
     name: str = "direct"
 
     def nonlinear(self, coeffs):
@@ -72,33 +78,56 @@ def fresh_state(system):
 def test_precompute_etd_euler_at_zero():
     scheme = precompute(get_scheme("etdeuler").tableau(), 1.0, np.array([0.0]))
     np.testing.assert_allclose(scheme.propagator, [1.0], rtol=1e-14)
-    np.testing.assert_allclose(scheme.B[1], [1.0], rtol=1e-13)
+    # one stage: the output row sum is B_1 itself
+    np.testing.assert_allclose(scheme.output_sum, [1.0], rtol=1e-13)
 
 
 def test_precompute_etdrk4_rk4_reduction():
-    scheme = precompute(get_scheme("etdrk4").tableau(), 1.0, np.array([0.0]))
-    for i, want in zip(range(1, 5), (1 / 6, 1 / 3, 1 / 3, 1 / 6)):
-        np.testing.assert_allclose(scheme.B[i], [want], rtol=1e-12)
+    tab = get_scheme("etdrk4").tableau()
+    scheme = precompute(tab, 1.0, np.array([0.0]))
+    # stepping never reads B_1, so precompute does not keep it
+    weights = [eval_phi_expr(tab.B[0], np.array([0.0]))] + [scheme.B[i] for i in range(2, 5)]
+    for got, want in zip(weights, (1 / 6, 1 / 3, 1 / 3, 1 / 6)):
+        np.testing.assert_allclose(got, [want], rtol=1e-12)
 
 
 def test_precompute_etdrk4_stiff_value_vs_oracle():
     # B1 = phi1 - 3 phi2 + 4 phi3 evaluated at z = h*lam = -4
-    scheme = precompute(get_scheme("etdrk4").tableau(), 0.1, np.array([-40.0]))
+    tab = get_scheme("etdrk4").tableau()
+    got = eval_phi_expr(tab.B[0], 0.1 * np.array([-40.0]))
     want = (
         _oracles.phi_reference(1, -4.0)
         - 3 * _oracles.phi_reference(2, -4.0)
         + 4 * _oracles.phi_reference(3, -4.0)
     )
-    assert _oracles.rel_err(complex(scheme.B[1][0]), want) < 1e-12
+    assert _oracles.rel_err(complex(got[0]), want) < 1e-12
 
 
 def test_precompute_realness():
     tab = get_scheme("etdrk4").tableau()
     real_scheme = precompute(tab, 0.5, np.array([-1.0, -2.0]))
-    assert not np.iscomplexobj(real_scheme.B[1])
+    assert not np.iscomplexobj(real_scheme.B[2])
+    assert not np.iscomplexobj(real_scheme.output_sum)
     assert not np.iscomplexobj(real_scheme.propagator)
     complex_scheme = precompute(tab, 0.5, np.array([1j]))
-    assert np.iscomplexobj(complex_scheme.B[1])
+    assert np.iscomplexobj(complex_scheme.B[2])
+    assert np.iscomplexobj(complex_scheme.output_sum)
+
+
+def test_precompute_keeps_complex_weights_on_a_real_diagonal():
+    # a complex weight makes the coefficient complex even where h*lam is real
+    tab = dataclasses.replace(etd_euler(), B=(phi(1, 1 + 2j),))
+    h, lam = 0.5, np.array([-1.0, -2.0])
+    scheme = precompute(tab, h, lam)
+    want = eval_phi_expr(phi(1, 1 + 2j), h * lam)
+    assert np.iscomplexobj(scheme.output_sum)
+    assert np.max(np.abs(scheme.output_sum - want) / np.abs(want)) <= 1e-13
+    assert np.all(want.imag != 0.0)
+
+
+def test_precompute_does_not_evaluate_b1():
+    scheme = precompute(get_scheme("etdrk4").tableau(), 0.5, np.array([-1.0]))
+    assert sorted(scheme.B) == [2, 3, 4]
 
 
 def test_precompute_validation():
@@ -125,7 +154,28 @@ def test_precompute_array_shape():
     lam = np.zeros((2, 4, 4))
     scheme = precompute(get_scheme("etdrk2").tableau(), 0.1, lam)
     assert scheme.propagator.shape == (2, 4, 4)
-    assert scheme.B[1].shape == (2, 4, 4)
+    assert scheme.output_sum.shape == (2, 4, 4)
+    assert scheme.B[2].shape == (2, 4, 4)
+
+
+@pytest.mark.parametrize("name", problem_names())
+def test_coefficient_arrays_are_real_exactly_on_real_diagonals(name):
+    # the phi layer alone decides the dtype: float64 where h*lam is real
+    # (gl has a real diagonal on a complex field), complex128 elsewhere
+    problem = get_problem(name)
+    system = discretize(problem, default_grid(problem))
+    h = problem.desk_T / 100
+    real = not np.any(np.imag(h * system.lam))
+    assert real == (name not in ("kdv", "nls"))
+    for scheme in ("etdrk4", "abnorsett4", "genlawson43", "pecec736", "lawson4"):
+        pre = prepare_scheme(scheme, h, system.lam)
+        arrays = [
+            pre.propagator, pre.output_sum, *pre.stage_propagators,
+            *pre.source_propagators.values(), *pre.stage_sums.values(),
+            *pre.A.values(), *pre.U.values(), *pre.B.values(), *pre.V.values(),
+        ]
+        for arr in arrays:
+            assert arr.dtype == (np.float64 if real else np.complex128), (name, scheme)
 
 
 # ---------------------------------------------------------------------------

@@ -258,7 +258,10 @@ def test_blocked_contour_equals_per_node_sum(kind, real_symmetry):
         else:
             got = gamma_contour(*args, lam, spec)
             want = _per_node_mean(lambda z: phifun._gamma_values(*args, z), lam, spec)
-        assert got.tobytes() == want.tobytes(), (kind, args)
+        # float64 exactly when every entry is real and real_symmetry is on
+        all_real = real_symmetry and not lam.imag.any()
+        assert got.dtype == (np.float64 if all_real else np.complex128), (kind, args)
+        assert got.astype(np.complex128).tobytes() == want.tobytes(), (kind, args)
     real_entries = lam.imag == 0.0
     if not real_symmetry and real_entries.any():
         # real entries take the full circle, whose mean keeps the imaginary
@@ -271,7 +274,7 @@ def test_blocked_contour_equals_per_node_sum(kind, real_symmetry):
     for t in e.terms:
         z = float(t.scale) * lam
         want += complex(t.coeff) * _per_node_mean(lambda u: phifun._phi_values(t.index, u), z, spec)
-    assert eval_phi_expr(e, lam, spec).tobytes() == want.tobytes()
+    assert eval_phi_expr(e, lam, spec).astype(np.complex128).tobytes() == want.tobytes()
 
 
 def test_contour_memory_is_bounded_by_block_budget():
@@ -414,7 +417,7 @@ def test_eval_cache_is_bounded_in_bytes(monkeypatch):
     e = phi(1) + phi(2, -1, Fraction(1, 2))
     try:
         for _ in range(12):
-            # 4096 distinct entries: 64 KiB per cached array, three per call
+            # 4096 distinct real entries: 32 KiB per cached array, three per call
             lam = -np.abs(rng.normal(size=4096)) * 30
             out = eval_phi_expr(e, lam)
             held = sum(v.nbytes for v in phifun._EVAL_CACHE.values())
@@ -424,7 +427,7 @@ def test_eval_cache_is_bounded_in_bytes(monkeypatch):
         # keys name the diagonal by a digest, not by its bytes
         assert all(len(repr(key)) < 300 for key in phifun._EVAL_CACHE)
         # an array larger than the whole budget is returned but not kept
-        big = eval_phi_expr(phi(1), -np.linspace(0.0, 50.0, 20000))
+        big = eval_phi_expr(phi(1), -np.linspace(0.0, 50.0, 40000))
         assert big.nbytes > budget
         assert all(v is not big for v in phifun._EVAL_CACHE.values())
     finally:
