@@ -12,10 +12,8 @@ and never aborts the sweep — only a failed reference solve does.
 from __future__ import annotations
 
 import csv
-import hashlib
 import json
 import math
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -24,8 +22,8 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NoDataError, UnstableError
-from .integrator import integrate
-from .phifun import ContourSpec
+from .integrator import integrate, require_steps, step_count
+from .phifun import ArrayCache, ContourSpec, digest
 from .problems import Problem, default_grid, discretize, get_problem
 from .spectral import Grid, to_values
 from .svgplot import Panel, two_panel_svg
@@ -139,8 +137,8 @@ class SweepPlan:
             raise ValueError(f"step sizes must be positive, got {self.ladder[-1]}")
         if any(a <= b for a, b in zip(self.ladder, self.ladder[1:])):
             raise ValueError(f"ladder must be strictly descending, got {self.ladder}")
-        if not self.T > 0:
-            raise ValueError(f"horizon must be positive, got {self.T}")
+        if not 0 < self.T < math.inf:
+            raise ValueError(f"horizon must be positive and finite, got {self.T}")
 
 
 def make_plan(
@@ -182,23 +180,19 @@ def make_plan(
 # ---------------------------------------------------------------------------
 # reference solutions and the error metric
 
-_REFERENCE_CACHE: Dict[tuple, np.ndarray] = {}
-_REFERENCE_LOCK = threading.Lock()
+_REFERENCE_CACHE = ArrayCache()
 
 
 def clear_reference_cache() -> None:
     """Drop all cached reference solutions (mainly for tests)."""
-    with _REFERENCE_LOCK:
-        _REFERENCE_CACHE.clear()
+    _REFERENCE_CACHE.clear()
 
 
 def _system_key(system) -> tuple:
     grid = getattr(system, "grid", None)
     grid_key = None if grid is None else (grid.sizes, grid.domain)
-    lam = np.ascontiguousarray(np.asarray(system.lam, dtype=complex))
-    u0 = np.ascontiguousarray(np.asarray(system.u0, dtype=complex))
-    digest = hashlib.sha1(lam.tobytes() + u0.tobytes()).hexdigest()
-    return (getattr(system, "name", type(system).__name__), grid_key, digest)
+    return (getattr(system, "name", type(system).__name__), grid_key,
+            digest(np.asarray(system.lam), np.asarray(system.u0)))
 
 
 def reference_solution(system, T: float, h_min: float, *, contour: Optional[ContourSpec] = None) -> np.ndarray:
@@ -206,15 +200,16 @@ def reference_solution(system, T: float, h_min: float, *, contour: Optional[Cont
 
     Uses the highest-order catalog scheme at h_min/2 and caches the
     result per (system, T, h_min, contour): a second call with the same key
-    returns the identical (read-only) array without re-solving.  An
-    unstable reference raises UnstableError — the caller's sweep cannot
-    proceed without a trusted baseline.
+    returns the identical (read-only) array without re-solving.  The
+    cache is the byte-bounded LRU of the phi cache, with its own budget of
+    the same size, so the least recently used references are dropped
+    first.  An unstable reference raises UnstableError — the caller's
+    sweep cannot proceed without a trusted baseline.
     """
     if not h_min > 0:
         raise ValueError(f"h_min must be positive, got {h_min}")
     key = (_system_key(system), float(T), float(h_min), contour)
-    with _REFERENCE_LOCK:
-        cached = _REFERENCE_CACHE.get(key)
+    cached = _REFERENCE_CACHE.get(key)
     if cached is not None:
         return cached
     try:
@@ -227,10 +222,7 @@ def reference_solution(system, T: float, h_min: float, *, contour: Optional[Cont
             time=exc.time,
             step=exc.step,
         ) from exc
-    u = np.array(result.u, copy=True)
-    u.setflags(write=False)
-    with _REFERENCE_LOCK:
-        return _REFERENCE_CACHE.setdefault(key, u)
+    return _REFERENCE_CACHE.put(key, np.array(result.u, copy=True))
 
 
 def rel_l2_error(u: np.ndarray, reference: np.ndarray) -> float:
@@ -254,25 +246,6 @@ def rel_l2_error(u: np.ndarray, reference: np.ndarray) -> float:
 # running sweeps
 
 
-def _snapped_h(h: float, T: float) -> float:
-    return T / max(1, math.ceil(T / h - 1e-9))
-
-
-def _state_span(name: str) -> int:
-    return get_scheme(name).tableau().steps
-
-
-def _validate_step_counts(plan: SweepPlan) -> None:
-    nsteps_max = max(1, math.ceil(plan.T / plan.ladder[0] - 1e-9))
-    for name in plan.schemes:
-        need = _state_span(name) - 1
-        if nsteps_max < need:
-            raise ValueError(
-                f"{name} needs at least {need} steps but h={plan.ladder[0]:g} "
-                f"gives only {nsteps_max} over T={plan.T:g}"
-            )
-
-
 def run_sweep(
     plan: SweepPlan,
     *,
@@ -289,7 +262,8 @@ def run_sweep(
     """
     if repetitions < 1:
         raise ValueError(f"need at least one timing repetition, got {repetitions}")
-    _validate_step_counts(plan)
+    for name in plan.schemes:
+        require_steps(get_scheme(name).tableau(), plan.ladder[0], plan.T)
     system = discretize(plan.problem, plan.grid)
     reference = reference_solution(system, plan.T, plan.ladder[-1], contour=plan.contour)
     ref_values = to_values(reference, system.grid)
@@ -298,24 +272,20 @@ def run_sweep(
 
     def solve(point):
         scheme, h = point
-        h_snap = _snapped_h(h, plan.T)
         try:
             result = integrate(system, scheme, h, plan.T, contour=plan.contour)
         except UnstableError:
+            h_snap = plan.T / step_count(h, plan.T)
             return SweepRecord(
                 scheme=scheme, h=h_snap, h_over_T=h_snap / plan.T,
                 error=None, seconds=None, stable=False, starter_converged=True,
             )
         error = rel_l2_error(to_values(result.u, system.grid), ref_values)
-        if not math.isfinite(error):
-            return SweepRecord(
-                scheme=scheme, h=result.h, h_over_T=result.h / plan.T,
-                error=None, seconds=None, stable=False,
-                starter_converged=result.starter_converged,
-            )
+        stable = math.isfinite(error)
         return SweepRecord(
             scheme=scheme, h=result.h, h_over_T=result.h / plan.T,
-            error=error, seconds=result.seconds, stable=True,
+            error=error if stable else None,
+            seconds=result.seconds if stable else None, stable=stable,
             starter_converged=result.starter_converged,
         )
 

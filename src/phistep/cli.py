@@ -81,16 +81,10 @@ def _load_manifest_file(path) -> dict:
     return manifest
 
 
-def _resolve_problem(name: str):
+def _resolve(lookup, name: str):
+    """A registry entry, with an unknown name turned into an exit-2 error."""
     try:
-        return get_problem(name)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from exc
-
-
-def _resolve_scheme(name: str) -> str:
-    try:
-        return get_scheme(name).name
+        return lookup(name)
     except KeyError as exc:
         raise CliError(str(exc.args[0])) from exc
 
@@ -137,8 +131,8 @@ def cmd_run(args: argparse.Namespace) -> int:
     problem_name = setting(args.problem, "problem")
     if not problem_name:
         raise CliError("run needs a problem name (argument or manifest)")
-    problem = _resolve_problem(problem_name)
-    scheme = _resolve_scheme(setting(args.scheme, "scheme", "etdrk4"))
+    problem = _resolve(get_problem, problem_name)
+    scheme = _resolve(get_scheme, setting(args.scheme, "scheme", "etdrk4")).name
     h = setting(args.h, "h")
     if h is None:
         raise CliError("run needs a step size: pass --h or a manifest with one")
@@ -166,8 +160,11 @@ def cmd_run(args: argparse.Namespace) -> int:
     system = discretize(problem, grid)
     print(f"problem {key} ({problem.dims}D), grid {'x'.join(map(str, grid.sizes))}, "
           f"T {T:g}, scheme {scheme}, h {h:g}")
-    result = integrate(system, scheme, h, T, contour=contour,
-                       snapshot_times=snapshots, delta0_state=delta0)
+    try:
+        result = integrate(system, scheme, h, T, contour=contour,
+                           snapshot_times=snapshots, delta0_state=delta0)
+    except ValueError as exc:
+        raise CliError(f"bad run settings: {exc}") from exc
 
     out = Path(args.out) if args.out else _default_out()
     out.mkdir(parents=True, exist_ok=True)
@@ -224,10 +221,10 @@ def cmd_bench(args: argparse.Namespace) -> int:
     else:
         if not args.problem:
             raise CliError("bench needs a problem name (argument or --manifest)")
-        problem = _resolve_problem(args.problem)
+        problem = _resolve(get_problem, args.problem)
         schemes = None
         if args.schemes:
-            schemes = [_resolve_scheme(s) for s in args.schemes.split(",") if s.strip()]
+            schemes = [_resolve(get_scheme, s).name for s in args.schemes.split(",") if s.strip()]
         ladder = _parse_floats(args.ladder, "ladder") if args.ladder else None
         points = args.contour
         try:
@@ -292,7 +289,7 @@ def cmd_order(args: argparse.Namespace) -> int:
             except NoDataError as exc:
                 print(f"  {scheme}  n/a ({exc})")
         return 0
-    names = ([_resolve_scheme(s) for s in args.schemes.split(",") if s.strip()]
+    names = ([_resolve(get_scheme, s).name for s in args.schemes.split(",") if s.strip()]
              if args.schemes else sorted(REGISTRY))
     print("scheme  declared  measured  verdict")
     all_ok = True

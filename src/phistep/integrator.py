@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UnstableError
-from .phifun import ContourSpec, PhiExpr, eval_phi_expr, exp_term, gamma_contour
+from .phifun import ContourSpec, PhiExpr, eval_phi_expr, exp_term, gamma_contour, KeyedDiagonal
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -106,12 +106,6 @@ def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: floa
         )
 
 
-def _diagonal(h: float, lam) -> np.ndarray:
-    """h*lam as a contiguous complex array, converted once for every phi
-    and gamma evaluation over it."""
-    return np.ascontiguousarray(h * np.asarray(lam), dtype=np.complex128)
-
-
 # ---------------------------------------------------------------------------
 # tableau engine
 
@@ -161,9 +155,10 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     """Evaluate the tableau entrywise at h*lam, in difference form.
 
     Each row's sum is evaluated in place of its first-column entry.
-    Requires a complete tableau (summation property filled in, or a
-    scheme exempt from it); h must be positive.  Deterministic for fixed
-    inputs.
+    h*lam is keyed (converted to complex and digested) once, and every
+    slot goes through eval_phi_expr with that key.  Requires a complete
+    tableau (summation property filled in, or a scheme exempt from it);
+    h must be positive.  Deterministic for fixed inputs.
     """
     if not tableau.is_complete:
         raise ValueError(f"tableau {tableau.name!r} has unfilled slots; "
@@ -171,7 +166,7 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     lam = np.asarray(lam)
-    diag = _diagonal(h, lam)
+    diag = KeyedDiagonal(h * lam)
     evaluated: dict = {}
 
     def ev(expr: PhiExpr) -> np.ndarray:
@@ -301,15 +296,33 @@ def step(state: SimState, scheme: PrecomputedScheme, system) -> SimState:
 SchemeLike = Union[str, SchemeInfo, Tableau]
 
 
-def prepare_scheme(scheme: SchemeLike, h: float, lam, contour: ContourSpec = ContourSpec()):
-    """Resolve a scheme name, registry entry, or explicit tableau into a
-    precomputed step engine."""
+def _tableau_of(scheme: SchemeLike) -> Tableau:
     if isinstance(scheme, Tableau):
-        return precompute(scheme, h, lam, contour)
+        return scheme
     info = get_scheme(scheme) if isinstance(scheme, str) else scheme
     if not isinstance(info, SchemeInfo):
         raise TypeError(f"cannot prepare a scheme from {type(scheme).__name__}")
-    return precompute(info.tableau(), h, lam, contour)
+    return info.tableau()
+
+
+def prepare_scheme(scheme: SchemeLike, h: float, lam, contour: ContourSpec = ContourSpec()):
+    """Resolve a scheme name, registry entry, or explicit tableau into a
+    precomputed step engine."""
+    return precompute(_tableau_of(scheme), h, lam, contour)
+
+
+def step_count(h: float, T: float) -> int:
+    """The number of steps spanning T at a step near h, which snaps to T/count."""
+    return max(1, math.ceil(T / h - 1e-9))
+
+
+def require_steps(tableau: Tableau, h: float, T: float) -> int:
+    """step_count(h, T), checked to leave room for q - 1 starting values."""
+    nsteps = step_count(h, T)
+    if nsteps < tableau.steps - 1:
+        raise ValueError(f"{tableau.name} needs at least {tableau.steps - 1} steps "
+                         f"but h={h:g} gives only {nsteps} over T={T:g}")
+    return nsteps
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +381,7 @@ def start_multistep(
     if initial_norm is None:
         initial_norm = _max_norm(u0)
     lam = np.asarray(system.lam)
-    diag = _diagonal(h, lam)
+    diag = KeyedDiagonal(h * lam)
 
     boot = prepare_scheme(bootstrap, h, lam, contour)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
@@ -377,7 +390,8 @@ def start_multistep(
         state = boot.step(state, system)
         states.append(state.coeffs)
 
-    gammas = {(l, j): gamma_contour(l, j, diag, contour) for j in range(1, q) for l in range(q)}
+    gammas = {(l, j): gamma_contour(l, j, diag.values, contour)
+              for j in range(1, q) for l in range(q)}
     propagators = {j: eval_phi_expr(exp_term(1, j), diag, contour) for j in range(1, q)}
     nl_values = [system.nonlinear(u) for u in states]
     converged = False
@@ -455,15 +469,6 @@ class IntegrationResult:
     snapshots: tuple = ()
 
 
-def _snap_steps(h: float, T: float, nsteps: int, times: Sequence[float]) -> dict:
-    table: dict = {}
-    for t in times:
-        idx = int(round(float(t) / h))
-        idx = min(max(idx, 0), nsteps)
-        table.setdefault(idx, []).append(float(t))
-    return table
-
-
 def integrate(
     system,
     scheme: SchemeLike,
@@ -476,33 +481,41 @@ def integrate(
 ) -> IntegrationResult:
     """Integrate u' = L u + N(u) from the system's initial data to time T.
 
-    h is snapped to T/ceil(T/h) so the horizon is an exact multiple of
-    the step (the snapped value is recorded on the result).  Multistep
-    schemes run the starting procedure first; its cost, like coefficient
-    precomputation, is excluded from the reported stepping time.
-    Snapshots are taken at the completed step nearest each requested
-    time.  Instability raises UnstableError carrying the failing time.
+    h is snapped to T/step_count(h, T) so the horizon is an exact
+    multiple of the step (the snapped value is recorded on the result).
+    Multistep schemes run the starting procedure first; its cost, like
+    coefficient precomputation, is excluded from the reported stepping
+    time.  Snapshots are taken at the completed step nearest each
+    requested time.  A horizon too short for the starting values, or a
+    snapshot time outside [0, T], raises ValueError before any
+    coefficient is evaluated.  Instability raises UnstableError carrying
+    the failing time.
     """
     from .spectral import install_fft_counter, remove_fft_counter
 
-    if not T > 0:
-        raise ValueError(f"horizon must be positive, got {T}")
+    if not 0 < T < math.inf:
+        raise ValueError(f"horizon must be positive and finite, got {T}")
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     if contour is None:
         grid = getattr(system, "grid", None)
         points = 64 if grid is None or grid.dims == 1 else 32
         contour = ContourSpec(points=points)
-    nsteps = max(1, math.ceil(T / h - 1e-9))
+    tableau = _tableau_of(scheme)
+    nsteps = require_steps(tableau, h, T)
     h = T / nsteps
+    snap_table: dict = {}
+    for t in map(float, snapshot_times):
+        if not 0 <= t <= T:
+            raise ValueError(f"snapshot time {t!r} is outside the horizon [0, {T:g}]")
+        snap_table.setdefault(round(t / h), []).append(t)
 
     cell, token = install_fft_counter()
     try:
-        engine = prepare_scheme(scheme, h, system.lam, contour)
+        engine = prepare_scheme(tableau, h, system.lam, contour)
         q = engine.steps
         u0 = np.array(system.u0, dtype=complex, copy=True)
         initial_norm = _max_norm(u0)
-        snap_table = _snap_steps(h, T, nsteps, snapshot_times)
         snapshots = []
 
         def record(idx: int, coeffs: np.ndarray) -> None:
@@ -514,11 +527,6 @@ def integrate(
 
         record(0, u0)
         if q > 1:
-            if nsteps < q - 1:
-                raise ValueError(
-                    f"{engine.name} needs at least {q - 1} steps but the "
-                    f"horizon allows only {nsteps}"
-                )
             starter = start_multistep(
                 q, h, system, u0, contour, delta0_state=delta0_state,
                 initial_norm=initial_norm,
@@ -608,15 +616,11 @@ def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h:
         u0=np.array([probe.u0], dtype=complex),
         func=probe.func,
     )
-    nsteps = max(1, math.ceil(probe.T / h - 1e-9))
+    tableau = _tableau_of(scheme)
+    nsteps = require_steps(tableau, h, probe.T)
     h = probe.T / nsteps
-    prepared = prepare_scheme(scheme, h, lam)
+    prepared = prepare_scheme(tableau, h, lam)
     q = prepared.steps
-    if nsteps < q - 1:
-        raise ValueError(
-            f"a {q}-step scheme needs at least {q - 1} steps; "
-            f"T={probe.T} at h={h} gives only {nsteps}"
-        )
     values = [np.array([complex(probe.solution(j * h))]) for j in range(q)]
     nl = [system.nonlinear(v) for v in values]
     state = SimState(

@@ -299,20 +299,23 @@ def _contour_mean(values_fn, lam: np.ndarray, contour: ContourSpec) -> np.ndarra
     return out
 
 
-def _dedup_eval(fn, lam: np.ndarray) -> np.ndarray:
-    """Evaluate fn on the unique entries of lam and scatter back.
+def _contour_eval(values_fn, lam, contour: ContourSpec):
+    """The contour mean of values_fn at a scalar or ndarray of diagonal
+    entries, taken over the unique entries and scattered back.
 
     Operator diagonals repeat heavily (a 2D Laplacian has O(N) distinct
     values on an N^2 grid), so this turns precompute from minutes into
     milliseconds without changing a single bit of the result.
     """
-    flat = np.asarray(lam, dtype=np.complex128).ravel()
+    arr = np.asarray(lam, dtype=np.complex128)
+    flat = arr.ravel()
     if flat.size > 512:
         uniq, inverse = np.unique(flat, return_inverse=True)
         if uniq.size < flat.size // 2:
-            return fn(uniq)[inverse].reshape(np.shape(lam))
-        del uniq, inverse  # not needed while fn runs on the full array
-    return fn(flat).reshape(np.shape(lam))
+            return _contour_mean(values_fn, uniq, contour)[inverse].reshape(arr.shape)
+        del uniq, inverse  # not needed while the mean runs on the full array
+    out = _contour_mean(values_fn, flat, contour).reshape(arr.shape)
+    return complex(out[()]) if np.isscalar(lam) or arr.shape == () else out
 
 
 def phi_contour(index: int, lam, contour: ContourSpec = ContourSpec()):
@@ -323,11 +326,7 @@ def phi_contour(index: int, lam, contour: ContourSpec = ContourSpec()):
     """
     if not 0 <= index <= MAX_INDEX:
         raise ValueError(f"phi index must be in [0, {MAX_INDEX}], got {index}")
-    arr = np.asarray(lam, dtype=np.complex128)
-    out = _dedup_eval(
-        lambda u: _contour_mean(lambda z: _phi_values(index, z), u, contour), arr
-    )
-    return complex(out[()]) if np.isscalar(lam) or arr.shape == () else out
+    return _contour_eval(lambda z: _phi_values(index, z), lam, contour)
 
 
 def gamma_contour(j: int, k: int, lam, contour: ContourSpec = ContourSpec()):
@@ -337,11 +336,7 @@ def gamma_contour(j: int, k: int, lam, contour: ContourSpec = ContourSpec()):
         raise ValueError(f"gamma index must be in [0, {MAX_INDEX}], got {j}")
     if not 1 <= k <= MAX_INDEX:
         raise ValueError(f"gamma step multiplier must be in [1, {MAX_INDEX}], got {k}")
-    arr = np.asarray(lam, dtype=np.complex128)
-    out = _dedup_eval(
-        lambda u: _contour_mean(lambda z: _gamma_values(j, k, z), u, contour), arr
-    )
-    return complex(out[()]) if np.isscalar(lam) or arr.shape == () else out
+    return _contour_eval(lambda z: _gamma_values(j, k, z), lam, contour)
 
 
 # ---------------------------------------------------------------------------
@@ -509,81 +504,111 @@ def psi(index: int, node: Scalar) -> PhiExpr:
 # ---------------------------------------------------------------------------
 # cached evaluation over operator diagonals
 
-_EVAL_CACHE: OrderedDict = OrderedDict()
-# Byte budget of the cached arrays; the least recently used go first.  It
-# holds about 240 float64 arrays of a 64^3 real problem (half layout) but
-# only 8 of a complex 128^3 one, so production-size sweeps recompute
-# instead of exhausting memory.  Keys hold a digest of the diagonal, not
-# its bytes.
-_EVAL_CACHE_BYTES = 256 << 20
-_eval_cache_nbytes = 0
-_EVAL_LOCK = threading.Lock()
+# Byte budget of each array cache; the least recently used arrays go
+# first.  It holds about 240 float64 arrays of a 64^3 real problem (half
+# layout) but only 8 of a complex 128^3 one, so production-size sweeps
+# recompute instead of exhausting memory.
+_CACHE_BYTES = 256 << 20
+
+
+class ArrayCache:
+    """A thread-safe least-recently-used map of read-only arrays, bounded
+    in bytes: put evicts the least recently used entries until the array
+    fits, and returns an array larger than the whole budget without
+    keeping it.  nbytes is the size of the arrays held."""
+
+    def __init__(self):
+        self.budget = _CACHE_BYTES
+        self.nbytes = 0
+        self._items: OrderedDict = OrderedDict()
+        self._lock = threading.Lock()
+
+    def items(self) -> list:
+        with self._lock:
+            return list(self._items.items())
+
+    def clear(self) -> None:
+        with self._lock:
+            self._items.clear()
+            self.nbytes = 0
+
+    def get(self, key):
+        with self._lock:
+            if key in self._items:
+                self._items.move_to_end(key)
+                return self._items[key]
+        return None
+
+    def put(self, key, value: np.ndarray) -> np.ndarray:
+        value.setflags(write=False)
+        if value.nbytes > self.budget:
+            return value
+        with self._lock:
+            old = self._items.pop(key, None)
+            if old is not None:
+                self.nbytes -= old.nbytes
+            while self._items and self.nbytes + value.nbytes > self.budget:
+                self.nbytes -= self._items.popitem(last=False)[1].nbytes
+            self._items[key] = value
+            self.nbytes += value.nbytes
+        return value
+
+
+def digest(*arrays: np.ndarray) -> str:
+    """SHA-1 over the shape, dtype and bytes of each array: a cache key
+    that names the arrays without holding them."""
+    sha = hashlib.sha1()
+    for arr in map(np.ascontiguousarray, arrays):
+        sha.update(repr((arr.shape, arr.dtype.str)).encode())
+        sha.update(arr)
+    return sha.hexdigest()
+
+
+class KeyedDiagonal:
+    """An operator diagonal keyed once for every phi evaluation over it:
+    contiguous complex128 values (diag itself if it already is, which must
+    then stay unchanged), their digest, and whether every entry is real."""
+
+    def __init__(self, diag):
+        self.values = np.ascontiguousarray(diag, dtype=np.complex128)
+        self.digest = digest(self.values)
+        self.real = not self.values.imag.any()
+
+
+_EVAL_CACHE = ArrayCache()
 
 
 def clear_eval_cache() -> None:
-    global _eval_cache_nbytes
-    with _EVAL_LOCK:
-        _EVAL_CACHE.clear()
-        _eval_cache_nbytes = 0
-
-
-def _diag_fingerprint(diag: np.ndarray) -> str:
-    digest = hashlib.sha1(repr(diag.shape).encode())
-    digest.update(diag)
-    return digest.hexdigest()
-
-
-def _cache_get(key):
-    with _EVAL_LOCK:
-        if key in _EVAL_CACHE:
-            _EVAL_CACHE.move_to_end(key)
-            return _EVAL_CACHE[key]
-    return None
-
-
-def _cache_put(key, value: np.ndarray) -> None:
-    global _eval_cache_nbytes
-    value.setflags(write=False)
-    if value.nbytes > _EVAL_CACHE_BYTES:
-        return
-    with _EVAL_LOCK:
-        old = _EVAL_CACHE.pop(key, None)
-        if old is not None:
-            _eval_cache_nbytes -= old.nbytes
-        while _EVAL_CACHE and _eval_cache_nbytes + value.nbytes > _EVAL_CACHE_BYTES:
-            _eval_cache_nbytes -= _EVAL_CACHE.popitem(last=False)[1].nbytes
-        _EVAL_CACHE[key] = value
-        _eval_cache_nbytes += value.nbytes
+    _EVAL_CACHE.clear()
 
 
 def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> np.ndarray:
     """Evaluate a PhiExpr entrywise over an operator diagonal.
 
-    Returns a read-only array shaped like diag: float64 when every entry
-    of diag and every term's coefficient is real and the contour has
-    real_symmetry, complex128 otherwise.  Real entries go through the
-    real-symmetry contour, so their values have exactly zero imaginary
-    part either way.  Exponential terms exp(scale * z) are evaluated by
-    np.exp.  Results are cached on (expression, diagonal digest,
-    contour), and the underlying phi_index(scale * diag) arrays are
-    cached separately so expressions sharing terms (every tableau does)
-    are evaluated once; the cache keeps at most _EVAL_CACHE_BYTES of
-    arrays.
+    diag is an array-like, digested on entry, or a KeyedDiagonal, which
+    a caller evaluating many expressions over one diagonal (as precompute
+    does) builds once.  Returns a read-only array shaped like diag:
+    float64 when every entry of diag and every term's coefficient is real
+    and the contour has real_symmetry, complex128 otherwise.  Real entries
+    go through the real-symmetry contour, so their values have exactly
+    zero imaginary part either way.  Exponential terms exp(scale * z) are
+    evaluated by np.exp.  Results are cached on (expression, diagonal
+    digest, contour), and the underlying phi_index(scale * diag) arrays
+    are cached separately so expressions sharing terms (every tableau
+    does) are evaluated once; the cache keeps at most _CACHE_BYTES.
     """
     if not isinstance(expr, PhiExpr):
         raise TypeError(f"expected PhiExpr, got {type(expr).__name__}")
-    diag_arr = np.ascontiguousarray(diag, dtype=np.complex128)
-    diag_fp = _diag_fingerprint(diag_arr)
-    key = ("expr", expr.fingerprint(), diag_fp, contour)
-    hit = _cache_get(key)
+    if not isinstance(diag, KeyedDiagonal):
+        diag = KeyedDiagonal(diag)
+    key = ("expr", expr.fingerprint(), diag.digest, contour)
+    hit = _EVAL_CACHE.get(key)
     if hit is not None:
         return hit
-    real = (
-        contour.real_symmetry
-        and not diag_arr.imag.any()
-        and all(complex(t.coeff).imag == 0 for t in expr.terms)
-    )
-    out = np.zeros(diag_arr.shape, dtype=np.float64 if real else np.complex128)
+    real = contour.real_symmetry and diag.real and all(
+        complex(t.coeff).imag == 0 for t in expr.terms)
+    values = diag.values
+    out = np.zeros(values.shape, dtype=np.float64 if real else np.complex128)
     for t in expr.terms:
         coeff = complex(t.coeff).real if real else complex(t.coeff)
         if t.index == 0 and t.scale == 0:
@@ -592,16 +617,14 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
         if t.index == 0:
             # the complex np.exp even on a real diagonal: its real part and
             # the float64 np.exp differ in the last bit on some entries
-            vals = np.exp(float(t.scale) * diag_arr)
+            vals = np.exp(float(t.scale) * values)
             out += coeff * (vals.real if real else vals)
             continue
-        tkey = ("phi", t.index, float(t.scale), diag_fp, contour)
-        vals = _cache_get(tkey)
+        tkey = ("phi", t.index, float(t.scale), diag.digest, contour)
+        vals = _EVAL_CACHE.get(tkey)
         if vals is None:
             # through 1D, so a 0-d diagonal gives an array, not a scalar
-            vals = phi_contour(t.index, float(t.scale) * diag_arr.ravel(), contour)
-            vals = vals.reshape(diag_arr.shape)
-            _cache_put(tkey, vals)
+            vals = phi_contour(t.index, float(t.scale) * values.ravel(), contour)
+            vals = _EVAL_CACHE.put(tkey, vals.reshape(values.shape))
         out += coeff * vals
-    _cache_put(key, out)
-    return out
+    return _EVAL_CACHE.put(key, out)

@@ -94,7 +94,25 @@ def test_reference_cache_distinguishes_contour_real_symmetry():
     without = reference_solution(
         system, probe.T, 1e-2, contour=ContourSpec(real_symmetry=False))
     assert without is not with_symmetry
-    assert len(bench._REFERENCE_CACHE) == 2
+    assert len(bench._REFERENCE_CACHE.items()) == 2
+
+
+def test_reference_cache_is_bounded_in_bytes(monkeypatch):
+    cache = bench._REFERENCE_CACHE
+    monkeypatch.setattr(cache, "budget", 40)
+    probe, system = _probe_system()
+    # each reference is one complex128 entry: 16 bytes, so two fit
+    refs = [reference_solution(system, probe.T, h) for h in (0.1, 0.05, 0.025)]
+    kept = [v for _, v in cache.items()]
+    assert sum(v.nbytes for v in kept) == cache.nbytes == 32
+    # the least recently used reference went first
+    assert len(kept) == 2 and kept[0] is refs[1] and kept[1] is refs[2]
+    assert reference_solution(system, probe.T, 0.05) is refs[1]
+    # a reference larger than the whole budget is returned but not kept
+    monkeypatch.setattr(cache, "budget", 8)
+    big = reference_solution(system, probe.T, 0.2)
+    assert big.nbytes > 8 and not big.flags.writeable
+    assert not any(v is big for _, v in cache.items())
 
 
 def test_reference_cache_distinguishes_systems_with_same_name():
@@ -203,6 +221,12 @@ def test_plan_rejects_ascending_ladder():
 def test_plan_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         _tiny_plan(ladder=(0.1, 0.0))
+
+
+@pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
+def test_plan_rejects_horizon_that_is_not_positive_and_finite(T):
+    with pytest.raises(ValueError, match="horizon must be positive and finite"):
+        _tiny_plan(T=T)
 
 
 def test_plan_rejects_unknown_scheme_naming_it():

@@ -55,6 +55,17 @@ def test_run_without_step_exits_2(capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, cause", [
+    (["--h", "-1"], "step size must be positive"),
+    (["--h", "0.5", "--T", "inf"], "horizon must be positive and finite, got inf"),
+    (["--scheme", "abnorsett6", "--h", "100", "--T", "1"],
+     "abnorsett6 needs at least 5 steps but h=100 gives only 1 over T=1"),
+])
+def test_run_rejected_settings_exit_2_naming_cause(flags, cause, tmp_path, capsys):
+    assert main(["run", "ks", "--desk", *flags, "--out", str(tmp_path)]) == 2
+    assert cause in capsys.readouterr().err
+
+
 def test_run_nls_desk_compare_analytic(tmp_path, capsys):
     out = tmp_path / "runout"
     code = main(["run", "nls", "--scheme", "etdrk4", "--h", "1e-3", "--desk",

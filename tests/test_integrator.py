@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import _oracles
+from phistep import integrator, phifun
 from phistep.errors import UnstableError
 from phistep.integrator import (
     ScalarProbe,
@@ -502,6 +503,32 @@ def test_integrate_rejects_horizon_shorter_than_starter():
     system = probe_system()
     with pytest.raises(ValueError, match="at least"):
         integrate(system, "abnorsett6", 1.0, 2.0)
+
+
+@pytest.mark.parametrize("t", [-3.0, 7.5, math.nan])
+def test_integrate_rejects_snapshot_times_outside_horizon(t, monkeypatch):
+    def no_precompute(*args, **kwargs):
+        raise AssertionError("precompute ran before the snapshot times were checked")
+
+    monkeypatch.setattr(integrator, "precompute", no_precompute)
+    with pytest.raises(ValueError, match=f"snapshot time {t!r}"):
+        integrate(probe_system(), "etdrk4", 0.1, 1.0, snapshot_times=[0.5, t])
+
+
+def test_warm_precompute_digests_its_diagonal_once(monkeypatch):
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem, size=8))
+    prepare_scheme("etdrk4", 0.1, system.lam)
+    calls = []
+
+    def counting_digest(*arrays):
+        calls.append(len(arrays))
+        return real_digest(*arrays)
+
+    real_digest = phifun.digest
+    monkeypatch.setattr(phifun, "digest", counting_digest)
+    prepare_scheme("etdrk4", 0.1, system.lam)
+    assert calls == [1]
 
 
 def test_integrate_deterministic_on_pde():

@@ -411,7 +411,8 @@ def test_exponential_terms_are_np_exp():
 
 def test_eval_cache_is_bounded_in_bytes(monkeypatch):
     budget = 200 * 1024
-    monkeypatch.setattr(phifun, "_EVAL_CACHE_BYTES", budget)
+    cache = phifun._EVAL_CACHE
+    monkeypatch.setattr(cache, "budget", budget)
     clear_eval_cache()
     rng = np.random.default_rng(3)
     e = phi(1) + phi(2, -1, Fraction(1, 2))
@@ -420,15 +421,15 @@ def test_eval_cache_is_bounded_in_bytes(monkeypatch):
             # 4096 distinct real entries: 32 KiB per cached array, three per call
             lam = -np.abs(rng.normal(size=4096)) * 30
             out = eval_phi_expr(e, lam)
-            held = sum(v.nbytes for v in phifun._EVAL_CACHE.values())
+            held = sum(v.nbytes for _, v in cache.items())
             assert held <= budget
-            assert held == phifun._eval_cache_nbytes
+            assert held == cache.nbytes
             assert eval_phi_expr(e, lam) is out  # the newest entry survives
         # keys name the diagonal by a digest, not by its bytes
-        assert all(len(repr(key)) < 300 for key in phifun._EVAL_CACHE)
+        assert all(len(repr(key)) < 300 for key, _ in cache.items())
         # an array larger than the whole budget is returned but not kept
         big = eval_phi_expr(phi(1), -np.linspace(0.0, 50.0, 40000))
         assert big.nbytes > budget
-        assert all(v is not big for v in phifun._EVAL_CACHE.values())
+        assert all(v is not big for _, v in cache.items())
     finally:
         clear_eval_cache()
