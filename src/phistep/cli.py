@@ -41,7 +41,7 @@ from .bench import (
 )
 from .errors import NoDataError, PhistepError, UnstableError
 from .integrator import _ProbeSystem, integrate
-from .phifun import ContourSpec, phi_contour, phi_scalar
+from .phifun import ContourSpec, gamma_contour, phi_contour, phi_scalar
 from .problems import NLS_A, NLS_B, default_grid, discretize, get_problem, nls_breather, problem_names
 from .spectral import Grid, to_coeffs, to_values
 from .tableau import REGISTRY, empirical_order, get_scheme, list_schemes
@@ -140,10 +140,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Single runs default to the paper-scale registry values; --desk shrinks.
     desk = bool(setting(args.desk or None, "desk", False))
     size = setting(args.size, "size")
-    grid = default_grid(problem, paper_scale=not desk, size=size)
     T = float(setting(args.T, "T", problem.desk_T if desk else problem.T))
     points = setting(args.contour, "contour_points")
-    contour = None if points is None else ContourSpec(points=int(points))
+    try:
+        grid = default_grid(problem, paper_scale=not desk, size=size)
+        contour = None if points is None else ContourSpec(points=int(points))
+    except ValueError as exc:
+        raise CliError(f"bad run settings: {exc}") from exc
     snapshots = setting(args.snapshots, "snapshots") or []
     if isinstance(snapshots, str):
         snapshots = _parse_floats(snapshots, "snapshot times")
@@ -321,6 +324,16 @@ def _selftest_phi() -> tuple:
     return worst <= 1e-12, f"max rel {worst:.2e} over l<=9 grid"
 
 
+def _selftest_gamma_table() -> tuple:
+    lam = np.concatenate([
+        -np.logspace(-4, 4, 17), 1j * np.logspace(-3, 3, 7), [0.0, -2.0 + 0.5j, 3.0 - 40j],
+    ])
+    q, k = 6, 5
+    table = gamma_contour(range(q), k, lam)
+    same = sum(table[l].tobytes() == gamma_contour(l, k, lam).tobytes() for l in range(q))
+    return same == q, f"{same}/{q} rows of gamma_l({k}, .) bit for bit on a mixed diagonal"
+
+
 def _selftest_reductions() -> tuple:
     F = Fraction
     checks = []
@@ -388,6 +401,7 @@ def _selftest_orders() -> tuple:
 def cmd_selftest(args: argparse.Namespace) -> int:
     stages = [
         ("phi kernels (contour vs series)", _selftest_phi),
+        ("γ tables (batched vs per-row)", _selftest_gamma_table),
         ("classical reductions at z=0", _selftest_reductions),
         ("linear exactness (N == 0)", _selftest_linear),
         ("real fields on the half spectrum", _selftest_real_layout),

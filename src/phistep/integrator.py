@@ -43,7 +43,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UnstableError
-from .phifun import ContourSpec, PhiExpr, eval_phi_expr, exp_term, gamma_contour, KeyedDiagonal
+from .phifun import ContourSpec, KeyedDiagonal, PhiExpr, eval_phi_expr, exp_term, gamma_table
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -127,7 +127,6 @@ class PrecomputedScheme:
     name: str
     tableau: Tableau
     h: float
-    lam: np.ndarray
     contour: ContourSpec
     propagator: np.ndarray
     stage_propagators: tuple
@@ -156,17 +155,18 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
 
     Each row's sum is evaluated in place of its first-column entry.
     h*lam is keyed (converted to complex and digested) once, and every
-    slot goes through eval_phi_expr with that key.  Requires a complete
-    tableau (summation property filled in, or a scheme exempt from it);
-    h must be positive.  Deterministic for fixed inputs.
+    slot goes through eval_phi_expr with that key; lam may also be a
+    KeyedDiagonal, which must then hold h*lam already (integrate builds
+    one for the scheme and its starter).  Requires a complete tableau
+    (summation property filled in, or a scheme exempt from it); h must be
+    positive.  Deterministic for fixed inputs.
     """
     if not tableau.is_complete:
         raise ValueError(f"tableau {tableau.name!r} has unfilled slots; "
                          "complete the summation property first")
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    lam = np.asarray(lam)
-    diag = KeyedDiagonal(h * lam)
+    diag = lam if isinstance(lam, KeyedDiagonal) else KeyedDiagonal(h * np.asarray(lam))
     evaluated: dict = {}
 
     def ev(expr: PhiExpr) -> np.ndarray:
@@ -208,7 +208,7 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     V = {j: ev(tableau.V[j - 1]) for j in range(1, q) if not tableau.V[j - 1].is_zero()}
     total = sum(tableau.B, zero) + sum(tableau.V, zero)
     return PrecomputedScheme(
-        name=tableau.name, tableau=tableau, h=h, lam=lam, contour=contour,
+        name=tableau.name, tableau=tableau, h=h, contour=contour,
         propagator=exp_of(Fraction(1)), stage_propagators=stage_props,
         source_propagators=source_props, stage_sums=stage_sums,
         output_sum=None if total.is_zero() else ev(total), A=A, U=U, B=B, V=V,
@@ -307,7 +307,7 @@ def _tableau_of(scheme: SchemeLike) -> Tableau:
 
 def prepare_scheme(scheme: SchemeLike, h: float, lam, contour: ContourSpec = ContourSpec()):
     """Resolve a scheme name, registry entry, or explicit tableau into a
-    precomputed step engine."""
+    precomputed step engine; lam is as in precompute."""
     return precompute(_tableau_of(scheme), h, lam, contour)
 
 
@@ -359,6 +359,7 @@ def start_multistep(
     bootstrap: SchemeLike = "etdrk2",
     delta0_state: bool = False,
     initial_norm: Optional[float] = None,
+    diag: Optional[KeyedDiagonal] = None,
 ) -> StarterResult:
     """Compute starting values u^1..u^{q-1} for a q-step scheme.
 
@@ -372,6 +373,13 @@ def start_multistep(
     relative max-norm below h^q (or the rounding floor), or after 50
     iterations with converged=False.
 
+    diag is h*system.lam keyed once (integrate passes the one it keyed
+    for the scheme), or None to key it here; the bootstrap and the
+    coefficients below reuse it.  Each
+    gamma_0..gamma_{q-1}(j, hL) comes from one cached phifun.gamma_table
+    per j, so schemes with the same q at the same h (abnorsett4 and
+    genlawson43, or a repeated integration) share their tables.
+
     delta0_state reproduces a printed variant in which the l = 0 term
     uses the state u^0 itself instead of N(u^0); it is provided for
     comparison only and is not the default.
@@ -380,18 +388,17 @@ def start_multistep(
         raise ValueError(f"starting procedure applies to q >= 2, got q={q}")
     if initial_norm is None:
         initial_norm = _max_norm(u0)
-    lam = np.asarray(system.lam)
-    diag = KeyedDiagonal(h * lam)
+    if diag is None:
+        diag = KeyedDiagonal(h * np.asarray(system.lam))
 
-    boot = prepare_scheme(bootstrap, h, lam, contour)
+    boot = prepare_scheme(bootstrap, h, diag, contour)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
     states = [u0]
     for _ in range(q - 1):
         state = boot.step(state, system)
         states.append(state.coeffs)
 
-    gammas = {(l, j): gamma_contour(l, j, diag.values, contour)
-              for j in range(1, q) for l in range(q)}
+    gammas = {j: gamma_table(q, j, diag, contour) for j in range(1, q)}
     propagators = {j: eval_phi_expr(exp_term(1, j), diag, contour) for j in range(1, q)}
     nl_values = [system.nonlinear(u) for u in states]
     converged = False
@@ -405,7 +412,7 @@ def start_multistep(
         for j in range(1, q):
             acc = propagators[j] * states[0]
             for l in range(q):
-                acc = acc + h * (gammas[(l, j)] * diffs[l])
+                acc = acc + h * (gammas[j][l] * diffs[l])
             new_states.append(acc)
         scale = max(_max_norm(u) for u in new_states[1:])
         change = max(
@@ -512,7 +519,10 @@ def integrate(
 
     cell, token = install_fft_counter()
     try:
-        engine = prepare_scheme(tableau, h, system.lam, contour)
+        # h*L keyed once for the scheme, the starter's bootstrap and its
+        # gamma tables
+        diag = KeyedDiagonal(h * np.asarray(system.lam))
+        engine = prepare_scheme(tableau, h, diag, contour)
         q = engine.steps
         u0 = np.array(system.u0, dtype=complex, copy=True)
         initial_norm = _max_norm(u0)
@@ -529,7 +539,7 @@ def integrate(
         if q > 1:
             starter = start_multistep(
                 q, h, system, u0, contour, delta0_state=delta0_state,
-                initial_norm=initial_norm,
+                initial_norm=initial_norm, diag=diag,
             )
             state = starter.state
             converged, iterations = starter.converged, starter.iterations
@@ -538,6 +548,8 @@ def integrate(
         else:
             state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
             converged, iterations = True, 0
+        # set-up data only: the copy of h*L is not held while stepping
+        del diag
 
         fft_start = cell[0]
         tic = _time.perf_counter()

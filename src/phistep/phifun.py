@@ -23,6 +23,13 @@ rule on |s - lambda| = 1 is exact to far below float precision for these
 entire functions.  The contour points of many nodes and diagonal entries
 are evaluated together, in blocks of bounded size, by a hybrid vectorized
 kernel (truncated series near 0, closed-form recurrence away from it).
+
+The gamma recurrence yields gamma_0..gamma_j on its way to gamma_j, so
+gamma_contour also takes a sequence of indices and evaluates those rows
+in one contour pass, each with the bits of its own one-index call.  A
+multistep starter needs the table gamma_0..gamma_{q-1}(k, .) for each
+k < q; gamma_table keeps such tables in the same byte-bounded cache as
+the phi arrays of eval_phi_expr, keyed by the diagonal's digest.
 """
 from __future__ import annotations
 
@@ -176,18 +183,6 @@ def _gamma_series(j: int, k: int, z: np.ndarray) -> np.ndarray:
     return out.astype(np.complex128)
 
 
-def _gamma_recurrence(j: int, k: int, z: np.ndarray) -> np.ndarray:
-    zl = z.astype(_CLD)
-    rows = [(np.exp(k * zl) - _LD(1)) / zl]
-    for jj in range(1, j + 1):
-        acc = np.zeros(z.shape, dtype=_CLD)
-        for m in range(1, jj + 1):
-            acc += (_LD((-1) ** (m - 1)) / _LD(m)) * rows[jj - m]
-        acc -= _LD(math.comb(k, jj))
-        rows.append(acc / zl)
-    return rows[j].astype(np.complex128)
-
-
 def _gamma_series_radius(j: int, k: int) -> float:
     # The series is conditioned like e^(k|z|) (coefficients ~ k^n/n!), the
     # recurrence like |z|^(-j); the switch balances the two.  Calibrated
@@ -195,14 +190,57 @@ def _gamma_series_radius(j: int, k: int) -> float:
     return max(0.5, min(0.7 * max(j, 1), 7.0 / max(k, 1)))
 
 
-def _gamma_values(j: int, k: int, z: np.ndarray) -> np.ndarray:
-    out = np.empty(z.shape, dtype=np.complex128)
-    near = np.abs(z) < _gamma_series_radius(j, k)
-    if near.any():
-        out[near] = _gamma_series(j, k, z[near])
-    if not near.all():
-        out[~near] = _gamma_recurrence(j, k, z[~near])
+def _gamma_recurrence(top: int, k: int, z: np.ndarray) -> list:
+    """gamma_0..gamma_top(k, .) by the upward recurrence, in long double.
+
+    Every step is in place, which keeps the bits of the plain expressions
+    and holds the temporaries to two arrays.  The recurrence is discarded
+    wherever a row's series takes over, so its overflow or division by
+    z = 0 there is harmless and not reported.
+    """
+    zl = z.astype(_CLD)
+    with np.errstate(all="ignore"):
+        gamma0 = k * zl
+        np.exp(gamma0, out=gamma0)
+        gamma0 -= _LD(1)
+        gamma0 /= zl
+        rows = [gamma0]
+        scratch = np.empty_like(zl)
+        for jj in range(1, top + 1):
+            acc = np.zeros(z.shape, dtype=_CLD)
+            for m in range(1, jj + 1):
+                acc += np.multiply(_LD((-1) ** (m - 1)) / _LD(m), rows[jj - m], out=scratch)
+            acc -= _LD(math.comb(k, jj))
+            acc /= zl
+            rows.append(acc)
+    return rows
+
+
+def _gamma_rows(rows: Sequence[int], k: int, z: np.ndarray) -> np.ndarray:
+    """gamma_j(k, .) for each j in rows at every entry of z, stacked on a
+    leading axis.
+
+    One long-double recurrence runs rows 0..max(rows) on all of z; each
+    requested row then takes its own truncated series where |z| is below
+    its switch radius.  Each entry gets the bits of a one-row evaluation,
+    since every operation acts entrywise.
+    """
+    recurrence = _gamma_recurrence(max(rows), k, z)
+    out = np.empty((len(rows), *z.shape), dtype=np.complex128)
+    for row, j in zip(out, rows):
+        row[...] = recurrence[j]
+    del recurrence  # freed before the series' temporaries arrive
+    size = np.abs(z)
+    for row, j in zip(out, rows):
+        near = size < _gamma_series_radius(j, k)
+        if near.any():
+            row[near] = _gamma_series(j, k, z[near])
     return out
+
+
+def _gamma_values(j: int, k: int, z: np.ndarray) -> np.ndarray:
+    """gamma_j(k, .) at every entry of a complex ndarray."""
+    return _gamma_rows((j,), k, z)[0]
 
 
 def gamma_scalar(j: int, k: int, z: complex) -> complex:
@@ -250,58 +288,68 @@ class ContourSpec:
 _BLOCK_BYTES = 1 << 16
 
 
-def _node_sum(values_fn, nodes: np.ndarray, centers: np.ndarray, real: bool) -> np.ndarray:
-    """Sum over nodes of values_fn(centers + node) (real parts if real), blocked."""
-    acc = np.zeros(centers.shape, dtype=np.float64 if real else np.complex128)
+def _node_sum(values_fn, nrows: int, nodes: np.ndarray, centers: np.ndarray,
+              real: bool) -> np.ndarray:
+    """Sum over nodes of values_fn(centers + node) (real parts if real),
+    blocked, with values_fn's leading axis of nrows rows kept."""
+    acc = np.zeros((nrows, centers.size), dtype=np.float64 if real else np.complex128)
     per_block = max(1, _BLOCK_BYTES // centers.itemsize)
     width = min(centers.size, per_block)
-    rows = per_block // width
+    per_call = per_block // width
     for c0 in range(0, centers.size, width):
-        part, c = acc[c0 : c0 + width], centers[c0 : c0 + width]
-        for n0 in range(0, nodes.size, rows):
-            block = values_fn(nodes[n0 : n0 + rows, None] + c)
-            for row in block.real if real else block:
-                part += row
+        c = centers[c0 : c0 + width]
+        for n0 in range(0, nodes.size, per_call):
+            block = values_fn(nodes[n0 : n0 + per_call, None] + c)
+            for part, values in zip(acc[:, c0 : c0 + width], block.real if real else block):
+                for row in values:
+                    part += row
+            # drop the block and its row views before the next call peaks
+            del block, values, row
     return acc
 
 
-def _contour_mean(values_fn, lam: np.ndarray, contour: ContourSpec) -> np.ndarray:
-    """Mean of values_fn over unit-circle contours centred at each entry.
+def _contour_mean(values_fn, nrows: int, lam: np.ndarray, contour: ContourSpec) -> np.ndarray:
+    """Means of values_fn over unit-circle contours centred at each entry.
 
     Real entries use M nodes on the upper half circle and the real part of
     the mean (the conjugate-symmetric lower half is implied), complex
     entries the full circle.
 
-    The result is float64 when every entry is real (and real_symmetry is
-    on), complex128 otherwise; there the real entries have exactly zero
-    imaginary part.
+    The result, shaped (nrows, lam.size), is float64 when every entry is
+    real (and real_symmetry is on), complex128 otherwise; there the real
+    entries have exactly zero imaginary part.
 
-    values_fn must act entrywise on an ndarray of any shape.  It is called
-    on whole (nodes, centres) blocks of at most _BLOCK_BYTES of points: as
-    many node rows as fit, with the centres split as well when one row
-    alone exceeds the budget.  The rows of each block are added to the sum
-    one node at a time, in node order, which is the summation order of one
-    call per node, so the result does not depend on the blocking.  Working
-    memory beyond the input and output arrays is a fixed multiple of
-    _BLOCK_BYTES, whatever the length of lam.
+    values_fn must act entrywise on an ndarray of any shape and return its
+    nrows rows stacked on a new leading axis.  It is called on whole
+    (nodes, centres) blocks of at most _BLOCK_BYTES of points: as many
+    node rows as fit, with the centres split as well when one row alone
+    exceeds the budget.  The nodes of each block are added to the sum one
+    at a time, in node order, which is the summation order of one call per
+    node, so the result depends neither on the blocking nor on the rows
+    evaluated alongside.  Working memory beyond the input and output
+    arrays is nrows times a fixed multiple of _BLOCK_BYTES, whatever the
+    length of lam.
     """
     lam = np.ascontiguousarray(lam, dtype=np.complex128)
     real_mask = (lam.imag == 0.0) if contour.real_symmetry else np.zeros(lam.shape, bool)
     M = contour.points
     half = contour.radius * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M)
-    if real_mask.all():
-        return _node_sum(values_fn, half, lam, real=True) / M
-    out = np.empty(lam.shape, dtype=np.complex128)
-    if real_mask.any():
-        out[real_mask] = _node_sum(values_fn, half, lam[real_mask], real=True) / M
     full = contour.radius * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M)
-    out[~real_mask] = _node_sum(values_fn, full, lam[~real_mask], real=False) / M
+    if real_mask.all() or not real_mask.any():
+        real = bool(real_mask.all())
+        out = _node_sum(values_fn, nrows, half if real else full, lam, real)
+        out /= M
+        return out
+    out = np.empty((nrows, lam.size), dtype=np.complex128)
+    out[:, real_mask] = _node_sum(values_fn, nrows, half, lam[real_mask], real=True) / M
+    out[:, ~real_mask] = _node_sum(values_fn, nrows, full, lam[~real_mask], real=False) / M
     return out
 
 
-def _contour_eval(values_fn, lam, contour: ContourSpec):
-    """The contour mean of values_fn at a scalar or ndarray of diagonal
-    entries, taken over the unique entries and scattered back.
+def _contour_eval(values_fn, nrows: int, lam, contour: ContourSpec) -> np.ndarray:
+    """The contour means of values_fn's rows at a scalar or ndarray of
+    diagonal entries, taken over the unique entries and scattered back;
+    shaped (nrows, *np.shape(lam)).
 
     Operator diagonals repeat heavily (a 2D Laplacian has O(N) distinct
     values on an N^2 grid), so this turns precompute from minutes into
@@ -312,10 +360,15 @@ def _contour_eval(values_fn, lam, contour: ContourSpec):
     if flat.size > 512:
         uniq, inverse = np.unique(flat, return_inverse=True)
         if uniq.size < flat.size // 2:
-            return _contour_mean(values_fn, uniq, contour)[inverse].reshape(arr.shape)
+            means = _contour_mean(values_fn, nrows, uniq, contour)
+            return np.take(means, inverse, axis=1).reshape((nrows, *arr.shape))
         del uniq, inverse  # not needed while the mean runs on the full array
-    out = _contour_mean(values_fn, flat, contour).reshape(arr.shape)
-    return complex(out[()]) if np.isscalar(lam) or arr.shape == () else out
+    return _contour_mean(values_fn, nrows, flat, contour).reshape((nrows, *arr.shape))
+
+
+def _one_row(table: np.ndarray):
+    """Row 0 of a one-row contour table; a complex for a scalar diagonal."""
+    return complex(table[0]) if table.ndim == 1 else table[0]
 
 
 def phi_contour(index: int, lam, contour: ContourSpec = ContourSpec()):
@@ -326,17 +379,28 @@ def phi_contour(index: int, lam, contour: ContourSpec = ContourSpec()):
     """
     if not 0 <= index <= MAX_INDEX:
         raise ValueError(f"phi index must be in [0, {MAX_INDEX}], got {index}")
-    return _contour_eval(lambda z: _phi_values(index, z), lam, contour)
+    table = _contour_eval(lambda z: _phi_values(index, z)[None], 1, lam, contour)
+    return _one_row(table)
 
 
-def gamma_contour(j: int, k: int, lam, contour: ContourSpec = ContourSpec()):
+def gamma_contour(j, k: int, lam, contour: ContourSpec = ContourSpec()):
     """gamma_j(k, .) at a scalar or ndarray of diagonal entries via contour
-    mean, with the return types of phi_contour."""
-    if not 0 <= j <= MAX_INDEX:
+    mean, with the return types of phi_contour.
+
+    j may also be a sequence of indices, e.g. range(q): the rows are then
+    evaluated in one contour pass, sharing each block's recurrence, and
+    returned stacked as an ndarray of shape (len(j), *np.shape(lam)).
+    Every row has the bits of its own one-index call.  gamma_table keeps
+    such tables in the phi cache.
+    """
+    single = isinstance(j, (int, np.integer))
+    rows = (int(j),) if single else tuple(j)
+    if not rows or not all(0 <= r <= MAX_INDEX for r in rows):
         raise ValueError(f"gamma index must be in [0, {MAX_INDEX}], got {j}")
     if not 1 <= k <= MAX_INDEX:
         raise ValueError(f"gamma step multiplier must be in [1, {MAX_INDEX}], got {k}")
-    return _contour_eval(lambda z: _gamma_values(j, k, z), lam, contour)
+    table = _contour_eval(lambda z: _gamma_rows(rows, k, z), len(rows), lam, contour)
+    return _one_row(table) if single else table
 
 
 # ---------------------------------------------------------------------------
@@ -628,3 +692,15 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
             vals = _EVAL_CACHE.put(tkey, vals.reshape(values.shape))
         out += coeff * vals
     return _EVAL_CACHE.put(key, out)
+
+
+def gamma_table(q: int, k: int, diag: KeyedDiagonal, contour: ContourSpec = ContourSpec()) -> np.ndarray:
+    """gamma_0..gamma_{q-1}(k, .) over a keyed diagonal, stacked on a
+    leading axis: gamma_contour(range(q), k, diag.values, contour), read
+    only, cached on (q, k, diagonal digest, contour) in the phi cache and
+    evicted with the other arrays under its byte budget."""
+    key = ("gamma", q, k, diag.digest, contour)
+    table = _EVAL_CACHE.get(key)
+    if table is None:
+        table = _EVAL_CACHE.put(key, gamma_contour(range(q), k, diag.values, contour))
+    return table

@@ -60,6 +60,9 @@ def test_run_without_step_exits_2(capsys):
     (["--h", "0.5", "--T", "inf"], "horizon must be positive and finite, got inf"),
     (["--scheme", "abnorsett6", "--h", "100", "--T", "1"],
      "abnorsett6 needs at least 5 steps but h=100 gives only 1 over T=1"),
+    (["--size", "7", "--h", "0.5"], "bad run settings: axis sizes must be even and positive, got 7"),
+    (["--size", "0", "--h", "0.5"], "bad run settings: axis sizes must be even and positive, got 0"),
+    (["--contour", "2", "--h", "0.5"], "bad run settings: contour needs at least 4 points, got 2"),
 ])
 def test_run_rejected_settings_exit_2_naming_cause(flags, cause, tmp_path, capsys):
     assert main(["run", "ks", "--desk", *flags, "--out", str(tmp_path)]) == 2

@@ -460,6 +460,64 @@ def test_starter_instability():
             start_multistep(4, 0.1, system, system.u0)
 
 
+def _nls_desk():
+    problem = get_problem("nls")
+    return discretize(problem, default_grid(problem))
+
+
+def _count_gamma_passes(monkeypatch) -> list:
+    """Record every call of the gamma kernel, cached tables aside."""
+    passes = []
+    kernel = phifun._gamma_rows
+
+    def counting_kernel(rows, k, z):
+        passes.append((tuple(rows), k))
+        return kernel(rows, k, z)
+
+    monkeypatch.setattr(phifun, "_gamma_rows", counting_kernel)
+    return passes
+
+
+def test_repeated_integration_makes_no_gamma_passes(monkeypatch):
+    system = _nls_desk()
+    phifun.clear_eval_cache()
+    passes = _count_gamma_passes(monkeypatch)
+    first = integrate(system, "pecec736", 0.01, 0.1)
+    # q = 6: one batched pass per k = 1..5 and block, each for rows 0..5
+    assert set(passes) == {(tuple(range(6)), k) for k in range(1, 6)}
+    passes.clear()
+    second = integrate(system, "pecec736", 0.01, 0.1)
+    assert passes == []
+    assert np.array_equal(first.u, second.u)
+
+
+def test_abnorsett4_and_genlawson43_share_gamma_tables(monkeypatch):
+    system = _nls_desk()
+    phifun.clear_eval_cache()
+    integrate(system, "abnorsett4", 0.01, 0.1)
+    tables = sorted(key[:3] for key, _ in phifun._EVAL_CACHE.items() if key[0] == "gamma")
+    assert tables == [("gamma", 4, 1), ("gamma", 4, 2), ("gamma", 4, 3)]
+    passes = _count_gamma_passes(monkeypatch)
+    integrate(system, "genlawson43", 0.01, 0.1)
+    assert passes == []
+
+
+@pytest.mark.parametrize("scheme", ["etdrk4", "abnorsett4", "pecec736"])
+def test_integrate_digests_its_diagonal_once(scheme, monkeypatch):
+    # the engine's keyed h*L serves precompute, the starter's bootstrap and
+    # its gamma tables alike
+    calls = []
+
+    def counting_digest(*arrays):
+        calls.append(len(arrays))
+        return real_digest(*arrays)
+
+    real_digest = phifun.digest
+    monkeypatch.setattr(phifun, "digest", counting_digest)
+    integrate(_nls_desk(), scheme, 0.01, 0.1)
+    assert calls == [1]
+
+
 # ---------------------------------------------------------------------------
 # integrate
 

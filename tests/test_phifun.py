@@ -299,6 +299,132 @@ def test_contour_memory_is_bounded_by_block_budget():
     assert peak < bound, peak
 
 
+def _parent_gamma_recurrence(j, k, z):
+    """The one-row gamma recurrence the batched kernel replaced, verbatim."""
+    zl = z.astype(phifun._CLD)
+    rows = [(np.exp(k * zl) - phifun._LD(1)) / zl]
+    for jj in range(1, j + 1):
+        acc = np.zeros(z.shape, dtype=phifun._CLD)
+        for m in range(1, jj + 1):
+            acc += (phifun._LD((-1) ** (m - 1)) / phifun._LD(m)) * rows[jj - m]
+        acc -= phifun._LD(math.comb(k, jj))
+        rows.append(acc / zl)
+    return rows[j].astype(np.complex128)
+
+
+def _parent_gamma_values(j, k, z):
+    """The one-row gamma kernel the batched kernel replaced, verbatim."""
+    out = np.empty(z.shape, dtype=np.complex128)
+    near = np.abs(z) < phifun._gamma_series_radius(j, k)
+    if near.any():
+        out[near] = phifun._gamma_series(j, k, z[near])
+    if not near.all():
+        out[~near] = _parent_gamma_recurrence(j, k, z[~near])
+    return out
+
+
+def _parent_gamma_mean(j, k, lam, contour):
+    """The contour mean of the parent kernel: one call on every (node,
+    entry) point, whose node rows are summed in node order, which is the
+    per-node sum bit for bit since the kernel acts entrywise."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    out = np.empty(lam.shape, dtype=np.complex128)
+    real = (lam.imag == 0.0) if contour.real_symmetry else np.zeros(lam.shape, bool)
+    M = contour.points
+    for mask, half in ((real, True), (~real, False)):
+        if not mask.any():
+            continue
+        nodes = contour.radius * np.exp((1j if half else 2j) * np.pi * (np.arange(M) + 0.5) / M)
+        values = _parent_gamma_values(j, k, nodes[:, None] + lam[mask])
+        acc = np.zeros(np.count_nonzero(mask), dtype=np.float64 if half else np.complex128)
+        for row in values.real if half else values:
+            acc += row
+        out[mask] = acc / M
+    return out
+
+
+def _gamma_table_diagonals():
+    full = _blocking_diagonals()
+    diagonals = {"real": full["real"][::3], "complex": full["complex"][:100],
+                 "mixed": full["mixed"][:120]}
+    # 600 entries, 120 distinct: the contour mean runs on the unique ones
+    diagonals["dedup"] = np.tile(diagonals["mixed"], 5)
+    assert np.unique(diagonals["dedup"]).size == 120
+    return diagonals
+
+
+@pytest.mark.parametrize("points", [32, 64])
+@pytest.mark.parametrize("real_symmetry", [True, False])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed", "dedup"])
+def test_gamma_table_rows_equal_parent_kernel(kind, real_symmetry, points):
+    # every row of a batched table, for q = 2..7 and every k < q, has the
+    # bits (and the dtype) of the per-call contour mean of the one-row
+    # kernel it replaced
+    diagonals = _gamma_table_diagonals()
+    lam = diagonals[kind]
+    spec = ContourSpec(points=points, real_symmetry=real_symmetry)
+    # the parent kernel acts entrywise, so the dedup diagonal's oracle is
+    # that of the diagonal it repeats, repeated
+    distinct, copies = (diagonals["mixed"], 5) if kind == "dedup" else (lam, 1)
+    want = {(l, k): np.tile(_parent_gamma_mean(l, k, distinct, spec), copies)
+            for k in range(1, 7) for l in range(7)}
+    all_real = real_symmetry and not lam.imag.any()
+    for q in range(2, 8):
+        for k in range(1, q):
+            table = gamma_contour(range(q), k, lam, spec)
+            assert table.shape == (q, lam.size)
+            assert table.dtype == (np.float64 if all_real else np.complex128), (q, k)
+            for l in range(q):
+                got = table[l].astype(np.complex128).tobytes()
+                assert got == want[(l, k)].tobytes(), (q, k, l)
+
+
+def test_gamma_table_memory_is_bounded_by_block_budget():
+    # one q = 6 table on 2**16 distinct complex entries: the table itself
+    # (q times one row's bytes) plus a fixed multiple of the block budget
+    # for the batched kernel's temporaries, with no table-sized copies
+    n, q = 1 << 16, 6
+    rng = np.random.default_rng(6)
+    lam = -np.abs(rng.normal(size=n)) * 20 + 1j * rng.normal(size=n) * 20
+    assert np.unique(lam).size == n
+    tracemalloc.start()
+    try:
+        table = gamma_contour(range(q), 5, lam, ContourSpec(points=16))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert table.shape == (q, n) and np.all(np.isfinite(table))
+    bound = 32 * phifun._BLOCK_BYTES + q * table[0].nbytes
+    assert peak < bound, (peak, bound)
+
+
+def test_gamma_tables_are_cached_and_evicted_with_phi_arrays(monkeypatch):
+    n, q = 256, 4
+    diag = phifun.KeyedDiagonal(-np.linspace(0.0, 40.0, n) + 0.5j)
+    spec = ContourSpec(points=32)
+    table_bytes = q * n * 16
+    monkeypatch.setattr(phifun._EVAL_CACHE, "budget", 2 * table_bytes)
+    clear_eval_cache()
+    try:
+        first = phifun.gamma_table(q, 1, diag, spec)
+        assert not first.flags.writeable
+        assert first.tobytes() == gamma_contour(range(q), 1, diag.values, spec).tobytes()
+        assert phifun.gamma_table(q, 1, diag, spec) is first  # a hit
+        for k in (2, 3):
+            phifun.gamma_table(q, k, diag, spec)
+        # least recently used first out, under the one byte budget
+        assert [key[:3] for key, _ in phifun._EVAL_CACHE.items()] == [
+            ("gamma", q, 2), ("gamma", q, 3)]
+        assert phifun._EVAL_CACHE.nbytes == 2 * table_bytes
+        eval_phi_expr(phi(1), diag, spec)  # a phi array and the expression
+        assert [key[0] for key, _ in phifun._EVAL_CACHE.items()] == ["gamma", "phi", "expr"]
+        assert phifun._EVAL_CACHE.nbytes <= 2 * table_bytes
+        again = phifun.gamma_table(q, 1, diag, spec)  # evicted, so evaluated anew
+        assert again is not first and again.tobytes() == first.tobytes()
+    finally:
+        clear_eval_cache()
+
+
 def test_contour_spec_validation():
     with pytest.raises(ValueError):
         ContourSpec(points=2)
