@@ -40,7 +40,15 @@ from .bench import (
     save_field,
 )
 from .errors import NoDataError, PhistepError, UnstableError
-from .integrator import _ProbeSystem, integrate
+from .integrator import (
+    SimState,
+    _ProbeSystem,
+    _StepWork,
+    integrate,
+    prepare_scheme,
+    start_multistep,
+    step,
+)
 from .phifun import ContourSpec, gamma_contour, phi_contour, phi_scalar
 from .problems import NLS_A, NLS_B, default_grid, discretize, get_problem, nls_breather, problem_names
 from .spectral import Grid, to_coeffs, to_values
@@ -387,6 +395,28 @@ def _selftest_real_layout() -> tuple:
     return worst <= 1e-13, f"max abs {worst:.2e} in 1D, 2D and 3D"
 
 
+def _selftest_buffered_step() -> tuple:
+    problem = get_problem("sh2")
+    system = discretize(problem, default_grid(problem, size=16))
+    h, contour = 0.05, ContourSpec(points=32)
+    u0 = np.array(system.u0, dtype=complex)
+    same = total = 0
+    for name in ("etdrk4", "abnorsett4"):
+        engine = prepare_scheme(name, h, system.lam, contour)
+        if engine.steps > 1:
+            start = start_multistep(engine.steps, h, system, u0, contour).state
+        else:
+            start = SimState(coeffs=u0, time=0.0, step=0)
+        work = _StepWork(engine, u0.shape)
+        fresh = buffered = start
+        for _ in range(10):
+            fresh = step(fresh, engine, system)
+            buffered = step(buffered, engine, system, work=work)
+            total += 1
+            same += buffered.coeffs.tobytes() == fresh.coeffs.tobytes()
+    return same == total, f"{same}/{total} etdrk4 and abnorsett4 steps bit for bit on sh2 16x16"
+
+
 def _selftest_orders() -> tuple:
     worst, worst_name, ok = 0.0, "", True
     for info in list_schemes():
@@ -405,6 +435,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ("classical reductions at z=0", _selftest_reductions),
         ("linear exactness (N == 0)", _selftest_linear),
         ("real fields on the half spectrum", _selftest_real_layout),
+        ("buffered step (workspace vs fresh)", _selftest_buffered_step),
         ("order certification (scalar probe)", _selftest_orders),
     ]
     all_ok = True

@@ -23,6 +23,16 @@ method in exact arithmetic, but at an equilibrium every difference is
 exactly zero, so schemes with the summation property keep fixed points
 to rounding instead of summing large cancelling terms.
 
+A run steps in place.  `integrate` gives `step` one `_StepWork` for the
+whole loop: the stage accumulators, the history differences, one
+product array and two output arrays used in turn, allocated once.
+Every term is added as product = coeff * value; product *= h;
+acc += product, which rounds exactly as acc + h * (coeff * value), so
+buffered and fresh stepping give the same bits.  The price is
+aliasing: a state's coefficients are overwritten two steps later, so
+integrate copies every snapshot, and a `step` call without a workspace
+allocates fresh buffers.
+
 Multistep schemes are started by the fixed-point procedure
 `start_multistep`: a low-order bootstrap followed by iterating
 
@@ -89,12 +99,14 @@ class SimState:
     initial_norm: float = 0.0
 
 
-def _max_norm(arr: np.ndarray) -> float:
-    return float(np.max(np.abs(arr)))
+def _max_norm(arr: np.ndarray, scratch: Optional[np.ndarray] = None) -> float:
+    """max |arr|, with the moduli written to scratch when given."""
+    return float(np.abs(arr, scratch).max())
 
 
-def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: float) -> None:
-    top = _max_norm(coeffs)
+def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: float,
+                  scratch: np.ndarray) -> None:
+    top = _max_norm(coeffs, scratch)
     if not math.isfinite(top):
         raise UnstableError(
             f"non-finite field after step {step} (t = {time:.6g})", time=time, step=step
@@ -223,7 +235,45 @@ def _require_history(state: SimState, q: int, name: str) -> None:
         )
 
 
-def step(state: SimState, scheme: PrecomputedScheme, system) -> SimState:
+def _add_term(acc: np.ndarray, h: np.ndarray, coeff: np.ndarray, value: np.ndarray,
+              product: np.ndarray) -> None:
+    """acc += h * (coeff * value), rounded as written, through product.
+
+    The output arrays are passed positionally: numpy parses them faster
+    than out= keywords, which matters on small fields."""
+    np.multiply(coeff, value, product)
+    np.multiply(product, h, product)
+    np.add(acc, product, acc)
+
+
+class _StepWork:
+    """The buffers of `step` for one scheme and one coefficient shape.
+
+    stages holds the s - 1 stage accumulators v^2..v^s, past the q - 1
+    history differences N(u^{n-j}) - N(u^n), product the term being
+    added, outputs the two arrays the new state is written to in turn
+    (the one that is not the current state), and norm a real array for
+    the stability check.  The fields are complex128, shaped like the
+    state's coefficients.  A workspace belongs to one stepping loop in one
+    thread: each step overwrites the state of two steps before, so a
+    state that must outlive the next step is copied first.
+    """
+
+    __slots__ = ("stages", "past", "product", "outputs", "norm")
+
+    def __init__(self, scheme: PrecomputedScheme, shape: tuple):
+        def field() -> np.ndarray:
+            return np.empty(shape, dtype=np.complex128)
+
+        self.stages = [field() for _ in range(scheme.stages - 1)]
+        self.past = [field() for _ in range(scheme.steps - 1)]
+        self.product = field()
+        self.outputs = (field(), field())
+        self.norm = np.empty(shape, dtype=np.float64)
+
+
+def step(state: SimState, scheme: PrecomputedScheme, system, *,
+         work: Optional[_StepWork] = None) -> SimState:
     """Advance one step with a precomputed tableau scheme.
 
     Evaluates the nonlinearity once per stage; for schemes with history
@@ -232,51 +282,72 @@ def step(state: SimState, scheme: PrecomputedScheme, system) -> SimState:
     total at s evaluations (2s transforms) per step.  Each stage value
     N(v^i) - N(u^n) is formed in place on the array that
     system.nonlinear returned, so that array must be a new one.
+
+    Every term is formed in work's buffers as product = coeff * value,
+    product *= h, acc += product: the operations, and so the bits, of
+    acc + h * (coeff * value), in the same order (h enters as the
+    complex128 scalar numpy converts it to).  Without work, fresh
+    buffers are allocated and the returned state owns its coefficients.
+    With work (integrate passes one per run; it must match the scheme
+    and the shape of state.coeffs and serve one loop in one thread), the
+    new coefficients are whichever of work.outputs is not state.coeffs,
+    so they are overwritten by the step after next; the nonlinear values
+    in nl_current and history are always new arrays.
     """
     tab = scheme.tableau
     s, q = tab.stages, tab.steps
     _require_history(state, q, scheme.name)
     h = scheme.h
     u = state.coeffs
+    if work is None:
+        work = _StepWork(scheme, u.shape)
+    product = work.product
+    # h as the complex128 scalar numpy would convert it to for the complex
+    # products: the same bits, without a conversion in every term
+    h_complex = np.array(complex(h))
     nl_now = state.nl_current if q > 1 else system.nonlinear(u)
-    past = [value - nl_now for value in state.history[: q - 1]]
+    past = work.past
+    for value, diff in zip(state.history[: q - 1], past):
+        np.subtract(value, nl_now, diff)
     diffs = [None]  # N(v^j) - N(u^n); stage 1 is u^n itself
     stage_values = [u]
     for i in range(2, s + 1):
+        acc = work.stages[i - 2]
         src = tab.stage_source.get(i)
         if src is not None:
-            acc = scheme.source_propagators[i] * stage_values[src - 1]
+            np.multiply(scheme.source_propagators[i], stage_values[src - 1], acc)
         else:
-            acc = scheme.stage_propagators[i - 1] * u
+            np.multiply(scheme.stage_propagators[i - 1], u, acc)
         coeff = scheme.stage_sums.get(i)
         if coeff is not None:
-            acc = acc + h * (coeff * nl_now)
+            _add_term(acc, h_complex, coeff, nl_now, product)
         for j in range(2, i):
             coeff = scheme.A.get((i, j))
             if coeff is not None:
-                acc = acc + h * (coeff * diffs[j - 1])
+                _add_term(acc, h_complex, coeff, diffs[j - 1], product)
         for j in range(1, q):
             coeff = scheme.U.get((i, j))
             if coeff is not None:
-                acc = acc + h * (coeff * past[j - 1])
+                _add_term(acc, h_complex, coeff, past[j - 1], product)
         stage_values.append(acc)
         nl = system.nonlinear(acc)
-        np.subtract(nl, nl_now, out=nl)
+        np.subtract(nl, nl_now, nl)
         diffs.append(nl)
-    out = scheme.propagator * u
+    out = work.outputs[0] if work.outputs[0] is not u else work.outputs[1]
+    np.multiply(scheme.propagator, u, out)
     if scheme.output_sum is not None:
-        out = out + h * (scheme.output_sum * nl_now)
+        _add_term(out, h_complex, scheme.output_sum, nl_now, product)
     for i in range(2, s + 1):
         coeff = scheme.B.get(i)
         if coeff is not None:
-            out = out + h * (coeff * diffs[i - 1])
+            _add_term(out, h_complex, coeff, diffs[i - 1], product)
     for j in range(1, q):
         coeff = scheme.V.get(j)
         if coeff is not None:
-            out = out + h * (coeff * past[j - 1])
+            _add_term(out, h_complex, coeff, past[j - 1], product)
     new_time = state.time + h
     new_step = state.step + 1
-    _check_stable(out, new_time, new_step, state.initial_norm)
+    _check_stable(out, new_time, new_step, state.initial_norm, work.norm)
     if q > 1:
         nl_new = system.nonlinear(out)
         new_hist = (state.nl_current, *state.history)[: q - 1]
@@ -551,10 +622,11 @@ def integrate(
         # set-up data only: the copy of h*L is not held while stepping
         del diag
 
+        work = _StepWork(engine, state.coeffs.shape)
         fft_start = cell[0]
         tic = _time.perf_counter()
         while state.step < nsteps:
-            state = engine.step(state, system)
+            state = step(state, engine, system, work=work)
             if state.step in snap_table:
                 record(state.step, state.coeffs)
         seconds = _time.perf_counter() - tic

@@ -294,7 +294,8 @@ def _node_sum(values_fn, nrows: int, nodes: np.ndarray, centers: np.ndarray,
     blocked, with values_fn's leading axis of nrows rows kept."""
     acc = np.zeros((nrows, centers.size), dtype=np.float64 if real else np.complex128)
     per_block = max(1, _BLOCK_BYTES // centers.itemsize)
-    width = min(centers.size, per_block)
+    # at least 1, so an empty diagonal gives an empty sum, not a zero division
+    width = max(1, min(centers.size, per_block))
     per_call = per_block // width
     for c0 in range(0, centers.size, width):
         c = centers[c0 : c0 + width]

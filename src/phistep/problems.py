@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import Grid, NonlinearOp, diff_symbol, laplacian_symbol, to_coeffs
+from .spectral import Grid, NonlinearOp, apply_nonlinear, diff_symbol, laplacian_symbol, to_coeffs
 
 __all__ = [
     "Problem",
@@ -84,8 +84,7 @@ class DiscreteSystem:
     u0: np.ndarray
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        from .spectral import apply_nonlinear
-
+        """N(coeffs) as a new array (spectral.apply_nonlinear)."""
         return apply_nonlinear(coeffs, self.op, self.grid)
 
 

@@ -22,13 +22,18 @@ data and every stepped state in the half layout (see
 problems.discretize); to_coeffs(..., real=True) produces it, and
 to_values and apply_nonlinear accept either layout, telling them apart
 by shape.  On grids whose last axis has two points the two layouts
-coincide.  Max norms agree between the layouts, because conjugate modes
-have equal modulus.
+coincide (such arrays are read as full).  Max norms agree between the
+layouts, because conjugate modes have equal modulus.
+
+The multi-axis forward transforms and the multi-axis complex inverse
+write into one array that to_coeffs/to_values allocate first: numpy then
+transforms axis after axis in place instead of allocating a copy per
+axis, with the same bits.
 """
 from __future__ import annotations
 
 import contextvars
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,10 +55,15 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Grid:
-    """Tensor-product periodic grid: per-axis sizes and intervals [a, b)."""
+    """Tensor-product periodic grid: per-axis sizes and intervals [a, b).
+
+    half_shape is the grid part of the half layout, (*shape[:-1], N/2 + 1),
+    fixed at construction so that a layout check is a tuple comparison.
+    """
 
     sizes: tuple
     domain: tuple
+    half_shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         sizes = tuple(int(n) for n in self.sizes)
@@ -70,6 +80,7 @@ class Grid:
         for a, b in domain:
             if not (np.isfinite(a) and np.isfinite(b) and a < b):
                 raise ValueError(f"degenerate interval [{a}, {b})")
+        object.__setattr__(self, "half_shape", (*sizes[:-1], sizes[-1] // 2 + 1))
 
     @classmethod
     def uniform(cls, dims: int, size: int, interval) -> "Grid":
@@ -199,20 +210,16 @@ def _grid_axes(grid: Grid) -> tuple:
     return tuple(range(-grid.dims, 0))
 
 
-def _half_shape(grid: Grid) -> tuple:
-    return (*grid.shape[:-1], grid.sizes[-1] // 2 + 1)
-
-
 def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
     """Whether a coefficient array is in the half layout (shape checked)."""
     tail = coeffs.shape[-grid.dims:]
     if tail == grid.shape:
         return False
-    if tail == _half_shape(grid):
+    if tail == grid.half_shape:
         return True
     raise ValueError(
         f"coefficient shape {coeffs.shape} ends in neither {grid.shape} "
-        f"nor the half layout {_half_shape(grid)}"
+        f"nor the half layout {grid.half_shape}"
     )
 
 
@@ -228,14 +235,17 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False) -> np.ndarray:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
     _count_fft()
     if real:
-        if np.iscomplexobj(values):
+        if values.dtype.kind == "c":
             values = values.real
         if grid.dims == 1:
             return np.fft.rfft(values, norm="forward")
-        return np.fft.rfftn(values, axes=_grid_axes(grid), norm="forward")
+        out = np.empty((*values.shape[:-grid.dims], *grid.half_shape),
+                       dtype=np.result_type(values.dtype, 1j))
+        return np.fft.rfftn(values, axes=_grid_axes(grid), norm="forward", out=out)
     if grid.dims == 1:
         return np.fft.fft(values, norm="forward")
-    return np.fft.fftn(values, axes=_grid_axes(grid), norm="forward")
+    out = np.empty(values.shape, dtype=np.result_type(values.dtype, 1j))
+    return np.fft.fftn(values, axes=_grid_axes(grid), norm="forward", out=out)
 
 
 def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False) -> np.ndarray:
@@ -256,7 +266,8 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False) -> np.ndarray:
     if grid.dims == 1:
         out = np.fft.ifft(coeffs, norm="forward")
     else:
-        out = np.fft.ifftn(coeffs, axes=_grid_axes(grid), norm="forward")
+        out = np.fft.ifftn(coeffs, axes=_grid_axes(grid), norm="forward",
+                           out=np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j)))
     return out.real if real else out
 
 
@@ -285,10 +296,12 @@ def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid) -> np.ndarr
     """Evaluate F(N(F^{-1} coeffs)): transform to value space, apply the
     pointwise map, transform back, then apply the outer symbol if any.
 
-    The result is a new array in the layout of coeffs."""
-    coeffs = np.asarray(coeffs)
+    The result is a new array in the layout of coeffs that shares no
+    memory with it.  The layout is read once, by to_values: half-layout
+    coefficients give real values, full-layout ones complex values, so
+    the dtype of the values says which forward transform to run."""
     values = to_values(coeffs, grid)
-    out = to_coeffs(op.func(values), grid, real=_is_half(coeffs, grid))
+    out = to_coeffs(op.func(values), grid, real=values.dtype.kind != "c")
     if op.outer is not None:
-        np.multiply(out, op.outer, out=out)
+        np.multiply(out, op.outer, out)
     return out

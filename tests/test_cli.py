@@ -240,3 +240,4 @@ def test_selftest_passes(capsys):
     assert out.count("PASS") >= 5
     assert "FAIL" not in out
     assert "selftest: PASS" in out
+    assert "buffered step (workspace vs fresh)  PASS  20/20" in out

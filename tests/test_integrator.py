@@ -20,6 +20,7 @@ from phistep.integrator import (
     run_scalar_probe,
     start_multistep,
     step,
+    _StepWork,
 )
 from phistep.phifun import ContourSpec, eval_phi_expr, phi
 from phistep.problems import (
@@ -595,6 +596,121 @@ def test_integrate_deterministic_on_pde():
     a = integrate(system, "etdrk4", 0.05, 1.0)
     b = integrate(system, "etdrk4", 0.05, 1.0)
     assert np.array_equal(a.u, b.u)
+
+
+# ---------------------------------------------------------------------------
+# buffered stepping
+
+
+# steps stable for 20 steps of every scheme on the desk grids
+_BUFFERED_STEP = {"ks": 0.1, "nls": 0.005, "sh2": 0.05}
+
+
+def _reference_step(state, scheme, system):
+    """One step in the arithmetic the buffered step must reproduce: every
+    term as acc + h * (coeff * value) on fresh arrays."""
+    tab, h, u = scheme.tableau, scheme.h, state.coeffs
+    s, q = tab.stages, tab.steps
+    nl_now = state.nl_current if q > 1 else system.nonlinear(u)
+    past = [value - nl_now for value in state.history[: q - 1]]
+    diffs, stage_values = [None], [u]
+    for i in range(2, s + 1):
+        src = tab.stage_source.get(i)
+        if src is not None:
+            acc = scheme.source_propagators[i] * stage_values[src - 1]
+        else:
+            acc = scheme.stage_propagators[i - 1] * u
+        terms = [(scheme.stage_sums.get(i), nl_now)]
+        terms += [(scheme.A.get((i, j)), diffs[j - 1]) for j in range(2, i)]
+        terms += [(scheme.U.get((i, j)), past[j - 1]) for j in range(1, q)]
+        for coeff, value in terms:
+            if coeff is not None:
+                acc = acc + h * (coeff * value)
+        stage_values.append(acc)
+        diffs.append(system.nonlinear(acc) - nl_now)
+    out = scheme.propagator * u
+    terms = [(scheme.output_sum, nl_now)]
+    terms += [(scheme.B.get(i), diffs[i - 1]) for i in range(2, s + 1)]
+    terms += [(scheme.V.get(j), past[j - 1]) for j in range(1, q)]
+    for coeff, value in terms:
+        if coeff is not None:
+            out = out + h * (coeff * value)
+    return SimState(
+        coeffs=out, time=state.time + h, step=state.step + 1,
+        nl_current=system.nonlinear(out) if q > 1 else None,
+        history=(state.nl_current, *state.history)[: q - 1] if q > 1 else (),
+        initial_norm=state.initial_norm,
+    )
+
+
+def _desk_start(key, scheme, h):
+    """A desk system, its prepared scheme (contour as integrate picks it),
+    the starting coefficients u^0..u^{q-1} and the stepping-ready state,
+    from the starter for multistep schemes."""
+    problem = get_problem(key)
+    system = discretize(problem, default_grid(problem))
+    contour = ContourSpec(points=64 if problem.dims == 1 else 32)
+    engine = prepare_scheme(scheme, h, system.lam, contour)
+    u0 = np.array(system.u0, dtype=complex)
+    norm = float(np.max(np.abs(u0)))
+    if engine.steps > 1:
+        starter = start_multistep(engine.steps, h, system, u0, contour, initial_norm=norm)
+        return system, engine, list(starter.states), starter.state
+    return system, engine, [u0], SimState(coeffs=u0, time=0.0, step=0, initial_norm=norm)
+
+
+def _same_state(a, b):
+    return (a.coeffs.tobytes() == b.coeffs.tobytes()
+            and a.time == b.time and a.step == b.step
+            and (a.nl_current is None) == (b.nl_current is None)
+            and (a.nl_current is None or a.nl_current.tobytes() == b.nl_current.tobytes())
+            and len(a.history) == len(b.history)
+            and all(x.tobytes() == y.tobytes() for x, y in zip(a.history, b.history)))
+
+
+@pytest.mark.parametrize("key", sorted(_BUFFERED_STEP))
+@pytest.mark.parametrize("scheme", [info.name for info in list_schemes()])
+def test_buffered_step_equals_fresh_step_bit_for_bit(key, scheme):
+    system, engine, _, start = _desk_start(key, scheme, _BUFFERED_STEP[key])
+    work = _StepWork(engine, start.coeffs.shape)
+    fresh = buffered = reference = start
+    for _ in range(20):
+        fresh = step(fresh, engine, system)
+        buffered = step(buffered, engine, system, work=work)
+        reference = _reference_step(reference, engine, system)
+        assert _same_state(buffered, fresh), (scheme, key, fresh.step)
+        assert _same_state(fresh, reference), (scheme, key, fresh.step)
+    assert np.all(np.isfinite(buffered.coeffs))
+    assert any(buffered.coeffs is out for out in work.outputs)
+
+
+@pytest.mark.parametrize("scheme", ["etdrk4", "abnorsett4"])
+def test_integrate_snapshots_are_private_copies_of_every_step(scheme):
+    T, nsteps = 1.2, 12
+    h = T / nsteps  # the step integrate snaps to
+    system, engine, plain, state = _desk_start("ks", scheme, h)
+    while state.step < nsteps:
+        state = step(state, engine, system)
+        plain.append(state.coeffs)
+    result = integrate(system, scheme, h, T,
+                       snapshot_times=[k * h for k in range(nsteps + 1)])
+    assert [snap.step for snap in result.snapshots] == list(range(nsteps + 1))
+    for snap, want in zip(result.snapshots, plain):
+        assert snap.coeffs.tobytes() == want.tobytes(), snap.step
+        assert not np.shares_memory(snap.coeffs, result.u)
+    assert result.u.tobytes() == plain[-1].tobytes()
+    for a, b in zip(result.snapshots, result.snapshots[1:]):
+        assert not np.shares_memory(a.coeffs, b.coeffs)
+
+
+def test_step_without_workspace_returns_its_own_coefficients():
+    system, engine, _, state = _desk_start("ks", "etdrk4", 0.1)
+    first = step(state, engine, system)
+    kept = first.coeffs.copy()
+    second = step(first, engine, system)
+    step(second, engine, system)
+    assert first.coeffs.tobytes() == kept.tobytes()
+    assert not np.shares_memory(first.coeffs, second.coeffs)
 
 
 def test_kdv_single_soliton_vs_analytic():

@@ -559,3 +559,17 @@ def test_eval_cache_is_bounded_in_bytes(monkeypatch):
         assert all(v is not big for _, v in cache.items())
     finally:
         clear_eval_cache()
+
+
+def test_empty_diagonal_gives_empty_tables():
+    from phistep.integrator import prepare_scheme
+
+    empty = np.array([])
+    row = phi_contour(1, empty)
+    assert row.shape == (0,) and row.dtype == np.float64
+    table = gamma_contour(range(3), 2, empty)
+    assert table.shape == (3, 0) and table.dtype == np.float64
+    assert gamma_contour(1, 2, empty.astype(complex)).shape == (0,)
+    scheme = prepare_scheme("etdrk4", 0.1, empty)
+    assert scheme.output_sum.shape == (0,) and scheme.output_sum.dtype == np.float64
+    assert all(b.shape == (0,) for b in scheme.B.values())

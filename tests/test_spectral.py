@@ -38,6 +38,14 @@ def test_grid_uniform_properties():
     assert y[0, 1] == y[3, 1]
 
 
+def test_grid_half_shape():
+    g = Grid((6, 8, 10), ((0.0, 1.0),) * 3)
+    assert (g.dims, g.shape, g.half_shape) == (3, (6, 8, 10), (6, 8, 6))
+    assert Grid.uniform(1, 16, (0.0, 1.0)).half_shape == (9,)
+    same = Grid([6, 8, 10], [(0, 1)] * 3)
+    assert same == g and hash(same) == hash(g)
+
+
 def test_grid_interval_open_at_right_end():
     g = Grid.uniform(1, 8, (-1.0, 1.0))
     pts = g.axis_points(0)
@@ -247,14 +255,70 @@ def test_to_values_real_flag():
 
 def test_transform_shape_validation():
     g = Grid.uniform(2, 8, (0.0, 1.0))
-    with pytest.raises(ValueError):
+    field_error = r"field shape \(8,\) does not end in \(8, 8\)"
+    layout_error = r"coefficient shape \(8, 4\) ends in neither \(8, 8\) nor the half layout \(8, 5\)"
+    with pytest.raises(ValueError, match=field_error):
         to_coeffs(np.zeros(8), g)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=layout_error):
         to_values(np.zeros((8, 4)), g)
+
+
+_LAYOUT_GRIDS = [
+    Grid((16,), ((0.0, TWO_PI),)),
+    Grid((8, 12), ((0.0, 1.0), (0.0, 2.0))),
+    Grid((6, 8, 10), ((0.0, 1.0),) * 3),
+]
+
+
+def _field(grid, real, seed=0):
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((2, *grid.shape))
+    return values if real else values + 1j * rng.standard_normal(values.shape)
+
+
+@pytest.mark.parametrize("grid", _LAYOUT_GRIDS, ids=lambda g: f"{g.dims}d")
+@pytest.mark.parametrize("real", [True, False], ids=["half", "full"])
+def test_transforms_match_numpy_bit_for_bit(grid, real):
+    axes = tuple(range(-grid.dims, 0))
+    values = _field(grid, real)
+    if real:
+        want_coeffs = np.fft.rfftn(values, axes=axes, norm="forward")
+        want_values = np.fft.irfftn(want_coeffs, grid.shape, axes=axes, norm="forward")
+    else:
+        want_coeffs = np.fft.fftn(values, axes=axes, norm="forward")
+        want_values = np.fft.ifftn(want_coeffs, axes=axes, norm="forward")
+    coeffs = to_coeffs(values, grid, real=real)
+    assert coeffs.tobytes() == want_coeffs.tobytes()
+    assert to_values(coeffs, grid).tobytes() == want_values.tobytes()
+    if not real:
+        assert to_values(coeffs, grid, real=True).tobytes() == want_values.real.tobytes()
 
 
 # ---------------------------------------------------------------------------
 # nonlinear evaluation
+
+
+@pytest.mark.parametrize("grid", _LAYOUT_GRIDS, ids=lambda g: f"{g.dims}d")
+@pytest.mark.parametrize("real", [True, False], ids=["half", "full"])
+@pytest.mark.parametrize("func", [lambda u: u, lambda u: u * u], ids=["identity", "square"])
+def test_apply_nonlinear_returns_a_new_array_from_two_transforms(grid, real, func):
+    coeffs = to_coeffs(_field(grid, real), grid, real=real)
+    kept = coeffs.copy()
+    outer = _field(grid, real, seed=1)[0][..., : coeffs.shape[-1]]
+    cell, token = install_fft_counter()
+    try:
+        out = apply_nonlinear(coeffs, NonlinearOp(func, outer=outer), grid)
+        assert cell[0] == 2
+        plain = apply_nonlinear(coeffs, NonlinearOp(func), grid)
+        assert cell[0] == 4
+    finally:
+        remove_fft_counter(token)
+    assert out.shape == coeffs.shape and out.dtype == np.complex128
+    assert not np.shares_memory(out, coeffs)
+    assert not np.shares_memory(plain, coeffs)
+    assert coeffs.tobytes() == kept.tobytes()
+    want = to_coeffs(func(to_values(coeffs, grid)), grid, real=real) * outer
+    assert out.tobytes() == want.tobytes()
 
 
 def test_cube_of_constant():
