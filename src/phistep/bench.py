@@ -262,6 +262,8 @@ def run_sweep(
     """
     if repetitions < 1:
         raise ValueError(f"need at least one timing repetition, got {repetitions}")
+    if jobs is not None and jobs < 1:
+        raise ValueError(f"jobs must be positive, got {jobs}")
     for name in plan.schemes:
         require_steps(get_scheme(name).tableau(), plan.ladder[0], plan.T)
     system = discretize(plan.problem, plan.grid)
@@ -289,8 +291,6 @@ def run_sweep(
             starter_converged=result.starter_converged,
         )
 
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be positive, got {jobs}")
     if jobs == 1 or len(points) == 1:
         records = [solve(p) for p in points]
     else:
@@ -509,9 +509,10 @@ def load_field(path):
     text = Path(path).read_text(encoding="utf-8").splitlines()
     if not text or not text[0].startswith("# phistep-field "):
         raise ValueError(f"{path} is not a phistep field dump")
-    version = int(text[0].split()[-1])
-    if version != FIELD_FORMAT_VERSION:
-        raise ValueError(f"{path} has format version {version}; this reader handles {FIELD_FORMAT_VERSION}")
+    version = text[0].split()[-1]
+    if version != str(FIELD_FORMAT_VERSION):
+        raise ValueError(f"{path} has format version {version!r}; "
+                         f"this reader handles {FIELD_FORMAT_VERSION}")
     header = {}
     body_start = 0
     for idx, line in enumerate(text):

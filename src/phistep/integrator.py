@@ -8,13 +8,15 @@ with internal stages
 
     v^i = e^{C_i hL} u^n + h sum_{j<i} A_ij(hL) N(v^j) + h sum_j U_ij(hL) N(u^{n-j})
 
-where L is diagonal in coefficient space.  All tableau slots are
-evaluated once per (tableau, h, L) by `precompute`; stepping then costs
-s nonlinear evaluations (2s transforms) plus elementwise arithmetic.
-Every catalog scheme runs on this one engine: Runge-Kutta, multistep,
-predictor-corrector and (generalized) Lawson schemes alike, including
-stage-source overrides (a stage propagated from an earlier stage rather
-than from u^n, as in the fourth stage of ETDRK4).
+where L is diagonal in coefficient space.  `precompute` lowers a tableau
+once per (tableau, h, L) into a row program: one row per stage 2..s and
+one for the output, each a propagator times a source (u^n or an earlier
+stage) plus a fixed list of coefficient-weighted values.  Stepping runs
+that program: s nonlinear evaluations (2s transforms) plus elementwise
+arithmetic.  Every catalog scheme runs on this one loop: Runge-Kutta,
+multistep, predictor-corrector and (generalized) Lawson schemes alike,
+including stage-source overrides (a stage propagated from an earlier
+stage rather than from u^n, as in the fourth stage of ETDRK4).
 
 Each row is stepped in difference form: N(v^1) = N(u^n) is multiplied
 by the row sum of its coefficients, and every other nonlinear value
@@ -124,31 +126,29 @@ def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: floa
 
 @dataclass(frozen=True)
 class PrecomputedScheme:
-    """A tableau with its slots evaluated over the diagonal h*L.
+    """A tableau lowered over the diagonal h*L into a row program.
+
+    rows holds one (propagator, source, terms) row for each stage
+    2..s, then one for the output.  A row starts from propagator times
+    sources[source], where the sources are u^n, v^2, ..., v^s, so a
+    stage-source override is a row whose source is not 0.  terms is a
+    tuple of (coeff, operand) pairs in the order: the row sum, then the
+    A or B terms by ascending j, then the U or V terms.  The operands are
+    N(u^n) (index 0), the q - 1 history differences N(u^{n-j}) - N(u^n)
+    (index j), then the stage differences N(v^j) - N(u^n) (index
+    q + j - 2).  Stage 1's weight enters only through the row sum, and
+    zero slots have no term.
 
     Coefficient arrays are the bare weight functions (not premultiplied
     by h); `step` supplies the factor h.  They are the read-only arrays
     of the phi cache, as eval_phi_expr returns them: float64 over a real
-    diagonal with real weights, complex128 otherwise.  Keyed for the
-    difference form: stage_sums[i] and output_sum multiply N(u^n) (absent
-    when the row sums to zero); A[(i, j)] (j >= 2, the
-    stage_source_coeffs row for a chained stage) and B[i] (i >= 2)
-    multiply N(v^j) - N(u^n); U and V multiply N(u^{n-j}) - N(u^n).
+    diagonal with real weights, complex128 otherwise.
     """
 
     name: str
     tableau: Tableau
     h: float
-    contour: ContourSpec
-    propagator: np.ndarray
-    stage_propagators: tuple
-    source_propagators: dict
-    stage_sums: dict
-    output_sum: Optional[np.ndarray]
-    A: dict
-    U: dict
-    B: dict
-    V: dict
+    rows: tuple
 
     @property
     def stages(self) -> int:
@@ -163,15 +163,16 @@ class PrecomputedScheme:
 
 
 def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSpec()) -> PrecomputedScheme:
-    """Evaluate the tableau entrywise at h*lam, in difference form.
+    """Lower the tableau at h*lam into the row program of PrecomputedScheme.
 
-    Each row's sum is evaluated in place of its first-column entry.
-    h*lam is keyed (converted to complex and digested) once, and every
-    slot goes through eval_phi_expr with that key; lam may also be a
-    KeyedDiagonal, which must then hold h*lam already (integrate builds
-    one for the scheme and its starter).  Requires a complete tableau
-    (summation property filled in, or a scheme exempt from it); h must be
-    positive.  Deterministic for fixed inputs.
+    Each row's sum is evaluated in place of its first-column entry, and
+    zero slots are dropped.  h*lam is keyed (converted to complex and
+    digested) once, and every slot goes through eval_phi_expr with that
+    key; lam may also be a KeyedDiagonal, which must then hold h*lam
+    already (integrate builds one for the scheme and its starter).
+    Requires a complete tableau (summation property filled in, or a
+    scheme exempt from it); h must be positive.  Deterministic for fixed
+    inputs.
     """
     if not tableau.is_complete:
         raise ValueError(f"tableau {tableau.name!r} has unfilled slots; "
@@ -187,44 +188,30 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
             evaluated[expr] = eval_phi_expr(expr, diag, contour)
         return evaluated[expr]
 
-    def exp_of(c: Fraction) -> np.ndarray:
-        return ev(exp_term(1, c))
-
     s, q = tableau.stages, tableau.steps
-    stage_props = tuple(exp_of(tableau.C[i]) for i in range(s))
-    source_props = {
-        i: exp_of(tableau.C[i - 1] - tableau.C[src - 1])
-        for i, src in tableau.stage_source.items()
-    }
     zero = PhiExpr()
-    A: dict = {}
-    stage_sums: dict = {}
+
+    def row(c: Fraction, source: int, stage: dict, past: Sequence[PhiExpr]) -> tuple:
+        # stage maps j to the weight of N(v^j), past lists the weights of
+        # N(u^{n-1}), ..., N(u^{n-q+1})
+        total = sum(stage.values(), zero) + sum(past, zero)
+        terms = [] if total.is_zero() else [(ev(total), 0)]
+        terms += [(ev(e), q + j - 2) for j, e in sorted(stage.items())
+                  if j > 1 and not e.is_zero()]
+        terms += [(ev(e), j) for j, e in enumerate(past, start=1) if not e.is_zero()]
+        return ev(exp_term(1, c)), source, tuple(terms)
+
+    rows = []
     for i in range(2, s + 1):
-        if i in tableau.stage_source:
-            row = {j: e for (si, j), e in tableau.stage_source_coeffs.items() if si == i}
+        c, src = tableau.C[i - 1], tableau.stage_source.get(i)
+        if src is None:
+            src, stage = 1, dict(enumerate(tableau.A[i - 1][: i - 1], start=1))
         else:
-            row = dict(enumerate(tableau.A[i - 1][: i - 1], start=1))
-        total = sum(row.values(), zero) + sum(tableau.U[i - 1], zero)
-        if not total.is_zero():
-            stage_sums[i] = ev(total)
-        for j, expr in row.items():
-            if j > 1 and not expr.is_zero():
-                A[(i, j)] = ev(expr)
-    U = {
-        (i, j): ev(tableau.U[i - 1][j - 1])
-        for i in range(1, s + 1)
-        for j in range(1, q)
-        if not tableau.U[i - 1][j - 1].is_zero()
-    }
-    B = {i: ev(tableau.B[i - 1]) for i in range(2, s + 1) if not tableau.B[i - 1].is_zero()}
-    V = {j: ev(tableau.V[j - 1]) for j in range(1, q) if not tableau.V[j - 1].is_zero()}
-    total = sum(tableau.B, zero) + sum(tableau.V, zero)
-    return PrecomputedScheme(
-        name=tableau.name, tableau=tableau, h=h, contour=contour,
-        propagator=exp_of(Fraction(1)), stage_propagators=stage_props,
-        source_propagators=source_props, stage_sums=stage_sums,
-        output_sum=None if total.is_zero() else ev(total), A=A, U=U, B=B, V=V,
-    )
+            c -= tableau.C[src - 1]
+            stage = {j: e for (si, j), e in tableau.stage_source_coeffs.items() if si == i}
+        rows.append(row(c, src - 1, stage, tableau.U[i - 1]))
+    rows.append(row(Fraction(1), 0, dict(enumerate(tableau.B, start=1)), tableau.V))
+    return PrecomputedScheme(name=tableau.name, tableau=tableau, h=h, rows=tuple(rows))
 
 
 def _require_history(state: SimState, q: int, name: str) -> None:
@@ -279,9 +266,12 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     Evaluates the nonlinearity once per stage; for schemes with history
     (q >= 2) the first stage reuses the stored N(u^n) and the evaluation
     at the new solution is pushed into the history ring, keeping the
-    total at s evaluations (2s transforms) per step.  Each stage value
-    N(v^i) - N(u^n) is formed in place on the array that
-    system.nonlinear returned, so that array must be a new one.
+    total at s evaluations (2s transforms) per step.  The rows of
+    scheme.rows run in order, each into its stage accumulator and the
+    last into the output array.  Their operands are N(u^n), the history
+    differences, then each stage's N(v^i) - N(u^n), which is formed in
+    place on the array that system.nonlinear returned, so that array
+    must be a new one.
 
     Every term is formed in work's buffers as product = coeff * value,
     product *= h, acc += product: the operations, and so the bits, of
@@ -294,8 +284,7 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     so they are overwritten by the step after next; the nonlinear values
     in nl_current and history are always new arrays.
     """
-    tab = scheme.tableau
-    s, q = tab.stages, tab.steps
+    q = scheme.steps
     _require_history(state, q, scheme.name)
     h = scheme.h
     u = state.coeffs
@@ -306,45 +295,19 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     # products: the same bits, without a conversion in every term
     h_complex = np.array(complex(h))
     nl_now = state.nl_current if q > 1 else system.nonlinear(u)
-    past = work.past
-    for value, diff in zip(state.history[: q - 1], past):
+    for value, diff in zip(state.history[: q - 1], work.past):
         np.subtract(value, nl_now, diff)
-    diffs = [None]  # N(v^j) - N(u^n); stage 1 is u^n itself
-    stage_values = [u]
-    for i in range(2, s + 1):
-        acc = work.stages[i - 2]
-        src = tab.stage_source.get(i)
-        if src is not None:
-            np.multiply(scheme.source_propagators[i], stage_values[src - 1], acc)
-        else:
-            np.multiply(scheme.stage_propagators[i - 1], u, acc)
-        coeff = scheme.stage_sums.get(i)
-        if coeff is not None:
-            _add_term(acc, h_complex, coeff, nl_now, product)
-        for j in range(2, i):
-            coeff = scheme.A.get((i, j))
-            if coeff is not None:
-                _add_term(acc, h_complex, coeff, diffs[j - 1], product)
-        for j in range(1, q):
-            coeff = scheme.U.get((i, j))
-            if coeff is not None:
-                _add_term(acc, h_complex, coeff, past[j - 1], product)
-        stage_values.append(acc)
-        nl = system.nonlinear(acc)
-        np.subtract(nl, nl_now, nl)
-        diffs.append(nl)
+    operands = [nl_now, *work.past]
+    sources = (u, *work.stages)
     out = work.outputs[0] if work.outputs[0] is not u else work.outputs[1]
-    np.multiply(scheme.propagator, u, out)
-    if scheme.output_sum is not None:
-        _add_term(out, h_complex, scheme.output_sum, nl_now, product)
-    for i in range(2, s + 1):
-        coeff = scheme.B.get(i)
-        if coeff is not None:
-            _add_term(out, h_complex, coeff, diffs[i - 1], product)
-    for j in range(1, q):
-        coeff = scheme.V.get(j)
-        if coeff is not None:
-            _add_term(out, h_complex, coeff, past[j - 1], product)
+    for acc, (propagator, source, terms) in zip((*work.stages, out), scheme.rows):
+        np.multiply(propagator, sources[source], acc)
+        for coeff, operand in terms:
+            _add_term(acc, h_complex, coeff, operands[operand], product)
+        if acc is not out:
+            nl = system.nonlinear(acc)
+            np.subtract(nl, nl_now, nl)
+            operands.append(nl)
     new_time = state.time + h
     new_step = state.step + 1
     _check_stable(out, new_time, new_step, state.initial_norm, work.norm)

@@ -47,6 +47,7 @@ import numpy as np
 
 __all__ = [
     "MAX_INDEX",
+    "CONTOUR_RADIUS",
     "ContourSpec",
     "PhiTerm",
     "PhiExpr",
@@ -256,6 +257,10 @@ def gamma_scalar(j: int, k: int, z: complex) -> complex:
 # contour means
 
 
+# radius of the contour around each diagonal entry
+CONTOUR_RADIUS = 1.0
+
+
 @dataclass(frozen=True)
 class ContourSpec:
     """Unit-circle trapezoidal rule used to evaluate phi/gamma at diagonals.
@@ -263,21 +268,17 @@ class ContourSpec:
     points: number of quadrature nodes M (64 is ample in 1D, 32 in 2D/3D;
         the rule's aliasing error for these entire functions is far below
         float precision either way).
-    radius: contour radius around each diagonal entry, fixed at 1.0.
     real_symmetry: evaluate real entries on the upper half circle only and
         keep the real part of the mean, so real operators get coefficients
         with exactly zero imaginary part.
     """
 
     points: int = 64
-    radius: float = 1.0
     real_symmetry: bool = True
 
     def __post_init__(self) -> None:
         if self.points < 4:
             raise ValueError(f"contour needs at least 4 points, got {self.points}")
-        if not self.radius > 0:
-            raise ValueError(f"contour radius must be positive, got {self.radius}")
 
 
 # Byte budget of the contour points handed to a kernel in one call (4096
@@ -334,8 +335,8 @@ def _contour_mean(values_fn, nrows: int, lam: np.ndarray, contour: ContourSpec) 
     lam = np.ascontiguousarray(lam, dtype=np.complex128)
     real_mask = (lam.imag == 0.0) if contour.real_symmetry else np.zeros(lam.shape, bool)
     M = contour.points
-    half = contour.radius * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M)
-    full = contour.radius * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M)
+    half = CONTOUR_RADIUS * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M)
+    full = CONTOUR_RADIUS * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M)
     if real_mask.all() or not real_mask.any():
         real = bool(real_mask.all())
         out = _node_sum(values_fn, nrows, half if real else full, lam, real)

@@ -295,6 +295,16 @@ def test_sweep_error_fields_deterministic_across_jobs():
     assert [r.stable for r in serial] == [r.stable for r in parallel]
 
 
+@pytest.mark.parametrize("bad, match", [({"jobs": 0}, "jobs"), ({"repetitions": 0}, "repetition")])
+def test_sweep_rejects_bad_counts_before_any_solve(monkeypatch, bad, match):
+    calls = []
+    monkeypatch.setattr(bench, "integrate", lambda *args, **kwargs: calls.append(args))
+    plan = make_plan("nls", schemes=("etdrk4",))
+    with pytest.raises(ValueError, match=match):
+        run_sweep(plan, **bad)
+    assert calls == []
+
+
 def test_sweep_rejects_ladder_too_coarse_for_scheme():
     plan = _tiny_plan(schemes=("pecec736",), ladder=(5.0,), T=10.0)
     with pytest.raises(ValueError, match="pecec736"):
@@ -509,10 +519,12 @@ def test_field_snapshot_rejects_unknown_version(tmp_path):
 
     grid = Grid.uniform(1, 8, (0.0, 1.0))
     path = save_field(tmp_path / "field.txt", np.ones(8), grid, 0.0)
-    text = path.read_text().replace("phistep-field 1", "phistep-field 99")
-    path.write_text(text)
-    with pytest.raises(ValueError, match="version"):
-        load_field(path)
+    good = path.read_text()
+    for token in ("99", "v1"):
+        path.write_text(good.replace("phistep-field 1", f"phistep-field {token}"))
+        with pytest.raises(ValueError, match="version") as info:
+            load_field(path)
+        assert str(path) in str(info.value) and repr(token) in str(info.value)
 
 
 def test_error_floor_moves_down_with_reference_resolution():

@@ -4,6 +4,8 @@ instability detection, the multistep starter, and end-to-end runs
 against closed-form solutions."""
 import dataclasses
 import math
+import types
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -22,7 +24,7 @@ from phistep.integrator import (
     step,
     _StepWork,
 )
-from phistep.phifun import ContourSpec, eval_phi_expr, phi
+from phistep.phifun import ContourSpec, KeyedDiagonal, PhiExpr, eval_phi_expr, exp_term, phi
 from phistep.problems import (
     default_grid,
     discretize,
@@ -77,18 +79,34 @@ def fresh_state(system):
 # precompute
 
 
+def _output_row(scheme):
+    """The output row's propagator and its coefficients keyed by operand:
+    0 is N(u^n) (the row sum), q + i - 2 the difference of stage i."""
+    propagator, _, terms = scheme.rows[-1]
+    return propagator, {operand: coeff for coeff, operand in terms}
+
+
+def _row_arrays(scheme):
+    """Every array of every row: the propagators and the coefficients."""
+    return [arr for propagator, _, terms in scheme.rows
+            for arr in (propagator, *(coeff for coeff, _ in terms))]
+
+
 def test_precompute_etd_euler_at_zero():
     scheme = precompute(get_scheme("etdeuler").tableau(), 1.0, np.array([0.0]))
-    np.testing.assert_allclose(scheme.propagator, [1.0], rtol=1e-14)
+    propagator, terms = _output_row(scheme)
+    np.testing.assert_allclose(propagator, [1.0], rtol=1e-14)
     # one stage: the output row sum is B_1 itself
-    np.testing.assert_allclose(scheme.output_sum, [1.0], rtol=1e-13)
+    np.testing.assert_allclose(terms[0], [1.0], rtol=1e-13)
 
 
 def test_precompute_etdrk4_rk4_reduction():
     tab = get_scheme("etdrk4").tableau()
     scheme = precompute(tab, 1.0, np.array([0.0]))
-    # stepping never reads B_1, so precompute does not keep it
-    weights = [eval_phi_expr(tab.B[0], np.array([0.0]))] + [scheme.B[i] for i in range(2, 5)]
+    # stepping never reads B_1, so precompute does not keep it; B_2..B_4
+    # weigh the stage operands 1..3
+    _, terms = _output_row(scheme)
+    weights = [eval_phi_expr(tab.B[0], np.array([0.0]))] + [terms[i - 1] for i in range(2, 5)]
     for got, want in zip(weights, (1 / 6, 1 / 3, 1 / 3, 1 / 6)):
         np.testing.assert_allclose(got, [want], rtol=1e-12)
 
@@ -107,29 +125,31 @@ def test_precompute_etdrk4_stiff_value_vs_oracle():
 
 def test_precompute_realness():
     tab = get_scheme("etdrk4").tableau()
-    real_scheme = precompute(tab, 0.5, np.array([-1.0, -2.0]))
-    assert not np.iscomplexobj(real_scheme.B[2])
-    assert not np.iscomplexobj(real_scheme.output_sum)
-    assert not np.iscomplexobj(real_scheme.propagator)
-    complex_scheme = precompute(tab, 0.5, np.array([1j]))
-    assert np.iscomplexobj(complex_scheme.B[2])
-    assert np.iscomplexobj(complex_scheme.output_sum)
+    propagator, terms = _output_row(precompute(tab, 0.5, np.array([-1.0, -2.0])))
+    assert not np.iscomplexobj(terms[1])  # B_2
+    assert not np.iscomplexobj(terms[0])  # the row sum
+    assert not np.iscomplexobj(propagator)
+    _, terms = _output_row(precompute(tab, 0.5, np.array([1j])))
+    assert np.iscomplexobj(terms[1])
+    assert np.iscomplexobj(terms[0])
 
 
 def test_precompute_keeps_complex_weights_on_a_real_diagonal():
     # a complex weight makes the coefficient complex even where h*lam is real
     tab = dataclasses.replace(etd_euler(), B=(phi(1, 1 + 2j),))
     h, lam = 0.5, np.array([-1.0, -2.0])
-    scheme = precompute(tab, h, lam)
+    _, terms = _output_row(precompute(tab, h, lam))
     want = eval_phi_expr(phi(1, 1 + 2j), h * lam)
-    assert np.iscomplexobj(scheme.output_sum)
-    assert np.max(np.abs(scheme.output_sum - want) / np.abs(want)) <= 1e-13
+    assert np.iscomplexobj(terms[0])
+    assert np.max(np.abs(terms[0] - want) / np.abs(want)) <= 1e-13
     assert np.all(want.imag != 0.0)
 
 
 def test_precompute_does_not_evaluate_b1():
     scheme = precompute(get_scheme("etdrk4").tableau(), 0.5, np.array([-1.0]))
-    assert sorted(scheme.B) == [2, 3, 4]
+    # the output row has no term on stage 1's difference: its row sum on
+    # N(u^n), then B_2..B_4 on the differences of stages 2..4
+    assert [operand for _, operand in scheme.rows[-1][2]] == [0, 1, 2, 3]
 
 
 def test_precompute_validation():
@@ -147,17 +167,19 @@ def test_precompute_deterministic():
     lam = np.linspace(-50.0, 0.0, 11)
     a = precompute(get_scheme("etdrk4").tableau(), 0.2, lam)
     b = precompute(get_scheme("etdrk4").tableau(), 0.2, lam)
-    for key in a.B:
-        assert np.array_equal(a.B[key], b.B[key])
-    assert np.array_equal(a.propagator, b.propagator)
+    assert [(src, [op for _, op in terms]) for _, src, terms in a.rows] == \
+        [(src, [op for _, op in terms]) for _, src, terms in b.rows]
+    for x, y in zip(_row_arrays(a), _row_arrays(b), strict=True):
+        assert np.array_equal(x, y)
 
 
 def test_precompute_array_shape():
     lam = np.zeros((2, 4, 4))
     scheme = precompute(get_scheme("etdrk2").tableau(), 0.1, lam)
-    assert scheme.propagator.shape == (2, 4, 4)
-    assert scheme.output_sum.shape == (2, 4, 4)
-    assert scheme.B[2].shape == (2, 4, 4)
+    propagator, terms = _output_row(scheme)
+    assert propagator.shape == (2, 4, 4)
+    assert terms[0].shape == (2, 4, 4)  # the row sum
+    assert terms[1].shape == (2, 4, 4)  # B_2
 
 
 @pytest.mark.parametrize("name", problem_names())
@@ -170,13 +192,7 @@ def test_coefficient_arrays_are_real_exactly_on_real_diagonals(name):
     real = not np.any(np.imag(h * system.lam))
     assert real == (name not in ("kdv", "nls"))
     for scheme in ("etdrk4", "abnorsett4", "genlawson43", "pecec736", "lawson4"):
-        pre = prepare_scheme(scheme, h, system.lam)
-        arrays = [
-            pre.propagator, pre.output_sum, *pre.stage_propagators,
-            *pre.source_propagators.values(), *pre.stage_sums.values(),
-            *pre.A.values(), *pre.U.values(), *pre.B.values(), *pre.V.values(),
-        ]
-        for arr in arrays:
+        for arr in _row_arrays(prepare_scheme(scheme, h, system.lam)):
             assert arr.dtype == (np.float64 if real else np.complex128), (name, scheme)
 
 
@@ -606,9 +622,66 @@ def test_integrate_deterministic_on_pde():
 _BUFFERED_STEP = {"ks": 0.1, "nls": 0.005, "sh2": 0.05}
 
 
+def _slot_tables(tableau, h, lam, contour):
+    """The tableau evaluated slot by slot into dicts keyed by position, as
+    precompute did before it lowered tableaux into rows: the coefficient
+    source of _reference_step, so that the test below pins the lowering
+    as well as the buffered arithmetic.  stage_sums[i] and output_sum
+    multiply N(u^n); A[(i, j)] (j >= 2, the stage_source_coeffs row for
+    a chained stage) and B[i] (i >= 2) multiply N(v^j) - N(u^n); U and V
+    multiply N(u^{n-j}) - N(u^n)."""
+    diag = KeyedDiagonal(h * np.asarray(lam))
+    evaluated: dict = {}
+
+    def ev(expr):
+        if expr not in evaluated:
+            evaluated[expr] = eval_phi_expr(expr, diag, contour)
+        return evaluated[expr]
+
+    def exp_of(c):
+        return ev(exp_term(1, c))
+
+    s, q = tableau.stages, tableau.steps
+    stage_props = tuple(exp_of(tableau.C[i]) for i in range(s))
+    source_props = {
+        i: exp_of(tableau.C[i - 1] - tableau.C[src - 1])
+        for i, src in tableau.stage_source.items()
+    }
+    zero = PhiExpr()
+    A: dict = {}
+    stage_sums: dict = {}
+    for i in range(2, s + 1):
+        if i in tableau.stage_source:
+            row = {j: e for (si, j), e in tableau.stage_source_coeffs.items() if si == i}
+        else:
+            row = dict(enumerate(tableau.A[i - 1][: i - 1], start=1))
+        total = sum(row.values(), zero) + sum(tableau.U[i - 1], zero)
+        if not total.is_zero():
+            stage_sums[i] = ev(total)
+        for j, expr in row.items():
+            if j > 1 and not expr.is_zero():
+                A[(i, j)] = ev(expr)
+    U = {
+        (i, j): ev(tableau.U[i - 1][j - 1])
+        for i in range(1, s + 1)
+        for j in range(1, q)
+        if not tableau.U[i - 1][j - 1].is_zero()
+    }
+    B = {i: ev(tableau.B[i - 1]) for i in range(2, s + 1) if not tableau.B[i - 1].is_zero()}
+    V = {j: ev(tableau.V[j - 1]) for j in range(1, q) if not tableau.V[j - 1].is_zero()}
+    total = sum(tableau.B, zero) + sum(tableau.V, zero)
+    return types.SimpleNamespace(
+        tableau=tableau, h=h,
+        propagator=exp_of(Fraction(1)), stage_propagators=stage_props,
+        source_propagators=source_props, stage_sums=stage_sums,
+        output_sum=None if total.is_zero() else ev(total), A=A, U=U, B=B, V=V,
+    )
+
+
 def _reference_step(state, scheme, system):
-    """One step in the arithmetic the buffered step must reproduce: every
-    term as acc + h * (coeff * value) on fresh arrays."""
+    """One step in the arithmetic the buffered step must reproduce, from
+    the _slot_tables scheme: every term as acc + h * (coeff * value) on
+    fresh arrays."""
     tab, h, u = scheme.tableau, scheme.h, state.coeffs
     s, q = tab.stages, tab.steps
     nl_now = state.nl_current if q > 1 else system.nonlinear(u)
@@ -643,13 +716,17 @@ def _reference_step(state, scheme, system):
     )
 
 
+def _desk_contour(key):
+    return ContourSpec(points=64 if get_problem(key).dims == 1 else 32)
+
+
 def _desk_start(key, scheme, h):
     """A desk system, its prepared scheme (contour as integrate picks it),
     the starting coefficients u^0..u^{q-1} and the stepping-ready state,
     from the starter for multistep schemes."""
     problem = get_problem(key)
     system = discretize(problem, default_grid(problem))
-    contour = ContourSpec(points=64 if problem.dims == 1 else 32)
+    contour = _desk_contour(key)
     engine = prepare_scheme(scheme, h, system.lam, contour)
     u0 = np.array(system.u0, dtype=complex)
     norm = float(np.max(np.abs(u0)))
@@ -672,12 +749,13 @@ def _same_state(a, b):
 @pytest.mark.parametrize("scheme", [info.name for info in list_schemes()])
 def test_buffered_step_equals_fresh_step_bit_for_bit(key, scheme):
     system, engine, _, start = _desk_start(key, scheme, _BUFFERED_STEP[key])
+    tables = _slot_tables(engine.tableau, engine.h, system.lam, _desk_contour(key))
     work = _StepWork(engine, start.coeffs.shape)
     fresh = buffered = reference = start
     for _ in range(20):
         fresh = step(fresh, engine, system)
         buffered = step(buffered, engine, system, work=work)
-        reference = _reference_step(reference, engine, system)
+        reference = _reference_step(reference, tables, system)
         assert _same_state(buffered, fresh), (scheme, key, fresh.step)
         assert _same_state(fresh, reference), (scheme, key, fresh.step)
     assert np.all(np.isfinite(buffered.coeffs))

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from phistep import phifun
 from phistep.phifun import (
+    CONTOUR_RADIUS,
     ContourSpec,
     PhiExpr,
     PhiTerm,
@@ -212,12 +213,12 @@ def _per_node_mean(values_fn, lam, contour):
     M = contour.points
     if real.any():
         acc = np.zeros(np.count_nonzero(real))
-        for node in contour.radius * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M):
+        for node in CONTOUR_RADIUS * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M):
             acc += values_fn(lam[real] + node).real
         out[real] = acc / M
     if not real.all():
         acc = np.zeros(np.count_nonzero(~real), dtype=np.complex128)
-        for node in contour.radius * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M):
+        for node in CONTOUR_RADIUS * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M):
             acc += values_fn(lam[~real] + node)
         out[~real] = acc / M
     return out
@@ -334,7 +335,7 @@ def _parent_gamma_mean(j, k, lam, contour):
     for mask, half in ((real, True), (~real, False)):
         if not mask.any():
             continue
-        nodes = contour.radius * np.exp((1j if half else 2j) * np.pi * (np.arange(M) + 0.5) / M)
+        nodes = CONTOUR_RADIUS * np.exp((1j if half else 2j) * np.pi * (np.arange(M) + 0.5) / M)
         values = _parent_gamma_values(j, k, nodes[:, None] + lam[mask])
         acc = np.zeros(np.count_nonzero(mask), dtype=np.float64 if half else np.complex128)
         for row in values.real if half else values:
@@ -428,8 +429,6 @@ def test_gamma_tables_are_cached_and_evicted_with_phi_arrays(monkeypatch):
 def test_contour_spec_validation():
     with pytest.raises(ValueError):
         ContourSpec(points=2)
-    with pytest.raises(ValueError):
-        ContourSpec(radius=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -571,5 +570,7 @@ def test_empty_diagonal_gives_empty_tables():
     assert table.shape == (3, 0) and table.dtype == np.float64
     assert gamma_contour(1, 2, empty.astype(complex)).shape == (0,)
     scheme = prepare_scheme("etdrk4", 0.1, empty)
-    assert scheme.output_sum.shape == (0,) and scheme.output_sum.dtype == np.float64
-    assert all(b.shape == (0,) for b in scheme.B.values())
+    (row_sum, operand), *stage_terms = scheme.rows[-1][2]
+    assert operand == 0  # the output row's sum, on N(u^n)
+    assert row_sum.shape == (0,) and row_sum.dtype == np.float64
+    assert all(b.shape == (0,) for b, _ in stage_terms)
