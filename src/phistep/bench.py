@@ -466,6 +466,11 @@ def read_records(csv_path) -> List[SweepRecord]:
 FIELD_FORMAT_VERSION = 1
 
 
+# values formatted and written per chunk by save_field, so its memory is
+# a fixed multiple of the chunk whatever the field's size
+_FIELD_CHUNK = 1 << 14
+
+
 def save_field(path, values: np.ndarray, grid: Grid, time: float, *, problem: str = "") -> Path:
     """Dump one field (grid values) as text with a version-tagged header.
 
@@ -473,6 +478,7 @@ def save_field(path, values: np.ndarray, grid: Grid, time: float, *, problem: st
     sizes and intervals, simulation time, component count, and whether
     entries are real or complex; the flattened values follow one per
     line in shortest round-trip decimal form (complex as two columns).
+    The values are streamed to the file _FIELD_CHUNK at a time.
     """
     values = np.asarray(values)
     if values.shape[-grid.dims:] != grid.shape:
@@ -482,7 +488,7 @@ def save_field(path, values: np.ndarray, grid: Grid, time: float, *, problem: st
     if values.ndim != grid.dims + 1:
         raise ValueError(f"expected (components, *grid) layout, got {values.shape}")
     is_complex = np.iscomplexobj(values)
-    lines = [
+    header = [
         f"# phistep-field {FIELD_FORMAT_VERSION}",
         f"# problem {problem}",
         f"# sizes {' '.join(str(n) for n in grid.sizes)}",
@@ -491,12 +497,18 @@ def save_field(path, values: np.ndarray, grid: Grid, time: float, *, problem: st
         f"# components {values.shape[0]}",
         f"# kind {'complex' if is_complex else 'real'}",
     ]
-    if is_complex:
-        lines.extend(f"{complex(z).real!r} {complex(z).imag!r}" for z in values.ravel())
-    else:
-        lines.extend(repr(float(v)) for v in values.ravel())
     out = Path(path)
-    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with out.open("w", encoding="utf-8") as fh:
+        fh.write("\n".join(header) + "\n")
+        for start in range(0, values.size, _FIELD_CHUNK):
+            # .flat slices copy one chunk in C order, whatever the layout
+            chunk = values.flat[start : start + _FIELD_CHUNK]
+            if is_complex:
+                chunk = chunk.astype(np.complex128)
+                lines = map("{!r} {!r}".format, chunk.real.tolist(), chunk.imag.tolist())
+            else:
+                lines = map(repr, chunk.astype(np.float64).tolist())
+            fh.write("\n".join(lines) + "\n")
     return out
 
 

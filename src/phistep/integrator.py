@@ -162,31 +162,26 @@ class PrecomputedScheme:
         return step(state, self, system)
 
 
-def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSpec()) -> PrecomputedScheme:
-    """Lower the tableau at h*lam into the row program of PrecomputedScheme.
+def _lowering(tableau: Tableau) -> tuple:
+    """The h-independent half of precompute: (exprs, program).
 
-    Each row's sum is evaluated in place of its first-column entry, and
-    zero slots are dropped.  h*lam is keyed (converted to complex and
-    digested) once, and every slot goes through eval_phi_expr with that
-    key; lam may also be a KeyedDiagonal, which must then hold h*lam
-    already (integrate builds one for the scheme and its starter).
-    Requires a complete tableau (summation property filled in, or a
-    scheme exempt from it); h must be positive.  Deterministic for fixed
-    inputs.
+    exprs lists the distinct PhiExprs of the row program in the order
+    they are first needed; program holds one (propagator, source, terms)
+    row per stage 2..s and one for the output, with the propagator and
+    every term's coefficient given as an index into exprs.  Each row's
+    sum stands in for its first-column entry, and zero slots are dropped.
+    Built on a tableau's first precompute and kept on the object, so
+    later step sizes only evaluate it (threads that lower one tableau at
+    once build equal lowerings, and either may be kept).
     """
-    if not tableau.is_complete:
-        raise ValueError(f"tableau {tableau.name!r} has unfilled slots; "
-                         "complete the summation property first")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
-    diag = lam if isinstance(lam, KeyedDiagonal) else KeyedDiagonal(h * np.asarray(lam))
-    evaluated: dict = {}
+    lowered = tableau._lowered
+    if lowered is not None:
+        return lowered
+    exprs: dict = {}
 
-    def ev(expr: PhiExpr) -> np.ndarray:
+    def ev(expr: PhiExpr) -> int:
         # equal expressions (e.g. psi_{1,1/2} in several rows) share one array
-        if expr not in evaluated:
-            evaluated[expr] = eval_phi_expr(expr, diag, contour)
-        return evaluated[expr]
+        return exprs.setdefault(expr, len(exprs))
 
     s, q = tableau.stages, tableau.steps
     zero = PhiExpr()
@@ -201,7 +196,7 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
         terms += [(ev(e), j) for j, e in enumerate(past, start=1) if not e.is_zero()]
         return ev(exp_term(1, c)), source, tuple(terms)
 
-    rows = []
+    program = []
     for i in range(2, s + 1):
         c, src = tableau.C[i - 1], tableau.stage_source.get(i)
         if src is None:
@@ -209,9 +204,37 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
         else:
             c -= tableau.C[src - 1]
             stage = {j: e for (si, j), e in tableau.stage_source_coeffs.items() if si == i}
-        rows.append(row(c, src - 1, stage, tableau.U[i - 1]))
-    rows.append(row(Fraction(1), 0, dict(enumerate(tableau.B, start=1)), tableau.V))
-    return PrecomputedScheme(name=tableau.name, tableau=tableau, h=h, rows=tuple(rows))
+        program.append(row(c, src - 1, stage, tableau.U[i - 1]))
+    program.append(row(Fraction(1), 0, dict(enumerate(tableau.B, start=1)), tableau.V))
+    tableau._lowered = lowered = (tuple(exprs), tuple(program))
+    return lowered
+
+
+def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSpec()) -> PrecomputedScheme:
+    """Lower the tableau at h*lam into the row program of PrecomputedScheme.
+
+    The symbolic half of the lowering depends on the tableau alone and is
+    done once per tableau object (_lowering); each call evaluates its
+    distinct expressions at h*lam.  h*lam is keyed (converted to complex
+    and digested) once, and every expression goes through eval_phi_expr
+    with that key; lam may also be a KeyedDiagonal, which must then hold
+    h*lam already (integrate builds one for the scheme and its starter).
+    Requires a complete tableau (summation property filled in, or a
+    scheme exempt from it); h must be positive.  Deterministic for fixed
+    inputs.
+    """
+    if not tableau.is_complete:
+        raise ValueError(f"tableau {tableau.name!r} has unfilled slots; "
+                         "complete the summation property first")
+    if not h > 0:
+        raise ValueError(f"step size must be positive, got {h}")
+    diag = lam if isinstance(lam, KeyedDiagonal) else KeyedDiagonal(h * np.asarray(lam))
+    exprs, program = _lowering(tableau)
+    arrays = [eval_phi_expr(expr, diag, contour) for expr in exprs]
+    rows = tuple(
+        (arrays[propagator], source, tuple((arrays[c], operand) for c, operand in terms))
+        for propagator, source, terms in program)
+    return PrecomputedScheme(name=tableau.name, tableau=tableau, h=h, rows=rows)
 
 
 def _require_history(state: SimState, q: int, name: str) -> None:

@@ -20,16 +20,21 @@ Direct evaluation of either family in float64 is unstable for small |z|
 (Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005)), so diagonal operator
 arguments go through a unit-circle contour mean instead: the trapezoidal
 rule on |s - lambda| = 1 is exact to far below float precision for these
-entire functions.  The contour points of many nodes and diagonal entries
-are evaluated together, in blocks of bounded size, by a hybrid vectorized
-kernel (truncated series near 0, closed-form recurrence away from it).
+entire functions.  The mean is taken once per distinct diagonal entry
+and scattered back to every repeat.  The contour points of many nodes and
+entries are evaluated together, in blocks of bounded size, by a hybrid
+vectorized kernel (truncated series near 0, closed-form recurrence away
+from it).
 
-The gamma recurrence yields gamma_0..gamma_j on its way to gamma_j, so
-gamma_contour also takes a sequence of indices and evaluates those rows
-in one contour pass, each with the bits of its own one-index call.  A
-multistep starter needs the table gamma_0..gamma_{q-1}(k, .) for each
-k < q; gamma_table keeps such tables in the same byte-bounded cache as
-the phi arrays of eval_phi_expr, keyed by the diagonal's digest.
+The gamma kernels run in long double.  Their series coefficients are
+exact rationals, built once per (j, k) in integer arithmetic and kept as
+long-double scalars for an in-place Horner loop.  The gamma recurrence
+yields gamma_0..gamma_j on its way to gamma_j, so gamma_contour also
+takes a sequence of indices and evaluates those rows in one contour
+pass, each with the bits of its own one-index call.  A multistep starter
+needs the table gamma_0..gamma_{q-1}(k, .) for each k < q; gamma_table
+keeps such tables in the same byte-bounded cache as the phi arrays of
+eval_phi_expr, keyed by the diagonal's digest.
 """
 from __future__ import annotations
 
@@ -142,45 +147,63 @@ def _gamma_series_terms(j: int, k: int) -> int:
     return max(n + 8, 24)
 
 
-@lru_cache(maxsize=None)
-def _gamma_series_coeffs(j: int, k: int) -> tuple[float, ...]:
-    """Maclaurin coefficients of gamma_j(k, .), exact until the float cast.
+def _gamma_series_coeffs(j: int, k: int) -> tuple[tuple[float, float], ...]:
+    """Maclaurin coefficients of gamma_j(k, .) as (hi, lo) double pairs.
 
-    Built by composing the gamma recurrence with the series of
-    gamma_0(k, z) = sum_n k^(n+1) z^n / (n+1)! in Fraction arithmetic; the
-    constant term of each recurrence numerator must cancel binom(k, j)
+    The gamma recurrence is composed with the series of
+    gamma_0(k, z) = sum_n k^(n+1) z^n / (n+1)! on integer numerators: row
+    jj is held over the denominator (nterms+1)! * L^jj with L = lcm(1..j),
+    so the recurrence weight 1/m becomes the integer L^m / m and every
+    coefficient of gamma_j shares the denominator (nterms+1)! * L^j.  The
+    constant term of each recurrence numerator must cancel binom(k, jj)
     exactly, which doubles as a consistency check on the recurrence.
+
+    hi is the exact coefficient correctly rounded to a double and lo the
+    exact remainder correctly rounded (both by integer true division), so
+    hi + lo summed in long double recovers the coefficient to ~1e-35
+    without int -> longdouble pitfalls.
     """
     nterms = _gamma_series_terms(j, k)
-    rows: list[list[Fraction]] = [
-        [Fraction(k) ** (n + 1) / math.factorial(n + 1) for n in range(nterms + 1)]
-    ]
+    base = math.factorial(nterms + 1)
+    lcm = math.lcm(*range(1, j + 1))
+    rows = [[k ** (n + 1) * (base // math.factorial(n + 1)) for n in range(nterms + 1)]]
     for jj in range(1, j + 1):
-        numer = [Fraction(0)] * (nterms + 1)
+        numer = [0] * (nterms + 1)
         for m in range(1, jj + 1):
-            w = Fraction((-1) ** (m - 1), m)
-            prev = rows[jj - m]
-            for n in range(nterms + 1):
-                numer[n] += w * prev[n]
-        numer[0] -= math.comb(k, jj)
+            w = (lcm**m // m) * (-1) ** (m - 1)
+            numer = [a + w * p for a, p in zip(numer, rows[jj - m])]
+        numer[0] -= math.comb(k, jj) * base * lcm**jj
         if numer[0] != 0:
-            raise AssertionError("gamma recurrence lost its removable singularity")
-        rows.append(numer[1:] + [Fraction(0)])
-    # hi/lo double pairs: summing both in long double recovers the exact
-    # rational coefficient to ~1e-35 without int -> longdouble pitfalls
+            raise AssertionError(
+                f"gamma_{j}(k={k}) series: the recurrence lost its removable "
+                f"singularity at level {jj}: its constant term does not cancel "
+                f"binom({k}, {jj})")
+        rows.append(numer[1:] + [0])
+    denom = base * lcm**j
     out = []
-    for c in rows[j]:
-        hi = float(c)
-        out.append((hi, float(c - Fraction(hi))))
+    for p in rows[j]:
+        hi = p / denom
+        a, b = hi.as_integer_ratio()
+        out.append((hi, (p * b - a * denom) / (denom * b)))
     return tuple(out)
 
 
+@lru_cache(maxsize=(MAX_INDEX + 1) * MAX_INDEX)
+def _gamma_horner(j: int, k: int) -> tuple:
+    """The series coefficients of gamma_j(k, .) as long-double scalars
+    _LD(hi) + _LD(lo), highest power first."""
+    return tuple(_LD(hi) + _LD(lo) for hi, lo in reversed(_gamma_series_coeffs(j, k)))
+
+
 def _gamma_series(j: int, k: int, z: np.ndarray) -> np.ndarray:
-    coeffs = _gamma_series_coeffs(j, k)
+    """The truncated series of gamma_j(k, .) by Horner's rule in long
+    double, in place: out = out * z + c, with the bits of the plain
+    expression."""
     zl = z.astype(_CLD)
     out = np.zeros(z.shape, dtype=_CLD)
-    for hi, lo in reversed(coeffs):
-        out = out * zl + (_LD(hi) + _LD(lo))
+    for c in _gamma_horner(j, k):
+        out *= zl
+        out += c
     return out.astype(np.complex128)
 
 
@@ -350,22 +373,23 @@ def _contour_mean(values_fn, nrows: int, lam: np.ndarray, contour: ContourSpec) 
 
 def _contour_eval(values_fn, nrows: int, lam, contour: ContourSpec) -> np.ndarray:
     """The contour means of values_fn's rows at a scalar or ndarray of
-    diagonal entries, taken over the unique entries and scattered back;
-    shaped (nrows, *np.shape(lam)).
+    diagonal entries, shaped (nrows, *np.shape(lam)).
 
-    Operator diagonals repeat heavily (a 2D Laplacian has O(N) distinct
-    values on an N^2 grid), so this turns precompute from minutes into
-    milliseconds without changing a single bit of the result.
+    Whenever an entry repeats, at any size, the means are taken over the
+    distinct entries (np.unique; NaNs stay apart) and scattered back.  An
+    entry's mean depends neither on the other entries nor on the
+    blocking, so this changes no bit of the result.  Operator diagonals
+    repeat heavily: a 2D Laplacian has O(N) distinct values on an N^2
+    grid, and the 1D Schrodinger diagonal -i h k^2 takes each value at +k
+    and -k, so about half of its contour points would be evaluated twice.
     """
     arr = np.asarray(lam, dtype=np.complex128)
-    flat = arr.ravel()
-    if flat.size > 512:
-        uniq, inverse = np.unique(flat, return_inverse=True)
-        if uniq.size < flat.size // 2:
-            means = _contour_mean(values_fn, nrows, uniq, contour)
-            return np.take(means, inverse, axis=1).reshape((nrows, *arr.shape))
-        del uniq, inverse  # not needed while the mean runs on the full array
-    return _contour_mean(values_fn, nrows, flat, contour).reshape((nrows, *arr.shape))
+    uniq, inverse = np.unique(arr.ravel(), return_inverse=True, equal_nan=False)
+    if uniq.size < arr.size:
+        means = _contour_mean(values_fn, nrows, uniq, contour)
+        return np.take(means, inverse, axis=1).reshape((nrows, *arr.shape))
+    del uniq, inverse  # not needed while the mean runs on the full array
+    return _contour_mean(values_fn, nrows, arr.ravel(), contour).reshape((nrows, *arr.shape))
 
 
 def _one_row(table: np.ndarray):

@@ -81,6 +81,10 @@ class Tableau:
     of a stage: source j means stage i is built from e^{(C_i - C_j) h L}
     v^j with the row coefficients in stage_source_coeffs, reproducing
     formulas that chain one stage from another instead of from u^n.
+
+    precompute keeps its symbolic lowering on the object, so a tableau
+    must not be modified once it has been precomputed;
+    dataclasses.replace gives a modified copy, which lowers afresh.
     """
 
     name: str
@@ -95,6 +99,9 @@ class Tableau:
     satisfies_summation: bool = True
     stage_source: dict = field(default_factory=dict)
     stage_source_coeffs: dict = field(default_factory=dict)
+    # integrator.precompute's h-independent lowering of this object, made
+    # on its first precompute; dataclasses.replace copies start without it
+    _lowered: Optional[tuple] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         s, q = self.stages, self.steps

@@ -3,7 +3,9 @@ sweep execution with instability recording, order estimation with its
 error-floor rule, and CSV/SVG/JSON export round-trips."""
 import json
 import math
+import tracemalloc
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,6 +527,92 @@ def test_field_snapshot_rejects_unknown_version(tmp_path):
         with pytest.raises(ValueError, match="version") as info:
             load_field(path)
         assert str(path) in str(info.value) and repr(token) in str(info.value)
+
+
+def _former_save_field(path, values, grid, time, *, problem=""):
+    """The one-string writer that the streaming save_field replaced,
+    verbatim."""
+    values = np.asarray(values)
+    if values.shape[-grid.dims:] != grid.shape:
+        raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
+    if values.ndim == grid.dims:
+        values = values[np.newaxis]
+    if values.ndim != grid.dims + 1:
+        raise ValueError(f"expected (components, *grid) layout, got {values.shape}")
+    is_complex = np.iscomplexobj(values)
+    lines = [
+        f"# phistep-field {bench.FIELD_FORMAT_VERSION}",
+        f"# problem {problem}",
+        f"# sizes {' '.join(str(n) for n in grid.sizes)}",
+        "# domain " + " ".join(repr(float(e)) for a_b in grid.domain for e in a_b),
+        f"# time {float(time)!r}",
+        f"# components {values.shape[0]}",
+        f"# kind {'complex' if is_complex else 'real'}",
+    ]
+    if is_complex:
+        lines.extend(f"{complex(z).real!r} {complex(z).imag!r}" for z in values.ravel())
+    else:
+        lines.extend(repr(float(v)) for v in values.ravel())
+    out = Path(path)
+    out.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return out
+
+
+def _fields_to_dump():
+    rng = np.random.default_rng(8)
+    grid2 = Grid.uniform(2, 96, (0.0, 2 * math.pi))
+    real = rng.standard_normal((3, 96, 96)) * 10.0 ** rng.integers(-300, 300, (3, 96, 96))
+    special = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, 1.7976931348623157e308, 0.1]
+    real.flat[: len(special)] = special
+    cplx = real[:2] + 1j * rng.standard_normal((2, 96, 96))
+    cplx.flat[: len(special)] = [complex(x, -y) for x, y in zip(special, reversed(special))]
+    grid1 = Grid.uniform(1, 8, (0.0, 1.0))
+    with np.errstate(over="ignore"):  # out-of-range values become inf
+        single = real[1].astype(np.float32), cplx[0].astype(np.complex64)
+    return [
+        ("real", real, grid2),  # 27,648 values: one full chunk and a ragged one
+        ("complex", cplx, grid2),
+        ("transposed", real[0].T, grid2),  # not C-contiguous
+        ("float32", single[0], grid2),
+        ("complex64", single[1], grid2),
+        ("int", np.arange(8), grid1),
+        ("one component", np.ones(8), grid1),
+    ]
+
+
+@pytest.mark.parametrize("case", range(7))
+def test_save_field_is_byte_identical_to_the_former_writer(tmp_path, case):
+    from phistep.bench import save_field
+
+    name, values, grid = _fields_to_dump()[case]
+    new = save_field(tmp_path / "new.txt", values, grid, 0.375, problem="sh2")
+    old = _former_save_field(tmp_path / "old.txt", values, grid, 0.375, problem="sh2")
+    assert new.read_bytes() == old.read_bytes(), name
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_save_field_memory_is_bounded_by_the_chunk(tmp_path, kind):
+    # a real 64^3 field (the one-string writer traced about 30 MB for it)
+    # and a two-component complex 256^2 one: streaming holds one chunk's
+    # strings at a time
+    from phistep.bench import save_field
+
+    rng = np.random.default_rng(9)
+    if kind == "real":
+        grid = Grid.uniform(3, 64, (0.0, 2 * math.pi))
+        values = rng.standard_normal(grid.shape)
+    else:
+        grid = Grid.uniform(2, 256, (0.0, 2 * math.pi))
+        values = rng.standard_normal((2, *grid.shape)) + 1j * rng.standard_normal((2, *grid.shape))
+    tracemalloc.start()
+    try:
+        path = save_field(tmp_path / "field.txt", values, grid, 1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    bound = 256 * bench._FIELD_CHUNK
+    assert bound < path.stat().st_size  # the whole text would not fit
+    assert peak < bound, (peak, bound)
 
 
 def test_error_floor_moves_down_with_reference_resolution():

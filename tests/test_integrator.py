@@ -173,6 +173,38 @@ def test_precompute_deterministic():
         assert np.array_equal(x, y)
 
 
+@pytest.mark.parametrize("name", ["genlawson43", "pecec736", "etdrk4"])
+def test_tableau_is_lowered_once(monkeypatch, name):
+    # the symbolic lowering is kept on the tableau object: a second
+    # prepare_scheme at a new h builds no PhiExpr, and its rows are, bit
+    # for bit, those of a fresh lowering of a dataclasses.replace copy
+    nls = get_problem("nls")
+    lam = discretize(nls, default_grid(nls)).lam
+    tab = get_scheme(name).tableau()
+    prepare_scheme(name, 0.05, lam)
+    built = []
+    init = PhiExpr.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhiExpr, "__init__", counted)
+    h = 0.0123
+    again = prepare_scheme(name, h, lam)
+    assert not built
+    copy = dataclasses.replace(tab)
+    assert copy._lowered is None
+    phifun.clear_eval_cache()
+    fresh = precompute(copy, h, lam)
+    assert built  # the copy lowered itself afresh
+    assert copy._lowered is not tab._lowered
+    assert [(src, [op for _, op in terms]) for _, src, terms in again.rows] == \
+        [(src, [op for _, op in terms]) for _, src, terms in fresh.rows]
+    for x, y in zip(_row_arrays(again), _row_arrays(fresh), strict=True):
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+
+
 def test_precompute_array_shape():
     lam = np.zeros((2, 4, 4))
     scheme = precompute(get_scheme("etdrk2").tableau(), 0.1, lam)

@@ -4,6 +4,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from phistep import phifun
 from phistep.phifun import (
     CONTOUR_RADIUS,
+    MAX_INDEX,
     ContourSpec,
     PhiExpr,
     PhiTerm,
@@ -313,12 +315,72 @@ def _parent_gamma_recurrence(j, k, z):
     return rows[j].astype(np.complex128)
 
 
+@lru_cache(maxsize=None)
+def _parent_gamma_series_coeffs(j: int, k: int) -> tuple[float, ...]:
+    """The Fraction builder of the series coefficients that the integer
+    one replaced, verbatim."""
+    nterms = phifun._gamma_series_terms(j, k)
+    rows: list[list[Fraction]] = [
+        [Fraction(k) ** (n + 1) / math.factorial(n + 1) for n in range(nterms + 1)]
+    ]
+    for jj in range(1, j + 1):
+        numer = [Fraction(0)] * (nterms + 1)
+        for m in range(1, jj + 1):
+            w = Fraction((-1) ** (m - 1), m)
+            prev = rows[jj - m]
+            for n in range(nterms + 1):
+                numer[n] += w * prev[n]
+        numer[0] -= math.comb(k, jj)
+        if numer[0] != 0:
+            raise AssertionError("gamma recurrence lost its removable singularity")
+        rows.append(numer[1:] + [Fraction(0)])
+    # hi/lo double pairs: summing both in long double recovers the exact
+    # rational coefficient to ~1e-35 without int -> longdouble pitfalls
+    out = []
+    for c in rows[j]:
+        hi = float(c)
+        out.append((hi, float(c - Fraction(hi))))
+    return tuple(out)
+
+
+def _parent_gamma_series(j: int, k: int, z: np.ndarray) -> np.ndarray:
+    """The Horner series that the in-place one replaced, verbatim."""
+    coeffs = _parent_gamma_series_coeffs(j, k)
+    zl = z.astype(phifun._CLD)
+    out = np.zeros(z.shape, dtype=phifun._CLD)
+    for hi, lo in reversed(coeffs):
+        out = out * zl + (phifun._LD(hi) + phifun._LD(lo))
+    return out.astype(np.complex128)
+
+
+@pytest.mark.parametrize("j", range(MAX_INDEX + 1))
+def test_integer_series_coeffs_equal_fraction_builder(j):
+    # every (hi, lo) pair, the sign of a zero included, is the one the
+    # Fraction builder gives
+    for k in range(1, MAX_INDEX + 1):
+        got, want = phifun._gamma_series_coeffs(j, k), _parent_gamma_series_coeffs(j, k)
+        assert len(got) == len(want), (j, k)
+        for n, (g, w) in enumerate(zip(got, want)):
+            assert g == w, (j, k, n)
+            assert [math.copysign(1.0, x) for x in g] == [math.copysign(1.0, x) for x in w], (j, k, n)
+
+
+def test_series_singularity_error_names_its_cause(monkeypatch):
+    # a recurrence whose constant term fails to cancel names j, k and the
+    # level at which it failed
+    comb = math.comb
+    monkeypatch.setattr(math, "comb", lambda n, r: comb(n, r) + (r == 2))
+    with pytest.raises(AssertionError, match=r"gamma_3\(k=2\).*level 2"):
+        phifun._gamma_series_coeffs(3, 2)
+
+
 def _parent_gamma_values(j, k, z):
-    """The one-row gamma kernel the batched kernel replaced, verbatim."""
+    """The one-row gamma kernel the batched kernel replaced, verbatim but
+    for its series, which is the frozen parent series above."""
     out = np.empty(z.shape, dtype=np.complex128)
     near = np.abs(z) < phifun._gamma_series_radius(j, k)
     if near.any():
-        out[near] = phifun._gamma_series(j, k, z[near])
+        out[near] = _parent_gamma_series(j, k, z[near])
     if not near.all():
         out[~near] = _parent_gamma_recurrence(j, k, z[~near])
     return out
@@ -378,6 +440,56 @@ def test_gamma_table_rows_equal_parent_kernel(kind, real_symmetry, points):
             for l in range(q):
                 got = table[l].astype(np.complex128).tobytes()
                 assert got == want[(l, k)].tobytes(), (q, k, l)
+
+
+def _repeating_diagonals():
+    from phistep import problems
+
+    nls = problems.get_problem("nls")
+    system = problems.discretize(nls, problems.default_grid(nls))
+    lam = (nls.desk_T / 100) * system.lam.ravel()
+    assert lam.size == 128 and np.unique(lam).size == 65
+    return {"nls": lam, "three": np.array([-1.5 + 2j, 0.25 - 1j, -1.5 + 2j])}
+
+
+def _counting(monkeypatch, name):
+    """Wrap phifun.<name>, whose last argument is the points, and return
+    the list of the point counts it is called with."""
+    kernel, sizes = getattr(phifun, name), []
+
+    def counted(*args):
+        sizes.append(args[-1].size)
+        return kernel(*args)
+
+    monkeypatch.setattr(phifun, name, counted)
+    return sizes
+
+
+@pytest.mark.parametrize("real_symmetry", [True, False])
+@pytest.mark.parametrize("kind", ["nls", "three"])
+def test_contour_mean_runs_on_distinct_entries_at_any_size(monkeypatch, kind, real_symmetry):
+    # far below any size threshold, a repeated entry is evaluated once: the
+    # kernels see M points per distinct entry, and every entry still gets
+    # the bits of the plain per-node mean
+    lam = _repeating_diagonals()[kind]
+    distinct = np.unique(lam).size
+    assert distinct < lam.size
+    spec = ContourSpec(points=32, real_symmetry=real_symmetry)
+    q, k = 5, 3
+    want_phi = {l: _per_node_mean(lambda z: phifun._phi_values(l, z), lam, spec) for l in (1, 4)}
+    want_gamma = [_per_node_mean(lambda z: _parent_gamma_values(l, k, z), lam, spec)
+                  for l in range(q)]
+    phi_points = _counting(monkeypatch, "_phi_values")
+    gamma_points = _counting(monkeypatch, "_gamma_rows")
+    for l, want in want_phi.items():
+        phi_points.clear()
+        got = phi_contour(l, lam, spec)
+        assert sum(phi_points) == spec.points * distinct, l
+        assert got.astype(np.complex128).tobytes() == want.tobytes(), l
+    table = gamma_contour(range(q), k, lam, spec)
+    assert sum(gamma_points) == spec.points * distinct
+    for l in range(q):
+        assert table[l].astype(np.complex128).tobytes() == want_gamma[l].tobytes(), l
 
 
 def test_gamma_table_memory_is_bounded_by_block_budget():
