@@ -398,6 +398,10 @@ def _selftest_real_layout() -> tuple:
 def _selftest_buffered_step() -> tuple:
     problem = get_problem("sh2")
     system = discretize(problem, default_grid(problem, size=16))
+    # the same system seen through nonlinear alone: the workspace then
+    # evaluates through its copying adapter instead of nonlinear_into
+    copying = _ProbeSystem(lam=system.lam, u0=system.u0, func=system.nonlinear,
+                           name="sh2-nonlinear-only")
     h, contour = 0.05, ContourSpec(points=32)
     u0 = np.array(system.u0, dtype=complex)
     same = total = 0
@@ -407,14 +411,18 @@ def _selftest_buffered_step() -> tuple:
             start = start_multistep(engine.steps, h, system, u0, contour).state
         else:
             start = SimState(coeffs=u0, time=0.0, step=0)
-        work = _StepWork(engine, u0.shape)
-        fresh = buffered = start
+        work = _StepWork(engine, u0.shape, system)
+        copy_work = _StepWork(engine, u0.shape, copying)
+        fresh = buffered = adapted = start
         for _ in range(10):
             fresh = step(fresh, engine, system)
             buffered = step(buffered, engine, system, work=work)
+            adapted = step(adapted, engine, copying, work=copy_work)
             total += 1
-            same += buffered.coeffs.tobytes() == fresh.coeffs.tobytes()
-    return same == total, f"{same}/{total} etdrk4 and abnorsett4 steps bit for bit on sh2 16x16"
+            want = fresh.coeffs.tobytes()
+            same += buffered.coeffs.tobytes() == want == adapted.coeffs.tobytes()
+    return same == total, (f"{same}/{total} etdrk4 and abnorsett4 steps bit for bit on "
+                           "sh2 16x16, through nonlinear_into and the copying adapter")
 
 
 def _selftest_orders() -> tuple:

@@ -26,14 +26,21 @@ exactly zero, so schemes with the summation property keep fixed points
 to rounding instead of summing large cancelling terms.
 
 A run steps in place.  `integrate` gives `step` one `_StepWork` for the
-whole loop: the stage accumulators, the history differences, one
+whole loop: the stage accumulators, the history differences, operand
+buffers for N(u^n) and the stage differences N(v^i) - N(u^n), one
 product array and two output arrays used in turn, allocated once.
-Every term is added as product = coeff * value; product *= h;
-acc += product, which rounds exactly as acc + h * (coeff * value), so
-buffered and fresh stepping give the same bits.  The price is
-aliasing: a state's coefficients are overwritten two steps later, so
-integrate copies every snapshot, and a `step` call without a workspace
-allocates fresh buffers.
+Every nonlinear evaluation goes through one evaluator that the
+workspace binds: the system's nonlinear_into(coeffs, out, scratch),
+which writes N(coeffs) into out with the product array as its scratch,
+or, for a system with only nonlinear(coeffs), a copy of that new array
+into out.  Every term is added as product = coeff * value;
+product *= h; acc += product, which rounds exactly as
+acc + h * (coeff * value), so buffered and fresh stepping give the
+same bits.  The price is aliasing: a state's coefficients are
+overwritten two steps later, so integrate copies every snapshot, and a
+`step` call without a workspace allocates fresh buffers.  The
+nonlinear values a state carries for multistep schemes (nl_current and
+history) are always new arrays, since they outlive the step.
 
 Multistep schemes are started by the fixed-point procedure
 `start_multistep`: a low-order bootstrap followed by iterating
@@ -256,30 +263,48 @@ def _add_term(acc: np.ndarray, h: np.ndarray, coeff: np.ndarray, value: np.ndarr
     np.add(acc, product, acc)
 
 
+def _copying_evaluator(system) -> Callable:
+    """nonlinear_into for a system that only has nonlinear: a copy of its
+    new array into out (scratch is not needed)."""
+    def nonlinear_into(coeffs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+        np.copyto(out, system.nonlinear(coeffs))
+        return out
+    return nonlinear_into
+
+
 class _StepWork:
-    """The buffers of `step` for one scheme and one coefficient shape.
+    """The buffers of `step` for one scheme, one coefficient shape and one
+    system.
 
     stages holds the s - 1 stage accumulators v^2..v^s, past the q - 1
-    history differences N(u^{n-j}) - N(u^n), product the term being
-    added, outputs the two arrays the new state is written to in turn
-    (the one that is not the current state), and norm a real array for
-    the stability check.  The fields are complex128, shaped like the
-    state's coefficients.  A workspace belongs to one stepping loop in one
-    thread: each step overwrites the state of two steps before, so a
-    state that must outlive the next step is copied first.
+    history differences N(u^{n-j}) - N(u^n), operands the buffers of
+    N(u^n) (when q = 1) and the s - 1 stage differences N(v^i) - N(u^n),
+    product the term being added (and the evaluator's scratch, idle
+    during an evaluation), outputs the two arrays the new state is
+    written to in turn (the one that is not the current state), and norm
+    a real array for the stability check.  The fields are complex128,
+    shaped like the state's coefficients.  evaluate(coeffs, out, scratch)
+    is the one nonlinear evaluation of the loop: system.nonlinear_into
+    when the system has it, else _copying_evaluator(system).  A workspace
+    belongs to one stepping loop in one thread: each step overwrites the
+    state of two steps before, so a state that must outlive the next step
+    is copied first.
     """
 
-    __slots__ = ("stages", "past", "product", "outputs", "norm")
+    __slots__ = ("stages", "past", "operands", "product", "outputs", "norm", "evaluate")
 
-    def __init__(self, scheme: PrecomputedScheme, shape: tuple):
+    def __init__(self, scheme: PrecomputedScheme, shape: tuple, system):
         def field() -> np.ndarray:
             return np.empty(shape, dtype=np.complex128)
 
         self.stages = [field() for _ in range(scheme.stages - 1)]
         self.past = [field() for _ in range(scheme.steps - 1)]
+        # N(u^n) of a multistep scheme comes with the state
+        self.operands = [field() for _ in range(scheme.stages - (scheme.steps > 1))]
         self.product = field()
         self.outputs = (field(), field())
         self.norm = np.empty(shape, dtype=np.float64)
+        self.evaluate = getattr(system, "nonlinear_into", None) or _copying_evaluator(system)
 
 
 def step(state: SimState, scheme: PrecomputedScheme, system, *,
@@ -292,32 +317,35 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     total at s evaluations (2s transforms) per step.  The rows of
     scheme.rows run in order, each into its stage accumulator and the
     last into the output array.  Their operands are N(u^n), the history
-    differences, then each stage's N(v^i) - N(u^n), which is formed in
-    place on the array that system.nonlinear returned, so that array
-    must be a new one.
+    differences, then each stage's N(v^i) - N(u^n).  Every evaluation
+    runs through work.evaluate: N(u^n) (q = 1) and each N(v^i) are
+    written into work.operands, with work.product as scratch, and the
+    difference is formed in place there.
 
     Every term is formed in work's buffers as product = coeff * value,
     product *= h, acc += product: the operations, and so the bits, of
     acc + h * (coeff * value), in the same order (h enters as the
     complex128 scalar numpy converts it to).  Without work, fresh
-    buffers are allocated and the returned state owns its coefficients.
-    With work (integrate passes one per run; it must match the scheme
-    and the shape of state.coeffs and serve one loop in one thread), the
-    new coefficients are whichever of work.outputs is not state.coeffs,
-    so they are overwritten by the step after next; the nonlinear values
-    in nl_current and history are always new arrays.
+    buffers are allocated for this system and the returned state owns
+    its coefficients.  With work (integrate passes one per run; it must
+    match the scheme, the system and the shape of state.coeffs and serve
+    one loop in one thread), the new coefficients are whichever of
+    work.outputs is not state.coeffs, so they are overwritten by the
+    step after next; the nonlinear values in nl_current and history are
+    always new arrays.
     """
     q = scheme.steps
     _require_history(state, q, scheme.name)
     h = scheme.h
     u = state.coeffs
     if work is None:
-        work = _StepWork(scheme, u.shape)
-    product = work.product
+        work = _StepWork(scheme, u.shape, system)
+    evaluate, product = work.evaluate, work.product
+    buffers = iter(work.operands)
     # h as the complex128 scalar numpy would convert it to for the complex
     # products: the same bits, without a conversion in every term
     h_complex = np.array(complex(h))
-    nl_now = state.nl_current if q > 1 else system.nonlinear(u)
+    nl_now = state.nl_current if q > 1 else evaluate(u, next(buffers), product)
     for value, diff in zip(state.history[: q - 1], work.past):
         np.subtract(value, nl_now, diff)
     operands = [nl_now, *work.past]
@@ -328,14 +356,14 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
         for coeff, operand in terms:
             _add_term(acc, h_complex, coeff, operands[operand], product)
         if acc is not out:
-            nl = system.nonlinear(acc)
+            nl = evaluate(acc, next(buffers), product)
             np.subtract(nl, nl_now, nl)
             operands.append(nl)
     new_time = state.time + h
     new_step = state.step + 1
     _check_stable(out, new_time, new_step, state.initial_norm, work.norm)
     if q > 1:
-        nl_new = system.nonlinear(out)
+        nl_new = evaluate(out, np.empty(out.shape, dtype=np.complex128), product)
         new_hist = (state.nl_current, *state.history)[: q - 1]
     else:
         nl_new = None
@@ -608,7 +636,7 @@ def integrate(
         # set-up data only: the copy of h*L is not held while stepping
         del diag
 
-        work = _StepWork(engine, state.coeffs.shape)
+        work = _StepWork(engine, state.coeffs.shape, system)
         fft_start = cell[0]
         tic = _time.perf_counter()
         while state.step < nsteps:

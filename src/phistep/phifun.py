@@ -315,7 +315,15 @@ _BLOCK_BYTES = 1 << 16
 def _node_sum(values_fn, nrows: int, nodes: np.ndarray, centers: np.ndarray,
               real: bool) -> np.ndarray:
     """Sum over nodes of values_fn(centers + node) (real parts if real),
-    blocked, with values_fn's leading axis of nrows rows kept."""
+    blocked, with values_fn's leading axis of nrows rows kept.
+
+    The running sum is added into each block's first node row (addition
+    commutes exactly), and one reduction over the node axis adds the rest
+    in order, so every entry is summed as ((acc + n0) + n1) + ..., the
+    order of one addition per node.  numpy keeps that order while a
+    block has more than one centre; a lone centre's column would be
+    summed pairwise, so it is accumulated instead.  A block of one node
+    is a single addition."""
     acc = np.zeros((nrows, centers.size), dtype=np.float64 if real else np.complex128)
     per_block = max(1, _BLOCK_BYTES // centers.itemsize)
     # at least 1, so an empty diagonal gives an empty sum, not a zero division
@@ -323,13 +331,20 @@ def _node_sum(values_fn, nrows: int, nodes: np.ndarray, centers: np.ndarray,
     per_call = per_block // width
     for c0 in range(0, centers.size, width):
         c = centers[c0 : c0 + width]
+        part = acc[:, c0 : c0 + width]
         for n0 in range(0, nodes.size, per_call):
             block = values_fn(nodes[n0 : n0 + per_call, None] + c)
-            for part, values in zip(acc[:, c0 : c0 + width], block.real if real else block):
-                for row in values:
-                    part += row
-            # drop the block and its row views before the next call peaks
-            del block, values, row
+            values = block.real if real else block
+            if values.shape[1] == 1:  # diagonals wider than one block
+                part += values[:, 0]
+            else:
+                values[:, 0] += part
+                if c.size > 1:
+                    np.add.reduce(values, axis=1, out=part)
+                else:
+                    part[...] = np.add.accumulate(values, axis=1)[:, -1]
+            # drop the block and its view before the next call peaks
+            del block, values
     return acc
 
 
@@ -345,15 +360,15 @@ def _contour_mean(values_fn, nrows: int, lam: np.ndarray, contour: ContourSpec) 
     entries have exactly zero imaginary part.
 
     values_fn must act entrywise on an ndarray of any shape and return its
-    nrows rows stacked on a new leading axis.  It is called on whole
-    (nodes, centres) blocks of at most _BLOCK_BYTES of points: as many
-    node rows as fit, with the centres split as well when one row alone
-    exceeds the budget.  The nodes of each block are added to the sum one
-    at a time, in node order, which is the summation order of one call per
-    node, so the result depends neither on the blocking nor on the rows
-    evaluated alongside.  Working memory beyond the input and output
-    arrays is nrows times a fixed multiple of _BLOCK_BYTES, whatever the
-    length of lam.
+    nrows rows stacked on a new leading axis, as a new array that the sum
+    may overwrite.  It is called on whole (nodes, centres) blocks of at
+    most _BLOCK_BYTES of points: as many node rows as fit, with the
+    centres split as well when one row alone exceeds the budget.  The
+    nodes of each block are added to the sum in node order (_node_sum),
+    which is the summation order of one call per node, so the result
+    depends neither on the blocking nor on the rows evaluated alongside.
+    Working memory beyond the input and output arrays is nrows times a
+    fixed multiple of _BLOCK_BYTES, whatever the length of lam.
     """
     lam = np.ascontiguousarray(lam, dtype=np.complex128)
     real_mask = (lam.imag == 0.0) if contour.real_symmetry else np.zeros(lam.shape, bool)

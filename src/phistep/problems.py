@@ -87,6 +87,13 @@ class DiscreteSystem:
         """N(coeffs) as a new array (spectral.apply_nonlinear)."""
         return apply_nonlinear(coeffs, self.op, self.grid)
 
+    def nonlinear_into(self, coeffs: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
+        """N(coeffs) written into out and returned, the bits of nonlinear;
+        out and scratch are complex arrays shaped like coeffs that
+        apply_nonlinear overwrites."""
+        return apply_nonlinear(coeffs, self.op, self.grid, out=out, scratch=scratch)
+
 
 def _stack(*arrays) -> np.ndarray:
     return np.stack([np.asarray(a) for a in arrays])

@@ -25,14 +25,27 @@ by shape.  On grids whose last axis has two points the two layouts
 coincide (such arrays are read as full).  Max norms agree between the
 layouts, because conjugate modes have equal modulus.
 
-The multi-axis forward transforms and the multi-axis complex inverse
-write into one array that to_coeffs/to_values allocate first: numpy then
-transforms axis after axis in place instead of allocating a copy per
-axis, with the same bits.
+The multi-axis transforms run axis after axis in place in one array
+instead of allocating a copy per axis, with the same bits as numpy's
+fftn/ifftn/rfftn/irfftn.  The forward transforms and the full-layout
+inverse transform in their output array.  The half-layout inverse runs
+its leading-axis inverse FFTs in a complex work array shaped like the
+coefficients and then the last-axis irfft into its real output.
+
+Callers that evaluate nonlinearities in a loop can hand every array in:
+to_coeffs and to_values take out= (and to_values work=, the complex
+array above) and then allocate nothing field-sized.  apply_nonlinear
+takes two complex arrays shaped like the coefficients: out receives
+N(coeffs) and also serves as the inverse transform's work array, and
+scratch holds the values that func sees.  For the half layout those
+values are a contiguous real array over the first bytes of scratch
+(which has room for them, since N/2 + 1 complex numbers hold N + 2
+reals), so func receives a view that lives only for the call.
 """
 from __future__ import annotations
 
 import contextvars
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -223,51 +236,69 @@ def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
     )
 
 
-def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False) -> np.ndarray:
+def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
+              out: Optional[np.ndarray] = None) -> np.ndarray:
     """Forward transform over the trailing grid axes, scaled by 1/npoints.
 
     Leading axes (e.g. a component axis) are preserved.  With real=True
     the values are taken as real (an imaginary part is dropped) and the
-    result is in the half layout.
+    result is in the half layout.  out, when given, is the complex array
+    of the result's shape that receives it and is returned; it must not
+    overlap values.
     """
     values = np.asarray(values)
     if values.shape[-grid.dims:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
     _count_fft()
-    if real:
-        if values.dtype.kind == "c":
-            values = values.real
-        if grid.dims == 1:
-            return np.fft.rfft(values, norm="forward")
-        out = np.empty((*values.shape[:-grid.dims], *grid.half_shape),
-                       dtype=np.result_type(values.dtype, 1j))
-        return np.fft.rfftn(values, axes=_grid_axes(grid), norm="forward", out=out)
+    if real and values.dtype.kind == "c":
+        values = values.real
+    if out is None:
+        shape = (*values.shape[:-grid.dims], *grid.half_shape) if real else values.shape
+        out = np.empty(shape, dtype=np.result_type(values.dtype, 1j))
     if grid.dims == 1:
-        return np.fft.fft(values, norm="forward")
-    out = np.empty(values.shape, dtype=np.result_type(values.dtype, 1j))
-    return np.fft.fftn(values, axes=_grid_axes(grid), norm="forward", out=out)
+        transform = np.fft.rfft if real else np.fft.fft
+        return transform(values, norm="forward", out=out)
+    transform = np.fft.rfftn if real else np.fft.fftn
+    return transform(values, axes=_grid_axes(grid), norm="forward", out=out)
 
 
-def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False) -> np.ndarray:
+def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
+              out: Optional[np.ndarray] = None,
+              work: Optional[np.ndarray] = None) -> np.ndarray:
     """Inverse transform over the trailing grid axes (unscaled).
 
-    Half-layout coefficients give a contiguous real array whatever real
-    says.  For full-layout coefficients real=True drops the imaginary
-    residue, which is exact for coefficient arrays with Hermitian
-    symmetry (real-valued fields).
+    Half-layout coefficients give a real array whatever real says.  For
+    full-layout coefficients real=True drops the imaginary residue, which
+    is exact for coefficient arrays with Hermitian symmetry (real-valued
+    fields).
+
+    out, when given, receives the values (real for the half layout,
+    complex for the full layout; real=True then returns its real view)
+    and may be strided.  work is a complex array shaped like coeffs in
+    which a multi-axis half-layout inverse runs its leading axes; it is
+    overwritten, and allocated here when not given.  Neither may overlap
+    coeffs, which is left untouched.
     """
     coeffs = np.asarray(coeffs)
     half = _is_half(coeffs, grid)
     _count_fft()
     if half:
-        if grid.dims == 1:
-            return np.fft.irfft(coeffs, grid.sizes[0], norm="forward")
-        return np.fft.irfftn(coeffs, grid.shape, axes=_grid_axes(grid), norm="forward")
+        if grid.dims > 1:
+            # irfftn's steps, leading axes in order, but in place in work
+            if work is None:
+                work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
+            axes = _grid_axes(grid)
+            np.fft.ifft(coeffs, axis=axes[0], norm="forward", out=work)
+            for axis in axes[1:-1]:
+                np.fft.ifft(work, axis=axis, norm="forward", out=work)
+            coeffs = work
+        return np.fft.irfft(coeffs, grid.sizes[-1], norm="forward", out=out)
+    if out is None:
+        out = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
     if grid.dims == 1:
-        out = np.fft.ifft(coeffs, norm="forward")
+        np.fft.ifft(coeffs, norm="forward", out=out)
     else:
-        out = np.fft.ifftn(coeffs, axes=_grid_axes(grid), norm="forward",
-                           out=np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j)))
+        np.fft.ifftn(coeffs, axes=_grid_axes(grid), norm="forward", out=out)
     return out.real if real else out
 
 
@@ -285,23 +316,43 @@ class NonlinearOp:
     -u u_x = -(1/2)(u^2)_x) and must be in the layout of the coefficients
     the op is applied to.  The layout also decides what func sees: real
     values for half-layout coefficients, complex values for full-layout
-    ones.
+    ones.  With buffers (apply_nonlinear's scratch) the values are a view
+    into scratch that lives only for the call, so func must keep no
+    reference to its argument.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     outer: Optional[np.ndarray] = None
 
 
-def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid) -> np.ndarray:
+def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid,
+                    out: Optional[np.ndarray] = None,
+                    scratch: Optional[np.ndarray] = None) -> np.ndarray:
     """Evaluate F(N(F^{-1} coeffs)): transform to value space, apply the
     pointwise map, transform back, then apply the outer symbol if any.
 
-    The result is a new array in the layout of coeffs that shares no
-    memory with it.  The layout is read once, by to_values: half-layout
-    coefficients give real values, full-layout ones complex values, so
-    the dtype of the values says which forward transform to run."""
-    values = to_values(coeffs, grid)
-    out = to_coeffs(op.func(values), grid, real=values.dtype.kind != "c")
+    The result is in the layout of coeffs, which is left untouched.
+    Without buffers it is a new array that shares no memory with coeffs.
+    Otherwise out and scratch are C-contiguous complex128 arrays shaped
+    like coeffs, distinct from it and from each other: out receives the
+    result (and is returned) and first serves as to_values' work array;
+    the values func sees are written into scratch, for the half layout as
+    a contiguous real array over its first bytes.  func must not keep its
+    argument past the call.  The two transforms and the bits are those of
+    the plain path either way: half-layout coefficients give real values,
+    full-layout ones complex values."""
+    half = _is_half(coeffs, grid)
+    if scratch is None:
+        values = to_values(coeffs, grid)
+    else:
+        values = scratch
+        if half:
+            # the real values fill the front of scratch, contiguous: func
+            # runs faster on them than on a strided view
+            shape = (*coeffs.shape[:-1], grid.sizes[-1])
+            values = scratch.reshape(-1).view(np.float64)[: math.prod(shape)].reshape(shape)
+        to_values(coeffs, grid, out=values, work=out)
+    out = to_coeffs(op.func(values), grid, real=half, out=out)
     if op.outer is not None:
         np.multiply(out, op.outer, out)
     return out

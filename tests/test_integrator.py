@@ -4,6 +4,7 @@ instability detection, the multistep starter, and end-to-end runs
 against closed-form solutions."""
 import dataclasses
 import math
+import tracemalloc
 import types
 from fractions import Fraction
 
@@ -650,8 +651,22 @@ def test_integrate_deterministic_on_pde():
 # buffered stepping
 
 
-# steps stable for 20 steps of every scheme on the desk grids
-_BUFFERED_STEP = {"ks": 0.1, "nls": 0.005, "sh2": 0.05}
+# steps stable for 20 steps of every scheme on the desk grids: real 1D,
+# complex 1D, real 2D, the half layout over two leading axes (sh3) and a
+# complex n-D field (gl2)
+_BUFFERED_STEP = {"ks": 0.1, "nls": 0.005, "sh2": 0.05, "sh3": 0.05, "gl2": 0.05}
+# one more input: a desk system that offers nonlinear alone, so the
+# workspace evaluates it through the copying adapter
+_NONLINEAR_ONLY = "ks:nonlinear-only"
+
+
+@dataclasses.dataclass(frozen=True)
+class NonlinearOnlySystem:
+    """A system with nonlinear and without nonlinear_into."""
+
+    lam: np.ndarray
+    u0: np.ndarray
+    nonlinear: object
 
 
 def _slot_tables(tableau, h, lam, contour):
@@ -777,12 +792,19 @@ def _same_state(a, b):
             and all(x.tobytes() == y.tobytes() for x, y in zip(a.history, b.history)))
 
 
-@pytest.mark.parametrize("key", sorted(_BUFFERED_STEP))
+@pytest.mark.parametrize("case", [*sorted(_BUFFERED_STEP), _NONLINEAR_ONLY])
 @pytest.mark.parametrize("scheme", [info.name for info in list_schemes()])
-def test_buffered_step_equals_fresh_step_bit_for_bit(key, scheme):
+def test_buffered_step_equals_fresh_step_bit_for_bit(case, scheme):
+    # fresh and buffered steps evaluate through the workspace's evaluator
+    # (nonlinear_into, or the copying adapter); the reference through
+    # system.nonlinear, the plain path
+    key, _, view = case.partition(":")
     system, engine, _, start = _desk_start(key, scheme, _BUFFERED_STEP[key])
     tables = _slot_tables(engine.tableau, engine.h, system.lam, _desk_contour(key))
-    work = _StepWork(engine, start.coeffs.shape)
+    if view:
+        system = NonlinearOnlySystem(system.lam, system.u0, system.nonlinear)
+    work = _StepWork(engine, start.coeffs.shape, system)
+    assert (work.evaluate == getattr(system, "nonlinear_into", None)) != bool(view)
     fresh = buffered = reference = start
     for _ in range(20):
         fresh = step(fresh, engine, system)
@@ -792,6 +814,32 @@ def test_buffered_step_equals_fresh_step_bit_for_bit(key, scheme):
         assert _same_state(fresh, reference), (scheme, key, fresh.step)
     assert np.all(np.isfinite(buffered.coeffs))
     assert any(buffered.coeffs is out for out in work.outputs)
+
+
+def test_buffered_steps_allocate_no_field_of_their_own():
+    # after a warm-up step, the buffered loop allocates no field-sized
+    # array beyond what the problem's own pointwise func makes: its
+    # transforms write into the workspace
+    system, engine, _, state = _desk_start("sh3", "etdrk4", 0.05)
+    work = _StepWork(engine, state.coeffs.shape, system)
+    state = step(state, engine, system, work=work)
+    values = to_values(state.coeffs, system.grid)
+    tracemalloc.start()
+    try:
+        system.op.func(values)
+        _, func_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        base, _ = tracemalloc.get_traced_memory()
+        for _ in range(5):
+            state = step(state, engine, system, work=work)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.all(np.isfinite(state.coeffs))
+    # a small constant: well under one field of 16^3 values or coefficients
+    slack = 16 * 1024
+    assert slack <= min(values.nbytes, state.coeffs.nbytes) / 2
+    assert peak - base <= func_peak + slack, (peak - base, func_peak)
 
 
 @pytest.mark.parametrize("scheme", ["etdrk4", "abnorsett4"])

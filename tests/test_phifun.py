@@ -280,6 +280,23 @@ def test_blocked_contour_equals_per_node_sum(kind, real_symmetry):
     assert eval_phi_expr(e, lam, spec).astype(np.complex128).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("real_symmetry", [True, False])
+def test_contour_of_a_lone_centre_equals_per_node_sum(real_symmetry):
+    # one entry, or one real entry beside one complex one, gives a block
+    # of a single centre, whose node sum numpy would otherwise pair up
+    spec = ContourSpec(points=64, real_symmetry=real_symmetry)
+    for lam in ([-3.7], [2.0 - 5j], [-3.7, 2.0 - 5j]):
+        lam = np.array(lam, dtype=np.complex128)
+        for index in (1, 2, 4, 9):
+            got = phi_contour(index, lam, spec)
+            want = _per_node_mean(lambda z: phifun._phi_values(index, z), lam, spec)
+            assert got.astype(np.complex128).tobytes() == want.tobytes(), (lam, index)
+        got = gamma_contour((0, 3), 2, lam, spec)
+        for row, l in zip(got, (0, 3)):
+            want = _per_node_mean(lambda z: phifun._gamma_values(l, 2, z), lam, spec)
+            assert row.astype(np.complex128).tobytes() == want.tobytes(), (lam, l)
+
+
 def test_contour_memory_is_bounded_by_block_budget():
     # 2**16 distinct complex entries, so dedup cannot shrink the diagonal.
     # Evaluating all (nodes, entries) points at once would trace at least

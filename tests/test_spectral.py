@@ -292,6 +292,26 @@ def test_transforms_match_numpy_bit_for_bit(grid, real):
     assert to_values(coeffs, grid).tobytes() == want_values.tobytes()
     if not real:
         assert to_values(coeffs, grid, real=True).tobytes() == want_values.real.tobytes()
+    # the same bits into given arrays: out for the result, work for the
+    # leading axes of a half-layout inverse, the coefficients untouched
+    kept = coeffs.copy()
+    out = np.empty_like(coeffs)
+    assert to_coeffs(values, grid, real=real, out=out) is out
+    assert out.tobytes() == want_coeffs.tobytes()
+    scratch, work = np.empty_like(coeffs), np.empty_like(coeffs)
+    # real values may go to a strided view, here over a complex array
+    into = scratch.view(np.float64)[..., : grid.shape[-1]] if real else scratch
+    assert to_values(coeffs, grid, out=into, work=work) is into
+    assert into.tobytes() == want_values.tobytes()
+    assert coeffs.tobytes() == kept.tobytes()
+    if real:
+        assert not into.flags.c_contiguous
+        contiguous = np.empty_like(want_values)
+        assert to_values(coeffs, grid, out=contiguous).tobytes() == want_values.tobytes()
+        again = np.fft.rfftn(want_values, axes=axes, norm="forward")
+        assert to_coeffs(into, grid, real=True, out=out).tobytes() == again.tobytes()
+    else:
+        assert to_values(coeffs, grid, real=True, out=into).tobytes() == want_values.real.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -319,6 +339,28 @@ def test_apply_nonlinear_returns_a_new_array_from_two_transforms(grid, real, fun
     assert coeffs.tobytes() == kept.tobytes()
     want = to_coeffs(func(to_values(coeffs, grid)), grid, real=real) * outer
     assert out.tobytes() == want.tobytes()
+    # the buffered form: the result in out, the values in scratch, the
+    # same two transforms and the same bits, coeffs untouched
+    into, scratch = np.full_like(coeffs, np.nan), np.full_like(coeffs, np.nan)
+    seen = []
+
+    def watched(u):
+        seen.append((np.shares_memory(u, scratch), u.flags.c_contiguous, u.dtype.kind))
+        return func(u)
+
+    cell, token = install_fft_counter()
+    try:
+        got = apply_nonlinear(coeffs, NonlinearOp(watched, outer=outer), grid,
+                              out=into, scratch=scratch)
+        assert cell[0] == 2
+    finally:
+        remove_fft_counter(token)
+    assert got is into
+    assert seen == [(True, True, "f" if real else "c")]
+    assert into.tobytes() == out.tobytes()
+    assert apply_nonlinear(coeffs, NonlinearOp(func), grid, out=into,
+                           scratch=scratch).tobytes() == plain.tobytes()
+    assert coeffs.tobytes() == kept.tobytes()
 
 
 def test_cube_of_constant():
