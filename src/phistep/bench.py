@@ -17,7 +17,7 @@ import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -577,8 +577,12 @@ def plan_to_manifest(plan: SweepPlan, **extra) -> dict:
 
 
 def plan_from_manifest(manifest: dict) -> SweepPlan:
-    """Rebuild a SweepPlan from a manifest echo (inverse of plan_to_manifest)."""
+    """Rebuild a SweepPlan from a manifest echo (inverse of plan_to_manifest);
+    grid, schemes and ladder must be lists."""
     problem = get_problem(manifest["problem"])
+    for key in ("grid", "schemes", "ladder"):
+        if not isinstance(manifest[key], (list, tuple)):
+            raise ValueError(f"manifest key {key!r} must be a list, got {manifest[key]!r}")
     sizes = manifest["grid"]
     if len(set(sizes)) != 1 or len(sizes) != problem.dims:
         raise ValueError(f"grid {sizes} does not match a {problem.dims}D uniform grid")

@@ -136,19 +136,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     def setting(flag, key, default=None):
         return flag if flag is not None else manifest.get(key, default)
 
+    def number(flag, key, default=None):
+        value = setting(flag, key, default)
+        try:
+            return float(value)
+        except (TypeError, ValueError) as exc:
+            raise CliError(f"bad run settings: {key} must be a number, got {value!r}") from exc
+
     problem_name = setting(args.problem, "problem")
     if not problem_name:
         raise CliError("run needs a problem name (argument or manifest)")
     problem = _resolve(get_problem, problem_name)
     scheme = _resolve(get_scheme, setting(args.scheme, "scheme", "etdrk4")).name
-    h = setting(args.h, "h")
-    if h is None:
+    if setting(args.h, "h") is None:
         raise CliError("run needs a step size: pass --h or a manifest with one")
-    h = float(h)
+    h = number(args.h, "h")
     # Single runs default to the paper-scale registry values; --desk shrinks.
     desk = bool(setting(args.desk or None, "desk", False))
     size = setting(args.size, "size")
-    T = float(setting(args.T, "T", problem.desk_T if desk else problem.T))
+    T = number(args.T, "T", problem.desk_T if desk else problem.T)
     points = setting(args.contour, "contour_points")
     try:
         grid = default_grid(problem, paper_scale=not desk, size=size)
@@ -402,13 +408,13 @@ def _selftest_buffered_step() -> tuple:
     # evaluates through its copying adapter instead of nonlinear_into
     copying = _ProbeSystem(lam=system.lam, u0=system.u0, func=system.nonlinear,
                            name="sh2-nonlinear-only")
-    h, contour = 0.05, ContourSpec(points=32)
+    h = 0.05
     u0 = np.array(system.u0, dtype=complex)
     same = total = 0
     for name in ("etdrk4", "abnorsett4"):
-        engine = prepare_scheme(name, h, system.lam, contour)
+        engine = prepare_scheme(name, h, system.lam)
         if engine.steps > 1:
-            start = start_multistep(engine.steps, h, system, u0, contour).state
+            start = start_multistep(engine.steps, h, system, u0).state
         else:
             start = SimState(coeffs=u0, time=0.0, step=0)
         work = _StepWork(engine, u0.shape, system)

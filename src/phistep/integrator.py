@@ -25,31 +25,27 @@ method in exact arithmetic, but at an equilibrium every difference is
 exactly zero, so schemes with the summation property keep fixed points
 to rounding instead of summing large cancelling terms.
 
-A run steps in place.  `integrate` gives `step` one `_StepWork` for the
-whole loop: the stage accumulators, the history differences, operand
-buffers for N(u^n) and the stage differences N(v^i) - N(u^n), one
-product array and two output arrays used in turn, allocated once.
-Every nonlinear evaluation goes through one evaluator that the
-workspace binds: the system's nonlinear_into(coeffs, out, scratch),
-which writes N(coeffs) into out with the product array as its scratch,
-or, for a system with only nonlinear(coeffs), a copy of that new array
-into out.  Every term is added as product = coeff * value;
-product *= h; acc += product, which rounds exactly as
-acc + h * (coeff * value), so buffered and fresh stepping give the
-same bits.  The price is aliasing: a state's coefficients are
-overwritten two steps later, so integrate copies every snapshot, and a
-`step` call without a workspace allocates fresh buffers.  The
-nonlinear values a state carries for multistep schemes (nl_current and
-history) are always new arrays, since they outlive the step.
+A run steps in place: `integrate` gives `step` one `_StepWork` for the
+whole loop, whose buffers are allocated once and whose one evaluator
+writes every nonlinear value into a buffer.  `_run_row` is the one
+reader of a row, and it adds every term through `_add_term`, which
+rounds exactly as acc + h * (coeff * value), so buffered and fresh
+stepping give the same bits.  The price is aliasing: a state's
+coefficients are overwritten two steps later, so integrate copies every
+snapshot, and a `step` call without a workspace allocates fresh
+buffers.  The nonlinear values a state carries for multistep schemes
+(nl_current and history) are always new arrays, since they outlive the
+step.
 
 Multistep schemes are started by the fixed-point procedure
-`start_multistep`: a low-order bootstrap followed by iterating
+`start_multistep`: q - 1 ETDRK2 steps, then iterations of
 
     u^j = e^{jhL} u^0 + h sum_l gamma_l(j, hL) Delta^l N(u^0)
 
 with forward differences Delta^l taken over the current iterate's
 nonlinear values, stopping when successive iterates agree to a relative
-max-norm below h^q.
+max-norm below h^q.  The map is q - 1 rows of the same form, which
+`_run_row` runs in buffers allocated once.
 """
 from __future__ import annotations
 
@@ -217,7 +213,8 @@ def _lowering(tableau: Tableau) -> tuple:
     return lowered
 
 
-def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSpec()) -> PrecomputedScheme:
+def precompute(tableau: Tableau, h: float, lam,
+               contour: Optional[ContourSpec] = None) -> PrecomputedScheme:
     """Lower the tableau at h*lam into the row program of PrecomputedScheme.
 
     The symbolic half of the lowering depends on the tableau alone and is
@@ -226,9 +223,9 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     and digested) once, and every expression goes through eval_phi_expr
     with that key; lam may also be a KeyedDiagonal, which must then hold
     h*lam already (integrate builds one for the scheme and its starter).
-    Requires a complete tableau (summation property filled in, or a
-    scheme exempt from it); h must be positive.  Deterministic for fixed
-    inputs.
+    contour None is ContourSpec.for_diagonal(lam).  Requires a complete
+    tableau (summation property filled in, or a scheme exempt from it);
+    h must be positive.  Deterministic for fixed inputs.
     """
     if not tableau.is_complete:
         raise ValueError(f"tableau {tableau.name!r} has unfilled slots; "
@@ -236,6 +233,7 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     diag = lam if isinstance(lam, KeyedDiagonal) else KeyedDiagonal(h * np.asarray(lam))
+    contour = contour or ContourSpec.for_diagonal(diag.values)
     exprs, program = _lowering(tableau)
     arrays = [eval_phi_expr(expr, diag, contour) for expr in exprs]
     rows = tuple(
@@ -244,23 +242,27 @@ def precompute(tableau: Tableau, h: float, lam, contour: ContourSpec = ContourSp
     return PrecomputedScheme(name=tableau.name, tableau=tableau, h=h, rows=rows)
 
 
-def _require_history(state: SimState, q: int, name: str) -> None:
-    if q > 1 and (state.nl_current is None or len(state.history) < q - 1):
-        raise ValueError(
-            f"{name} needs {q - 1} past nonlinear values; run the starting "
-            "procedure first"
-        )
-
-
 def _add_term(acc: np.ndarray, h: np.ndarray, coeff: np.ndarray, value: np.ndarray,
               product: np.ndarray) -> None:
-    """acc += h * (coeff * value), rounded as written, through product.
-
-    The output arrays are passed positionally: numpy parses them faster
-    than out= keywords, which matters on small fields."""
+    """acc += h * (coeff * value), rounded as written, through product:
+    product = coeff * value; product *= h; acc += product, the operations
+    of the fresh expression in its order, with h the complex128 scalar
+    numpy would convert it to.  The output arrays are passed
+    positionally: numpy parses them faster than out= keywords, which
+    matters on small fields."""
     np.multiply(coeff, value, product)
     np.multiply(product, h, product)
     np.add(acc, product, acc)
+
+
+def _run_row(acc: np.ndarray, row: tuple, sources: Sequence[np.ndarray],
+             operands: Sequence[np.ndarray], h: np.ndarray, product: np.ndarray) -> None:
+    """acc = propagator * sources[source] plus the row's terms, each added
+    by _add_term: the one reading of a (propagator, source, terms) row."""
+    propagator, source, terms = row
+    np.multiply(propagator, sources[source], acc)
+    for coeff, operand in terms:
+        _add_term(acc, h, coeff, operands[operand], product)
 
 
 def _copying_evaluator(system) -> Callable:
@@ -282,7 +284,8 @@ class _StepWork:
     product the term being added (and the evaluator's scratch, idle
     during an evaluation), outputs the two arrays the new state is
     written to in turn (the one that is not the current state), and norm
-    a real array for the stability check.  The fields are complex128,
+    a real array for the stability check; h is the scheme's step as a
+    complex128 scalar (_add_term).  The fields are complex128,
     shaped like the state's coefficients.  evaluate(coeffs, out, scratch)
     is the one nonlinear evaluation of the loop: system.nonlinear_into
     when the system has it, else _copying_evaluator(system).  A workspace
@@ -291,7 +294,7 @@ class _StepWork:
     is copied first.
     """
 
-    __slots__ = ("stages", "past", "operands", "product", "outputs", "norm", "evaluate")
+    __slots__ = ("stages", "past", "operands", "product", "outputs", "norm", "h", "evaluate")
 
     def __init__(self, scheme: PrecomputedScheme, shape: tuple, system):
         def field() -> np.ndarray:
@@ -304,6 +307,7 @@ class _StepWork:
         self.product = field()
         self.outputs = (field(), field())
         self.norm = np.empty(shape, dtype=np.float64)
+        self.h = np.array(complex(scheme.h))
         self.evaluate = getattr(system, "nonlinear_into", None) or _copying_evaluator(system)
 
 
@@ -315,46 +319,38 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     (q >= 2) the first stage reuses the stored N(u^n) and the evaluation
     at the new solution is pushed into the history ring, keeping the
     total at s evaluations (2s transforms) per step.  The rows of
-    scheme.rows run in order, each into its stage accumulator and the
-    last into the output array.  Their operands are N(u^n), the history
-    differences, then each stage's N(v^i) - N(u^n).  Every evaluation
-    runs through work.evaluate: N(u^n) (q = 1) and each N(v^i) are
-    written into work.operands, with work.product as scratch, and the
-    difference is formed in place there.
+    scheme.rows run in order through _run_row, each into its stage
+    accumulator and the last into the output array.  Their operands are
+    N(u^n), the history differences, then each stage's N(v^i) - N(u^n):
+    work.evaluate writes N(u^n) (q = 1) and each N(v^i) into
+    work.operands, where the difference is formed in place.
 
-    Every term is formed in work's buffers as product = coeff * value,
-    product *= h, acc += product: the operations, and so the bits, of
-    acc + h * (coeff * value), in the same order (h enters as the
-    complex128 scalar numpy converts it to).  Without work, fresh
-    buffers are allocated for this system and the returned state owns
-    its coefficients.  With work (integrate passes one per run; it must
-    match the scheme, the system and the shape of state.coeffs and serve
-    one loop in one thread), the new coefficients are whichever of
-    work.outputs is not state.coeffs, so they are overwritten by the
-    step after next; the nonlinear values in nl_current and history are
-    always new arrays.
+    Without work, fresh buffers are allocated for this system and the
+    returned state owns its coefficients.  With work (integrate passes
+    one per run; it must match the scheme, the system and the shape of
+    state.coeffs and serve one loop in one thread), the new coefficients
+    are whichever of work.outputs is not state.coeffs, so they are
+    overwritten by the step after next; the nonlinear values in
+    nl_current and history are always new arrays.
     """
     q = scheme.steps
-    _require_history(state, q, scheme.name)
+    if q > 1 and (state.nl_current is None or len(state.history) < q - 1):
+        raise ValueError(f"{scheme.name} needs {q - 1} past nonlinear values; "
+                         "run the starting procedure first")
     h = scheme.h
     u = state.coeffs
     if work is None:
         work = _StepWork(scheme, u.shape, system)
     evaluate, product = work.evaluate, work.product
     buffers = iter(work.operands)
-    # h as the complex128 scalar numpy would convert it to for the complex
-    # products: the same bits, without a conversion in every term
-    h_complex = np.array(complex(h))
     nl_now = state.nl_current if q > 1 else evaluate(u, next(buffers), product)
     for value, diff in zip(state.history[: q - 1], work.past):
         np.subtract(value, nl_now, diff)
     operands = [nl_now, *work.past]
     sources = (u, *work.stages)
     out = work.outputs[0] if work.outputs[0] is not u else work.outputs[1]
-    for acc, (propagator, source, terms) in zip((*work.stages, out), scheme.rows):
-        np.multiply(propagator, sources[source], acc)
-        for coeff, operand in terms:
-            _add_term(acc, h_complex, coeff, operands[operand], product)
+    for acc, row in zip((*work.stages, out), scheme.rows):
+        _run_row(acc, row, sources, operands, work.h, product)
         if acc is not out:
             nl = evaluate(acc, next(buffers), product)
             np.subtract(nl, nl_now, nl)
@@ -390,7 +386,7 @@ def _tableau_of(scheme: SchemeLike) -> Tableau:
     return info.tableau()
 
 
-def prepare_scheme(scheme: SchemeLike, h: float, lam, contour: ContourSpec = ContourSpec()):
+def prepare_scheme(scheme: SchemeLike, h: float, lam, contour: Optional[ContourSpec] = None):
     """Resolve a scheme name, registry entry, or explicit tableau into a
     precomputed step engine; lam is as in precompute."""
     return precompute(_tableau_of(scheme), h, lam, contour)
@@ -424,32 +420,20 @@ class StarterResult:
     iterations: int
 
 
-def _forward_differences(values: Sequence[np.ndarray]) -> list:
-    """Delta^l of the sequence at its first entry, for l = 0..len-1."""
-    diffs = [values[0]]
-    current = list(values)
-    for _ in range(1, len(values)):
-        current = [b - a for a, b in zip(current, current[1:])]
-        diffs.append(current[0])
-    return diffs
-
-
 def start_multistep(
     q: int,
     h: float,
     system,
     u0: np.ndarray,
-    contour: ContourSpec = ContourSpec(),
+    contour: Optional[ContourSpec] = None,
     *,
-    bootstrap: SchemeLike = "etdrk2",
     delta0_state: bool = False,
     initial_norm: Optional[float] = None,
     diag: Optional[KeyedDiagonal] = None,
 ) -> StarterResult:
     """Compute starting values u^1..u^{q-1} for a q-step scheme.
 
-    Bootstraps with a low-order one-step scheme, then iterates the
-    fixed-point map
+    Takes q - 1 ETDRK2 steps, then iterates the fixed-point map
 
         u^j = e^{jhL} u^0 + h sum_{l<q} gamma_l(j, hL) Delta^l N(u^0)
 
@@ -458,16 +442,23 @@ def start_multistep(
     relative max-norm below h^q (or the rounding floor), or after 50
     iterations with converged=False.
 
+    The map is q - 1 rows (e^{jhL}, source u^0, terms (gamma_l(j, hL), l))
+    run by _run_row in buffers allocated once: operand l is
+    Delta^l N(u^0), formed in place from the top index down, the new
+    iterates go into q - 1 buffers that swap with the old ones, and the
+    ETDRK2 steps' workspace lends its evaluator, product and norm
+    arrays.  The returned arrays are the starter's own.
+
     diag is h*system.lam keyed once (integrate passes the one it keyed
-    for the scheme), or None to key it here; the bootstrap and the
-    coefficients below reuse it.  Each
+    for the scheme), or None to key it here; contour None is
+    ContourSpec.for_diagonal(diag.values).  Each
     gamma_0..gamma_{q-1}(j, hL) comes from one cached phifun.gamma_table
     per j, so schemes with the same q at the same h (abnorsett4 and
     genlawson43, or a repeated integration) share their tables.
 
     delta0_state reproduces a printed variant in which the l = 0 term
-    uses the state u^0 itself instead of N(u^0); it is provided for
-    comparison only and is not the default.
+    uses the state u^0 itself instead of N(u^0) (operand 0 is u^0); it is
+    provided for comparison only and is not the default.
     """
     if q < 2:
         raise ValueError(f"starting procedure applies to q >= 2, got q={q}")
@@ -475,56 +466,49 @@ def start_multistep(
         initial_norm = _max_norm(u0)
     if diag is None:
         diag = KeyedDiagonal(h * np.asarray(system.lam))
+    contour = contour or ContourSpec.for_diagonal(diag.values)
 
-    boot = prepare_scheme(bootstrap, h, diag, contour)
+    boot = prepare_scheme("etdrk2", h, diag, contour)
+    work = _StepWork(boot, u0.shape, system)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
-    states = [u0]
+    old = []
     for _ in range(q - 1):
-        state = boot.step(state, system)
-        states.append(state.coeffs)
-
-    gammas = {j: gamma_table(q, j, diag, contour) for j in range(1, q)}
-    propagators = {j: eval_phi_expr(exp_term(1, j), diag, contour) for j in range(1, q)}
-    nl_values = [system.nonlinear(u) for u in states]
-    converged = False
-    iterations = 0
+        state = step(state, boot, system, work=work)
+        old.append(state.coeffs.copy())
+    rows = [(eval_phi_expr(exp_term(1, j), diag, contour), 0,
+             tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag, contour))))
+            for j in range(1, q)]
+    evaluate, product, norm = work.evaluate, work.product, work.norm
+    nl = [evaluate(u, np.empty_like(product), product) for u in (u0, *old)]
+    operands = [u0 if delta0_state else nl[0], *(np.empty_like(product) for _ in old)]
+    new = [np.empty_like(product) for _ in old]
+    converged, iterations = False, 0
     tol = max(h ** q, STARTER_FLOOR)
     for iterations in range(1, MAX_STARTER_ITERATIONS + 1):
-        diffs = _forward_differences(nl_values)
-        if delta0_state:
-            diffs[0] = states[0]
-        new_states = [states[0]]
-        for j in range(1, q):
-            acc = propagators[j] * states[0]
-            for l in range(q):
-                acc = acc + h * (gammas[j][l] * diffs[l])
-            new_states.append(acc)
-        scale = max(_max_norm(u) for u in new_states[1:])
-        change = max(
-            _max_norm(new - old) for new, old in zip(new_states[1:], states[1:])
-        )
+        level = nl
+        for l in range(1, q):
+            for i in range(q - 1, l - 1, -1):
+                np.subtract(level[i], level[i - 1], operands[i])
+            level = operands
+        for acc, row in zip(new, rows):
+            _run_row(acc, row, (u0,), operands, work.h, product)
+        scale = max(_max_norm(u, norm) for u in new)
+        change = max(_max_norm(np.subtract(a, b, product), norm) for a, b in zip(new, old))
         if not math.isfinite(scale) or not math.isfinite(change):
             raise UnstableError(
                 "starting procedure produced non-finite values",
                 time=(q - 1) * h, step=q - 1,
             )
-        states = new_states
-        for j in range(1, q):
-            nl_values[j] = system.nonlinear(states[j])
+        old, new = new, old
+        for u, out in zip(old, nl[1:]):
+            evaluate(u, out, product)
         if scale == 0.0 or change <= tol * scale:
             converged = True
             break
-    final = SimState(
-        coeffs=states[q - 1],
-        time=(q - 1) * h,
-        step=q - 1,
-        nl_current=nl_values[q - 1],
-        history=tuple(nl_values[q - 2 :: -1]),
-        initial_norm=initial_norm,
-    )
-    return StarterResult(
-        state=final, states=tuple(states), converged=converged, iterations=iterations
-    )
+    final = SimState(coeffs=old[-1], time=(q - 1) * h, step=q - 1, nl_current=nl[-1],
+                     history=tuple(nl[-2::-1]), initial_norm=initial_norm)
+    return StarterResult(state=final, states=(u0, *old), converged=converged,
+                         iterations=iterations)
 
 
 # ---------------------------------------------------------------------------
@@ -589,10 +573,6 @@ def integrate(
         raise ValueError(f"horizon must be positive and finite, got {T}")
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
-    if contour is None:
-        grid = getattr(system, "grid", None)
-        points = 64 if grid is None or grid.dims == 1 else 32
-        contour = ContourSpec(points=points)
     tableau = _tableau_of(scheme)
     nsteps = require_steps(tableau, h, T)
     h = T / nsteps
@@ -604,8 +584,7 @@ def integrate(
 
     cell, token = install_fft_counter()
     try:
-        # h*L keyed once for the scheme, the starter's bootstrap and its
-        # gamma tables
+        # h*L keyed once for the scheme and the starter
         diag = KeyedDiagonal(h * np.asarray(system.lam))
         engine = prepare_scheme(tableau, h, diag, contour)
         q = engine.steps
@@ -620,19 +599,16 @@ def integrate(
                              coeffs=np.array(coeffs, copy=True))
                 )
 
-        record(0, u0)
         if q > 1:
-            starter = start_multistep(
-                q, h, system, u0, contour, delta0_state=delta0_state,
-                initial_norm=initial_norm, diag=diag,
-            )
-            state = starter.state
-            converged, iterations = starter.converged, starter.iterations
-            for j in range(1, q):
-                record(j, starter.states[j])
+            starter = start_multistep(q, h, system, u0, contour, delta0_state=delta0_state,
+                                      initial_norm=initial_norm, diag=diag)
+            state, converged, iterations = starter.state, starter.converged, starter.iterations
+            starting = starter.states
         else:
             state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
-            converged, iterations = True, 0
+            starting, converged, iterations = (u0,), True, 0
+        for j, coeffs in enumerate(starting):
+            record(j, coeffs)
         # set-up data only: the copy of h*L is not held while stepping
         del diag
 

@@ -288,9 +288,10 @@ CONTOUR_RADIUS = 1.0
 class ContourSpec:
     """Unit-circle trapezoidal rule used to evaluate phi/gamma at diagonals.
 
-    points: number of quadrature nodes M (64 is ample in 1D, 32 in 2D/3D;
-        the rule's aliasing error for these entire functions is far below
-        float precision either way).
+    points: number of quadrature nodes M.  The integrator's default is
+        for_diagonal's grid rule: 64 for a 1D diagonal, 32 in 2D and 3D
+        (the rule's aliasing error for these entire functions is far below
+        float precision either way); the phi-layer functions default to 64.
     real_symmetry: evaluate real entries on the upper half circle only and
         keep the real part of the mean, so real operators get coefficients
         with exactly zero imaginary part.
@@ -302,6 +303,12 @@ class ContourSpec:
     def __post_init__(self) -> None:
         if self.points < 4:
             raise ValueError(f"contour needs at least 4 points, got {self.points}")
+
+    @classmethod
+    def for_diagonal(cls, lam) -> "ContourSpec":
+        """The grid rule: 64 points when lam has at most two axes (the
+        components and one grid axis, or a bare scalar probe), else 32."""
+        return cls(points=64 if np.ndim(lam) <= 2 else 32)
 
 
 # Byte budget of the contour points handed to a kernel in one call (4096

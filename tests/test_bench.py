@@ -476,6 +476,14 @@ def test_plan_manifest_round_trip():
     assert rebuilt == plan
 
 
+@pytest.mark.parametrize("key, value", [("grid", 64), ("schemes", "etdrk4"), ("ladder", 0.5)])
+def test_plan_from_manifest_rejects_a_non_list_naming_the_key(key, value):
+    manifest = plan_to_manifest(make_plan("ks", ["etdrk4"], count=3))
+    manifest[key] = value
+    with pytest.raises(ValueError, match=f"manifest key '{key}' must be a list"):
+        plan_from_manifest(manifest)
+
+
 def test_plan_manifest_round_trip_2d():
     plan = make_plan("gl2", ["etdrk4"], count=3)
     manifest = plan_to_manifest(plan)

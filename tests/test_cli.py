@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from phistep.bench import clear_reference_cache, load_field, read_records
+from phistep.bench import clear_reference_cache, load_field, make_plan, plan_to_manifest, read_records
 from phistep.cli import main
 
 
@@ -136,6 +136,15 @@ def test_run_bad_manifest_json_exits_2(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value", [("h", "abc"), ("T", "x")])
+def test_run_manifest_bad_number_exits_2_naming_it(tmp_path, capsys, key, value):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({"problem": "nls", "h": 1e-2, "desk": True, key: value}))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad run settings: {key} must be a number, got {value!r}" in err
+
+
 def test_run_uses_env_output_root(tmp_path, capsys):
     code = main(["run", "nls", "--scheme", "etdrk4", "--h", "1e-2", "--desk"])
     assert code == 0
@@ -192,6 +201,17 @@ def test_bench_manifest_round_trip_reproduces_csv(tmp_path, capsys):
                     for row in csv.reader(fh)]
 
     assert strip_seconds(first) == strip_seconds(second)
+
+
+@pytest.mark.parametrize("key, value", [("grid", 64), ("schemes", "etdrk4")])
+def test_bench_manifest_wrong_type_exits_2_naming_the_key(tmp_path, capsys, key, value):
+    manifest = plan_to_manifest(make_plan("ks", ["etdrk4"], count=3))
+    manifest[key] = value
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad bench manifest: manifest key {key!r} must be a list, got {value!r}" in err
 
 
 def test_bench_unknown_scheme_exits_2(capsys, tmp_path):

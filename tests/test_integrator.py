@@ -27,6 +27,7 @@ from phistep.integrator import (
 )
 from phistep.phifun import ContourSpec, KeyedDiagonal, PhiExpr, eval_phi_expr, exp_term, phi
 from phistep.problems import (
+    DiscreteSystem,
     default_grid,
     discretize,
     get_problem,
@@ -764,7 +765,8 @@ def _reference_step(state, scheme, system):
 
 
 def _desk_contour(key):
-    return ContourSpec(points=64 if get_problem(key).dims == 1 else 32)
+    problem = get_problem(key)
+    return ContourSpec.for_diagonal(discretize(problem, default_grid(problem)).lam)
 
 
 def _desk_start(key, scheme, h):
@@ -840,6 +842,181 @@ def test_buffered_steps_allocate_no_field_of_their_own():
     slack = 16 * 1024
     assert slack <= min(values.nbytes, state.coeffs.nbytes) / 2
     assert peak - base <= func_peak + slack, (peak - base, func_peak)
+
+
+def _reference_starter(q, h, system, u0, contour, delta0_state=False):
+    """The fixed-point starter in the arithmetic the buffered one must
+    reproduce: fresh ETDRK2 steps, forward differences as lists of new
+    arrays, every term as acc + h * (coeff * value) and every N through
+    system.nonlinear."""
+    diag = KeyedDiagonal(h * np.asarray(system.lam))
+    boot = prepare_scheme("etdrk2", h, diag, contour)
+    state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=float(np.max(np.abs(u0))))
+    states = [u0]
+    for _ in range(q - 1):
+        state = boot.step(state, system)
+        states.append(state.coeffs)
+    gammas = {j: phifun.gamma_table(q, j, diag, contour) for j in range(1, q)}
+    propagators = {j: eval_phi_expr(exp_term(1, j), diag, contour) for j in range(1, q)}
+    nl_values = [system.nonlinear(u) for u in states]
+    converged, iterations = False, 0
+    tol = max(h ** q, integrator.STARTER_FLOOR)
+    for iterations in range(1, integrator.MAX_STARTER_ITERATIONS + 1):
+        diffs, current = [nl_values[0]], list(nl_values)
+        for _ in range(1, q):
+            current = [b - a for a, b in zip(current, current[1:])]
+            diffs.append(current[0])
+        if delta0_state:
+            diffs[0] = states[0]
+        new_states = [states[0]]
+        for j in range(1, q):
+            acc = propagators[j] * states[0]
+            for l in range(q):
+                acc = acc + h * (gammas[j][l] * diffs[l])
+            new_states.append(acc)
+        scale = max(float(np.max(np.abs(u))) for u in new_states[1:])
+        change = max(float(np.max(np.abs(new - old)))
+                     for new, old in zip(new_states[1:], states[1:]))
+        assert math.isfinite(scale) and math.isfinite(change)
+        states = new_states
+        for j in range(1, q):
+            nl_values[j] = system.nonlinear(states[j])
+        if scale == 0.0 or change <= tol * scale:
+            converged = True
+            break
+    return types.SimpleNamespace(
+        states=tuple(states), iterations=iterations, converged=converged,
+        nl_current=nl_values[q - 1], history=tuple(nl_values[q - 2 :: -1]))
+
+
+@pytest.mark.parametrize("delta0", [False, True])
+@pytest.mark.parametrize("q", sorted({info.steps for info in list_schemes()} - {1}))
+@pytest.mark.parametrize("key", ["ks", "nls", "sh2", "sh3"])
+def test_starter_equals_reference_starter_bit_for_bit(key, q, delta0):
+    problem = get_problem(key)
+    system = discretize(problem, default_grid(problem))
+    h, contour = _BUFFERED_STEP[key], _desk_contour(key)
+    u0 = np.array(system.u0, dtype=complex)
+    got = start_multistep(q, h, system, u0, contour, delta0_state=delta0)
+    want = _reference_starter(q, h, system, u0, contour, delta0)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert [u.tobytes() for u in got.states] == [u.tobytes() for u in want.states]
+    assert got.state.coeffs is got.states[-1]
+    assert got.state.nl_current.tobytes() == want.nl_current.tobytes()
+    assert [v.tobytes() for v in got.state.history] == [v.tobytes() for v in want.history]
+
+
+class _MarkingSystem:
+    """A desk system that records the traced (current, peak) memory and
+    resets the peak on entry to and exit from every evaluation, through
+    nonlinear or nonlinear_into, so for consecutive marks a, b the most
+    allocated in between is b[1] - a[0]."""
+
+    def __init__(self, system):
+        self.system, self.lam, self.u0 = system, system.lam, system.u0
+        self.marks = []
+
+    def _mark(self):
+        self.marks.append(tracemalloc.get_traced_memory())
+        tracemalloc.reset_peak()
+
+    def nonlinear(self, coeffs):
+        self._mark()
+        try:
+            return self.system.nonlinear(coeffs)
+        finally:
+            self._mark()
+
+    def nonlinear_into(self, coeffs, out, scratch):
+        self._mark()
+        try:
+            return self.system.nonlinear_into(coeffs, out, scratch)
+        finally:
+            self._mark()
+
+
+def test_starter_loop_allocates_no_field_of_its_own():
+    # every iteration of the fixed-point loop evaluates N(u^1..u^{q-1});
+    # from the first loop evaluation on, the loop's arithmetic between
+    # two evaluations allocates no field, and an evaluation no more than
+    # the problem's own pointwise func makes
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem, size=40))
+    u0 = np.array(system.u0, dtype=complex)
+    q, h = 4, 0.05
+    values = to_values(u0, system.grid)
+    marking = _MarkingSystem(system)
+    tracemalloc.start()
+    try:
+        system.op.func(values)
+        _, func_peak = tracemalloc.get_traced_memory()
+        result = start_multistep(q, h, marking, u0)
+    finally:
+        tracemalloc.stop()
+    assert result.converged and result.iterations >= 2
+    loop = marking.marks[-2 * result.iterations * (q - 1):]
+    grown = [b[1] - a[0] for a, b in zip(loop, loop[1:])]
+    slack = 16 * 1024
+    # numpy's cast buffer, of at most bufsize entries, for a real
+    # coefficient array times a complex field
+    cast = np.getbufsize() * 16
+    assert cast + slack <= min(values.nbytes, u0.nbytes) / 2
+    assert max(grown[1::2]) <= cast + slack, grown
+    assert max(grown[::2]) <= func_peak + slack, (grown, func_peak)
+
+
+def test_starter_evaluates_through_nonlinear_into(monkeypatch):
+    calls = []
+    plain = DiscreteSystem.nonlinear
+
+    def counting(self, coeffs):
+        calls.append(1)
+        return plain(self, coeffs)
+
+    monkeypatch.setattr(DiscreteSystem, "nonlinear", counting)
+    system = _nls_desk()
+    result = start_multistep(4, 0.01, system, np.array(system.u0, dtype=complex))
+    assert result.iterations >= 1
+    assert calls == []
+
+
+@pytest.mark.parametrize("key", [*problem_names(), "scalar-probe"])
+def test_integrate_resolves_the_grid_rule_contour(key, monkeypatch):
+    if key == "scalar-probe":
+        system, want = probe_system(), ContourSpec(points=64)
+    else:
+        problem = get_problem(key)
+        system = discretize(problem, default_grid(problem))
+        want = ContourSpec(points=64 if problem.dims == 1 else 32)
+    seen = []
+    plain = integrator.eval_phi_expr
+
+    def spying(expr, diag, contour=ContourSpec()):
+        seen.append(contour)
+        return plain(expr, diag, contour)
+
+    monkeypatch.setattr(integrator, "eval_phi_expr", spying)
+    integrate(system, "etdrk4", 1e-3, 1e-3)
+    assert seen and set(seen) == {want}
+
+
+def test_prepare_then_integrate_evaluates_no_contour_twice(monkeypatch):
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem))
+    phifun.clear_eval_cache()
+    calls = []
+    plain = phifun.phi_contour
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    monkeypatch.setattr(phifun, "phi_contour", counting)
+    prepare_scheme("etdrk4", 0.125, system.lam)
+    assert len(calls) == 4
+    calls.clear()
+    integrate(system, "etdrk4", 0.125, 0.5)
+    assert calls == []
 
 
 @pytest.mark.parametrize("scheme", ["etdrk4", "abnorsett4"])
