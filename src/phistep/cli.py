@@ -49,7 +49,17 @@ from .integrator import (
     start_multistep,
     step,
 )
-from .phifun import ContourSpec, gamma_contour, phi_contour, phi_scalar
+from .phifun import (
+    ContourSpec,
+    KeyedDiagonal,
+    const_term,
+    eval_phi_expr,
+    exp_term,
+    gamma_contour,
+    phi,
+    phi_contour,
+    phi_scalar,
+)
 from .problems import NLS_A, NLS_B, default_grid, discretize, get_problem, nls_breather, problem_names
 from .spectral import Grid, to_coeffs, to_values
 from .tableau import REGISTRY, empirical_order, get_scheme, list_schemes
@@ -143,6 +153,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad run settings: {key} must be a number, got {value!r}") from exc
 
+    def integer(flag, key):
+        value = setting(flag, key)
+        if value is None:
+            return None
+        try:
+            return int(str(value))  # 64 and "64" pass; 64.5, True and "abc" do not
+        except ValueError as exc:
+            raise CliError(f"bad run settings: {key} must be an integer, got {value!r}") from exc
+
     problem_name = setting(args.problem, "problem")
     if not problem_name:
         raise CliError("run needs a problem name (argument or manifest)")
@@ -153,17 +172,25 @@ def cmd_run(args: argparse.Namespace) -> int:
     h = number(args.h, "h")
     # Single runs default to the paper-scale registry values; --desk shrinks.
     desk = bool(setting(args.desk or None, "desk", False))
-    size = setting(args.size, "size")
+    size = integer(args.size, "size")
     T = number(args.T, "T", problem.desk_T if desk else problem.T)
-    points = setting(args.contour, "contour_points")
+    points = integer(args.contour, "contour_points")
     try:
         grid = default_grid(problem, paper_scale=not desk, size=size)
-        contour = None if points is None else ContourSpec(points=int(points))
+        contour = None if points is None else ContourSpec(points=points)
     except ValueError as exc:
         raise CliError(f"bad run settings: {exc}") from exc
     snapshots = setting(args.snapshots, "snapshots") or []
     if isinstance(snapshots, str):
         snapshots = _parse_floats(snapshots, "snapshot times")
+    else:
+        try:
+            if not isinstance(snapshots, list):
+                raise TypeError
+            snapshots = [float(t) for t in snapshots]
+        except (TypeError, ValueError) as exc:
+            raise CliError("bad run settings: snapshots must be a list of times or a "
+                           f"comma-separated string, got {snapshots!r}") from exc
     compare = bool(setting(args.compare_analytic or None, "compare_analytic", False))
     delta0 = bool(setting(args.reproduce_printed_delta0 or None,
                           "reproduce_printed_delta0", False))
@@ -348,6 +375,19 @@ def _selftest_gamma_table() -> tuple:
     return same == q, f"{same}/{q} rows of gamma_l({k}, .) bit for bit on a mixed diagonal"
 
 
+def _selftest_keyed_split() -> tuple:
+    k = np.fft.fftfreq(12, 1 / 12)
+    lam = -0.05 * (k[:, None] ** 2 + k[None, :7] ** 2)  # repeats, -0.0 at the origin
+    lam[5, 6] = 0.0
+    expr = (phi(1) - 3 * phi(2) + 4 * phi(3, 1, Fraction(1, 2))
+            + exp_term(1, Fraction(1, 2)) + const_term(Fraction(1, 6)))
+    got = eval_phi_expr(expr, KeyedDiagonal(lam)).ravel()
+    same = sum(got[i].tobytes() == eval_phi_expr(expr, [z]).tobytes()
+               for i, z in enumerate(lam.ravel()))
+    return same == lam.size, (f"{same}/{lam.size} entries of a keyed real diagonal "
+                              "(repeats, ±0.0) bit for bit against each entry alone")
+
+
 def _selftest_reductions() -> tuple:
     F = Fraction
     checks = []
@@ -446,6 +486,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
     stages = [
         ("phi kernels (contour vs series)", _selftest_phi),
         ("γ tables (batched vs per-row)", _selftest_gamma_table),
+        ("φ on distinct entries (vs alone)", _selftest_keyed_split),
         ("classical reductions at z=0", _selftest_reductions),
         ("linear exactness (N == 0)", _selftest_linear),
         ("real fields on the half spectrum", _selftest_real_layout),

@@ -21,10 +21,14 @@ Direct evaluation of either family in float64 is unstable for small |z|
 arguments go through a unit-circle contour mean instead: the trapezoidal
 rule on |s - lambda| = 1 is exact to far below float precision for these
 entire functions.  The mean is taken once per distinct diagonal entry
-and scattered back to every repeat.  The contour points of many nodes and
-entries are evaluated together, in blocks of bounded size, by a hybrid
-vectorized kernel (truncated series near 0, closed-form recurrence away
-from it).
+and scattered back to every repeat.  A diagonal is split into its
+distinct entries and the inverse index once (_split; on the float64 real
+parts when every entry is real): a KeyedDiagonal keeps its split for
+every phi and gamma evaluation over it, so eval_phi_expr and gamma_table
+evaluate, scale and accumulate at distinct length and scatter each
+result once.  The contour points of many nodes and entries are evaluated
+together, in blocks of bounded size, by a hybrid vectorized kernel
+(truncated series near 0, closed-form recurrence away from it).
 
 The gamma kernels run in long double.  Their series coefficients are
 exact rationals, built once per (j, k) in integer arithmetic and kept as
@@ -46,7 +50,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from numbers import Rational
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -393,25 +397,66 @@ def _contour_mean(values_fn, nrows: int, lam: np.ndarray, contour: ContourSpec) 
     return out
 
 
+@dataclass(frozen=True, eq=False)
+class Split:
+    """A diagonal of the given shape as its distinct entries (1-D
+    complex128) and the inverse index that puts them back, entry by
+    entry in C order; inverse None is the identity split of a diagonal
+    with no repeated entry, whose distinct entries are its own values."""
+
+    distinct: np.ndarray
+    inverse: Optional[np.ndarray]
+    shape: tuple
+
+    def scaled(self, factor: float) -> "Split":
+        """The split of factor * diagonal: factor * distinct, same inverse.
+        Two distinct entries whose products round together stay apart,
+        which changes no bit, since each entry's mean is its own."""
+        return Split(factor * self.distinct, self.inverse, self.shape)
+
+    def scatter(self, values: np.ndarray) -> np.ndarray:
+        """values over the distinct entries, on the last axis, at every
+        entry of the diagonal: shaped (*values.shape[:-1], *shape).  The
+        identity split reshapes without a copy."""
+        lead = values.shape[:-1]
+        if self.inverse is not None:
+            values = np.take(values, self.inverse, axis=-1)
+        return values.reshape((*lead, *self.shape))
+
+
+def _split(values: np.ndarray, real: bool) -> Split:
+    """The split of a complex128 diagonal, by one np.unique (NaNs stay
+    apart).  real says every imaginary part is zero (of either sign); the
+    split then runs on the float64 real parts, which group as the complex
+    entries do and sort several times faster."""
+    flat = values.reshape(-1)
+    distinct, inverse = np.unique(values.real if real else flat,
+                                  return_inverse=True, equal_nan=False)
+    if distinct.size == flat.size:
+        return Split(flat, None, values.shape)
+    return Split(distinct.astype(np.complex128, copy=False), inverse.reshape(-1), values.shape)
+
+
 def _contour_eval(values_fn, nrows: int, lam, contour: ContourSpec) -> np.ndarray:
     """The contour means of values_fn's rows at a scalar or ndarray of
-    diagonal entries, shaped (nrows, *np.shape(lam)).
+    diagonal entries, shaped (nrows, *np.shape(lam)), or at the distinct
+    entries of a Split, shaped (nrows, distinct.size) and left for the
+    caller to scatter.
 
-    Whenever an entry repeats, at any size, the means are taken over the
-    distinct entries (np.unique; NaNs stay apart) and scattered back.  An
+    An array is split first (_split), so the means are taken over its
+    distinct entries at any size and scattered back; a diagonal without
+    repeats keeps the identity split and is evaluated in place.  An
     entry's mean depends neither on the other entries nor on the
     blocking, so this changes no bit of the result.  Operator diagonals
     repeat heavily: a 2D Laplacian has O(N) distinct values on an N^2
     grid, and the 1D Schrodinger diagonal -i h k^2 takes each value at +k
     and -k, so about half of its contour points would be evaluated twice.
     """
+    if isinstance(lam, Split):
+        return _contour_mean(values_fn, nrows, lam.distinct, contour)
     arr = np.asarray(lam, dtype=np.complex128)
-    uniq, inverse = np.unique(arr.ravel(), return_inverse=True, equal_nan=False)
-    if uniq.size < arr.size:
-        means = _contour_mean(values_fn, nrows, uniq, contour)
-        return np.take(means, inverse, axis=1).reshape((nrows, *arr.shape))
-    del uniq, inverse  # not needed while the mean runs on the full array
-    return _contour_mean(values_fn, nrows, arr.ravel(), contour).reshape((nrows, *arr.shape))
+    split = _split(arr, not arr.imag.any())
+    return split.scatter(_contour_mean(values_fn, nrows, split.distinct, contour))
 
 
 def _one_row(table: np.ndarray):
@@ -424,6 +469,8 @@ def phi_contour(index: int, lam, contour: ContourSpec = ContourSpec()):
 
     An ndarray gives float64 when all its entries are real and the contour
     has real_symmetry, complex128 otherwise; a scalar gives a complex.
+    lam may also be a Split: the values at its distinct entries are then
+    returned, 1-D and unscattered (Split.scatter puts them back).
     """
     if not 0 <= index <= MAX_INDEX:
         raise ValueError(f"phi index must be in [0, {MAX_INDEX}], got {index}")
@@ -437,7 +484,8 @@ def gamma_contour(j, k: int, lam, contour: ContourSpec = ContourSpec()):
 
     j may also be a sequence of indices, e.g. range(q): the rows are then
     evaluated in one contour pass, sharing each block's recurrence, and
-    returned stacked as an ndarray of shape (len(j), *np.shape(lam)).
+    returned stacked as an ndarray of shape (len(j), *np.shape(lam)), or
+    (len(j), distinct.size) for a Split.
     Every row has the bits of its own one-index call.  gamma_table keeps
     such tables in the phi cache.
     """
@@ -679,12 +727,21 @@ def digest(*arrays: np.ndarray) -> str:
 class KeyedDiagonal:
     """An operator diagonal keyed once for every phi evaluation over it:
     contiguous complex128 values (diag itself if it already is, which must
-    then stay unchanged), their digest, and whether every entry is real."""
+    then stay unchanged), their digest, whether every entry is real, and
+    its split into distinct entries (_split, on float64 when real),
+    worked out on first use and kept."""
 
     def __init__(self, diag):
         self.values = np.ascontiguousarray(diag, dtype=np.complex128)
         self.digest = digest(self.values)
         self.real = not self.values.imag.any()
+        self._split: Optional[Split] = None
+
+    @property
+    def split(self) -> Split:
+        if self._split is None:
+            self._split = _split(self.values, self.real)
+        return self._split
 
 
 _EVAL_CACHE = ArrayCache()
@@ -703,11 +760,18 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
     float64 when every entry of diag and every term's coefficient is real
     and the contour has real_symmetry, complex128 otherwise.  Real entries
     go through the real-symmetry contour, so their values have exactly
-    zero imaginary part either way.  Exponential terms exp(scale * z) are
-    evaluated by np.exp.  Results are cached on (expression, diagonal
-    digest, contour), and the underlying phi_index(scale * diag) arrays
-    are cached separately so expressions sharing terms (every tableau
-    does) are evaluated once; the cache keeps at most _CACHE_BYTES.
+    zero imaginary part either way.
+
+    The expression is worked out on the diagonal's distinct entries only
+    (KeyedDiagonal.split): exponential terms exp(scale * z) by np.exp,
+    phi terms by phi_contour at scale * distinct, each added in term
+    order at distinct length, and the sum is scattered to every entry
+    once.  Each entry sees the operations of a plain entrywise
+    evaluation, so the bits are those of one.  Results are cached on
+    (expression, diagonal digest, contour), and the underlying
+    phi_index(scale * distinct) arrays are cached separately, at distinct
+    length, so expressions sharing terms (every tableau does) are
+    evaluated once; the cache keeps at most _CACHE_BYTES.
     """
     if not isinstance(expr, PhiExpr):
         raise TypeError(f"expected PhiExpr, got {type(expr).__name__}")
@@ -719,8 +783,8 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
         return hit
     real = contour.real_symmetry and diag.real and all(
         complex(t.coeff).imag == 0 for t in expr.terms)
-    values = diag.values
-    out = np.zeros(values.shape, dtype=np.float64 if real else np.complex128)
+    split = diag.split
+    out = np.zeros(split.distinct.shape, dtype=np.float64 if real else np.complex128)
     for t in expr.terms:
         coeff = complex(t.coeff).real if real else complex(t.coeff)
         if t.index == 0 and t.scale == 0:
@@ -729,26 +793,26 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
         if t.index == 0:
             # the complex np.exp even on a real diagonal: its real part and
             # the float64 np.exp differ in the last bit on some entries
-            vals = np.exp(float(t.scale) * values)
+            vals = np.exp(float(t.scale) * split.distinct)
             out += coeff * (vals.real if real else vals)
             continue
         tkey = ("phi", t.index, float(t.scale), diag.digest, contour)
         vals = _EVAL_CACHE.get(tkey)
         if vals is None:
-            # through 1D, so a 0-d diagonal gives an array, not a scalar
-            vals = phi_contour(t.index, float(t.scale) * values.ravel(), contour)
-            vals = _EVAL_CACHE.put(tkey, vals.reshape(values.shape))
+            vals = _EVAL_CACHE.put(tkey, phi_contour(t.index, split.scaled(float(t.scale)), contour))
         out += coeff * vals
-    return _EVAL_CACHE.put(key, out)
+    return _EVAL_CACHE.put(key, split.scatter(out))
 
 
 def gamma_table(q: int, k: int, diag: KeyedDiagonal, contour: ContourSpec = ContourSpec()) -> np.ndarray:
     """gamma_0..gamma_{q-1}(k, .) over a keyed diagonal, stacked on a
-    leading axis: gamma_contour(range(q), k, diag.values, contour), read
-    only, cached on (q, k, diagonal digest, contour) in the phi cache and
-    evicted with the other arrays under its byte budget."""
+    leading axis: gamma_contour(range(q), k, diag.values, contour), with
+    the contours taken on the diagonal's split and the table scattered
+    once; read only, cached on (q, k, diagonal digest, contour) in the
+    phi cache and evicted with the other arrays under its byte budget."""
     key = ("gamma", q, k, diag.digest, contour)
     table = _EVAL_CACHE.get(key)
     if table is None:
-        table = _EVAL_CACHE.put(key, gamma_contour(range(q), k, diag.values, contour))
+        split = diag.split
+        table = _EVAL_CACHE.put(key, split.scatter(gamma_contour(range(q), k, split, contour)))
     return table

@@ -145,6 +145,32 @@ def test_run_manifest_bad_number_exits_2_naming_it(tmp_path, capsys, key, value)
     assert f"bad run settings: {key} must be a number, got {value!r}" in err
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("size", "abc", "an integer"), ("size", 16.5, "an integer"),
+    ("contour_points", "abc", "an integer"),
+    ("snapshots", 5, "a list of times or a comma-separated string"),
+    ("snapshots", ["a"], "a list of times or a comma-separated string"),
+])
+def test_run_manifest_bad_setting_exits_2_naming_it(tmp_path, capsys, key, value, kind):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({"problem": "nls", "h": 1e-2, "desk": True, key: value}))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad run settings: {key} must be {kind}, got {value!r}" in err
+
+
+def test_run_manifest_integer_strings_and_snapshot_lists_pass(tmp_path, capsys):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({
+        "problem": "nls", "h": 0.01, "T": 0.02, "desk": True, "size": "32",
+        "contour_points": "16", "snapshots": [0.01]}))
+    out = tmp_path / "mrun"
+    assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
+    echo = json.loads((out / "nls_etdrk4_run.json").read_text())
+    assert (echo["size"], echo["contour_points"], echo["snapshots"]) == (32, 16, [0.01])
+    assert (out / "nls_etdrk4_t0.01.txt").exists()
+
+
 def test_run_uses_env_output_root(tmp_path, capsys):
     code = main(["run", "nls", "--scheme", "etdrk4", "--h", "1e-2", "--desk"])
     assert code == 0

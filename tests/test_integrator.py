@@ -819,29 +819,43 @@ def test_buffered_step_equals_fresh_step_bit_for_bit(case, scheme):
 
 
 def test_buffered_steps_allocate_no_field_of_their_own():
-    # after a warm-up step, the buffered loop allocates no field-sized
-    # array beyond what the problem's own pointwise func makes: its
-    # transforms write into the workspace
-    system, engine, _, state = _desk_start("sh3", "etdrk4", 0.05)
-    work = _StepWork(engine, state.coeffs.shape, system)
-    state = step(state, engine, system, work=work)
+    # after a warm-up step, the buffered loop's arithmetic between two
+    # evaluations allocates no field (its transforms, rows and differences
+    # write into the workspace), and an evaluation no more than the
+    # problem's own pointwise func makes; tracemalloc marks at each
+    # evaluation's entry and exit keep the two bounds apart
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem, size=40))
+    engine = prepare_scheme("etdrk4", 0.05, system.lam)
+    u0 = np.array(system.u0, dtype=complex)
+    state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=float(np.max(np.abs(u0))))
+    marking = _MarkingSystem(system)
+    work = _StepWork(engine, u0.shape, marking)
+    state = step(state, engine, marking, work=work)
     values = to_values(state.coeffs, system.grid)
+    nsteps = 5
     tracemalloc.start()
     try:
         system.op.func(values)
         _, func_peak = tracemalloc.get_traced_memory()
-        tracemalloc.reset_peak()
-        base, _ = tracemalloc.get_traced_memory()
-        for _ in range(5):
-            state = step(state, engine, system, work=work)
-        _, peak = tracemalloc.get_traced_memory()
+        marking.marks.clear()
+        marking._mark()
+        for _ in range(nsteps):
+            state = step(state, engine, marking, work=work)
+        marking._mark()
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(state.coeffs))
-    # a small constant: well under one field of 16^3 values or coefficients
+    marks = marking.marks
+    assert len(marks) == 2 + 2 * nsteps * engine.stages
+    grown = [b[1] - a[0] for a, b in zip(marks, marks[1:])]
     slack = 16 * 1024
-    assert slack <= min(values.nbytes, state.coeffs.nbytes) / 2
-    assert peak - base <= func_peak + slack, (peak - base, func_peak)
+    # numpy's cast buffer, of at most bufsize entries, for a real
+    # coefficient array times a complex field
+    cast = np.getbufsize() * 16
+    assert cast + slack <= min(values.nbytes, u0.nbytes) / 2
+    assert max(grown[::2]) <= cast + slack, grown
+    assert max(grown[1::2]) <= func_peak + slack, (grown, func_peak)
 
 
 def _reference_starter(q, h, system, u0, contour, delta0_state=False):

@@ -555,6 +555,196 @@ def test_gamma_tables_are_cached_and_evicted_with_phi_arrays(monkeypatch):
         clear_eval_cache()
 
 
+# ---------------------------------------------------------------------------
+# the distinct-entry split
+
+
+def _groups(inverse, n):
+    """The partition an inverse index (None: the identity) makes of n
+    entries, as labels numbered in order of first occurrence, so that two
+    splits group alike exactly when their labels are equal."""
+    inv = np.arange(n) if inverse is None else np.asarray(inverse).reshape(-1)
+    _, first, labels = np.unique(inv, return_index=True, return_inverse=True)
+    rank = np.empty(first.size, dtype=np.intp)
+    rank[np.argsort(first)] = np.arange(first.size)
+    return rank[labels.reshape(-1)]
+
+
+def _check_real_split(lam):
+    """The float64 split of a real diagonal groups its entries as the
+    complex np.unique does, and scatters its distinct entries back."""
+    split = phifun._split(lam, real=True)
+    want, want_inverse = np.unique(lam.reshape(-1), return_inverse=True, equal_nan=False)
+    assert split.distinct.dtype == np.complex128 and split.distinct.ndim == 1
+    assert split.distinct.size == want.size and split.shape == lam.shape
+    assert np.array_equal(_groups(split.inverse, lam.size), _groups(want_inverse, lam.size))
+    assert np.array_equal(split.scatter(split.distinct), lam, equal_nan=True)
+    if split.inverse is None and lam.size:  # the identity split is the diagonal itself
+        assert np.shares_memory(split.distinct, lam)
+
+
+_SPLIT_POOL = [0.0, -0.0, 1.5, -1.5, -40.0, 5e-324, -2.5e-7, np.nan, np.inf, -np.inf]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_SPLIT_POOL), st.booleans()), max_size=40),
+       st.sampled_from([(-1,), (2, -1), (1, 2, -1)]))
+def test_real_split_groups_as_the_complex_unique(entries, shape):
+    # -0.0 and +0.0 real parts, either sign of zero imaginary part, NaNs
+    # (each its own group) and infinities
+    lam = np.array([complex(x, -0.0 if neg else 0.0) for x, neg in entries], dtype=np.complex128)
+    if lam.size % 2 or len(shape) == 1:
+        shape = (-1,)
+    _check_real_split(lam.reshape(shape))
+
+
+def test_real_split_of_empty_and_0d_diagonals():
+    for lam in (np.zeros(0, complex), np.zeros((0, 3), complex),
+                np.array(-0.0 + 0j), np.array(complex(np.nan, -0.0))):
+        _check_real_split(lam)
+        assert phifun._split(lam, real=True).inverse is None
+
+
+def test_keyed_diagonal_splits_once_and_keeps_the_identity_split():
+    lam = -np.array([[0.0, 1.0, 4.0], [1.0, 2.0, 5.0]]) * 0.1 + 0j
+    diag = phifun.KeyedDiagonal(lam)
+    split = diag.split
+    assert diag.split is split and split.distinct.size == 5
+    assert split.scatter(split.distinct[None]).shape == (1, 2, 3)
+    distinct = phifun.KeyedDiagonal(np.array([-1.0, 2.0 - 1j, 3j]))
+    assert distinct.split.inverse is None
+    assert distinct.split.distinct.base is distinct.values  # no copy
+
+
+def _plain_expr(expr, lam, contour):
+    """eval_phi_expr without any split: every term at every entry, the
+    phi terms by the per-node mean, added in term order."""
+    lam = np.asarray(lam, dtype=np.complex128)
+    all_real = contour.real_symmetry and not lam.imag.any()
+    real = all_real and all(complex(t.coeff).imag == 0 for t in expr.terms)
+    out = np.zeros(lam.shape, dtype=np.float64 if real else np.complex128)
+    for t in expr.terms:
+        coeff = complex(t.coeff).real if real else complex(t.coeff)
+        z = float(t.scale) * lam
+        if t.index == 0 and t.scale == 0:
+            out += coeff
+        elif t.index == 0:
+            vals = np.exp(z)
+            out += coeff * (vals.real if real else vals)
+        else:
+            vals = _per_node_mean(lambda u: phifun._phi_values(t.index, u), z, contour)
+            out += coeff * (vals.real if all_real else vals)
+    return out
+
+
+def _split_diagonals():
+    k = np.fft.fftfreq(8, 1 / 8)
+    real = -0.3 * (k[:, None] ** 2 + k[None, :5] ** 2)  # -0.0 at the origin
+    real[7, 4] = 0.0  # and a +0.0 beside it
+    real[3, 2] = 7.5  # a growing mode
+    cplx = -1j * 0.05 * np.add.outer(k ** 2, k[:3] ** 2) - 0.25
+    mixed = np.tile(np.concatenate([real[:3].ravel(), cplx[:2].ravel(), [2j, -0.0 + 0j]]), 3)
+    return {"real": real[None], "complex": cplx, "mixed": mixed.reshape(3, -1)}
+
+
+_SPLIT_EXPRS = [
+    phi(1) - 3 * phi(2) + 4 * phi(3, 1, Fraction(1, 2)),
+    exp_term(1, Fraction(1, 2)) + exp_term(Fraction(2, 3)) + const_term(Fraction(1, 6)),
+    phi(1, Fraction(1, 2), Fraction(1, 2)) + exp_term(-1) - const_term(Fraction(1, 3)) + phi(5),
+    phi(2, 0.5 + 0.25j) + exp_term(1j, Fraction(1, 2)) + const_term(2),
+]
+
+
+@pytest.mark.parametrize("real_symmetry", [True, False])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
+def test_keyed_expressions_and_gamma_tables_equal_the_plain_path(kind, real_symmetry):
+    # evaluated on the distinct entries and scattered once, every entry
+    # keeps the bits (and the whole array the dtype) of the plain path
+    lam = _split_diagonals()[kind]
+    spec = ContourSpec(points=32, real_symmetry=real_symmetry)
+    clear_eval_cache()
+    try:
+        diag = phifun.KeyedDiagonal(lam)
+        assert diag.split.distinct.size < lam.size
+        for expr in _SPLIT_EXPRS:
+            got, want = eval_phi_expr(expr, diag, spec), _plain_expr(expr, lam, spec)
+            assert got.shape == lam.shape and got.dtype == want.dtype, expr
+            assert got.tobytes() == want.tobytes(), expr
+        q, k = 4, 3
+        table = phifun.gamma_table(q, k, diag, spec)
+        assert table.shape == (q, *lam.shape)
+        all_real = real_symmetry and not lam.imag.any()
+        assert table.dtype == (np.float64 if all_real else np.complex128)
+        for l in range(q):
+            want = _per_node_mean(lambda z: phifun._gamma_values(l, k, z), lam, spec)
+            assert table[l].astype(np.complex128).tobytes() == want.tobytes(), l
+    finally:
+        clear_eval_cache()
+
+
+def _desk_sh3(size=None):
+    from phistep import problems
+
+    problem = problems.get_problem("sh3")
+    return problems.discretize(problem, problems.default_grid(problem, size=size))
+
+
+def test_prepare_scheme_splits_the_diagonal_once(monkeypatch):
+    from phistep.integrator import prepare_scheme
+
+    system = _desk_sh3()
+    calls, plain = [], np.unique
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return plain(*args, **kwargs)
+
+    clear_eval_cache()
+    monkeypatch.setattr(np, "unique", counting)
+    try:
+        prepare_scheme("etdrk4", 0.125, system.lam)
+    finally:
+        clear_eval_cache()
+    assert len(calls) == 1
+
+
+def test_split_memory_is_a_small_multiple_of_the_real_diagonal():
+    # the split of a 3D real diagonal sorts its float64 real parts: its
+    # peak stays within 6 times their bytes (the complex sort needs over
+    # 7), and it keeps the inverse index and the few distinct entries
+    system = _desk_sh3(size=32)
+    diag = phifun.KeyedDiagonal(0.1 * system.lam)
+    assert diag.real and diag.values.ndim == 4
+    real_bytes = 8 * diag.values.size
+    tracemalloc.start()
+    try:
+        split = diag.split
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert split.distinct.size * 10 < diag.values.size
+    assert peak <= 6 * real_bytes, peak / real_bytes
+    assert kept <= split.inverse.nbytes + split.distinct.nbytes + 16 * 1024
+
+
+def test_cached_phi_term_arrays_have_distinct_length():
+    from phistep.integrator import prepare_scheme
+
+    system = _desk_sh3()
+    distinct = np.unique(0.125 * system.lam).size
+    assert distinct * 10 < system.lam.size
+    clear_eval_cache()
+    try:
+        prepare_scheme("etdrk4", 0.125, system.lam)
+        terms = [v for key, v in phifun._EVAL_CACHE.items() if key[0] == "phi"]
+        exprs = [v for key, v in phifun._EVAL_CACHE.items() if key[0] == "expr"]
+    finally:
+        clear_eval_cache()
+    assert len(terms) == 4  # phi_1(z/2), phi_1, phi_2, phi_3
+    assert all(v.shape == (distinct,) for v in terms)
+    assert exprs and all(v.shape == system.lam.shape for v in exprs)
+
+
 def test_contour_spec_validation():
     with pytest.raises(ValueError):
         ContourSpec(points=2)
