@@ -12,6 +12,7 @@ and never aborts the sweep — only a failed reference solve does.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 from concurrent.futures import ThreadPoolExecutor
@@ -466,8 +467,9 @@ def read_records(csv_path) -> List[SweepRecord]:
 FIELD_FORMAT_VERSION = 1
 
 
-# values formatted and written per chunk by save_field, so its memory is
-# a fixed multiple of the chunk whatever the field's size
+# values formatted and written per chunk by save_field, and lines parsed
+# per chunk by load_field, so the memory of either beyond the field is a
+# fixed multiple of the chunk whatever the field's size
 _FIELD_CHUNK = 1 << 14
 
 
@@ -506,55 +508,103 @@ def save_field(path, values: np.ndarray, grid: Grid, time: float, *, problem: st
             if is_complex:
                 chunk = chunk.astype(np.complex128)
                 lines = map("{!r} {!r}".format, chunk.real.tolist(), chunk.imag.tolist())
+                fh.write("\n".join(lines) + "\n")
             else:
-                lines = map(repr, chunk.astype(np.float64).tolist())
-            fh.write("\n".join(lines) + "\n")
+                # the repr of a list of floats joins their reprs with ", "
+                text = repr(chunk.astype(np.float64).tolist())[1:-1]
+                fh.write(text.replace(", ", "\n") + "\n")
     return out
 
 
 def load_field(path):
     """Read a field written by save_field: (values, grid, time, problem).
 
-    Values come back with an explicit leading component axis.  Raises
-    ValueError on unknown format versions or malformed headers.
+    Values come back with an explicit leading component axis.  The body
+    is parsed _FIELD_CHUNK lines at a time (np.loadtxt) into one array
+    allocated from the header, so the memory beyond that array is a
+    fixed multiple of one chunk's text; blank lines are skipped.  Raises
+    ValueError on unknown format versions or malformed headers, and one
+    naming the file and the line number on a malformed value line or a
+    value count other than the header's.
     """
-    text = Path(path).read_text(encoding="utf-8").splitlines()
-    if not text or not text[0].startswith("# phistep-field "):
-        raise ValueError(f"{path} is not a phistep field dump")
-    version = text[0].split()[-1]
-    if version != str(FIELD_FORMAT_VERSION):
-        raise ValueError(f"{path} has format version {version!r}; "
-                         f"this reader handles {FIELD_FORMAT_VERSION}")
-    header = {}
-    body_start = 0
-    for idx, line in enumerate(text):
-        if not line.startswith("#"):
-            body_start = idx
-            break
-        key, _, value = line[1:].strip().partition(" ")
-        header[key] = value
-        body_start = idx + 1
-    try:
-        sizes = tuple(int(n) for n in header["sizes"].split())
-        flat_domain = [float(e) for e in header["domain"].split()]
-        domain = tuple((flat_domain[2 * i], flat_domain[2 * i + 1]) for i in range(len(sizes)))
-        time = float(header["time"])
-        components = int(header["components"])
-        kind = header["kind"]
-    except (KeyError, ValueError, IndexError) as exc:
-        raise ValueError(f"{path} has a malformed header: {exc}") from exc
-    grid = Grid(sizes, domain)
-    rows = [line.split() for line in text[body_start:] if line.strip()]
-    expected = components * grid.npoints
-    if len(rows) != expected:
-        raise ValueError(f"{path} holds {len(rows)} values; header promises {expected}")
-    if kind == "complex":
-        data = np.array([complex(float(r), float(i)) for r, i in rows])
-    elif kind == "real":
-        data = np.array([float(r[0]) for r in rows])
-    else:
-        raise ValueError(f"{path} has unknown kind {kind!r}")
+    with Path(path).open(encoding="utf-8") as fh:
+        line = fh.readline()
+        if not line.startswith("# phistep-field "):
+            raise ValueError(f"{path} is not a phistep field dump")
+        version = line.split()[-1]
+        if version != str(FIELD_FORMAT_VERSION):
+            raise ValueError(f"{path} has format version {version!r}; "
+                             f"this reader handles {FIELD_FORMAT_VERSION}")
+        header = {}
+        lineno = 1
+        while line.startswith("#"):
+            key, _, value = line[1:].strip().partition(" ")
+            header[key] = value
+            line, lineno = fh.readline(), lineno + 1
+        try:
+            sizes = tuple(int(n) for n in header["sizes"].split())
+            flat_domain = [float(e) for e in header["domain"].split()]
+            domain = tuple((flat_domain[2 * i], flat_domain[2 * i + 1]) for i in range(len(sizes)))
+            time = float(header["time"])
+            components = int(header["components"])
+            kind = header["kind"]
+        except (KeyError, ValueError, IndexError) as exc:
+            raise ValueError(f"{path} has a malformed header: {exc}") from exc
+        grid = Grid(sizes, domain)
+        if kind not in ("real", "complex"):
+            raise ValueError(f"{path} has unknown kind {kind!r}")
+        data = np.empty(components * grid.npoints,
+                        dtype=np.complex128 if kind == "complex" else np.float64)
+        # line is the first body line, numbered lineno ("" at the end of the file)
+        _read_values(path, itertools.chain([line] if line else [], fh), lineno, data)
     return data.reshape((components, *sizes)), grid, time, header.get("problem", "")
+
+
+def _read_values(path, lines, lineno: int, out: np.ndarray) -> None:
+    """Parse value lines, the first numbered lineno, into the 1-D array
+    out: one number per line, or a real and an imaginary part for a
+    complex out."""
+    columns = 2 if out.dtype.kind == "c" else 1
+    filled = 0
+    while chunk := list(itertools.islice(lines, _FIELD_CHUNK)):
+        if not all(line.isspace() for line in chunk):  # loadtxt warns on no data
+            try:
+                block = np.loadtxt(chunk, dtype=np.float64, comments=None, ndmin=2)
+            except ValueError:
+                block = None
+            if block is None or block.shape[1] != columns or filled + len(block) > out.size:
+                raise _value_error(path, chunk, lineno, columns, out.size - filled)
+            if columns == 1:
+                out[filled : filled + len(block)] = block[:, 0]
+            else:
+                out.real[filled : filled + len(block)] = block[:, 0]
+                out.imag[filled : filled + len(block)] = block[:, 1]
+            filled += len(block)
+        lineno += len(chunk)
+    if filled != out.size:
+        raise ValueError(f"{path}, line {lineno - 1}: the file ends after {filled} values; "
+                         f"the header promises {out.size}")
+
+
+def _value_error(path, chunk: list, lineno: int, columns: int, room: int) -> ValueError:
+    """The error for the first bad line of a chunk that failed to parse,
+    each line parsed alone as the chunk was: a line that is not columns
+    numbers, or one value past room."""
+    for number, line in enumerate(chunk, start=lineno):
+        if line.isspace():
+            continue
+        try:
+            width = np.loadtxt([line], dtype=np.float64, comments=None, ndmin=2).shape[1]
+        except ValueError:
+            width = None
+        if width != columns:
+            return ValueError(f"{path}, line {number}: expected {columns} number(s), "
+                              f"got {line.strip()!r}")
+        if room == 0:
+            return ValueError(f"{path}, line {number}: more values than the header "
+                              "promises")
+        room -= 1
+    return ValueError(f"{path}, lines {lineno}-{lineno + len(chunk) - 1}: unreadable values")
 
 
 # ---------------------------------------------------------------------------

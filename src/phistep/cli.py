@@ -149,9 +149,19 @@ def cmd_run(args: argparse.Namespace) -> int:
     def number(flag, key, default=None):
         value = setting(flag, key, default)
         try:
+            if isinstance(value, bool):  # float(True) would be 1.0
+                raise TypeError
             return float(value)
         except (TypeError, ValueError) as exc:
             raise CliError(f"bad run settings: {key} must be a number, got {value!r}") from exc
+
+    def switch(flag, key):
+        # a set flag wins; a manifest value must be a JSON boolean, since
+        # bool("no") would be True
+        value = setting(flag or None, key, False)
+        if not isinstance(value, bool):
+            raise CliError(f"bad run settings: {key} must be true or false, got {value!r}")
+        return value
 
     def integer(flag, key):
         value = setting(flag, key)
@@ -171,7 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         raise CliError("run needs a step size: pass --h or a manifest with one")
     h = number(args.h, "h")
     # Single runs default to the paper-scale registry values; --desk shrinks.
-    desk = bool(setting(args.desk or None, "desk", False))
+    desk = switch(args.desk, "desk")
     size = integer(args.size, "size")
     T = number(args.T, "T", problem.desk_T if desk else problem.T)
     points = integer(args.contour, "contour_points")
@@ -185,15 +195,14 @@ def cmd_run(args: argparse.Namespace) -> int:
         snapshots = _parse_floats(snapshots, "snapshot times")
     else:
         try:
-            if not isinstance(snapshots, list):
+            if not isinstance(snapshots, list) or any(isinstance(t, bool) for t in snapshots):
                 raise TypeError
             snapshots = [float(t) for t in snapshots]
         except (TypeError, ValueError) as exc:
             raise CliError("bad run settings: snapshots must be a list of times or a "
                            f"comma-separated string, got {snapshots!r}") from exc
-    compare = bool(setting(args.compare_analytic or None, "compare_analytic", False))
-    delta0 = bool(setting(args.reproduce_printed_delta0 or None,
-                          "reproduce_printed_delta0", False))
+    compare = switch(args.compare_analytic, "compare_analytic")
+    delta0 = switch(args.reproduce_printed_delta0, "reproduce_printed_delta0")
     if compare and problem.name not in _ANALYTIC:
         raise CliError(
             f"--compare-analytic has no closed-form solution registered for "

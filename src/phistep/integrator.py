@@ -58,7 +58,8 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UnstableError
-from .phifun import ContourSpec, KeyedDiagonal, PhiExpr, eval_phi_expr, exp_term, gamma_table
+from .phifun import (ContourSpec, KeyedDiagonal, PhiExpr, eval_phi_expr, eval_phi_terms, exp_term,
+                     gamma_table)
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -221,7 +222,11 @@ def precompute(tableau: Tableau, h: float, lam,
     done once per tableau object (_lowering); each call evaluates its
     distinct expressions at h*lam.  h*lam is keyed (converted to complex
     and digested) once, and every expression goes through eval_phi_expr
-    with that key; lam may also be a KeyedDiagonal, which must then hold
+    with that key, after eval_phi_terms has put their uncached phi terms
+    in the cache with one contour pass per argument scale (two for
+    ETDRK4: phi_1..phi_3 at h*lam, phi_1 at h*lam/2); the arrays are
+    those of term-by-term evaluation, bit for bit.  lam may also be a
+    KeyedDiagonal, which must then hold
     h*lam already (integrate builds one for the scheme and its starter).
     contour None is ContourSpec.for_diagonal(lam).  Requires a complete
     tableau (summation property filled in, or a scheme exempt from it);
@@ -235,6 +240,7 @@ def precompute(tableau: Tableau, h: float, lam,
     diag = lam if isinstance(lam, KeyedDiagonal) else KeyedDiagonal(h * np.asarray(lam))
     contour = contour or ContourSpec.for_diagonal(diag.values)
     exprs, program = _lowering(tableau)
+    eval_phi_terms(exprs, diag, contour)
     arrays = [eval_phi_expr(expr, diag, contour) for expr in exprs]
     rows = tuple(
         (arrays[propagator], source, tuple((arrays[c], operand) for c, operand in terms))

@@ -30,6 +30,14 @@ result once.  The contour points of many nodes and entries are evaluated
 together, in blocks of bounded size, by a hybrid vectorized kernel
 (truncated series near 0, closed-form recurrence away from it).
 
+The phi recurrence yields phi_0..phi_l on its way to phi_l, so
+phi_contour also takes a sequence of indices and evaluates those rows in
+one contour pass, sharing exp(z) and the recurrence (_phi_rows), each
+with the bits of its own one-index call.  Every phi term of a row
+program that shares an argument scale (ETDRK4's phi_1, phi_2 and phi_3
+at z) is thus one pass: eval_phi_terms groups the uncached terms of
+many expressions by scale and fills the cache that eval_phi_expr reads.
+
 The gamma kernels run in long double.  Their series coefficients are
 exact rationals, built once per (j, k) in integer arithmetic and kept as
 long-double scalars for an in-place Horner loop.  The gamma recurrence
@@ -105,25 +113,43 @@ def _phi_series(index: int, z: np.ndarray) -> np.ndarray:
     return total
 
 
-def _phi_recurrence(index: int, z: np.ndarray) -> np.ndarray:
-    """Upward recurrence from exp(z); stable once |z| is O(index) or larger."""
-    p = np.exp(z)
-    for l in range(index):
-        p = (p - 1.0 / math.factorial(l)) / z
-    return p
+def _phi_rows(rows: Sequence[int], z: np.ndarray) -> np.ndarray:
+    """phi_l for each l in rows at every entry of a complex ndarray,
+    stacked on a leading axis.
+
+    exp(z) and the upward recurrence phi_{l+1} = (phi_l - 1/l!) / z run
+    once, on all of z, up to the top index; each requested index >= 1
+    then takes its own truncated series where |z| is below its switch
+    radius, where the recurrence is unstable (Kassam & Trefethen 2005).
+    The recurrence there, overflow and division by z = 0 included, is
+    discarded, so its warnings are not reported.  Every step is
+    entrywise and in place, so each row has the bits of a one-index
+    evaluation.
+    """
+    out = np.empty((len(rows), *z.shape), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        p = np.exp(z)
+        for l in range(max(rows) + 1):
+            if l:
+                p -= 1.0 / math.factorial(l - 1)
+                p /= z
+            for row, index in zip(out, rows):
+                if index == l:
+                    row[...] = p
+    del p  # freed before the series' temporaries arrive
+    size = np.abs(z)
+    for row, index in zip(out, rows):
+        if not index:
+            continue
+        near = size < _series_radius(index)
+        if near.any():
+            row[near] = _phi_series(index, z[near])
+    return out
 
 
 def _phi_values(index: int, z: np.ndarray) -> np.ndarray:
-    """phi_index at every entry of a complex ndarray."""
-    if index == 0:
-        return np.exp(z)
-    out = np.empty(z.shape, dtype=np.complex128)
-    near = np.abs(z) < _series_radius(index)
-    if near.any():
-        out[near] = _phi_series(index, z[near])
-    if not near.all():
-        out[~near] = _phi_recurrence(index, z[~near])
-    return out
+    """phi_index at every entry of a complex ndarray (_phi_rows' one-row case)."""
+    return _phi_rows((index,), z)[0]
 
 
 def phi_scalar(index: int, z: complex) -> complex:
@@ -464,18 +490,33 @@ def _one_row(table: np.ndarray):
     return complex(table[0]) if table.ndim == 1 else table[0]
 
 
-def phi_contour(index: int, lam, contour: ContourSpec = ContourSpec()):
+def _indices(index, what: str) -> tuple:
+    """(single, rows): whether index is one int, and the indices as a
+    tuple, each checked to lie in [0, MAX_INDEX]."""
+    single = isinstance(index, (int, np.integer))
+    rows = (int(index),) if single else tuple(index)
+    if not rows or not all(0 <= r <= MAX_INDEX for r in rows):
+        raise ValueError(f"{what} index must be in [0, {MAX_INDEX}], got {index}")
+    return single, rows
+
+
+def phi_contour(index, lam, contour: ContourSpec = ContourSpec()):
     """phi_index at a scalar or ndarray of diagonal entries via contour mean.
 
     An ndarray gives float64 when all its entries are real and the contour
     has real_symmetry, complex128 otherwise; a scalar gives a complex.
     lam may also be a Split: the values at its distinct entries are then
     returned, 1-D and unscattered (Split.scatter puts them back).
+
+    index may also be a sequence of indices, e.g. range(1, 4): the rows
+    are then evaluated in one contour pass, sharing each block's exp(z)
+    and recurrence (_phi_rows), and returned stacked as an ndarray of
+    shape (len(index), *np.shape(lam)), or (len(index), distinct.size)
+    for a Split.  Every row has the bits of its own one-index call.
     """
-    if not 0 <= index <= MAX_INDEX:
-        raise ValueError(f"phi index must be in [0, {MAX_INDEX}], got {index}")
-    table = _contour_eval(lambda z: _phi_values(index, z)[None], 1, lam, contour)
-    return _one_row(table)
+    single, rows = _indices(index, "phi")
+    table = _contour_eval(lambda z: _phi_rows(rows, z), len(rows), lam, contour)
+    return _one_row(table) if single else table
 
 
 def gamma_contour(j, k: int, lam, contour: ContourSpec = ContourSpec()):
@@ -484,15 +525,10 @@ def gamma_contour(j, k: int, lam, contour: ContourSpec = ContourSpec()):
 
     j may also be a sequence of indices, e.g. range(q): the rows are then
     evaluated in one contour pass, sharing each block's recurrence, and
-    returned stacked as an ndarray of shape (len(j), *np.shape(lam)), or
-    (len(j), distinct.size) for a Split.
-    Every row has the bits of its own one-index call.  gamma_table keeps
-    such tables in the phi cache.
+    returned stacked as in phi_contour.  Every row has the bits of its
+    own one-index call.  gamma_table keeps such tables in the phi cache.
     """
-    single = isinstance(j, (int, np.integer))
-    rows = (int(j),) if single else tuple(j)
-    if not rows or not all(0 <= r <= MAX_INDEX for r in rows):
-        raise ValueError(f"gamma index must be in [0, {MAX_INDEX}], got {j}")
+    single, rows = _indices(j, "gamma")
     if not 1 <= k <= MAX_INDEX:
         raise ValueError(f"gamma step multiplier must be in [1, {MAX_INDEX}], got {k}")
     table = _contour_eval(lambda z: _gamma_rows(rows, k, z), len(rows), lam, contour)
@@ -751,6 +787,14 @@ def clear_eval_cache() -> None:
     _EVAL_CACHE.clear()
 
 
+def _expr_key(expr: PhiExpr, diag: KeyedDiagonal, contour: ContourSpec) -> tuple:
+    return ("expr", expr.fingerprint(), diag.digest, contour)
+
+
+def _term_key(index: int, scale: float, diag: KeyedDiagonal, contour: ContourSpec) -> tuple:
+    return ("phi", index, scale, diag.digest, contour)
+
+
 def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> np.ndarray:
     """Evaluate a PhiExpr entrywise over an operator diagonal.
 
@@ -777,7 +821,7 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
         raise TypeError(f"expected PhiExpr, got {type(expr).__name__}")
     if not isinstance(diag, KeyedDiagonal):
         diag = KeyedDiagonal(diag)
-    key = ("expr", expr.fingerprint(), diag.digest, contour)
+    key = _expr_key(expr, diag, contour)
     hit = _EVAL_CACHE.get(key)
     if hit is not None:
         return hit
@@ -796,12 +840,37 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
             vals = np.exp(float(t.scale) * split.distinct)
             out += coeff * (vals.real if real else vals)
             continue
-        tkey = ("phi", t.index, float(t.scale), diag.digest, contour)
+        tkey = _term_key(t.index, float(t.scale), diag, contour)
         vals = _EVAL_CACHE.get(tkey)
         if vals is None:
             vals = _EVAL_CACHE.put(tkey, phi_contour(t.index, split.scaled(float(t.scale)), contour))
         out += coeff * vals
     return _EVAL_CACHE.put(key, split.scatter(out))
+
+
+def eval_phi_terms(exprs: Iterable[PhiExpr], diag: KeyedDiagonal,
+                   contour: ContourSpec = ContourSpec()) -> None:
+    """Put in the phi cache every phi term array (index >= 1) that
+    eval_phi_expr will need for exprs over diag and that the cache lacks,
+    with one phi_contour pass per argument scale for all of that scale's
+    indices.  Expressions already cached need none.  The arrays are the
+    ones eval_phi_expr would evaluate term by term, bit for bit, so a
+    caller about to evaluate many expressions over one diagonal (as
+    precompute does) calls this first and then eval_phi_expr as usual."""
+    scales: dict = {}
+    for expr in exprs:
+        if _EVAL_CACHE.get(_expr_key(expr, diag, contour)) is not None:
+            continue
+        for t in expr.terms:
+            scale = float(t.scale)
+            if t.index and _EVAL_CACHE.get(_term_key(t.index, scale, diag, contour)) is None:
+                scales.setdefault(scale, set()).add(t.index)
+    for scale, indices in scales.items():
+        rows = sorted(indices)
+        table = phi_contour(rows, diag.split.scaled(scale), contour)
+        for index, values in zip(rows, table):
+            # a copy of its own, so evicting one row frees it
+            _EVAL_CACHE.put(_term_key(index, scale, diag, contour), values.copy())
 
 
 def gamma_table(q: int, k: int, diag: KeyedDiagonal, contour: ContourSpec = ContourSpec()) -> np.ndarray:

@@ -99,6 +99,16 @@ def _stack(*arrays) -> np.ndarray:
     return np.stack([np.asarray(a) for a in arrays])
 
 
+def _axis_coords(grid: Grid) -> tuple:
+    """The coordinates of grid.meshgrid() as one array per axis, shaped
+    for broadcasting over the grid.  Initial data combine per-axis terms
+    on these in the order they would on the full-grid coordinates, so
+    each entry gets the same bits while only the sums of terms over
+    every axis reach full size."""
+    return tuple(np.meshgrid(*(grid.axis_points(i) for i in range(grid.dims)),
+                             indexing="ij", sparse=True))
+
+
 def _abs2(u: np.ndarray) -> np.ndarray:
     """|u|^2 without the square root of np.abs."""
     return u.real * u.real + u.imag * u.imag
@@ -208,7 +218,7 @@ def _gl_nonlinear(grid: Grid) -> NonlinearOp:
 
 
 def _gl_ic(grid: Grid) -> np.ndarray:
-    coords = grid.meshgrid()
+    coords = _axis_coords(grid)
     r2 = sum((c - 50.0) ** 2 for c in coords)
     return _stack(np.exp(-0.1 * r2).astype(complex))
 
@@ -234,7 +244,7 @@ def _schnak_nonlinear(grid: Grid) -> NonlinearOp:
 
 
 def _schnak_ic(grid: Grid) -> np.ndarray:
-    coords = grid.meshgrid()
+    coords = _axis_coords(grid)
     g = SCHNAK_G
     u = 1.0 - np.exp(-2.0 * sum((c - g / 2.15) ** 2 for c in coords))
     # the second and later axes carry an extra factor 2 in the exponent
@@ -256,7 +266,7 @@ def _sh_nonlinear(grid: Grid) -> NonlinearOp:
 
 
 def _sh_ic(grid: Grid) -> np.ndarray:
-    coords = grid.meshgrid()
+    coords = _axis_coords(grid)
     slow = sum(np.sin(np.pi * c / 10) for c in coords)
     fast = [np.sin(np.pi * c / 2) for c in coords]
     pairs = sum(fast[i] * fast[j] for i in range(len(fast)) for j in range(i + 1, len(fast)))

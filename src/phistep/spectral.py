@@ -149,15 +149,9 @@ def _axis_view(grid: Grid, axis: int, values: np.ndarray) -> np.ndarray:
     return values.reshape(shape)
 
 
-def diff_symbol(p: int, axis: int, grid: Grid) -> np.ndarray:
-    """Diagonal symbol of d^p/dx_axis^p over the full mode grid.
-
-    Even p yields a real array, odd p an imaginary complex array with the
-    Nyquist mode zeroed (its derivative sign is ambiguous on an even grid;
-    zeroing keeps real fields real).  Powers are built by squaring the
-    same scaled-wavenumber intermediate, so diff_symbol(2)**2 equals
-    diff_symbol(4) entrywise exactly.
-    """
+def _axis_symbol(p: int, axis: int, grid: Grid) -> np.ndarray:
+    """Symbol of d^p/dx_axis^p on its own axis, shaped for broadcasting
+    over the mode grid (diff_symbol without the broadcast)."""
     if p not in (1, 2, 3, 4):
         raise ValueError(f"derivative order must be 1..4, got {p}")
     k = grid.wavenumbers(axis)
@@ -173,17 +167,33 @@ def diff_symbol(p: int, axis: int, grid: Grid) -> np.ndarray:
     if p % 2:
         sym = sym.copy()
         sym[grid.sizes[axis] // 2] = 0.0
-    per_axis = _axis_view(grid, axis, sym)
+    return _axis_view(grid, axis, sym)
+
+
+def diff_symbol(p: int, axis: int, grid: Grid) -> np.ndarray:
+    """Diagonal symbol of d^p/dx_axis^p over the full mode grid.
+
+    Even p yields a real array, odd p an imaginary complex array with the
+    Nyquist mode zeroed (its derivative sign is ambiguous on an even grid;
+    zeroing keeps real fields real).  Powers are built by squaring the
+    same scaled-wavenumber intermediate, so diff_symbol(2)**2 equals
+    diff_symbol(4) entrywise exactly.  The values are those of the
+    per-axis symbol (_axis_symbol), broadcast over the grid and copied.
+    """
+    per_axis = _axis_symbol(p, axis, grid)
     if grid.dims == 1:
-        return per_axis.reshape(grid.sizes)
+        return per_axis
     return np.broadcast_to(per_axis, grid.shape).copy()
 
 
 def laplacian_symbol(grid: Grid) -> np.ndarray:
-    """Symbol of the Laplacian: broadcast sum of the per-axis -k^2 arrays."""
-    out = diff_symbol(2, 0, grid)
+    """Symbol of the Laplacian: the sum of the per-axis -k^2 symbols in
+    axis order, broadcast from their per-axis views (_axis_symbol), so
+    only the partial sums reach full size; the bits of adding the
+    full-grid diff_symbol(2, axis) arrays."""
+    out = _axis_symbol(2, 0, grid)
     for axis in range(1, grid.dims):
-        out = out + diff_symbol(2, axis, grid)
+        out = out + _axis_symbol(2, axis, grid)
     return out
 
 

@@ -623,6 +623,101 @@ def test_save_field_memory_is_bounded_by_the_chunk(tmp_path, kind):
     assert peak < bound, (peak, bound)
 
 
+@pytest.mark.parametrize("case", range(7))
+def test_load_field_reads_every_dump_back_bit_for_bit(tmp_path, case):
+    # real, complex and one-component dumps, with the special values, a
+    # full chunk and a ragged one
+    from phistep.bench import load_field, save_field
+
+    name, values, grid = _fields_to_dump()[case]
+    path = save_field(tmp_path / "field.txt", values, grid, 0.375, problem="sh2")
+    back, grid2, time, problem = load_field(path)
+    want = np.asarray(values)
+    want = want.astype(np.complex128 if np.iscomplexobj(want) else np.float64)
+    assert back.shape == ((1, *grid.shape) if want.ndim == grid.dims else want.shape)
+    assert back.dtype == want.dtype, name
+    assert _bits(back) == _bits(want), name
+    assert (grid2, time, problem) == (grid, 0.375, "sh2")
+
+
+def _bits(values):
+    """The bytes of a float or complex array's parts in C order, every NaN
+    made the one np.nan: the text format writes each NaN as nan."""
+    parts = np.ascontiguousarray(values).reshape(-1).view(np.float64)
+    return np.where(np.isnan(parts), np.nan, parts).tobytes()
+
+
+def _dump_lines(tmp_path, kind):
+    from phistep.bench import save_field
+
+    grid = Grid.uniform(1, 8, (0.0, 1.0))
+    values = np.arange(8.0) + (1j * np.arange(8.0) if kind == "complex" else 0)
+    path = save_field(tmp_path / "field.txt", values, grid, 0.0)
+    return path, path.read_text().splitlines()
+
+
+# edits of the 15 lines of an 8-value dump (7 header lines): each takes
+# the lines and one valid value line
+_BAD_BODIES = {
+    "malformed": (lambda lines, value: lines[:9] + ["1.5x"] + lines[10:], 10, "expected"),
+    # float() reads this as 10.0; the reader's parser does not
+    "underscore": (lambda lines, value: lines[:10] + ["1_0"] + lines[11:], 11, "expected"),
+    "columns": (lambda lines, value: lines[:11] + ["1 2 3"] + lines[12:], 12, "expected"),
+    "comment": (lambda lines, value: lines[:8] + ["# a note"] + lines[9:], 9, "expected"),
+    "extra value": (lambda lines, value: lines + [value], 16, "more values"),
+    "short": (lambda lines, value: lines[:-2], 13, "ends after 6 values"),
+}
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+@pytest.mark.parametrize("bad", sorted(_BAD_BODIES))
+def test_load_field_names_the_file_and_line_of_a_bad_body(tmp_path, kind, bad):
+    from phistep.bench import load_field
+
+    edit, line, what = _BAD_BODIES[bad]
+    path, lines = _dump_lines(tmp_path, kind)
+    assert len(lines) == 15
+    path.write_text("\n".join(edit(lines, lines[-1])) + "\n")
+    with pytest.raises(ValueError, match=what) as info:
+        load_field(path)
+    assert f"{path}, line {line}:" in str(info.value)
+
+
+def test_load_field_skips_blank_lines(tmp_path):
+    from phistep.bench import load_field
+
+    path, lines = _dump_lines(tmp_path, "real")
+    path.write_text("\n".join(lines[:9] + ["", "   "] + lines[9:] + [""]) + "\n")
+    assert load_field(path)[0].tobytes() == np.arange(8.0).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["real", "complex"])
+def test_load_field_memory_is_bounded_by_the_chunk(tmp_path, kind):
+    # the same fields as the writer's test: reading the whole text at once
+    # traced 35 times the field for the real one; parsed chunk by chunk the
+    # memory beyond the output array is a fixed multiple of the chunk
+    from phistep.bench import load_field, save_field
+
+    rng = np.random.default_rng(9)
+    if kind == "real":
+        grid = Grid.uniform(3, 64, (0.0, 2 * math.pi))
+        values = rng.standard_normal(grid.shape)
+    else:
+        grid = Grid.uniform(2, 256, (0.0, 2 * math.pi))
+        values = rng.standard_normal((2, *grid.shape)) + 1j * rng.standard_normal((2, *grid.shape))
+    path = save_field(tmp_path / "field.txt", values, grid, 1.0)
+    tracemalloc.start()
+    try:
+        back = load_field(path)[0]
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert _bits(back) == _bits(values)
+    bound = back.nbytes + 256 * bench._FIELD_CHUNK
+    assert 256 * bench._FIELD_CHUNK < path.stat().st_size  # the whole text would not fit
+    assert peak < bound, (peak, bound)
+
+
 def test_error_floor_moves_down_with_reference_resolution():
     probe, system = _probe_system(name="floor-probe")
     exact = complex(probe.solution(probe.T))

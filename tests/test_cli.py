@@ -159,6 +159,35 @@ def test_run_manifest_bad_setting_exits_2_naming_it(tmp_path, capsys, key, value
     assert f"bad run settings: {key} must be {kind}, got {value!r}" in err
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("h", True, "a number"), ("T", False, "a number"),
+    ("snapshots", [0.1, True], "a list of times or a comma-separated string"),
+    ("desk", "no", "true or false"), ("desk", 1, "true or false"),
+    ("compare_analytic", "yes", "true or false"),
+    ("reproduce_printed_delta0", 0, "true or false"),
+])
+def test_run_manifest_rejects_json_of_the_wrong_type(tmp_path, capsys, key, value, kind):
+    # float(True) is 1.0 and bool("no") is True, so these once ran
+    manifest = tmp_path / "run.json"
+    settings = {"problem": "nls", "h": 1e-2, "T": 0.02, "desk": True}
+    manifest.write_text(json.dumps({**settings, key: value}))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"bad run settings: {key} must be {kind}, got {value!r}" in err
+
+
+def test_run_manifest_with_a_boolean_step_and_a_string_flag_exits_2(tmp_path, capsys):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({"problem": "nls", "h": True, "T": 2, "desk": "no"}))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert "bad run settings: h must be a number, got True" in captured.err
+    assert captured.out == ""  # nothing ran
+    manifest.write_text(json.dumps({"problem": "nls", "h": 0.5, "T": 2, "desk": "no"}))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+    assert "bad run settings: desk must be true or false, got 'no'" in capsys.readouterr().err
+
+
 def test_run_manifest_integer_strings_and_snapshot_lists_pass(tmp_path, capsys):
     manifest = tmp_path / "run.json"
     manifest.write_text(json.dumps({

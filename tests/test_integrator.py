@@ -1027,7 +1027,8 @@ def test_prepare_then_integrate_evaluates_no_contour_twice(monkeypatch):
 
     monkeypatch.setattr(phifun, "phi_contour", counting)
     prepare_scheme("etdrk4", 0.125, system.lam)
-    assert len(calls) == 4
+    # one pass per argument scale: phi_1..phi_3 at z, phi_1 at z/2
+    assert len(calls) == 2
     calls.clear()
     integrate(system, "etdrk4", 0.125, 0.5)
     assert calls == []

@@ -207,6 +207,29 @@ def test_contour_dedup_matches_direct():
     assert np.array_equal(full.reshape(40, 40), np.broadcast_to(single[:, None], (40, 40)))
 
 
+def _parent_phi_recurrence(index, z):
+    """The one-index phi recurrence that _phi_rows replaced, verbatim."""
+    p = np.exp(z)
+    for l in range(index):
+        p = (p - 1.0 / math.factorial(l)) / z
+    return p
+
+
+def _parent_phi_values(index, z):
+    """The one-index phi kernel that _phi_rows replaced, verbatim but for
+    its recurrence, which is the frozen one above (the series is
+    unchanged)."""
+    if index == 0:
+        return np.exp(z)
+    out = np.empty(z.shape, dtype=np.complex128)
+    near = np.abs(z) < phifun._series_radius(index)
+    if near.any():
+        out[near] = phifun._phi_series(index, z[near])
+    if not near.all():
+        out[~near] = _parent_phi_recurrence(index, z[~near])
+    return out
+
+
 def _per_node_mean(values_fn, lam, contour):
     """The plain contour mean: one kernel call per node, summed in node order."""
     lam = np.asarray(lam, dtype=np.complex128)
@@ -257,7 +280,7 @@ def test_blocked_contour_equals_per_node_sum(kind, real_symmetry):
     for args in cases:
         if len(args) == 1:
             got = phi_contour(args[0], lam, spec)
-            want = _per_node_mean(lambda z: phifun._phi_values(args[0], z), lam, spec)
+            want = _per_node_mean(lambda z: _parent_phi_values(args[0], z), lam, spec)
         else:
             got = gamma_contour(*args, lam, spec)
             want = _per_node_mean(lambda z: phifun._gamma_values(*args, z), lam, spec)
@@ -276,7 +299,7 @@ def test_blocked_contour_equals_per_node_sum(kind, real_symmetry):
     want = np.zeros(lam.shape, dtype=np.complex128)
     for t in e.terms:
         z = float(t.scale) * lam
-        want += complex(t.coeff) * _per_node_mean(lambda u: phifun._phi_values(t.index, u), z, spec)
+        want += complex(t.coeff) * _per_node_mean(lambda u: _parent_phi_values(t.index, u), z, spec)
     assert eval_phi_expr(e, lam, spec).astype(np.complex128).tobytes() == want.tobytes()
 
 
@@ -289,7 +312,7 @@ def test_contour_of_a_lone_centre_equals_per_node_sum(real_symmetry):
         lam = np.array(lam, dtype=np.complex128)
         for index in (1, 2, 4, 9):
             got = phi_contour(index, lam, spec)
-            want = _per_node_mean(lambda z: phifun._phi_values(index, z), lam, spec)
+            want = _per_node_mean(lambda z: _parent_phi_values(index, z), lam, spec)
             assert got.astype(np.complex128).tobytes() == want.tobytes(), (lam, index)
         got = gamma_contour((0, 3), 2, lam, spec)
         for row, l in zip(got, (0, 3)):
@@ -493,10 +516,10 @@ def test_contour_mean_runs_on_distinct_entries_at_any_size(monkeypatch, kind, re
     assert distinct < lam.size
     spec = ContourSpec(points=32, real_symmetry=real_symmetry)
     q, k = 5, 3
-    want_phi = {l: _per_node_mean(lambda z: phifun._phi_values(l, z), lam, spec) for l in (1, 4)}
+    want_phi = {l: _per_node_mean(lambda z: _parent_phi_values(l, z), lam, spec) for l in (1, 4)}
     want_gamma = [_per_node_mean(lambda z: _parent_gamma_values(l, k, z), lam, spec)
                   for l in range(q)]
-    phi_points = _counting(monkeypatch, "_phi_values")
+    phi_points = _counting(monkeypatch, "_phi_rows")
     gamma_points = _counting(monkeypatch, "_gamma_rows")
     for l, want in want_phi.items():
         phi_points.clear()
@@ -507,6 +530,84 @@ def test_contour_mean_runs_on_distinct_entries_at_any_size(monkeypatch, kind, re
     assert sum(gamma_points) == spec.points * distinct
     for l in range(q):
         assert table[l].astype(np.complex128).tobytes() == want_gamma[l].tobytes(), l
+
+
+@pytest.mark.parametrize("real_symmetry", [True, False])
+@pytest.mark.parametrize("kind", ["real", "complex", "mixed", "long"])
+def test_phi_rows_equal_their_one_index_calls_and_the_parent_kernel(kind, real_symmetry):
+    # one contour pass over several indices shares each block's exp(z) and
+    # recurrence; every row keeps the bits and dtype of its own call, and
+    # of the per-node mean of the one-index kernel it replaced
+    lam = _blocking_diagonals()[kind]
+    spec = ContourSpec(points=32, real_symmetry=real_symmetry)
+    cases = [range(MAX_INDEX + 1), range(1, 4), (3, 1, 3)]
+    if kind == "long":
+        cases = [range(1, 4), (5, 2)]
+    for rows in cases:
+        table = phi_contour(rows, lam, spec)
+        assert table.shape == (len(rows), lam.size)
+        for row, l in zip(table, rows):
+            one = phi_contour(l, lam, spec)
+            assert (row.dtype, row.tobytes()) == (one.dtype, one.tobytes()), (kind, rows, l)
+            want = _per_node_mean(lambda z: _parent_phi_values(l, z), lam, spec)
+            assert row.astype(np.complex128).tobytes() == want.tobytes(), (kind, rows, l)
+    split = phifun._split(lam, False)
+    table = phi_contour(range(1, 4), split, spec)
+    assert table.shape == (3, split.distinct.size)
+    assert split.scatter(table).tobytes() == phi_contour(range(1, 4), lam, spec).tobytes()
+
+
+def test_phi_rows_kernel_equals_the_parent_kernel_and_reports_nothing():
+    # the shared recurrence also runs where each row's series takes over,
+    # down to z = 0, and its division by zero and overflow there are
+    # discarded without a warning (the series' own underflow at 1e-300 is
+    # the parent's too)
+    rng = np.random.default_rng(21)
+    z = np.concatenate([
+        rng.normal(size=400) * 12 + 1j * rng.normal(size=400) * 12,
+        [0.0, 1e-300, -1e-300j, 1e-8 + 1e-8j, 0.3, -4.0],
+        -np.linspace(0.0, 60.0, 50) + 0j,
+    ])
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        table = phifun._phi_rows(range(MAX_INDEX + 1), z)
+    for l, row in enumerate(table):
+        assert row.tobytes() == _parent_phi_values(l, z).tobytes(), l
+        assert phifun._phi_values(l, z).tobytes() == row.tobytes(), l
+
+
+def test_phi_contour_rejects_bad_index_sequences():
+    for bad in ((), (1, MAX_INDEX + 1), (-1,)):
+        with pytest.raises(ValueError, match="phi index"):
+            phi_contour(bad, np.array([-1.0]))
+
+
+def test_eval_phi_terms_fills_the_cache_with_one_pass_per_scale(monkeypatch):
+    lam = _blocking_diagonals()["mixed"]
+    spec = ContourSpec(points=32)
+    exprs = [phi(1) - 3 * phi(2) + phi(3), psi(1, Fraction(1, 2)), exp_term(1, Fraction(1, 2)),
+             phi(2, 1, 0.5) + phi(4, 2), const_term(2), phi(1, 1j)]
+    clear_eval_cache()
+    want = [eval_phi_expr(e, lam, spec) for e in exprs]  # term by term
+    clear_eval_cache()
+    diag = phifun.KeyedDiagonal(lam)
+    calls = []
+    plain = phifun.phi_contour
+
+    def counting(index, lam, contour=ContourSpec()):
+        calls.append(index if isinstance(index, int) else tuple(index))
+        return plain(index, lam, contour)
+
+    monkeypatch.setattr(phifun, "phi_contour", counting)
+    phifun.eval_phi_terms(exprs, diag, spec)
+    # scale 1 takes phi_1..phi_4, scale 1/2 phi_1 and phi_2
+    assert sorted(calls) == [(1, 2), (1, 2, 3, 4)]
+    got = [eval_phi_expr(e, diag, spec) for e in exprs]
+    assert len(calls) == 2  # every term was in the cache
+    for e, g, w in zip(exprs, got, want):
+        assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), e
+    phifun.eval_phi_terms(exprs, diag, spec)  # the expressions are cached
+    assert len(calls) == 2
+    clear_eval_cache()
 
 
 def test_gamma_table_memory_is_bounded_by_block_budget():
@@ -632,7 +733,7 @@ def _plain_expr(expr, lam, contour):
             vals = np.exp(z)
             out += coeff * (vals.real if real else vals)
         else:
-            vals = _per_node_mean(lambda u: phifun._phi_values(t.index, u), z, contour)
+            vals = _per_node_mean(lambda u: _parent_phi_values(t.index, u), z, contour)
             out += coeff * (vals.real if all_real else vals)
     return out
 

@@ -1,10 +1,12 @@
 """Problem-registry tests: closed-form spot values, PDE residuals for the
 analytic reference solutions, and discretization invariants."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from phistep import problems
 from phistep.problems import (
     default_grid,
     discretize,
@@ -15,7 +17,7 @@ from phistep.problems import (
     nls_breather,
     problem_names,
 )
-from phistep.spectral import Grid, diff_symbol, to_coeffs, to_values
+from phistep.spectral import Grid, diff_symbol, laplacian_symbol, to_coeffs, to_values
 
 TWO_PI = 2 * np.pi
 
@@ -445,3 +447,120 @@ def test_nls_discretized_initial_state_is_breather():
     (x,) = g.meshgrid()
     expected = to_coeffs(nls_breather(2.0, 1.0, 0.0, x)[None], g)
     np.testing.assert_allclose(sys.u0, expected, atol=1e-15)
+
+
+# ---------------------------------------------------------------------------
+# set-up from per-axis factors: the full-grid builders they replaced
+
+
+def _parent_diff_symbol(p, axis, grid):
+    """The full-grid diff_symbol that _axis_symbol replaced, verbatim."""
+    k = grid.wavenumbers(axis)
+    k2 = k * k
+    if p == 1:
+        sym = 1j * k
+    elif p == 2:
+        sym = -k2
+    elif p == 3:
+        sym = -1j * (k2 * k)
+    else:
+        sym = k2 * k2
+    if p % 2:
+        sym = sym.copy()
+        sym[grid.sizes[axis] // 2] = 0.0
+    shape = [1] * grid.dims
+    shape[axis] = grid.sizes[axis]
+    per_axis = sym.reshape(shape)
+    if grid.dims == 1:
+        return per_axis.reshape(grid.sizes)
+    return np.broadcast_to(per_axis, grid.shape).copy()
+
+
+def _parent_laplacian_symbol(grid):
+    """The sum of full-grid symbols that laplacian_symbol replaced, verbatim."""
+    out = _parent_diff_symbol(2, 0, grid)
+    for axis in range(1, grid.dims):
+        out = out + _parent_diff_symbol(2, axis, grid)
+    return out
+
+
+def _parent_gl_ic(grid):
+    """The full-grid initial data that _axis_coords replaced, verbatim
+    (as are the two below)."""
+    coords = grid.meshgrid()
+    r2 = sum((c - 50.0) ** 2 for c in coords)
+    return np.stack([np.exp(-0.1 * r2).astype(complex)])
+
+
+def _parent_schnak_ic(grid):
+    coords = grid.meshgrid()
+    g = problems.SCHNAK_G
+    u = 1.0 - np.exp(-2.0 * sum((c - g / 2.15) ** 2 for c in coords))
+    v_exp = (coords[0] - g / 2) ** 2 + 2.0 * sum((c - g / 2) ** 2 for c in coords[1:])
+    v = problems.SCHNAK_B / (problems.SCHNAK_A + problems.SCHNAK_B) ** 2 + np.exp(-2.0 * v_exp)
+    return np.stack([u, v])
+
+
+def _parent_sh_ic(grid):
+    coords = grid.meshgrid()
+    slow = sum(np.sin(np.pi * c / 10) for c in coords)
+    fast = [np.sin(np.pi * c / 2) for c in coords]
+    pairs = sum(fast[i] * fast[j] for i in range(len(fast)) for j in range(i + 1, len(fast)))
+    return np.stack([0.25 * (slow + pairs)])
+
+
+_PARENT_IC = {"gl": _parent_gl_ic, "schnak": _parent_schnak_ic, "sh": _parent_sh_ic}
+_SEPARABLE = ["gl2", "gl3", "schnak2", "schnak3", "sh2", "sh3"]
+
+
+def _same(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _oracle_grids(problem):
+    # the desk grid, and a non-cubic one on which a swapped axis would show
+    sizes, domain = (6, 8, 10)[: problem.dims], ((0.0, 7.0), (1.0, 9.5), (-2.0, 3.0))
+    return [default_grid(problem), Grid(sizes, (problem.interval,) * problem.dims),
+            Grid(sizes, domain[: problem.dims])]
+
+
+@pytest.mark.parametrize("key", _SEPARABLE)
+def test_per_axis_setup_equals_the_full_grid_builders(monkeypatch, key):
+    problem = get_problem(key)
+    for grid in _oracle_grids(problem):
+        assert _same(problem.ic(grid), _PARENT_IC[problem.name](grid)), (key, grid)
+        assert _same(laplacian_symbol(grid), _parent_laplacian_symbol(grid)), grid
+        got = problem.symbol(grid)
+        # the symbol builders are unchanged but for the Laplacian they call
+        monkeypatch.setattr(problems, "laplacian_symbol", _parent_laplacian_symbol)
+        assert _same(got, problem.symbol(grid)), (key, grid)
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("sizes", [(8,), (6, 8), (6, 8, 10), (10, 6, 8)])
+def test_diff_symbols_equal_the_full_grid_builder(sizes):
+    grid = Grid(sizes, ((0.0, 7.0), (1.0, 9.5), (-2.0, 3.0))[: len(sizes)])
+    for axis in range(grid.dims):
+        for p in (1, 2, 3, 4):
+            got = diff_symbol(p, axis, grid)
+            assert _same(got, _parent_diff_symbol(p, axis, grid)), (axis, p)
+            assert got.flags.writeable and got.flags.c_contiguous
+    assert _same(laplacian_symbol(grid), _parent_laplacian_symbol(grid))
+
+
+@pytest.mark.parametrize("key, fields", [("sh3", 4), ("gl3", 5), ("schnak3", 5)])
+def test_initial_data_memory_at_64_cubed(key, fields):
+    # the full-grid builders traced 10 float64 fields for sh3 and 8 for
+    # gl3 and schnak3; per-axis terms only reach full size when summed
+    # over every axis, beside per-plane partial sums (1/64 of a field)
+    problem = get_problem(key)
+    grid = default_grid(problem, size=64)
+    field = 8 * grid.npoints
+    problem.ic(grid)  # first-call imports and caches stay out of the trace
+    tracemalloc.start()
+    try:
+        problem.ic(grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < (fields + 1 / 16) * field, peak / field
