@@ -8,7 +8,7 @@ coefficients stably via contour integrals.  A benchmarking harness sweeps
 time steps, measures accuracy against a fine reference solution, and
 renders cost/accuracy comparisons.
 """
-from __future__ import annotations
+from types import ModuleType as _ModuleType
 
 from .errors import NoDataError, PhistepError, TableauFileError, UnstableError
 from .phifun import (
@@ -104,88 +104,6 @@ from .bench import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "PhistepError",
-    "UnstableError",
-    "TableauFileError",
-    "NoDataError",
-    "ContourSpec",
-    "PhiExpr",
-    "PhiTerm",
-    "phi",
-    "psi",
-    "exp_term",
-    "const_term",
-    "phi_scalar",
-    "gamma_scalar",
-    "phi_contour",
-    "gamma_contour",
-    "eval_phi_expr",
-    "Tableau",
-    "SchemeInfo",
-    "REGISTRY",
-    "get_scheme",
-    "list_schemes",
-    "etd_euler",
-    "etdrk2",
-    "etdrk4",
-    "build_abnorsett",
-    "build_pec",
-    "build_pecec",
-    "lawson4",
-    "ablawson4",
-    "build_gen_lawson",
-    "etd_ab_weights",
-    "etd_am_weights",
-    "complete_summation",
-    "empirical_order",
-    "load_tableau_file",
-    "Grid",
-    "NonlinearOp",
-    "wavenumbers",
-    "diff_symbol",
-    "laplacian_symbol",
-    "to_coeffs",
-    "to_values",
-    "apply_nonlinear",
-    "install_fft_counter",
-    "remove_fft_counter",
-    "fft_counter",
-    "Problem",
-    "DiscreteSystem",
-    "get_problem",
-    "list_problems",
-    "problem_names",
-    "default_grid",
-    "discretize",
-    "kdv_soliton",
-    "kdv_phase_shifts",
-    "nls_breather",
-    "PrecomputedScheme",
-    "SimState",
-    "StarterResult",
-    "IntegrationResult",
-    "Snapshot",
-    "ScalarProbe",
-    "precompute",
-    "prepare_scheme",
-    "step",
-    "start_multistep",
-    "integrate",
-    "run_scalar_probe",
-    "SweepPlan",
-    "SweepRecord",
-    "geometric_ladder",
-    "make_plan",
-    "reference_solution",
-    "rel_l2_error",
-    "run_sweep",
-    "estimate_order",
-    "export",
-    "read_records",
-    "save_field",
-    "load_field",
-    "plan_to_manifest",
-    "plan_from_manifest",
-    "__version__",
-]
+# the public names are the ones imported above
+__all__ = ["__version__", *(name for name, value in globals().items()
+                            if not name.startswith("_") and not isinstance(value, _ModuleType))]

@@ -12,6 +12,7 @@ and never aborts the sweep — only a failed reference solve does.
 from __future__ import annotations
 
 import csv
+import functools
 import itertools
 import json
 import math
@@ -28,7 +29,7 @@ from .phifun import ArrayCache, ContourSpec, digest
 from .problems import Problem, default_grid, discretize, get_problem
 from .spectral import Grid, to_values
 from .svgplot import Panel, two_panel_svg
-from .tableau import get_scheme
+from .tableau import _loglog_slope, get_scheme
 
 __all__ = [
     "CSV_HEADER",
@@ -336,10 +337,7 @@ def estimate_order(records: Sequence[SweepRecord]) -> float:
         raise NoDataError(
             f"only {len(pts)} stable point(s) above the error floor; need at least 3"
         )
-    logh = np.log([h for h, _ in pts])
-    loge = np.log([e for _, e in pts])
-    slope = np.polyfit(logh, loge, 1)[0]
-    return float(slope)
+    return _loglog_slope(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -627,25 +625,95 @@ def plan_to_manifest(plan: SweepPlan, **extra) -> dict:
 
 
 def plan_from_manifest(manifest: dict) -> SweepPlan:
-    """Rebuild a SweepPlan from a manifest echo (inverse of plan_to_manifest);
-    grid, schemes and ladder must be lists."""
-    problem = get_problem(manifest["problem"])
-    for key in ("grid", "schemes", "ladder"):
-        if not isinstance(manifest[key], (list, tuple)):
-            raise ValueError(f"manifest key {key!r} must be a list, got {manifest[key]!r}")
-    sizes = manifest["grid"]
-    if len(set(sizes)) != 1 or len(sizes) != problem.dims:
-        raise ValueError(f"grid {sizes} does not match a {problem.dims}D uniform grid")
-    grid = Grid.uniform(problem.dims, sizes[0], problem.interval)
-    points = manifest.get("contour_points")
-    contour = None if points is None else ContourSpec(points=points)
-    out_dir = manifest.get("out_dir")
-    return SweepPlan(
-        problem=problem,
-        grid=grid,
-        schemes=tuple(manifest["schemes"]),
-        ladder=tuple(manifest["ladder"]),
-        T=float(manifest["T"]),
-        contour=contour,
-        out_dir=None if out_dir is None else Path(out_dir),
-    )
+    """Build a SweepPlan from manifest keys (the inverse of plan_to_manifest).
+
+    The keys are make_plan's: problem (required), schemes, paper_scale,
+    size, T, ladder, count, contour_points and out_dir, plus grid, the
+    echo's form of size (one equal size per axis).  Each is read by
+    _read_setting, and one that is absent or null takes make_plan's
+    default.  grid and size, or ladder and count, may not both be given.
+    """
+    read = functools.partial(_read_setting, manifest, naming="manifest key {!r}")
+    name = read("problem", "name")
+    if name is None:
+        raise ValueError("a sweep needs a problem name (manifest key 'problem')")
+    problem = get_problem(name)
+    size, sizes = read("size", "integer"), read("grid", "integers")
+    if sizes is not None:
+        if len(set(sizes)) != 1 or len(sizes) != problem.dims:
+            raise ValueError(f"grid {sizes} does not match a {problem.dims}D uniform grid")
+        if size is not None:
+            raise ValueError("manifest keys 'grid' and 'size' both give the grid; keep one")
+        size = sizes[0]
+    ladder, count = read("ladder", "numbers"), read("count", "integer")
+    if ladder is not None and count is not None:
+        raise ValueError("manifest keys 'ladder' and 'count' both give the ladder; keep one")
+    points, out_dir = read("contour_points", "integer"), read("out_dir", "name")
+    settings = {
+        "paper_scale": read("paper_scale", "bool"),
+        "size": size,
+        "T": read("T", "number"),
+        "ladder": ladder,
+        "count": count,
+        "contour": None if points is None else ContourSpec(points=points),
+        "out_dir": None if out_dir is None else Path(out_dir),
+    }
+    return make_plan(problem.key, read("schemes", "names"),
+                     **{key: value for key, value in settings.items() if value is not None})
+
+
+# ---------------------------------------------------------------------------
+# settings
+
+# kind: (what a value of the kind must be, the kind of its items if it is a
+# list); "times" may also be one comma-separated string of numbers
+_KINDS = {
+    "number": ("a number", None),
+    "integer": ("an integer", None),
+    "bool": ("true or false", None),
+    "name": ("a string", None),
+    "numbers": ("a list of numbers", "number"),
+    "integers": ("a list of integers", "integer"),
+    "names": ("a list of strings", "name"),
+    "times": ("a list of times or a comma-separated string", "number"),
+}
+
+
+def _read_setting(settings: dict, key: str, kind: str, default=None, *, naming: str = "{}"):
+    """settings[key] read as a value of kind (a key of _KINDS), or default
+    when the key is absent or null.
+
+    This is the one place where the type of a manifest key or a flag is
+    checked.  A value of another kind raises ValueError naming the key
+    (formatted by naming) and the value; a list kind tells a value that
+    is not a list that it "must be a list"."""
+    value = settings.get(key)
+    if value is None:
+        return default
+    what, item = _KINDS[kind]
+    try:
+        if item is None:
+            return _read_item(value, kind)
+        items = value
+        if kind == "times" and isinstance(value, str):
+            items = [token for token in value.split(",") if token.strip()]
+        elif not isinstance(value, (list, tuple)):
+            what = what if kind == "times" else "a list"
+            raise TypeError
+        return [_read_item(one, item) for one in items]
+    except (TypeError, ValueError):
+        raise ValueError(f"{naming.format(key)} must be {what}, got {value!r}") from None
+
+
+def _read_item(value, kind: str):
+    """One value of a kind that is not a list; TypeError or ValueError
+    for a value of another kind.  A JSON boolean is no number (float(True)
+    is 1.0), bool("no") would be True, and an integer may be written as a
+    string: 64 and "64" pass, 64.5, True and "abc" do not."""
+    if kind == "integer":
+        return int(str(value))
+    if kind == "number" and not isinstance(value, bool):
+        return float(value)
+    if kind == "bool" and isinstance(value, bool) or kind == "name" and isinstance(value, str):
+        return value
+    raise TypeError

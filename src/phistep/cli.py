@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 from fractions import Fraction
@@ -31,7 +30,7 @@ import numpy as np
 from .bench import (
     estimate_order,
     export,
-    make_plan,
+    _read_setting,
     plan_from_manifest,
     plan_to_manifest,
     read_records,
@@ -99,19 +98,17 @@ def _load_manifest_file(path) -> dict:
     return manifest
 
 
-def _resolve(lookup, name: str):
-    """A registry entry, with an unknown name turned into an exit-2 error."""
-    try:
-        return lookup(name)
-    except KeyError as exc:
-        raise CliError(str(exc.args[0])) from exc
+def _settings(args: argparse.Namespace, keys) -> dict:
+    """The manifest's keys ({} without --manifest) with each flag that is
+    set laid over its key: a flag's destination is its key's name."""
+    settings = _load_manifest_file(args.manifest) if args.manifest else {}
+    settings.update((key, getattr(args, key)) for key in keys if getattr(args, key) is not None)
+    return settings
 
 
-def _parse_floats(text: str, what: str) -> List[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise CliError(f"bad {what} {text!r}: {exc}") from exc
+def _comma_list(text: str) -> List[str]:
+    """A comma-separated flag's items, each read later as its key's kind."""
+    return [token.strip() for token in text.split(",") if token.strip()]
 
 
 # ---------------------------------------------------------------------------
@@ -140,85 +137,49 @@ _ANALYTIC = {
 }
 
 
+# run's manifest keys and the kind of each; a flag's destination is its key
+_RUN_KINDS = {
+    "problem": "name", "scheme": "name", "h": "number", "T": "number", "size": "integer",
+    "desk": "bool", "contour_points": "integer", "snapshots": "times",
+    "compare_analytic": "bool", "reproduce_printed_delta0": "bool",
+}
+
+
+def _read_run(settings: dict) -> dict:
+    """Every run key of settings read by _read_setting (None when absent)."""
+    return {key: _read_setting(settings, key, kind) for key, kind in _RUN_KINDS.items()}
+
+
 def cmd_run(args: argparse.Namespace) -> int:
-    manifest = _load_manifest_file(args.manifest) if args.manifest else {}
-
-    def setting(flag, key, default=None):
-        return flag if flag is not None else manifest.get(key, default)
-
-    def number(flag, key, default=None):
-        value = setting(flag, key, default)
-        try:
-            if isinstance(value, bool):  # float(True) would be 1.0
-                raise TypeError
-            return float(value)
-        except (TypeError, ValueError) as exc:
-            raise CliError(f"bad run settings: {key} must be a number, got {value!r}") from exc
-
-    def switch(flag, key):
-        # a set flag wins; a manifest value must be a JSON boolean, since
-        # bool("no") would be True
-        value = setting(flag or None, key, False)
-        if not isinstance(value, bool):
-            raise CliError(f"bad run settings: {key} must be true or false, got {value!r}")
-        return value
-
-    def integer(flag, key):
-        value = setting(flag, key)
-        if value is None:
-            return None
-        try:
-            return int(str(value))  # 64 and "64" pass; 64.5, True and "abc" do not
-        except ValueError as exc:
-            raise CliError(f"bad run settings: {key} must be an integer, got {value!r}") from exc
-
-    problem_name = setting(args.problem, "problem")
-    if not problem_name:
-        raise CliError("run needs a problem name (argument or manifest)")
-    problem = _resolve(get_problem, problem_name)
-    scheme = _resolve(get_scheme, setting(args.scheme, "scheme", "etdrk4")).name
-    if setting(args.h, "h") is None:
-        raise CliError("run needs a step size: pass --h or a manifest with one")
-    h = number(args.h, "h")
-    # Single runs default to the paper-scale registry values; --desk shrinks.
-    desk = switch(args.desk, "desk")
-    size = integer(args.size, "size")
-    T = number(args.T, "T", problem.desk_T if desk else problem.T)
-    points = integer(args.contour, "contour_points")
     try:
+        run = _read_run(_settings(args, _RUN_KINDS))
+        if not run["problem"]:
+            raise CliError("run needs a problem name (argument or manifest)")
+        if run["h"] is None:
+            raise CliError("run needs a step size: pass --h or a manifest with one")
+        problem = get_problem(run["problem"])
+        scheme = get_scheme(run["scheme"] or "etdrk4").name
+        h, size, points = run["h"], run["size"], run["contour_points"]
+        # Single runs default to the paper-scale registry values; --desk shrinks.
+        desk = bool(run["desk"])
+        T = run["T"] if run["T"] is not None else (problem.desk_T if desk else problem.T)
+        snapshots = run["snapshots"] or []
+        compare, delta0 = bool(run["compare_analytic"]), bool(run["reproduce_printed_delta0"])
+        if compare and problem.name not in _ANALYTIC:
+            raise CliError(
+                f"--compare-analytic has no closed-form solution registered for "
+                f"{problem.key}; available: {', '.join(sorted(_ANALYTIC))}"
+            )
         grid = default_grid(problem, paper_scale=not desk, size=size)
         contour = None if points is None else ContourSpec(points=points)
-    except ValueError as exc:
-        raise CliError(f"bad run settings: {exc}") from exc
-    snapshots = setting(args.snapshots, "snapshots") or []
-    if isinstance(snapshots, str):
-        snapshots = _parse_floats(snapshots, "snapshot times")
-    else:
-        try:
-            if not isinstance(snapshots, list) or any(isinstance(t, bool) for t in snapshots):
-                raise TypeError
-            snapshots = [float(t) for t in snapshots]
-        except (TypeError, ValueError) as exc:
-            raise CliError("bad run settings: snapshots must be a list of times or a "
-                           f"comma-separated string, got {snapshots!r}") from exc
-    compare = switch(args.compare_analytic, "compare_analytic")
-    delta0 = switch(args.reproduce_printed_delta0, "reproduce_printed_delta0")
-    if compare and problem.name not in _ANALYTIC:
-        raise CliError(
-            f"--compare-analytic has no closed-form solution registered for "
-            f"{problem.key}; available: {', '.join(sorted(_ANALYTIC))}"
-        )
+        print(f"problem {problem.key} ({problem.dims}D), grid {'x'.join(map(str, grid.sizes))}, "
+              f"T {T:g}, scheme {scheme}, h {h:g}")
+        result = integrate(discretize(problem, grid), scheme, h, T, contour=contour,
+                           snapshot_times=snapshots, delta0_state=delta0)
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"bad run settings: {exc.args[0]}") from exc
 
     key = problem.key
-    system = discretize(problem, grid)
-    print(f"problem {key} ({problem.dims}D), grid {'x'.join(map(str, grid.sizes))}, "
-          f"T {T:g}, scheme {scheme}, h {h:g}")
-    try:
-        result = integrate(system, scheme, h, T, contour=contour,
-                           snapshot_times=snapshots, delta0_state=delta0)
-    except ValueError as exc:
-        raise CliError(f"bad run settings: {exc}") from exc
-
     out = Path(args.out) if args.out else _default_out()
     out.mkdir(parents=True, exist_ok=True)
     stem = f"{key}_{scheme}"
@@ -237,7 +198,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     echo = {
         "problem": key, "scheme": scheme, "h": result.h, "T": T,
         "size": grid.sizes[0], "contour_points": points, "desk": desk,
-        "snapshots": list(snapshots), "compare_analytic": compare,
+        "snapshots": snapshots, "compare_analytic": compare,
         "reproduce_printed_delta0": delta0,
     }
     echo_path = out / f"{stem}_run.json"
@@ -263,43 +224,36 @@ def cmd_run(args: argparse.Namespace) -> int:
 # bench
 
 
+_BENCH_KEYS = ("problem", "schemes", "paper_scale", "size", "T", "ladder", "count",
+               "contour_points", "jobs", "repetitions")
+
+# a set flag also drops the manifest key that gives its setting another way
+_BENCH_REPLACES = {"size": "grid", "ladder": "count", "count": "ladder"}
+
+
 def cmd_bench(args: argparse.Namespace) -> int:
-    jobs = args.jobs
-    if args.manifest:
-        manifest = _load_manifest_file(args.manifest)
-        try:
-            plan = plan_from_manifest(manifest)
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"bad bench manifest: {exc}") from exc
-    else:
-        if not args.problem:
-            raise CliError("bench needs a problem name (argument or --manifest)")
-        problem = _resolve(get_problem, args.problem)
-        schemes = None
-        if args.schemes:
-            schemes = [_resolve(get_scheme, s).name for s in args.schemes.split(",") if s.strip()]
-        ladder = _parse_floats(args.ladder, "ladder") if args.ladder else None
-        points = args.contour
-        try:
-            plan = make_plan(
-                problem.key, schemes,
-                paper_scale=args.paper_scale, size=args.size, T=args.T,
-                ladder=ladder, count=args.count,
-                contour=None if points is None else ContourSpec(points=points),
-            )
-        except (KeyError, ValueError) as exc:
-            raise CliError(f"bad bench settings: {exc}") from exc
+    settings = _settings(args, _BENCH_KEYS)
+    for key, other in _BENCH_REPLACES.items():
+        if getattr(args, key) is not None:
+            settings.pop(other, None)
+    bad = f"bad bench {'manifest' if args.manifest else 'settings'}"
+    try:
+        plan = plan_from_manifest(settings)
+        jobs = _read_setting(settings, "jobs", "integer", naming="manifest key {!r}")
+        reps = _read_setting(settings, "repetitions", "integer", 3, naming="manifest key {!r}")
+    except (KeyError, ValueError) as exc:
+        raise CliError(f"{bad}: {exc.args[0]}") from exc
 
     out = Path(args.out) if args.out else (plan.out_dir or _default_out())
     key = plan.problem.key
     try:
-        records = run_sweep(plan, jobs=jobs, repetitions=args.reps)
+        records = run_sweep(plan, jobs=jobs, repetitions=reps)
     except ValueError as exc:
-        raise CliError(f"bad bench settings: {exc}") from exc
+        raise CliError(f"{bad}: {exc}") from exc
 
     paths = export(
         records, out, basename=key, title=key,
-        manifest=plan_to_manifest(plan, jobs=jobs, repetitions=args.reps),
+        manifest=plan_to_manifest(plan, jobs=jobs, repetitions=reps),
     )
     print(f"sweep {key}: {len(plan.schemes)} schemes x {len(plan.ladder)} steps, T {plan.T:g}")
     for scheme in plan.schemes:
@@ -342,8 +296,10 @@ def cmd_order(args: argparse.Namespace) -> int:
             except NoDataError as exc:
                 print(f"  {scheme}  n/a ({exc})")
         return 0
-    names = ([_resolve(get_scheme, s).name for s in args.schemes.split(",") if s.strip()]
-             if args.schemes else sorted(REGISTRY))
+    try:
+        names = [get_scheme(s).name for s in args.schemes] if args.schemes else sorted(REGISTRY)
+    except KeyError as exc:
+        raise CliError(exc.args[0]) from exc
     print("scheme  declared  measured  verdict")
     all_ok = True
     for name in names:
@@ -527,19 +483,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_list = sub.add_parser("list", help="show the scheme and problem catalogs")
     p_list.set_defaults(func=cmd_list)
 
+    # Each setting's destination is its manifest key; a flag left out is
+    # None (store_true flags too), so the manifest key or the default holds.
     p_run = sub.add_parser("run", help="integrate one problem and dump fields")
     p_run.add_argument("problem", nargs="?", help="problem registry name (e.g. ks)")
     p_run.add_argument("--scheme", help="scheme registry name (default etdrk4)")
     p_run.add_argument("--h", type=float, help="time step")
     p_run.add_argument("--T", type=float, help="horizon (default: registry)")
     p_run.add_argument("--size", type=int, help="grid points per axis")
-    p_run.add_argument("--desk", action="store_true",
+    p_run.add_argument("--desk", action="store_true", default=None,
                        help="use the reduced desk-scale grid and horizon")
-    p_run.add_argument("--contour", type=int, help="contour quadrature points")
+    p_run.add_argument("--contour", dest="contour_points", type=int,
+                       help="contour quadrature points")
     p_run.add_argument("--snapshots", help="comma-separated times to dump")
-    p_run.add_argument("--compare-analytic", action="store_true",
+    p_run.add_argument("--compare-analytic", action="store_true", default=None,
                        help="print the error against a closed-form solution")
-    p_run.add_argument("--reproduce-printed-delta0", action="store_true",
+    p_run.add_argument("--reproduce-printed-delta0", action="store_true", default=None,
                        help="feed the starter's printed form of the first "
                             "finite-difference column")
     p_run.add_argument("--out", help="output directory")
@@ -548,26 +507,28 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_bench = sub.add_parser("bench", help="sweep schemes over step sizes")
     p_bench.add_argument("problem", nargs="?", help="problem registry name")
-    p_bench.add_argument("--schemes", help="comma-separated scheme names")
+    p_bench.add_argument("--schemes", type=_comma_list, help="comma-separated scheme names")
     p_bench.add_argument("--desk", action="store_true",
                          help="desk-scale settings (the default)")
-    p_bench.add_argument("--paper-scale", action="store_true",
+    p_bench.add_argument("--paper-scale", action="store_true", default=None,
                          help="full-resolution grids and horizons")
-    p_bench.add_argument("--ladder", help="comma-separated step sizes, descending")
-    p_bench.add_argument("--count", type=int, default=7,
-                         help="rungs in the default ladder T/2^4 .. T/2^(3+count)")
+    p_bench.add_argument("--ladder", type=_comma_list,
+                         help="comma-separated step sizes, descending")
+    p_bench.add_argument("--count", type=int,
+                         help="rungs in the default ladder T/2^4 .. T/2^(3+count) (default 7)")
     p_bench.add_argument("--T", type=float, help="horizon override")
     p_bench.add_argument("--size", type=int, help="grid points per axis")
-    p_bench.add_argument("--contour", type=int, help="contour quadrature points")
+    p_bench.add_argument("--contour", dest="contour_points", type=int,
+                         help="contour quadrature points")
     p_bench.add_argument("--jobs", type=int, help="max parallel workers")
-    p_bench.add_argument("--reps", type=int, default=3,
-                         help="timing repetitions per stable point")
+    p_bench.add_argument("--reps", dest="repetitions", type=int,
+                         help="timing repetitions per stable point (default 3)")
     p_bench.add_argument("--out", help="output directory")
     p_bench.add_argument("--manifest", help="rerun from a manifest echo")
     p_bench.set_defaults(func=cmd_bench)
 
     p_order = sub.add_parser("order", help="estimate convergence orders")
-    p_order.add_argument("--schemes", help="comma-separated scheme names (default all)")
+    p_order.add_argument("--schemes", type=_comma_list, help="comma-separated scheme names (default all)")
     p_order.add_argument("--csv", help="estimate from an exported sweep CSV instead")
     p_order.set_defaults(func=cmd_order)
 

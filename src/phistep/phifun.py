@@ -57,7 +57,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Rational
+from numbers import Integral, Rational
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
@@ -331,6 +331,9 @@ class ContourSpec:
     real_symmetry: bool = True
 
     def __post_init__(self) -> None:
+        if isinstance(self.points, bool) or not isinstance(self.points, Integral):
+            raise ValueError(f"contour points must be an integer, got {self.points!r}")
+        object.__setattr__(self, "points", int(self.points))
         if self.points < 4:
             raise ValueError(f"contour needs at least 4 points, got {self.points}")
 

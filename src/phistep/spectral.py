@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import contextvars
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -79,6 +80,9 @@ class Grid:
     half_shape: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
+        for n in self.sizes:
+            if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+                raise ValueError(f"axis sizes must be integers, got {n!r}")
         sizes = tuple(int(n) for n in self.sizes)
         domain = tuple((float(a), float(b)) for a, b in self.domain)
         object.__setattr__(self, "sizes", sizes)

@@ -778,8 +778,15 @@ def empirical_order(scheme, h_set: Optional[Sequence[float]] = None, probe=None)
     pts = [(h, e) for h, e in zip(steps, errors) if e > 1e-13]
     if len(pts) < 2:
         pts = list(zip(steps, errors))
-    xs = [math.log(h) for h, _ in pts]
-    ys = [math.log(e) for _, e in pts]
+    return _loglog_slope(pts)
+
+
+def _loglog_slope(points) -> float:
+    """Least-squares slope of log(error) against log(h) over (h, error)
+    pairs: the convergence order that empirical_order and
+    bench.estimate_order report, each over its own points."""
+    xs = [math.log(h) for h, _ in points]
+    ys = [math.log(e) for _, e in points]
     n = len(xs)
     xbar, ybar = sum(xs) / n, sum(ys) / n
     return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(

@@ -3,6 +3,7 @@ sweep execution with instability recording, order estimation with its
 error-floor rule, and CSV/SVG/JSON export round-trips."""
 import json
 import math
+import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -357,6 +358,18 @@ def test_estimate_order_needs_three_qualifying_points():
         estimate_order(flat)
 
 
+def test_estimate_order_and_empirical_order_share_one_fit():
+    from phistep import tableau
+
+    points = [(0.1, 3e-4), (0.05, 2e-5), (0.025, 1.3e-6), (0.0125, 8e-8)]
+    want = np.polyfit(np.log([h for h, _ in points]), np.log([e for _, e in points]), 1)[0]
+    assert tableau._loglog_slope(points) == pytest.approx(want, rel=1e-12)
+    assert bench._loglog_slope is tableau._loglog_slope
+    records = [SweepRecord("etdrk4", h, h, e, 1.0, True, True) for h, e in points]
+    records.append(SweepRecord("etdrk4", 0.00625, 0.00625, 1e-12, 1.0, True, True))  # floor
+    assert estimate_order(records) == tableau._loglog_slope(points)
+
+
 def test_estimate_order_rejects_mixed_schemes():
     records = _synthetic_records()
     records[0] = SweepRecord("lawson4", 1.0, 0.1, 0.7, 1e-3, True, True)
@@ -490,6 +503,78 @@ def test_plan_manifest_round_trip_2d():
     assert manifest["problem"] == "gl2"
     assert manifest["grid"] == [32, 32]
     assert plan_from_manifest(manifest) == plan
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("T", True, "a number"),
+    ("grid", [32.5], "a list of integers"),
+    ("grid", ["32", True], "a list of integers"),
+    ("problem", ["nls"], "a string"),
+    ("schemes", ["etdrk4", 4], "a list of strings"),
+    ("ladder", [0.5, "x"], "a list of numbers"),
+    ("contour_points", 16.5, "an integer"),
+    ("paper_scale", "yes", "true or false"),
+    ("out_dir", 5, "a string"),
+])
+def test_plan_from_manifest_names_the_key_and_value_of_a_wrong_type(key, value, kind):
+    manifest = plan_to_manifest(make_plan("ks", ["etdrk4"], count=3))
+    manifest[key] = value
+    with pytest.raises(ValueError) as info:
+        plan_from_manifest(manifest)
+    assert str(info.value) == f"manifest key {key!r} must be {kind}, got {value!r}"
+
+
+def test_plan_from_manifest_takes_make_plans_defaults_and_keys():
+    assert plan_from_manifest({"problem": "ks"}) == make_plan("ks")
+    assert (plan_from_manifest({"problem": "gl2", "schemes": ["lawson4"], "size": "16",
+                                "count": 3, "paper_scale": False, "contour_points": "64"})
+            == make_plan("gl2", ["lawson4"], size=16, count=3, contour=ContourSpec(points=64)))
+    assert plan_from_manifest({"problem": "ks", "paper_scale": True, "T": 2}) == make_plan(
+        "ks", paper_scale=True, T=2.0)
+
+
+@pytest.mark.parametrize("extra, cause", [
+    ({}, "a sweep needs a problem name (manifest key 'problem')"),
+    ({"problem": "ks", "grid": [64], "size": 64}, "'grid' and 'size' both give the grid"),
+    ({"problem": "ks", "ladder": [0.5], "count": 3}, "'ladder' and 'count' both give the ladder"),
+    ({"problem": "ks", "grid": [64, 64]}, "grid [64, 64] does not match a 1D uniform grid"),
+])
+def test_plan_from_manifest_rejects_missing_or_doubled_keys(extra, cause):
+    with pytest.raises(ValueError, match=re.escape(cause)):
+        plan_from_manifest(extra)
+
+
+@pytest.mark.parametrize("kind, value, want", [
+    ("number", 2, 2.0), ("number", "0.5", 0.5), ("integer", "64", 64),
+    ("integer", np.int64(8), 8), ("bool", False, False), ("name", "ks", "ks"),
+    ("numbers", (1, 0.5), [1.0, 0.5]), ("integers", [2, "4"], [2, 4]),
+    ("names", [], []), ("times", "0.5, 1,", [0.5, 1.0]), ("times", [2], [2.0]),
+])
+def test_read_setting_accepts_its_kind(kind, value, want):
+    got = bench._read_setting({"k": value}, "k", kind)
+    assert got == want and type(got) is type(want)
+
+
+@pytest.mark.parametrize("kind, value, what", [
+    ("number", True, "a number"), ("number", "abc", "a number"), ("number", [1], "a number"),
+    ("integer", 2.5, "an integer"), ("integer", False, "an integer"), ("integer", "2.0", "an integer"),
+    ("bool", 1, "true or false"), ("bool", "true", "true or false"),
+    ("name", 3, "a string"), ("name", ["ks"], "a string"),
+    ("names", "ks", "a list"), ("names", {"ks": 1}, "a list"), ("numbers", 0.5, "a list"),
+    ("integers", [1.5], "a list of integers"), ("numbers", [False], "a list of numbers"),
+    ("times", 5, "a list of times or a comma-separated string"),
+    ("times", "1,x", "a list of times or a comma-separated string"),
+])
+def test_read_setting_rejects_other_kinds_naming_key_and_value(kind, value, what):
+    with pytest.raises(ValueError) as info:
+        bench._read_setting({"k": value}, "k", kind)
+    assert str(info.value) == f"k must be {what}, got {value!r}"
+
+
+def test_read_setting_gives_the_default_for_an_absent_or_null_key():
+    assert bench._read_setting({}, "k", "number", 3.0) == 3.0
+    assert bench._read_setting({"k": None}, "k", "bool", False) is False
+    assert bench._read_setting({}, "k", "names") is None
 
 
 # ---------------------------------------------------------------------------

@@ -3,11 +3,14 @@ comparison, bench sweeps with manifest round-trips, order estimation,
 self-test, and the exit-code contract (0 ok, 2 bad input, 3 unstable)."""
 import csv
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phistep.bench import clear_reference_cache, load_field, make_plan, plan_to_manifest, read_records
+from phistep import cli
+from phistep.bench import (clear_reference_cache, load_field, make_plan, plan_from_manifest,
+                           plan_to_manifest, read_records)
 from phistep.cli import main
 
 
@@ -200,6 +203,34 @@ def test_run_manifest_integer_strings_and_snapshot_lists_pass(tmp_path, capsys):
     assert (out / "nls_etdrk4_t0.01.txt").exists()
 
 
+@pytest.mark.parametrize("key, value", [("problem", 5), ("scheme", 4), ("problem", ["nls"])])
+def test_run_manifest_name_of_the_wrong_type_exits_2_naming_it(tmp_path, capsys, key, value):
+    # these once ended in an AttributeError traceback
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({"problem": "nls", "h": 1e-2, "desk": True, key: value}))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+    assert f"bad run settings: {key} must be a string, got {value!r}" in capsys.readouterr().err
+
+
+def test_run_from_its_own_echo_writes_the_same_bytes(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "ks", "--desk", "--h", "0.3", "--T", "3", "--snapshots", "1.5",
+                 "--out", str(first)]) == 0
+    assert main(["run", "--manifest", str(first / "ks_etdrk4_run.json"),
+                 "--out", str(second)]) == 0
+    for name in ("ks_etdrk4_final.txt", "ks_etdrk4_t1.5.txt", "ks_etdrk4_run.json"):
+        assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_run_flags_override_manifest_keys(tmp_path, capsys):
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main(["run", "ks", "--desk", "--h", "0.3", "--T", "3", "--out", str(first)]) == 0
+    assert main(["run", "--manifest", str(first / "ks_etdrk4_run.json"), "--T", "1.5",
+                 "--scheme", "lawson4", "--out", str(second)]) == 0
+    echo = json.loads((second / "ks_lawson4_run.json").read_text())
+    assert (echo["T"], echo["scheme"], echo["h"], echo["desk"]) == (1.5, "lawson4", 0.3, True)
+
+
 def test_run_uses_env_output_root(tmp_path, capsys):
     code = main(["run", "nls", "--scheme", "etdrk4", "--h", "1e-2", "--desk"])
     assert code == 0
@@ -269,6 +300,55 @@ def test_bench_manifest_wrong_type_exits_2_naming_the_key(tmp_path, capsys, key,
     assert f"bad bench manifest: manifest key {key!r} must be a list, got {value!r}" in err
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("T", True, "a number"),
+    ("grid", [32.5], "a list of integers"),
+    ("problem", ["nls"], "a string"),
+    ("contour_points", "sixty-four", "an integer"),
+    ("jobs", True, "an integer"),
+    ("repetitions", 1.5, "an integer"),
+])
+def test_bench_manifest_bad_value_exits_2_naming_the_key(tmp_path, capsys, key, value, kind):
+    # T = true once ran at T = 1.0, and grid [32.5] at 32
+    manifest = plan_to_manifest(make_plan("ks", ["etdrk4"], count=3))
+    manifest[key] = value
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(manifest))
+    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"bad bench manifest: manifest key {key!r} must be {kind}, got {value!r}" in captured.err
+    assert captured.out == ""  # nothing ran
+
+
+def _tiny_echo(tmp_path):
+    """The manifest echo of a tiny ks sweep at T = 1 (reps 1, jobs 1)."""
+    out = tmp_path / "first"
+    assert main(["bench", "ks", "--schemes", "etdrk4", "--T", "1",
+                 "--ladder", "0.125,0.0625,0.03125", "--reps", "1", "--jobs", "1",
+                 "--out", str(out)]) == 0
+    return out / "ks.json"
+
+
+def test_bench_flags_override_manifest_keys(tmp_path, capsys):
+    out = tmp_path / "again"
+    assert main(["bench", "--manifest", str(_tiny_echo(tmp_path)), "--T", "0.25",
+                 "--schemes", "lawson4", "--out", str(out)]) == 0
+    echo = json.loads((out / "ks.json").read_text())
+    assert (echo["T"], echo["schemes"]) == (0.25, ["lawson4"])
+    # keys no flag sets come from the manifest: jobs and repetitions too
+    assert echo["ladder"] == [0.125, 0.0625, 0.03125] and echo["grid"] == [64]
+    assert (echo["jobs"], echo["repetitions"]) == (1, 1)
+    assert {r.scheme for r in read_records(out / "ks.csv")} == {"lawson4"}
+
+
+def test_bench_size_and_count_flags_replace_the_manifests_grid_and_ladder(tmp_path, capsys):
+    out = tmp_path / "again"
+    assert main(["bench", "--manifest", str(_tiny_echo(tmp_path)), "--size", "32",
+                 "--count", "2", "--reps", "2", "--out", str(out)]) == 0
+    echo = json.loads((out / "ks.json").read_text())
+    assert (echo["grid"], echo["ladder"], echo["repetitions"]) == ([32], [1 / 16, 1 / 32], 2)
+
+
 def test_bench_unknown_scheme_exits_2(capsys, tmp_path):
     assert main(["bench", "ks", "--schemes", "nosuch", "--out", str(tmp_path)]) == 2
     assert "nosuch" in capsys.readouterr().err
@@ -316,3 +396,34 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
     assert "selftest: PASS" in out
     assert "buffered step (workspace vs fresh)  PASS  20/20" in out
+
+
+# ---------------------------------------------------------------------------
+# the manifests in README
+
+
+def _readme_manifests(tmp_path) -> dict:
+    """The JSON blocks of README's Manifests section, by the file name
+    their first comment line gives, each read as --manifest reads it."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Manifests\n", 1)[1].split("\n## ", 1)[0]
+    blocks = [b for b in section.split("```")[1::2] if "{" in b]
+    manifests = {}
+    for block in blocks:
+        name = block.strip().splitlines()[0].lstrip("# ").split()[0]
+        path = tmp_path / name
+        path.write_text(block, encoding="utf-8")
+        manifests[name] = cli._load_manifest_file(path)
+    return manifests
+
+
+def test_readme_manifests_resolve_through_the_reader(tmp_path):
+    manifests = _readme_manifests(tmp_path)
+    assert sorted(manifests) == ["ks_sweep.json", "nls_run.json"]
+    plan = plan_from_manifest(manifests["ks_sweep.json"])
+    assert plan == make_plan("ks", ["abnorsett4", "abnorsett5", "abnorsett6", "etdrk4"],
+                             size=64, T=30.0, ladder=[30.0 * 2.0 ** -k for k in range(4, 11)])
+    run = cli._read_run(manifests["nls_run.json"])
+    assert {key: value for key, value in run.items() if value is not None} == {
+        "problem": "nls", "scheme": "etdrk4", "h": 1e-4, "compare_analytic": True}
+    assert set(run) == set(cli._RUN_KINDS)

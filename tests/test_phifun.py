@@ -851,6 +851,20 @@ def test_contour_spec_validation():
         ContourSpec(points=2)
 
 
+@pytest.mark.parametrize("points", [True, 16.5, "64", 64.0, None])
+def test_contour_spec_rejects_points_that_are_not_an_integer(points):
+    # 16.5 once ran as a 16.5-point rule: phi_1(-1) came out 0.6452, not 0.6321
+    with pytest.raises(ValueError, match=f"contour points must be an integer, got {points!r}"):
+        ContourSpec(points=points)
+
+
+def test_contour_spec_takes_numpy_integers_as_ints():
+    spec = ContourSpec(points=np.int64(16))
+    assert spec == ContourSpec(points=16) and type(spec.points) is int
+    got = phi_contour(1, np.array([-1.0, -2.0]), spec)
+    np.testing.assert_allclose(got, [1 - math.exp(-1), (1 - math.exp(-2)) / 2], rtol=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # PhiExpr algebra
 

@@ -71,6 +71,19 @@ def test_grid_validation(sizes, domain):
         Grid(sizes, domain)
 
 
+@pytest.mark.parametrize("size", [32.5, 32.0, "32", True])
+def test_grid_rejects_a_size_that_is_not_an_integer(size):
+    # int(32.5) once made a 32-point axis
+    with pytest.raises(ValueError, match=f"axis sizes must be integers, got {size!r}"):
+        Grid((size,), ((0.0, 1.0),))
+
+
+def test_grid_takes_numpy_integer_sizes_as_ints():
+    grid = Grid(np.array([8, 6]), ((0.0, 1.0),) * 2)
+    assert grid == Grid((8, 6), ((0.0, 1.0),) * 2)
+    assert all(type(n) is int for n in grid.sizes)
+
+
 # ---------------------------------------------------------------------------
 # wavenumbers
 
