@@ -4,25 +4,24 @@ The package discretizes u_t = L u + N(u) on periodic boxes with a Fourier
 spectral method and advances the Fourier coefficients with a catalog of
 exponential time integrators (ETD Runge-Kutta, ETD multistep,
 predictor-corrector and Lawson-type schemes), evaluating the phi-function
-coefficients stably via contour integrals.  A benchmarking harness sweeps
-time steps, measures accuracy against a fine reference solution, and
-renders cost/accuracy comparisons.
+coefficients stably by series and recurrence kernels.  A benchmarking
+harness sweeps time steps, measures accuracy against a fine reference
+solution, and renders cost/accuracy comparisons.
 """
 from types import ModuleType as _ModuleType
 
 from .errors import NoDataError, PhistepError, TableauFileError, UnstableError
 from .phifun import (
-    ContourSpec,
     PhiExpr,
     PhiTerm,
     const_term,
     eval_phi_expr,
     exp_term,
-    gamma_contour,
     gamma_scalar,
+    gamma_values,
     phi,
-    phi_contour,
     phi_scalar,
+    phi_values,
     psi,
 )
 from .tableau import (

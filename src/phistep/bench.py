@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NoDataError, UnstableError
 from .integrator import integrate, require_steps, step_count
-from .phifun import ArrayCache, ContourSpec, digest
+from .phifun import ArrayCache, digest
 from .problems import Problem, default_grid, discretize, get_problem
 from .spectral import Grid, to_values
 from .svgplot import Panel, two_panel_svg
@@ -121,7 +121,6 @@ class SweepPlan:
     schemes: Tuple[str, ...]
     ladder: Tuple[float, ...]
     T: float
-    contour: Optional[ContourSpec] = None
     out_dir: Optional[Path] = None
 
     def __post_init__(self) -> None:
@@ -152,7 +151,6 @@ def make_plan(
     T: Optional[float] = None,
     ladder: Optional[Sequence[float]] = None,
     count: int = 7,
-    contour: Optional[ContourSpec] = None,
     out_dir: Optional[Path] = None,
 ) -> SweepPlan:
     """Build a SweepPlan from a problem's registry defaults.
@@ -174,7 +172,6 @@ def make_plan(
         schemes=tuple(schemes) if schemes else _DEFAULT_SCHEMES,
         ladder=rungs,
         T=horizon,
-        contour=contour,
         out_dir=out_dir,
     )
 
@@ -197,11 +194,11 @@ def _system_key(system) -> tuple:
             digest(np.asarray(system.lam), np.asarray(system.u0)))
 
 
-def reference_solution(system, T: float, h_min: float, *, contour: Optional[ContourSpec] = None) -> np.ndarray:
+def reference_solution(system, T: float, h_min: float) -> np.ndarray:
     """Final coefficients of a reference solve at half the smallest sweep step.
 
     Uses the highest-order catalog scheme at h_min/2 and caches the
-    result per (system, T, h_min, contour): a second call with the same key
+    result per (system, T, h_min): a second call with the same key
     returns the identical (read-only) array without re-solving.  The
     cache is the byte-bounded LRU of the phi cache, with its own budget of
     the same size, so the least recently used references are dropped
@@ -210,12 +207,12 @@ def reference_solution(system, T: float, h_min: float, *, contour: Optional[Cont
     """
     if not h_min > 0:
         raise ValueError(f"h_min must be positive, got {h_min}")
-    key = (_system_key(system), float(T), float(h_min), contour)
+    key = (_system_key(system), float(T), float(h_min))
     cached = _REFERENCE_CACHE.get(key)
     if cached is not None:
         return cached
     try:
-        result = integrate(system, REFERENCE_SCHEME, h_min / 2.0, T, contour=contour)
+        result = integrate(system, REFERENCE_SCHEME, h_min / 2.0, T)
     except UnstableError as exc:
         raise UnstableError(
             f"reference solve ({REFERENCE_SCHEME} at h={h_min / 2.0:g}) for "
@@ -269,7 +266,7 @@ def run_sweep(
     for name in plan.schemes:
         require_steps(get_scheme(name).tableau(), plan.ladder[0], plan.T)
     system = discretize(plan.problem, plan.grid)
-    reference = reference_solution(system, plan.T, plan.ladder[-1], contour=plan.contour)
+    reference = reference_solution(system, plan.T, plan.ladder[-1])
     ref_values = to_values(reference, system.grid)
 
     points = [(scheme, h) for scheme in plan.schemes for h in plan.ladder]
@@ -277,7 +274,7 @@ def run_sweep(
     def solve(point):
         scheme, h = point
         try:
-            result = integrate(system, scheme, h, plan.T, contour=plan.contour)
+            result = integrate(system, scheme, h, plan.T)
         except UnstableError:
             h_snap = plan.T / step_count(h, plan.T)
             return SweepRecord(
@@ -306,7 +303,7 @@ def run_sweep(
             timed.append(record)
             continue
         best = min(
-            integrate(system, record.scheme, record.h, plan.T, contour=plan.contour).seconds
+            integrate(system, record.scheme, record.h, plan.T).seconds
             for _ in range(repetitions)
         )
         timed.append(replace(record, seconds=best))
@@ -617,22 +614,33 @@ def plan_to_manifest(plan: SweepPlan, **extra) -> dict:
         "schemes": list(plan.schemes),
         "ladder": list(plan.ladder),
         "T": plan.T,
-        "contour_points": None if plan.contour is None else plan.contour.points,
         "out_dir": None if plan.out_dir is None else str(plan.out_dir),
     }
     manifest.update(extra)
     return manifest
 
 
+# the keys plan_from_manifest reads, and the keys a bench echo writes
+# beside them (export's records_csv, and the run flags jobs and
+# repetitions that cmd_bench reads)
+_PLAN_KEYS = ("problem", "schemes", "paper_scale", "size", "grid", "T", "ladder", "count",
+              "out_dir")
+_ECHO_KEYS = ("records_csv", "jobs", "repetitions")
+
+
 def plan_from_manifest(manifest: dict) -> SweepPlan:
     """Build a SweepPlan from manifest keys (the inverse of plan_to_manifest).
 
     The keys are make_plan's: problem (required), schemes, paper_scale,
-    size, T, ladder, count, contour_points and out_dir, plus grid, the
-    echo's form of size (one equal size per axis).  Each is read by
-    _read_setting, and one that is absent or null takes make_plan's
-    default.  grid and size, or ladder and count, may not both be given.
+    size, T, ladder, count and out_dir, plus grid, the echo's form of
+    size (one equal size per axis).  Each is read by _read_setting, and
+    one that is absent or null takes make_plan's default.  Any other key
+    but the echo's records_csv, jobs and repetitions is refused by name
+    (_check_keys).  grid and size, or ladder and count, may not both be
+    given, and paper_scale is refused beside a grid and T, which leave it
+    nothing to choose.
     """
+    _check_keys(manifest, _PLAN_KEYS + _ECHO_KEYS)
     read = functools.partial(_read_setting, manifest, naming="manifest key {!r}")
     name = read("problem", "name")
     if name is None:
@@ -648,14 +656,18 @@ def plan_from_manifest(manifest: dict) -> SweepPlan:
     ladder, count = read("ladder", "numbers"), read("count", "integer")
     if ladder is not None and count is not None:
         raise ValueError("manifest keys 'ladder' and 'count' both give the ladder; keep one")
-    points, out_dir = read("contour_points", "integer"), read("out_dir", "name")
+    paper_scale, T = read("paper_scale", "bool"), read("T", "number")
+    if paper_scale and size is not None and T is not None:
+        raise ValueError(f"manifest key 'paper_scale' changes nothing beside "
+                         f"{'grid' if sizes is not None else 'size'!r} and 'T', which fix "
+                         "the grid and the horizon; drop one of them")
+    out_dir = read("out_dir", "name")
     settings = {
-        "paper_scale": read("paper_scale", "bool"),
+        "paper_scale": paper_scale,
         "size": size,
-        "T": read("T", "number"),
+        "T": T,
         "ladder": ladder,
         "count": count,
-        "contour": None if points is None else ContourSpec(points=points),
         "out_dir": None if out_dir is None else Path(out_dir),
     }
     return make_plan(problem.key, read("schemes", "names"),
@@ -703,6 +715,16 @@ def _read_setting(settings: dict, key: str, kind: str, default=None, *, naming: 
         return [_read_item(one, item) for one in items]
     except (TypeError, ValueError):
         raise ValueError(f"{naming.format(key)} must be {what}, got {value!r}") from None
+
+
+def _check_keys(settings: dict, known) -> None:
+    """Raise ValueError naming the first key of settings that is not in
+    known, and the known keys: a misspelt key, or one that is no longer
+    read, would otherwise leave its default in place without a word."""
+    for key in settings:
+        if key not in known:
+            raise ValueError(f"unknown manifest key {key!r} (misspelt, or no longer read); "
+                             f"the keys are {', '.join(sorted(known))}")
 
 
 def _read_item(value, kind: str):

@@ -30,6 +30,7 @@ import numpy as np
 from .bench import (
     estimate_order,
     export,
+    _check_keys,
     _read_setting,
     plan_from_manifest,
     plan_to_manifest,
@@ -48,17 +49,7 @@ from .integrator import (
     start_multistep,
     step,
 )
-from .phifun import (
-    ContourSpec,
-    KeyedDiagonal,
-    const_term,
-    eval_phi_expr,
-    exp_term,
-    gamma_contour,
-    phi,
-    phi_contour,
-    phi_scalar,
-)
+from .phifun import KeyedDiagonal, const_term, eval_phi_expr, exp_term, gamma_values, phi
 from .problems import NLS_A, NLS_B, default_grid, discretize, get_problem, nls_breather, problem_names
 from .spectral import Grid, to_coeffs, to_values
 from .tableau import REGISTRY, empirical_order, get_scheme, list_schemes
@@ -140,13 +131,15 @@ _ANALYTIC = {
 # run's manifest keys and the kind of each; a flag's destination is its key
 _RUN_KINDS = {
     "problem": "name", "scheme": "name", "h": "number", "T": "number", "size": "integer",
-    "desk": "bool", "contour_points": "integer", "snapshots": "times",
+    "desk": "bool", "snapshots": "times",
     "compare_analytic": "bool", "reproduce_printed_delta0": "bool",
 }
 
 
 def _read_run(settings: dict) -> dict:
-    """Every run key of settings read by _read_setting (None when absent)."""
+    """Every run key of settings read by _read_setting (None when absent);
+    a key that is not a run key is refused by name."""
+    _check_keys(settings, _RUN_KINDS)
     return {key: _read_setting(settings, key, kind) for key, kind in _RUN_KINDS.items()}
 
 
@@ -159,7 +152,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise CliError("run needs a step size: pass --h or a manifest with one")
         problem = get_problem(run["problem"])
         scheme = get_scheme(run["scheme"] or "etdrk4").name
-        h, size, points = run["h"], run["size"], run["contour_points"]
+        h, size = run["h"], run["size"]
         # Single runs default to the paper-scale registry values; --desk shrinks.
         desk = bool(run["desk"])
         T = run["T"] if run["T"] is not None else (problem.desk_T if desk else problem.T)
@@ -171,10 +164,9 @@ def cmd_run(args: argparse.Namespace) -> int:
                 f"{problem.key}; available: {', '.join(sorted(_ANALYTIC))}"
             )
         grid = default_grid(problem, paper_scale=not desk, size=size)
-        contour = None if points is None else ContourSpec(points=points)
         print(f"problem {problem.key} ({problem.dims}D), grid {'x'.join(map(str, grid.sizes))}, "
               f"T {T:g}, scheme {scheme}, h {h:g}")
-        result = integrate(discretize(problem, grid), scheme, h, T, contour=contour,
+        result = integrate(discretize(problem, grid), scheme, h, T,
                            snapshot_times=snapshots, delta0_state=delta0)
     except (KeyError, ValueError) as exc:
         raise CliError(f"bad run settings: {exc.args[0]}") from exc
@@ -197,7 +189,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         ))
     echo = {
         "problem": key, "scheme": scheme, "h": result.h, "T": T,
-        "size": grid.sizes[0], "contour_points": points, "desk": desk,
+        "size": grid.sizes[0], "desk": desk,
         "snapshots": snapshots, "compare_analytic": compare,
         "reproduce_printed_delta0": delta0,
     }
@@ -224,8 +216,8 @@ def cmd_run(args: argparse.Namespace) -> int:
 # bench
 
 
-_BENCH_KEYS = ("problem", "schemes", "paper_scale", "size", "T", "ladder", "count",
-               "contour_points", "jobs", "repetitions")
+_BENCH_KEYS = ("problem", "schemes", "paper_scale", "size", "T", "ladder", "count", "jobs",
+               "repetitions")
 
 # a set flag also drops the manifest key that gives its setting another way
 _BENCH_REPLACES = {"size": "grid", "ladder": "count", "count": "ladder"}
@@ -314,29 +306,13 @@ def cmd_order(args: argparse.Namespace) -> int:
 # selftest
 
 
-def _selftest_phi() -> tuple:
-    grid = np.concatenate([
-        -np.logspace(-6, 6, 25),
-        1j * np.logspace(-4, 4, 13),
-        -1j * np.logspace(-4, 4, 13),
-    ])
-    worst = 0.0
-    for index in range(10):
-        via_contour = phi_contour(index, grid)
-        for z, approx in zip(grid, via_contour):
-            exact = phi_scalar(index, complex(z))
-            scale = max(abs(exact), 1e-300)
-            worst = max(worst, abs(approx - exact) / scale)
-    return worst <= 1e-12, f"max rel {worst:.2e} over l<=9 grid"
-
-
 def _selftest_gamma_table() -> tuple:
     lam = np.concatenate([
         -np.logspace(-4, 4, 17), 1j * np.logspace(-3, 3, 7), [0.0, -2.0 + 0.5j, 3.0 - 40j],
     ])
     q, k = 6, 5
-    table = gamma_contour(range(q), k, lam)
-    same = sum(table[l].tobytes() == gamma_contour(l, k, lam).tobytes() for l in range(q))
+    table = gamma_values(range(q), k, lam)
+    same = sum(table[l].tobytes() == gamma_values(l, k, lam).tobytes() for l in range(q))
     return same == q, f"{same}/{q} rows of gamma_l({k}, .) bit for bit on a mixed diagonal"
 
 
@@ -449,7 +425,6 @@ def _selftest_orders() -> tuple:
 
 def cmd_selftest(args: argparse.Namespace) -> int:
     stages = [
-        ("phi kernels (contour vs series)", _selftest_phi),
         ("γ tables (batched vs per-row)", _selftest_gamma_table),
         ("φ on distinct entries (vs alone)", _selftest_keyed_split),
         ("classical reductions at z=0", _selftest_reductions),
@@ -493,8 +468,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--size", type=int, help="grid points per axis")
     p_run.add_argument("--desk", action="store_true", default=None,
                        help="use the reduced desk-scale grid and horizon")
-    p_run.add_argument("--contour", dest="contour_points", type=int,
-                       help="contour quadrature points")
     p_run.add_argument("--snapshots", help="comma-separated times to dump")
     p_run.add_argument("--compare-analytic", action="store_true", default=None,
                        help="print the error against a closed-form solution")
@@ -518,8 +491,6 @@ def _build_parser() -> argparse.ArgumentParser:
                          help="rungs in the default ladder T/2^4 .. T/2^(3+count) (default 7)")
     p_bench.add_argument("--T", type=float, help="horizon override")
     p_bench.add_argument("--size", type=int, help="grid points per axis")
-    p_bench.add_argument("--contour", dest="contour_points", type=int,
-                         help="contour quadrature points")
     p_bench.add_argument("--jobs", type=int, help="max parallel workers")
     p_bench.add_argument("--reps", dest="repetitions", type=int,
                          help="timing repetitions per stable point (default 3)")

@@ -58,8 +58,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UnstableError
-from .phifun import (ContourSpec, KeyedDiagonal, PhiExpr, eval_phi_expr, eval_phi_terms, exp_term,
-                     gamma_table)
+from .phifun import KeyedDiagonal, PhiExpr, eval_phi_expr, eval_phi_terms, exp_term, gamma_table
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -214,8 +213,7 @@ def _lowering(tableau: Tableau) -> tuple:
     return lowered
 
 
-def precompute(tableau: Tableau, h: float, lam,
-               contour: Optional[ContourSpec] = None) -> PrecomputedScheme:
+def precompute(tableau: Tableau, h: float, lam) -> PrecomputedScheme:
     """Lower the tableau at h*lam into the row program of PrecomputedScheme.
 
     The symbolic half of the lowering depends on the tableau alone and is
@@ -223,12 +221,12 @@ def precompute(tableau: Tableau, h: float, lam,
     distinct expressions at h*lam.  h*lam is keyed (converted to complex
     and digested) once, and every expression goes through eval_phi_expr
     with that key, after eval_phi_terms has put their uncached phi terms
-    in the cache with one contour pass per argument scale (two for
+    in the cache with one phi_values pass per argument scale (two for
     ETDRK4: phi_1..phi_3 at h*lam, phi_1 at h*lam/2); the arrays are
     those of term-by-term evaluation, bit for bit.  lam may also be a
     KeyedDiagonal, which must then hold
     h*lam already (integrate builds one for the scheme and its starter).
-    contour None is ContourSpec.for_diagonal(lam).  Requires a complete
+    Requires a complete
     tableau (summation property filled in, or a scheme exempt from it);
     h must be positive.  Deterministic for fixed inputs.
     """
@@ -238,10 +236,9 @@ def precompute(tableau: Tableau, h: float, lam,
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     diag = lam if isinstance(lam, KeyedDiagonal) else KeyedDiagonal(h * np.asarray(lam))
-    contour = contour or ContourSpec.for_diagonal(diag.values)
     exprs, program = _lowering(tableau)
-    eval_phi_terms(exprs, diag, contour)
-    arrays = [eval_phi_expr(expr, diag, contour) for expr in exprs]
+    eval_phi_terms(exprs, diag)
+    arrays = [eval_phi_expr(expr, diag) for expr in exprs]
     rows = tuple(
         (arrays[propagator], source, tuple((arrays[c], operand) for c, operand in terms))
         for propagator, source, terms in program)
@@ -392,10 +389,10 @@ def _tableau_of(scheme: SchemeLike) -> Tableau:
     return info.tableau()
 
 
-def prepare_scheme(scheme: SchemeLike, h: float, lam, contour: Optional[ContourSpec] = None):
+def prepare_scheme(scheme: SchemeLike, h: float, lam):
     """Resolve a scheme name, registry entry, or explicit tableau into a
     precomputed step engine; lam is as in precompute."""
-    return precompute(_tableau_of(scheme), h, lam, contour)
+    return precompute(_tableau_of(scheme), h, lam)
 
 
 def step_count(h: float, T: float) -> int:
@@ -431,7 +428,6 @@ def start_multistep(
     h: float,
     system,
     u0: np.ndarray,
-    contour: Optional[ContourSpec] = None,
     *,
     delta0_state: bool = False,
     initial_norm: Optional[float] = None,
@@ -456,8 +452,7 @@ def start_multistep(
     arrays.  The returned arrays are the starter's own.
 
     diag is h*system.lam keyed once (integrate passes the one it keyed
-    for the scheme), or None to key it here; contour None is
-    ContourSpec.for_diagonal(diag.values).  Each
+    for the scheme), or None to key it here.  Each
     gamma_0..gamma_{q-1}(j, hL) comes from one cached phifun.gamma_table
     per j, so schemes with the same q at the same h (abnorsett4 and
     genlawson43, or a repeated integration) share their tables.
@@ -472,17 +467,16 @@ def start_multistep(
         initial_norm = _max_norm(u0)
     if diag is None:
         diag = KeyedDiagonal(h * np.asarray(system.lam))
-    contour = contour or ContourSpec.for_diagonal(diag.values)
 
-    boot = prepare_scheme("etdrk2", h, diag, contour)
+    boot = prepare_scheme("etdrk2", h, diag)
     work = _StepWork(boot, u0.shape, system)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
     old = []
     for _ in range(q - 1):
         state = step(state, boot, system, work=work)
         old.append(state.coeffs.copy())
-    rows = [(eval_phi_expr(exp_term(1, j), diag, contour), 0,
-             tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag, contour))))
+    rows = [(eval_phi_expr(exp_term(1, j), diag), 0,
+             tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag))))
             for j in range(1, q)]
     evaluate, product, norm = work.evaluate, work.product, work.norm
     nl = [evaluate(u, np.empty_like(product), product) for u in (u0, *old)]
@@ -557,7 +551,6 @@ def integrate(
     h: float,
     T: float,
     *,
-    contour: Optional[ContourSpec] = None,
     snapshot_times: Sequence[float] = (),
     delta0_state: bool = False,
 ) -> IntegrationResult:
@@ -592,7 +585,7 @@ def integrate(
     try:
         # h*L keyed once for the scheme and the starter
         diag = KeyedDiagonal(h * np.asarray(system.lam))
-        engine = prepare_scheme(tableau, h, diag, contour)
+        engine = prepare_scheme(tableau, h, diag)
         q = engine.steps
         u0 = np.array(system.u0, dtype=complex, copy=True)
         initial_norm = _max_norm(u0)
@@ -606,7 +599,7 @@ def integrate(
                 )
 
         if q > 1:
-            starter = start_multistep(q, h, system, u0, contour, delta0_state=delta0_state,
+            starter = start_multistep(q, h, system, u0, delta0_state=delta0_state,
                                       initial_norm=initial_norm, diag=diag)
             state, converged, iterations = starter.state, starter.converged, starter.iterations
             starting = starter.states

@@ -16,36 +16,41 @@ The gamma functions drive multistep starting procedures:
 
 where binom(k, j) = 0 once j > k.
 
-Direct evaluation of either family in float64 is unstable for small |z|
-(Kassam & Trefethen, SIAM J. Sci. Comput. 26 (2005)), so diagonal operator
-arguments go through a unit-circle contour mean instead: the trapezoidal
-rule on |s - lambda| = 1 is exact to far below float precision for these
-entire functions.  The mean is taken once per distinct diagonal entry
-and scattered back to every repeat.  A diagonal is split into its
-distinct entries and the inverse index once (_split; on the float64 real
-parts when every entry is real): a KeyedDiagonal keeps its split for
-every phi and gamma evaluation over it, so eval_phi_expr and gamma_table
-evaluate, scale and accumulate at distinct length and scatter each
-result once.  The contour points of many nodes and entries are evaluated
-together, in blocks of bounded size, by a hybrid vectorized kernel
-(truncated series near 0, closed-form recurrence away from it).
+Evaluating either family by its defining formula in float64 cancels
+catastrophically for small |z|.  Kassam & Trefethen (SIAM J. Sci. Comput.
+26 (2005)) cure this with a mean over a contour around each argument;
+the kernels here cure it as Cox & Matthews (J. Comput. Phys. 176 (2002))
+do, with a truncated series below a switch radius and the recurrence
+above it (_phi_rows, _gamma_rows), and the gamma kernels in long double.
+Against 80-digit references, on the diagonals of every problem, they
+keep phi_1..phi_7 within 1e-13 and gamma within 1e-14 relative error,
+so no contour mean is taken: a diagonal's values are the kernels'
+values at its entries.
+
+A diagonal is split into its distinct entries and the inverse index
+once (_split; on the float64 real parts when every entry is real), the
+kernels run on the distinct entries in slices of bounded size, and the
+result is scattered back to every repeat.  A KeyedDiagonal keeps its
+split for every phi and gamma evaluation over it, so eval_phi_expr and
+gamma_table evaluate, scale and accumulate at distinct length and
+scatter each result once.
 
 The phi recurrence yields phi_0..phi_l on its way to phi_l, so
-phi_contour also takes a sequence of indices and evaluates those rows in
-one contour pass, sharing exp(z) and the recurrence (_phi_rows), each
-with the bits of its own one-index call.  Every phi term of a row
-program that shares an argument scale (ETDRK4's phi_1, phi_2 and phi_3
-at z) is thus one pass: eval_phi_terms groups the uncached terms of
-many expressions by scale and fills the cache that eval_phi_expr reads.
+phi_values also takes a sequence of indices and evaluates those rows in
+one pass, sharing exp(z) and the recurrence (_phi_rows), each with the
+bits of its own one-index call.  Every phi term of a row program that
+shares an argument scale (ETDRK4's phi_1, phi_2 and phi_3 at z) is thus
+one pass: eval_phi_terms groups the uncached terms of many expressions
+by scale and fills the cache that eval_phi_expr reads.
 
 The gamma kernels run in long double.  Their series coefficients are
 exact rationals, built once per (j, k) in integer arithmetic and kept as
 long-double scalars for an in-place Horner loop.  The gamma recurrence
-yields gamma_0..gamma_j on its way to gamma_j, so gamma_contour also
-takes a sequence of indices and evaluates those rows in one contour
-pass, each with the bits of its own one-index call.  A multistep starter
-needs the table gamma_0..gamma_{q-1}(k, .) for each k < q; gamma_table
-keeps such tables in the same byte-bounded cache as the phi arrays of
+yields gamma_0..gamma_j on its way to gamma_j, so gamma_values also
+takes a sequence of indices and evaluates those rows in one pass, each
+with the bits of its own one-index call.  A multistep starter needs the
+table gamma_0..gamma_{q-1}(k, .) for each k < q; gamma_table keeps such
+tables in the same byte-bounded cache as the phi arrays of
 eval_phi_expr, keyed by the diagonal's digest.
 """
 from __future__ import annotations
@@ -57,15 +62,13 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from numbers import Integral, Rational
+from numbers import Rational
 from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 __all__ = [
     "MAX_INDEX",
-    "CONTOUR_RADIUS",
-    "ContourSpec",
     "PhiTerm",
     "PhiExpr",
     "phi",
@@ -73,9 +76,9 @@ __all__ = [
     "const_term",
     "psi",
     "phi_scalar",
-    "phi_contour",
+    "phi_values",
     "gamma_scalar",
-    "gamma_contour",
+    "gamma_values",
     "eval_phi_expr",
     "clear_eval_cache",
 ]
@@ -145,18 +148,6 @@ def _phi_rows(rows: Sequence[int], z: np.ndarray) -> np.ndarray:
         if near.any():
             row[near] = _phi_series(index, z[near])
     return out
-
-
-def _phi_values(index: int, z: np.ndarray) -> np.ndarray:
-    """phi_index at every entry of a complex ndarray (_phi_rows' one-row case)."""
-    return _phi_rows((index,), z)[0]
-
-
-def phi_scalar(index: int, z: complex) -> complex:
-    """phi_index(z) for a single complex argument."""
-    if not 0 <= index <= MAX_INDEX:
-        raise ValueError(f"phi index must be in [0, {MAX_INDEX}], got {index}")
-    return complex(_phi_values(index, np.asarray([z], dtype=np.complex128))[0])
 
 
 # gamma values feed starting procedures only (tiny arrays, precompute-time),
@@ -292,138 +283,16 @@ def _gamma_rows(rows: Sequence[int], k: int, z: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gamma_values(j: int, k: int, z: np.ndarray) -> np.ndarray:
-    """gamma_j(k, .) at every entry of a complex ndarray."""
-    return _gamma_rows((j,), k, z)[0]
-
-
-def gamma_scalar(j: int, k: int, z: complex) -> complex:
-    """gamma_j(k, z) for a single complex argument."""
-    if not 0 <= j <= MAX_INDEX:
-        raise ValueError(f"gamma index must be in [0, {MAX_INDEX}], got {j}")
-    if not 1 <= k <= MAX_INDEX:
-        raise ValueError(f"gamma step multiplier must be in [1, {MAX_INDEX}], got {k}")
-    return complex(_gamma_values(j, k, np.asarray([z], dtype=np.complex128))[0])
-
-
 # ---------------------------------------------------------------------------
-# contour means
+# values over diagonals
 
 
-# radius of the contour around each diagonal entry
-CONTOUR_RADIUS = 1.0
-
-
-@dataclass(frozen=True)
-class ContourSpec:
-    """Unit-circle trapezoidal rule used to evaluate phi/gamma at diagonals.
-
-    points: number of quadrature nodes M.  The integrator's default is
-        for_diagonal's grid rule: 64 for a 1D diagonal, 32 in 2D and 3D
-        (the rule's aliasing error for these entire functions is far below
-        float precision either way); the phi-layer functions default to 64.
-    real_symmetry: evaluate real entries on the upper half circle only and
-        keep the real part of the mean, so real operators get coefficients
-        with exactly zero imaginary part.
-    """
-
-    points: int = 64
-    real_symmetry: bool = True
-
-    def __post_init__(self) -> None:
-        if isinstance(self.points, bool) or not isinstance(self.points, Integral):
-            raise ValueError(f"contour points must be an integer, got {self.points!r}")
-        object.__setattr__(self, "points", int(self.points))
-        if self.points < 4:
-            raise ValueError(f"contour needs at least 4 points, got {self.points}")
-
-    @classmethod
-    def for_diagonal(cls, lam) -> "ContourSpec":
-        """The grid rule: 64 points when lam has at most two axes (the
-        components and one grid axis, or a bare scalar probe), else 32."""
-        return cls(points=64 if np.ndim(lam) <= 2 else 32)
-
-
-# Byte budget of the contour points handed to a kernel in one call (4096
-# complex128 points).  A kernel's temporaries are a fixed multiple of its
+# Byte budget of the entries handed to a kernel in one call (4096
+# complex128 entries).  A kernel's temporaries are a fixed multiple of its
 # input (the gamma recurrence holds up to MAX_INDEX + 1 long-double copies),
-# so this bounds the working memory of a contour mean whatever the
+# so this bounds the working memory of an evaluation whatever the
 # diagonal's length.
 _BLOCK_BYTES = 1 << 16
-
-
-def _node_sum(values_fn, nrows: int, nodes: np.ndarray, centers: np.ndarray,
-              real: bool) -> np.ndarray:
-    """Sum over nodes of values_fn(centers + node) (real parts if real),
-    blocked, with values_fn's leading axis of nrows rows kept.
-
-    The running sum is added into each block's first node row (addition
-    commutes exactly), and one reduction over the node axis adds the rest
-    in order, so every entry is summed as ((acc + n0) + n1) + ..., the
-    order of one addition per node.  numpy keeps that order while a
-    block has more than one centre; a lone centre's column would be
-    summed pairwise, so it is accumulated instead.  A block of one node
-    is a single addition."""
-    acc = np.zeros((nrows, centers.size), dtype=np.float64 if real else np.complex128)
-    per_block = max(1, _BLOCK_BYTES // centers.itemsize)
-    # at least 1, so an empty diagonal gives an empty sum, not a zero division
-    width = max(1, min(centers.size, per_block))
-    per_call = per_block // width
-    for c0 in range(0, centers.size, width):
-        c = centers[c0 : c0 + width]
-        part = acc[:, c0 : c0 + width]
-        for n0 in range(0, nodes.size, per_call):
-            block = values_fn(nodes[n0 : n0 + per_call, None] + c)
-            values = block.real if real else block
-            if values.shape[1] == 1:  # diagonals wider than one block
-                part += values[:, 0]
-            else:
-                values[:, 0] += part
-                if c.size > 1:
-                    np.add.reduce(values, axis=1, out=part)
-                else:
-                    part[...] = np.add.accumulate(values, axis=1)[:, -1]
-            # drop the block and its view before the next call peaks
-            del block, values
-    return acc
-
-
-def _contour_mean(values_fn, nrows: int, lam: np.ndarray, contour: ContourSpec) -> np.ndarray:
-    """Means of values_fn over unit-circle contours centred at each entry.
-
-    Real entries use M nodes on the upper half circle and the real part of
-    the mean (the conjugate-symmetric lower half is implied), complex
-    entries the full circle.
-
-    The result, shaped (nrows, lam.size), is float64 when every entry is
-    real (and real_symmetry is on), complex128 otherwise; there the real
-    entries have exactly zero imaginary part.
-
-    values_fn must act entrywise on an ndarray of any shape and return its
-    nrows rows stacked on a new leading axis, as a new array that the sum
-    may overwrite.  It is called on whole (nodes, centres) blocks of at
-    most _BLOCK_BYTES of points: as many node rows as fit, with the
-    centres split as well when one row alone exceeds the budget.  The
-    nodes of each block are added to the sum in node order (_node_sum),
-    which is the summation order of one call per node, so the result
-    depends neither on the blocking nor on the rows evaluated alongside.
-    Working memory beyond the input and output arrays is nrows times a
-    fixed multiple of _BLOCK_BYTES, whatever the length of lam.
-    """
-    lam = np.ascontiguousarray(lam, dtype=np.complex128)
-    real_mask = (lam.imag == 0.0) if contour.real_symmetry else np.zeros(lam.shape, bool)
-    M = contour.points
-    half = CONTOUR_RADIUS * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M)
-    full = CONTOUR_RADIUS * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M)
-    if real_mask.all() or not real_mask.any():
-        real = bool(real_mask.all())
-        out = _node_sum(values_fn, nrows, half if real else full, lam, real)
-        out /= M
-        return out
-    out = np.empty((nrows, lam.size), dtype=np.complex128)
-    out[:, real_mask] = _node_sum(values_fn, nrows, half, lam[real_mask], real=True) / M
-    out[:, ~real_mask] = _node_sum(values_fn, nrows, full, lam[~real_mask], real=False) / M
-    return out
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,7 +309,7 @@ class Split:
     def scaled(self, factor: float) -> "Split":
         """The split of factor * diagonal: factor * distinct, same inverse.
         Two distinct entries whose products round together stay apart,
-        which changes no bit, since each entry's mean is its own."""
+        which changes no bit, since each entry's value is its own."""
         return Split(factor * self.distinct, self.inverse, self.shape)
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
@@ -466,30 +335,38 @@ def _split(values: np.ndarray, real: bool) -> Split:
     return Split(distinct.astype(np.complex128, copy=False), inverse.reshape(-1), values.shape)
 
 
-def _contour_eval(values_fn, nrows: int, lam, contour: ContourSpec) -> np.ndarray:
-    """The contour means of values_fn's rows at a scalar or ndarray of
-    diagonal entries, shaped (nrows, *np.shape(lam)), or at the distinct
-    entries of a Split, shaped (nrows, distinct.size) and left for the
-    caller to scatter.
+def _evaluate(values_fn, nrows: int, lam) -> np.ndarray:
+    """values_fn's rows at a scalar or ndarray of diagonal entries, shaped
+    (nrows, *np.shape(lam)), or at the distinct entries of a Split,
+    shaped (nrows, distinct.size) and left for the caller to scatter.
 
-    An array is split first (_split), so the means are taken over its
-    distinct entries at any size and scattered back; a diagonal without
-    repeats keeps the identity split and is evaluated in place.  An
-    entry's mean depends neither on the other entries nor on the
-    blocking, so this changes no bit of the result.  Operator diagonals
-    repeat heavily: a 2D Laplacian has O(N) distinct values on an N^2
-    grid, and the 1D Schrodinger diagonal -i h k^2 takes each value at +k
-    and -k, so about half of its contour points would be evaluated twice.
+    An array is split first (_split) and the values scattered back, so
+    values_fn runs once per distinct entry at any size; operator
+    diagonals repeat heavily (a 2D Laplacian has O(N) distinct values on
+    an N^2 grid).  values_fn must act entrywise on a 1-D complex array
+    and return its nrows rows stacked on a new leading axis; it is
+    called on slices of at most _BLOCK_BYTES of entries, so its working
+    memory is bounded whatever the diagonal's length, and the slicing
+    changes no bit.  The result is float64, the real parts, when every
+    entry is real, and complex128 otherwise.
     """
     if isinstance(lam, Split):
-        return _contour_mean(values_fn, nrows, lam.distinct, contour)
-    arr = np.asarray(lam, dtype=np.complex128)
-    split = _split(arr, not arr.imag.any())
-    return split.scatter(_contour_mean(values_fn, nrows, split.distinct, contour))
+        split = lam
+    else:
+        arr = np.asarray(lam, dtype=np.complex128)
+        split = _split(arr, not arr.imag.any())
+    z = split.distinct
+    real = not z.imag.any()
+    out = np.empty((nrows, z.size), dtype=np.float64 if real else np.complex128)
+    width = _BLOCK_BYTES // z.itemsize
+    for start in range(0, z.size, width):
+        block = values_fn(z[start : start + width])
+        out[:, start : start + width] = block.real if real else block
+    return out if split is lam else split.scatter(out)
 
 
 def _one_row(table: np.ndarray):
-    """Row 0 of a one-row contour table; a complex for a scalar diagonal."""
+    """Row 0 of a one-row table; a complex for a scalar diagonal."""
     return complex(table[0]) if table.ndim == 1 else table[0]
 
 
@@ -503,39 +380,49 @@ def _indices(index, what: str) -> tuple:
     return single, rows
 
 
-def phi_contour(index, lam, contour: ContourSpec = ContourSpec()):
-    """phi_index at a scalar or ndarray of diagonal entries via contour mean.
+def phi_values(index, lam):
+    """phi_index at a scalar or ndarray of diagonal entries.
 
-    An ndarray gives float64 when all its entries are real and the contour
-    has real_symmetry, complex128 otherwise; a scalar gives a complex.
-    lam may also be a Split: the values at its distinct entries are then
-    returned, 1-D and unscattered (Split.scatter puts them back).
+    An ndarray gives float64 when all its entries are real, complex128
+    otherwise; a scalar gives a complex.  lam may also be a Split: the
+    values at its distinct entries are then returned, 1-D and
+    unscattered (Split.scatter puts them back).
 
     index may also be a sequence of indices, e.g. range(1, 4): the rows
-    are then evaluated in one contour pass, sharing each block's exp(z)
-    and recurrence (_phi_rows), and returned stacked as an ndarray of
-    shape (len(index), *np.shape(lam)), or (len(index), distinct.size)
-    for a Split.  Every row has the bits of its own one-index call.
+    are then evaluated in one pass, sharing exp(z) and the recurrence
+    (_phi_rows), and returned stacked as an ndarray of shape
+    (len(index), *np.shape(lam)), or (len(index), distinct.size) for a
+    Split.  Every row has the bits of its own one-index call.
     """
     single, rows = _indices(index, "phi")
-    table = _contour_eval(lambda z: _phi_rows(rows, z), len(rows), lam, contour)
+    table = _evaluate(lambda z: _phi_rows(rows, z), len(rows), lam)
     return _one_row(table) if single else table
 
 
-def gamma_contour(j, k: int, lam, contour: ContourSpec = ContourSpec()):
-    """gamma_j(k, .) at a scalar or ndarray of diagonal entries via contour
-    mean, with the return types of phi_contour.
+def phi_scalar(index: int, z: complex) -> complex:
+    """phi_index(z) for a single complex argument."""
+    return complex(phi_values(index, complex(z)))
+
+
+def gamma_values(j, k: int, lam):
+    """gamma_j(k, .) at a scalar or ndarray of diagonal entries, with the
+    return types of phi_values.
 
     j may also be a sequence of indices, e.g. range(q): the rows are then
-    evaluated in one contour pass, sharing each block's recurrence, and
-    returned stacked as in phi_contour.  Every row has the bits of its
-    own one-index call.  gamma_table keeps such tables in the phi cache.
+    evaluated in one pass, sharing the recurrence, and returned stacked
+    as in phi_values.  Every row has the bits of its own one-index call.
+    gamma_table keeps such tables in the phi cache.
     """
     single, rows = _indices(j, "gamma")
     if not 1 <= k <= MAX_INDEX:
         raise ValueError(f"gamma step multiplier must be in [1, {MAX_INDEX}], got {k}")
-    table = _contour_eval(lambda z: _gamma_rows(rows, k, z), len(rows), lam, contour)
+    table = _evaluate(lambda z: _gamma_rows(rows, k, z), len(rows), lam)
     return _one_row(table) if single else table
+
+
+def gamma_scalar(j: int, k: int, z: complex) -> complex:
+    """gamma_j(k, z) for a single complex argument."""
+    return complex(gamma_values(j, k, complex(z)))
 
 
 # ---------------------------------------------------------------------------
@@ -790,32 +677,30 @@ def clear_eval_cache() -> None:
     _EVAL_CACHE.clear()
 
 
-def _expr_key(expr: PhiExpr, diag: KeyedDiagonal, contour: ContourSpec) -> tuple:
-    return ("expr", expr.fingerprint(), diag.digest, contour)
+def _expr_key(expr: PhiExpr, diag: KeyedDiagonal) -> tuple:
+    return ("expr", expr.fingerprint(), diag.digest)
 
 
-def _term_key(index: int, scale: float, diag: KeyedDiagonal, contour: ContourSpec) -> tuple:
-    return ("phi", index, scale, diag.digest, contour)
+def _term_key(index: int, scale: float, diag: KeyedDiagonal) -> tuple:
+    return ("phi", index, scale, diag.digest)
 
 
-def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> np.ndarray:
+def eval_phi_expr(expr: PhiExpr, diag) -> np.ndarray:
     """Evaluate a PhiExpr entrywise over an operator diagonal.
 
     diag is an array-like, digested on entry, or a KeyedDiagonal, which
     a caller evaluating many expressions over one diagonal (as precompute
     does) builds once.  Returns a read-only array shaped like diag:
-    float64 when every entry of diag and every term's coefficient is real
-    and the contour has real_symmetry, complex128 otherwise.  Real entries
-    go through the real-symmetry contour, so their values have exactly
-    zero imaginary part either way.
+    float64 when every entry of diag and every term's coefficient is
+    real, complex128 otherwise.
 
     The expression is worked out on the diagonal's distinct entries only
     (KeyedDiagonal.split): exponential terms exp(scale * z) by np.exp,
-    phi terms by phi_contour at scale * distinct, each added in term
+    phi terms by phi_values at scale * distinct, each added in term
     order at distinct length, and the sum is scattered to every entry
     once.  Each entry sees the operations of a plain entrywise
     evaluation, so the bits are those of one.  Results are cached on
-    (expression, diagonal digest, contour), and the underlying
+    (expression, diagonal digest), and the underlying
     phi_index(scale * distinct) arrays are cached separately, at distinct
     length, so expressions sharing terms (every tableau does) are
     evaluated once; the cache keeps at most _CACHE_BYTES.
@@ -824,12 +709,11 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
         raise TypeError(f"expected PhiExpr, got {type(expr).__name__}")
     if not isinstance(diag, KeyedDiagonal):
         diag = KeyedDiagonal(diag)
-    key = _expr_key(expr, diag, contour)
+    key = _expr_key(expr, diag)
     hit = _EVAL_CACHE.get(key)
     if hit is not None:
         return hit
-    real = contour.real_symmetry and diag.real and all(
-        complex(t.coeff).imag == 0 for t in expr.terms)
+    real = diag.real and all(complex(t.coeff).imag == 0 for t in expr.terms)
     split = diag.split
     out = np.zeros(split.distinct.shape, dtype=np.float64 if real else np.complex128)
     for t in expr.terms:
@@ -843,48 +727,47 @@ def eval_phi_expr(expr: PhiExpr, diag, contour: ContourSpec = ContourSpec()) -> 
             vals = np.exp(float(t.scale) * split.distinct)
             out += coeff * (vals.real if real else vals)
             continue
-        tkey = _term_key(t.index, float(t.scale), diag, contour)
+        tkey = _term_key(t.index, float(t.scale), diag)
         vals = _EVAL_CACHE.get(tkey)
         if vals is None:
-            vals = _EVAL_CACHE.put(tkey, phi_contour(t.index, split.scaled(float(t.scale)), contour))
+            vals = _EVAL_CACHE.put(tkey, phi_values(t.index, split.scaled(float(t.scale))))
         out += coeff * vals
     return _EVAL_CACHE.put(key, split.scatter(out))
 
 
-def eval_phi_terms(exprs: Iterable[PhiExpr], diag: KeyedDiagonal,
-                   contour: ContourSpec = ContourSpec()) -> None:
+def eval_phi_terms(exprs: Iterable[PhiExpr], diag: KeyedDiagonal) -> None:
     """Put in the phi cache every phi term array (index >= 1) that
     eval_phi_expr will need for exprs over diag and that the cache lacks,
-    with one phi_contour pass per argument scale for all of that scale's
+    with one phi_values pass per argument scale for all of that scale's
     indices.  Expressions already cached need none.  The arrays are the
     ones eval_phi_expr would evaluate term by term, bit for bit, so a
     caller about to evaluate many expressions over one diagonal (as
     precompute does) calls this first and then eval_phi_expr as usual."""
     scales: dict = {}
     for expr in exprs:
-        if _EVAL_CACHE.get(_expr_key(expr, diag, contour)) is not None:
+        if _EVAL_CACHE.get(_expr_key(expr, diag)) is not None:
             continue
         for t in expr.terms:
             scale = float(t.scale)
-            if t.index and _EVAL_CACHE.get(_term_key(t.index, scale, diag, contour)) is None:
+            if t.index and _EVAL_CACHE.get(_term_key(t.index, scale, diag)) is None:
                 scales.setdefault(scale, set()).add(t.index)
     for scale, indices in scales.items():
         rows = sorted(indices)
-        table = phi_contour(rows, diag.split.scaled(scale), contour)
+        table = phi_values(rows, diag.split.scaled(scale))
         for index, values in zip(rows, table):
             # a copy of its own, so evicting one row frees it
-            _EVAL_CACHE.put(_term_key(index, scale, diag, contour), values.copy())
+            _EVAL_CACHE.put(_term_key(index, scale, diag), values.copy())
 
 
-def gamma_table(q: int, k: int, diag: KeyedDiagonal, contour: ContourSpec = ContourSpec()) -> np.ndarray:
+def gamma_table(q: int, k: int, diag: KeyedDiagonal) -> np.ndarray:
     """gamma_0..gamma_{q-1}(k, .) over a keyed diagonal, stacked on a
-    leading axis: gamma_contour(range(q), k, diag.values, contour), with
-    the contours taken on the diagonal's split and the table scattered
-    once; read only, cached on (q, k, diagonal digest, contour) in the
-    phi cache and evicted with the other arrays under its byte budget."""
-    key = ("gamma", q, k, diag.digest, contour)
+    leading axis: gamma_values(range(q), k, diag.values), evaluated on
+    the diagonal's split and scattered once; read only, cached on
+    (q, k, diagonal digest) in the phi cache and evicted with the other
+    arrays under its byte budget."""
+    key = ("gamma", q, k, diag.digest)
     table = _EVAL_CACHE.get(key)
     if table is None:
         split = diag.split
-        table = _EVAL_CACHE.put(key, split.scatter(gamma_contour(range(q), k, split, contour)))
+        table = _EVAL_CACHE.put(key, split.scatter(gamma_values(range(q), k, split)))
     return table

@@ -16,7 +16,6 @@ from fractions import Fraction as F
 import numpy as np
 
 from phistep import (
-    ContourSpec,
     default_grid,
     discretize,
     empirical_order,
@@ -27,7 +26,7 @@ from phistep import (
     list_schemes,
     make_plan,
     nls_breather,
-    phi_contour,
+    phi_values,
     rel_l2_error,
     run_sweep,
     to_values,
@@ -44,7 +43,7 @@ def _report(name: str, ok: bool, detail: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# 1. phi-kernel accuracy: contour evaluation (M=64) vs high-precision series
+# 1. phi-kernel accuracy: phi_values vs high-precision series
 
 
 def test_phi_kernel_contour_accuracy():
@@ -52,10 +51,9 @@ def test_phi_kernel_contour_accuracy():
     reals = (-np.logspace(-6.0, 6.0, 25)).astype(complex)
     imag = 1j * np.logspace(-4.0, 4.0, 13)
     lam = np.concatenate([reals, imag, -imag])
-    contour = ContourSpec(points=64)
     worst, worst_at = -1.0, ""
     for index in range(10):
-        got = np.asarray(phi_contour(index, lam, contour))
+        got = np.asarray(phi_values(index, lam))
         for z, g in zip(lam, got):
             want = phi_reference(index, complex(z))
             if float(abs(want)) < 1e-300:
@@ -71,7 +69,7 @@ def test_phi_kernel_contour_accuracy():
     elapsed = time.perf_counter() - t0
     ok = worst <= 1e-12 and elapsed < 10.0
     _report(
-        "phi kernel (contour M=64 vs series oracle, l<=9)",
+        "phi kernel (phi_values vs series oracle, l<=9)",
         ok,
         f"max rel err {worst:.3e} at {worst_at} (bound 1e-12), "
         f"{elapsed:.1f}s (cap 10s)",

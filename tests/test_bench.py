@@ -30,7 +30,6 @@ from phistep.bench import (
 )
 from phistep.errors import NoDataError, UnstableError
 from phistep.integrator import ScalarProbe, _ProbeSystem
-from phistep.phifun import ContourSpec
 from phistep.problems import default_grid, get_problem
 from phistep.spectral import Grid
 
@@ -88,16 +87,6 @@ def test_reference_cache_returns_identical_array():
     second = reference_solution(system, probe.T, 1e-2)
     assert second is first
     assert not first.flags.writeable
-
-
-def test_reference_cache_distinguishes_contour_real_symmetry():
-    probe, system = _probe_system()
-    with_symmetry = reference_solution(
-        system, probe.T, 1e-2, contour=ContourSpec(real_symmetry=True))
-    without = reference_solution(
-        system, probe.T, 1e-2, contour=ContourSpec(real_symmetry=False))
-    assert without is not with_symmetry
-    assert len(bench._REFERENCE_CACHE.items()) == 2
 
 
 def test_reference_cache_is_bounded_in_bytes(monkeypatch):
@@ -512,7 +501,6 @@ def test_plan_manifest_round_trip_2d():
     ("problem", ["nls"], "a string"),
     ("schemes", ["etdrk4", 4], "a list of strings"),
     ("ladder", [0.5, "x"], "a list of numbers"),
-    ("contour_points", 16.5, "an integer"),
     ("paper_scale", "yes", "true or false"),
     ("out_dir", 5, "a string"),
 ])
@@ -527,8 +515,8 @@ def test_plan_from_manifest_names_the_key_and_value_of_a_wrong_type(key, value, 
 def test_plan_from_manifest_takes_make_plans_defaults_and_keys():
     assert plan_from_manifest({"problem": "ks"}) == make_plan("ks")
     assert (plan_from_manifest({"problem": "gl2", "schemes": ["lawson4"], "size": "16",
-                                "count": 3, "paper_scale": False, "contour_points": "64"})
-            == make_plan("gl2", ["lawson4"], size=16, count=3, contour=ContourSpec(points=64)))
+                                "count": 3, "paper_scale": False})
+            == make_plan("gl2", ["lawson4"], size=16, count=3))
     assert plan_from_manifest({"problem": "ks", "paper_scale": True, "T": 2}) == make_plan(
         "ks", paper_scale=True, T=2.0)
 
@@ -542,6 +530,40 @@ def test_plan_from_manifest_takes_make_plans_defaults_and_keys():
 def test_plan_from_manifest_rejects_missing_or_doubled_keys(extra, cause):
     with pytest.raises(ValueError, match=re.escape(cause)):
         plan_from_manifest(extra)
+
+
+@pytest.mark.parametrize("key", ["shemes", "contour_points"])
+def test_plan_from_manifest_names_an_unknown_key(key):
+    # "shemes" once ran the four default schemes without a word, and
+    # "contour_points" is a key earlier versions read
+    with pytest.raises(ValueError) as info:
+        plan_from_manifest({"problem": "ks", key: ["lawson4"], "T": 1})
+    message = str(info.value)
+    assert message.startswith(f"unknown manifest key {key!r} (misspelt, or no longer read); ")
+    assert "schemes" in message.partition(";")[2]
+
+
+def test_plan_from_manifest_accepts_every_key_of_a_bench_echo(tmp_path):
+    plan = make_plan("gl2", ["etdrk4"], count=3, out_dir=tmp_path)
+    echo = export(_mixed_records(), tmp_path,
+                  manifest=plan_to_manifest(plan, jobs=2, repetitions=1))["manifest"]
+    manifest = json.loads(echo.read_text())
+    assert set(manifest) >= {"records_csv", "jobs", "repetitions", "grid", "out_dir"}
+    assert plan_from_manifest(manifest) == plan
+
+
+@pytest.mark.parametrize("grid, named", [({"grid": [64]}, "'grid'"), ({"size": 64}, "'size'")])
+def test_plan_from_manifest_refuses_paper_scale_beside_a_grid_and_T(grid, named):
+    # paper_scale only picks the grid and the horizon; with both given it
+    # once ran a 64-point, T = 30 desk plan
+    manifest = {"problem": "ks", "paper_scale": True, "T": 30.0, "ladder": [1.0], **grid}
+    with pytest.raises(ValueError) as info:
+        plan_from_manifest(manifest)
+    assert str(info.value).startswith(
+        f"manifest key 'paper_scale' changes nothing beside {named} and 'T'")
+    del manifest["T"]  # a paper-scale horizon beside the given grid
+    assert plan_from_manifest(manifest) == make_plan("ks", paper_scale=True, size=64,
+                                                     ladder=[1.0])
 
 
 @pytest.mark.parametrize("kind, value, want", [

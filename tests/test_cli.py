@@ -65,7 +65,6 @@ def test_run_without_step_exits_2(capsys):
      "abnorsett6 needs at least 5 steps but h=100 gives only 1 over T=1"),
     (["--size", "7", "--h", "0.5"], "bad run settings: axis sizes must be even and positive, got 7"),
     (["--size", "0", "--h", "0.5"], "bad run settings: axis sizes must be even and positive, got 0"),
-    (["--contour", "2", "--h", "0.5"], "bad run settings: contour needs at least 4 points, got 2"),
 ])
 def test_run_rejected_settings_exit_2_naming_cause(flags, cause, tmp_path, capsys):
     assert main(["run", "ks", "--desk", *flags, "--out", str(tmp_path)]) == 2
@@ -149,8 +148,7 @@ def test_run_manifest_bad_number_exits_2_naming_it(tmp_path, capsys, key, value)
 
 
 @pytest.mark.parametrize("key, value, kind", [
-    ("size", "abc", "an integer"), ("size", 16.5, "an integer"),
-    ("contour_points", "abc", "an integer"),
+    ("size", "abc", "an integer"), ("size", 16.5, "an integer"), ("size", True, "an integer"),
     ("snapshots", 5, "a list of times or a comma-separated string"),
     ("snapshots", ["a"], "a list of times or a comma-separated string"),
 ])
@@ -195,11 +193,11 @@ def test_run_manifest_integer_strings_and_snapshot_lists_pass(tmp_path, capsys):
     manifest = tmp_path / "run.json"
     manifest.write_text(json.dumps({
         "problem": "nls", "h": 0.01, "T": 0.02, "desk": True, "size": "32",
-        "contour_points": "16", "snapshots": [0.01]}))
+        "snapshots": [0.01]}))
     out = tmp_path / "mrun"
     assert main(["run", "--manifest", str(manifest), "--out", str(out)]) == 0
     echo = json.loads((out / "nls_etdrk4_run.json").read_text())
-    assert (echo["size"], echo["contour_points"], echo["snapshots"]) == (32, 16, [0.01])
+    assert (echo["size"], echo["snapshots"]) == (32, [0.01])
     assert (out / "nls_etdrk4_t0.01.txt").exists()
 
 
@@ -220,6 +218,24 @@ def test_run_from_its_own_echo_writes_the_same_bytes(tmp_path, capsys):
                  "--out", str(second)]) == 0
     for name in ("ks_etdrk4_final.txt", "ks_etdrk4_t1.5.txt", "ks_etdrk4_run.json"):
         assert (second / name).read_bytes() == (first / name).read_bytes()
+
+
+def test_run_contour_flag_is_gone(tmp_path, capsys):
+    # argparse refuses the flag itself, by exit code 2
+    with pytest.raises(SystemExit) as info:
+        main(["run", "ks", "--h", "0.1", "--contour", "16", "--out", str(tmp_path)])
+    assert info.value.code == 2
+    assert "unrecognized arguments: --contour 16" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["shceme", "contour_points"])
+def test_run_manifest_unknown_key_exits_2_naming_it(tmp_path, capsys, key):
+    manifest = tmp_path / "run.json"
+    manifest.write_text(json.dumps({"problem": "nls", "h": 1e-2, "desk": True, key: 16}))
+    assert main(["run", "--manifest", str(manifest), "--out", str(tmp_path)]) == 2
+    captured = capsys.readouterr()
+    assert f"bad run settings: unknown manifest key {key!r}" in captured.err
+    assert captured.out == ""  # nothing ran
 
 
 def test_run_flags_override_manifest_keys(tmp_path, capsys):
@@ -304,7 +320,6 @@ def test_bench_manifest_wrong_type_exits_2_naming_the_key(tmp_path, capsys, key,
     ("T", True, "a number"),
     ("grid", [32.5], "a list of integers"),
     ("problem", ["nls"], "a string"),
-    ("contour_points", "sixty-four", "an integer"),
     ("jobs", True, "an integer"),
     ("repetitions", 1.5, "an integer"),
 ])
@@ -347,6 +362,29 @@ def test_bench_size_and_count_flags_replace_the_manifests_grid_and_ladder(tmp_pa
                  "--count", "2", "--reps", "2", "--out", str(out)]) == 0
     echo = json.loads((out / "ks.json").read_text())
     assert (echo["grid"], echo["ladder"], echo["repetitions"]) == ([32], [1 / 16, 1 / 32], 2)
+
+
+@pytest.mark.parametrize("key", ["shemes", "contour_points"])
+def test_bench_manifest_unknown_key_exits_2_naming_it(tmp_path, capsys, key):
+    manifest = json.loads(_tiny_echo(tmp_path).read_text())
+    manifest[key] = manifest["schemes"] if key == "shemes" else 64
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    assert main(["bench", "--manifest", str(path), "--out", str(tmp_path / "again")]) == 2
+    captured = capsys.readouterr()
+    assert f"bad bench manifest: unknown manifest key {key!r}" in captured.err
+    assert captured.out == ""  # nothing ran
+
+
+def test_bench_paper_scale_over_an_echo_exits_2_naming_the_keys(tmp_path, capsys):
+    # the echo gives the grid and T, so --paper-scale would change nothing
+    echo = _tiny_echo(tmp_path)
+    capsys.readouterr()
+    assert main(["bench", "--manifest", str(echo), "--paper-scale",
+                 "--out", str(tmp_path / "again")]) == 2
+    assert ("bad bench manifest: manifest key 'paper_scale' changes nothing beside 'grid' "
+            "and 'T'") in capsys.readouterr().err
 
 
 def test_bench_unknown_scheme_exits_2(capsys, tmp_path):

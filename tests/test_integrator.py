@@ -25,7 +25,7 @@ from phistep.integrator import (
     step,
     _StepWork,
 )
-from phistep.phifun import ContourSpec, KeyedDiagonal, PhiExpr, eval_phi_expr, exp_term, phi
+from phistep.phifun import KeyedDiagonal, PhiExpr, eval_phi_expr, exp_term, phi
 from phistep.problems import (
     DiscreteSystem,
     default_grid,
@@ -670,7 +670,7 @@ class NonlinearOnlySystem:
     nonlinear: object
 
 
-def _slot_tables(tableau, h, lam, contour):
+def _slot_tables(tableau, h, lam):
     """The tableau evaluated slot by slot into dicts keyed by position, as
     precompute did before it lowered tableaux into rows: the coefficient
     source of _reference_step, so that the test below pins the lowering
@@ -683,7 +683,7 @@ def _slot_tables(tableau, h, lam, contour):
 
     def ev(expr):
         if expr not in evaluated:
-            evaluated[expr] = eval_phi_expr(expr, diag, contour)
+            evaluated[expr] = eval_phi_expr(expr, diag)
         return evaluated[expr]
 
     def exp_of(c):
@@ -764,23 +764,16 @@ def _reference_step(state, scheme, system):
     )
 
 
-def _desk_contour(key):
-    problem = get_problem(key)
-    return ContourSpec.for_diagonal(discretize(problem, default_grid(problem)).lam)
-
-
 def _desk_start(key, scheme, h):
-    """A desk system, its prepared scheme (contour as integrate picks it),
-    the starting coefficients u^0..u^{q-1} and the stepping-ready state,
+    """A desk system, its prepared scheme, the starting coefficients u^0..u^{q-1} and the stepping-ready state,
     from the starter for multistep schemes."""
     problem = get_problem(key)
     system = discretize(problem, default_grid(problem))
-    contour = _desk_contour(key)
-    engine = prepare_scheme(scheme, h, system.lam, contour)
+    engine = prepare_scheme(scheme, h, system.lam)
     u0 = np.array(system.u0, dtype=complex)
     norm = float(np.max(np.abs(u0)))
     if engine.steps > 1:
-        starter = start_multistep(engine.steps, h, system, u0, contour, initial_norm=norm)
+        starter = start_multistep(engine.steps, h, system, u0, initial_norm=norm)
         return system, engine, list(starter.states), starter.state
     return system, engine, [u0], SimState(coeffs=u0, time=0.0, step=0, initial_norm=norm)
 
@@ -802,7 +795,7 @@ def test_buffered_step_equals_fresh_step_bit_for_bit(case, scheme):
     # system.nonlinear, the plain path
     key, _, view = case.partition(":")
     system, engine, _, start = _desk_start(key, scheme, _BUFFERED_STEP[key])
-    tables = _slot_tables(engine.tableau, engine.h, system.lam, _desk_contour(key))
+    tables = _slot_tables(engine.tableau, engine.h, system.lam)
     if view:
         system = NonlinearOnlySystem(system.lam, system.u0, system.nonlinear)
     work = _StepWork(engine, start.coeffs.shape, system)
@@ -858,20 +851,20 @@ def test_buffered_steps_allocate_no_field_of_their_own():
     assert max(grown[1::2]) <= func_peak + slack, (grown, func_peak)
 
 
-def _reference_starter(q, h, system, u0, contour, delta0_state=False):
+def _reference_starter(q, h, system, u0, delta0_state=False):
     """The fixed-point starter in the arithmetic the buffered one must
     reproduce: fresh ETDRK2 steps, forward differences as lists of new
     arrays, every term as acc + h * (coeff * value) and every N through
     system.nonlinear."""
     diag = KeyedDiagonal(h * np.asarray(system.lam))
-    boot = prepare_scheme("etdrk2", h, diag, contour)
+    boot = prepare_scheme("etdrk2", h, diag)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=float(np.max(np.abs(u0))))
     states = [u0]
     for _ in range(q - 1):
         state = boot.step(state, system)
         states.append(state.coeffs)
-    gammas = {j: phifun.gamma_table(q, j, diag, contour) for j in range(1, q)}
-    propagators = {j: eval_phi_expr(exp_term(1, j), diag, contour) for j in range(1, q)}
+    gammas = {j: phifun.gamma_table(q, j, diag) for j in range(1, q)}
+    propagators = {j: eval_phi_expr(exp_term(1, j), diag) for j in range(1, q)}
     nl_values = [system.nonlinear(u) for u in states]
     converged, iterations = False, 0
     tol = max(h ** q, integrator.STARTER_FLOOR)
@@ -909,10 +902,10 @@ def _reference_starter(q, h, system, u0, contour, delta0_state=False):
 def test_starter_equals_reference_starter_bit_for_bit(key, q, delta0):
     problem = get_problem(key)
     system = discretize(problem, default_grid(problem))
-    h, contour = _BUFFERED_STEP[key], _desk_contour(key)
+    h = _BUFFERED_STEP[key]
     u0 = np.array(system.u0, dtype=complex)
-    got = start_multistep(q, h, system, u0, contour, delta0_state=delta0)
-    want = _reference_starter(q, h, system, u0, contour, delta0)
+    got = start_multistep(q, h, system, u0, delta0_state=delta0)
+    want = _reference_starter(q, h, system, u0, delta0)
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
     assert [u.tobytes() for u in got.states] == [u.tobytes() for u in want.states]
     assert got.state.coeffs is got.states[-1]
@@ -994,38 +987,18 @@ def test_starter_evaluates_through_nonlinear_into(monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("key", [*problem_names(), "scalar-probe"])
-def test_integrate_resolves_the_grid_rule_contour(key, monkeypatch):
-    if key == "scalar-probe":
-        system, want = probe_system(), ContourSpec(points=64)
-    else:
-        problem = get_problem(key)
-        system = discretize(problem, default_grid(problem))
-        want = ContourSpec(points=64 if problem.dims == 1 else 32)
-    seen = []
-    plain = integrator.eval_phi_expr
-
-    def spying(expr, diag, contour=ContourSpec()):
-        seen.append(contour)
-        return plain(expr, diag, contour)
-
-    monkeypatch.setattr(integrator, "eval_phi_expr", spying)
-    integrate(system, "etdrk4", 1e-3, 1e-3)
-    assert seen and set(seen) == {want}
-
-
 def test_prepare_then_integrate_evaluates_no_contour_twice(monkeypatch):
     problem = get_problem("sh3")
     system = discretize(problem, default_grid(problem))
     phifun.clear_eval_cache()
     calls = []
-    plain = phifun.phi_contour
+    plain = phifun.phi_values
 
     def counting(*args, **kwargs):
         calls.append(1)
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(phifun, "phi_contour", counting)
+    monkeypatch.setattr(phifun, "phi_values", counting)
     prepare_scheme("etdrk4", 0.125, system.lam)
     # one pass per argument scale: phi_1..phi_3 at z, phi_1 at z/2
     assert len(calls) == 2

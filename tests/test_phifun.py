@@ -1,4 +1,4 @@
-"""Tests for the phi/gamma kernels, contour means and PhiExpr algebra."""
+"""Tests for the phi/gamma kernels, their values over diagonals and PhiExpr algebra."""
 from __future__ import annotations
 
 import math
@@ -12,24 +12,23 @@ from hypothesis import assume, given, settings, strategies as st
 
 from phistep import phifun
 from phistep.phifun import (
-    CONTOUR_RADIUS,
     MAX_INDEX,
-    ContourSpec,
     PhiExpr,
     PhiTerm,
     clear_eval_cache,
     const_term,
     eval_phi_expr,
     exp_term,
-    gamma_contour,
     gamma_scalar,
+    gamma_values,
     phi,
-    phi_contour,
     phi_scalar,
+    phi_values,
     psi,
 )
 
-from _oracles import gamma_reference, phi_reference, rel_err
+from _oracles import (gamma_reference, gamma_reference_rows, phi_reference, phi_reference_rows,
+                      rel_err)
 
 # ---------------------------------------------------------------------------
 # scalar kernels vs the 80-digit oracle
@@ -90,7 +89,7 @@ def test_index_bounds_raise():
     with pytest.raises(ValueError):
         gamma_scalar(2, 0, 1.0)
     with pytest.raises(ValueError):
-        gamma_contour(2, 13, -1.0)
+        gamma_values(2, 13, -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -148,50 +147,40 @@ def test_gamma_zero_matches_k_scaled_phi1():
 
 
 # ---------------------------------------------------------------------------
-# contour means
+# values over diagonals
 
 
 def test_contour_matches_scalar_far_from_origin():
-    assert rel_err(phi_contour(3, -100.0), phi_scalar(3, -100.0)) < 1e-12
+    assert rel_err(phi_values(3, -100.0), phi_reference(3, -100.0)) < 1e-12
 
 
 def test_contour_matches_reference_on_lambda_sweep():
     # l = 0 is excluded at deep-negative lambda: e^lambda underflows float64
-    # there (and propagators are evaluated by np.exp directly, not contours)
-    spec = ContourSpec(points=64)
+    # there (and propagators are evaluated by np.exp, not by phi_values)
     for l in (1, 4, 9, 12):
         for lam in (-1e5, -37.0, -1.0, -0.01, 3.0, 1e4j, -250j, 0.5 + 80j):
-            got = phi_contour(l, lam, spec)
+            got = phi_values(l, lam)
             assert rel_err(got, phi_reference(l, lam)) < 1e-12, (l, lam)
     for lam in (-37.0, -1.0, -0.01, 3.0, 1e4j, -250j):
-        assert rel_err(phi_contour(0, lam, spec), phi_reference(0, lam)) < 1e-12
-
-
-def test_contour_32_points_suffices_to_1e4():
-    # the 2D/3D default; aliasing error of the trapezoidal rule is far below
-    # float noise even at 32 nodes
-    spec = ContourSpec(points=32)
-    for l in (1, 3, 6, 9):
-        for lam in (-1e4, -123.0, -0.5, 4e3j, -9.9e3j):
-            assert rel_err(phi_contour(l, lam, spec), phi_reference(l, lam)) < 1e-12
+        assert rel_err(phi_values(0, lam), phi_reference(0, lam)) < 1e-12
 
 
 def test_gamma_contour_matches_scalar():
-    got = gamma_contour(2, 3, -5.0)
+    got = gamma_values(2, 3, -5.0)
     assert rel_err(got, gamma_scalar(2, 3, -5.0)) < 1e-12
     assert rel_err(got, 0.5079999914347350) < 1e-12
 
 
 def test_contour_real_entries_have_bitwise_zero_imag():
     lam = np.array([-2000.0, -1.0, -1e-8, 0.0, 0.3])
-    out = phi_contour(2, lam)
+    out = phi_values(2, lam)
     assert isinstance(out, np.ndarray)
     assert np.all(out.imag == 0.0)
 
 
 def test_contour_mixed_real_complex_entries():
     lam = np.array([-1.0 + 0j, 2j, -0.5 + 0.25j, 4.0 + 0j])
-    out = phi_contour(1, lam)
+    out = phi_values(1, lam)
     assert out.imag[0] == 0.0 and out.imag[3] == 0.0
     for i in range(4):
         assert rel_err(out[i], phi_reference(1, complex(lam[i]))) < 1e-12
@@ -202,9 +191,54 @@ def test_contour_dedup_matches_direct():
     rng = np.random.default_rng(7)
     base = -np.abs(rng.normal(size=40)) * 100
     lam = np.repeat(base, 40)  # 1600 entries, 40 unique
-    full = phi_contour(2, lam)
-    single = phi_contour(2, base)
+    full = phi_values(2, lam)
+    single = phi_values(2, base)
     assert np.array_equal(full.reshape(40, 40), np.broadcast_to(single[:, None], (40, 40)))
+
+
+def _gate_entries():
+    """About 12 distinct h*lambda entries of every problem's desk diagonal
+    at each rung of its default ladder, picked at |z| quantiles.  The
+    ladder is dyadic, so the half-step stage arguments z/2 of one rung
+    are entries of the next."""
+    from phistep.bench import make_plan
+    from phistep.problems import default_grid, discretize, get_problem, problem_names
+
+    entries = set()
+    for key in problem_names():
+        problem = get_problem(key)
+        lam = np.unique(discretize(problem, default_grid(problem)).lam)
+        lam = lam[np.argsort(np.abs(lam), kind="stable")]
+        pick = np.unique(np.linspace(0, lam.size - 1, 12).round().astype(int))
+        for h in make_plan(key).ladder:
+            entries.update(complex(z) for z in h * lam[pick])
+    return np.array(sorted(entries, key=abs))
+
+
+_gate_phi_reference = lru_cache(maxsize=None)(lambda z: phi_reference_rows(7, z))
+_gate_gamma_reference = lru_cache(maxsize=None)(lambda k, z: gamma_reference_rows(5, k, z))
+
+
+def test_phi_and_gamma_values_meet_the_accuracy_gate():
+    # phi_1..phi_7 from one stacked call (pec726 and pecec736 use phi_7)
+    # and the starter tables gamma_0..gamma_5(k, .) for k = 1..5 (q <= 6),
+    # against the 80-digit references; gamma skips z = 0, where its
+    # reference divides by zero (the series-constant tests cover it)
+    z = _gate_entries()
+    assert z.size > 800
+    table = phi_values(range(1, 8), z)
+    errors = [(rel_err(table[l - 1][i], _gate_phi_reference(zi)[l]), f"phi_{l}({zi})")
+              for i, zi in enumerate(z) for l in range(1, 8)]
+    worst = max(errors, key=lambda e: e[0])
+    assert worst[0] < 1e-13, worst
+    nonzero = z[z != 0]
+    errors = []
+    for k in range(1, 6):
+        table = gamma_values(range(6), k, nonzero)
+        errors += [(rel_err(table[j][i], _gate_gamma_reference(k, zi)[j]), f"gamma_{j}({k}, {zi})")
+                   for i, zi in enumerate(nonzero) for j in range(6)]
+    worst = max(errors, key=lambda e: e[0])
+    assert worst[0] < 1e-14, worst
 
 
 def _parent_phi_recurrence(index, z):
@@ -230,23 +264,13 @@ def _parent_phi_values(index, z):
     return out
 
 
-def _per_node_mean(values_fn, lam, contour):
-    """The plain contour mean: one kernel call per node, summed in node order."""
+def _plain(values_fn, lam):
+    """values_fn's rows at every entry of lam in one call, with no split
+    or slicing, as the real parts when every entry is real: the plain
+    per-entry kernel that phi_values and gamma_values must reproduce."""
     lam = np.asarray(lam, dtype=np.complex128)
-    out = np.empty(lam.shape, dtype=np.complex128)
-    real = (lam.imag == 0.0) if contour.real_symmetry else np.zeros(lam.shape, bool)
-    M = contour.points
-    if real.any():
-        acc = np.zeros(np.count_nonzero(real))
-        for node in CONTOUR_RADIUS * np.exp(1j * np.pi * (np.arange(M) + 0.5) / M):
-            acc += values_fn(lam[real] + node).real
-        out[real] = acc / M
-    if not real.all():
-        acc = np.zeros(np.count_nonzero(~real), dtype=np.complex128)
-        for node in CONTOUR_RADIUS * np.exp(2j * np.pi * (np.arange(M) + 0.5) / M):
-            acc += values_fn(lam[~real] + node)
-        out[~real] = acc / M
-    return out
+    table = values_fn(lam.reshape(-1)).reshape(-1, *lam.shape)
+    return table.real if not lam.imag.any() else table
 
 
 def _blocking_diagonals():
@@ -255,8 +279,8 @@ def _blocking_diagonals():
     cplx = rng.normal(size=300) * 6 - 1j * rng.normal(size=300) ** 2 * 40
     mixed = np.concatenate([real[:150], cplx[:150], 1e-3j * rng.normal(size=40)])
     rng.shuffle(mixed)
-    # longer than one block of centres and not a multiple of it, so both the
-    # centre split and a ragged last block are exercised
+    # longer than two slices of entries and not a multiple of one, so a
+    # ragged last slice is exercised
     width = phifun._BLOCK_BYTES // 16
     n = 2 * width + 777
     long = np.where(
@@ -267,78 +291,25 @@ def _blocking_diagonals():
     return {"real": real, "complex": cplx, "mixed": mixed, "long": long}
 
 
-@pytest.mark.parametrize("kind", ["real", "complex", "mixed", "long"])
-@pytest.mark.parametrize("real_symmetry", [True, False])
-def test_blocked_contour_equals_per_node_sum(kind, real_symmetry):
-    # blocking changes only how many contour points one kernel call sees;
-    # the result must be bit for bit the per-node sum
-    lam = _blocking_diagonals()[kind]
-    spec = ContourSpec(points=64, real_symmetry=real_symmetry)
-    cases = [(l,) for l in (0, 1, 4, 9, 12)] + [(0, 1), (3, 2), (7, 7)]
-    if kind == "long":
-        cases = [(2,), (3, 5)]
-    for args in cases:
-        if len(args) == 1:
-            got = phi_contour(args[0], lam, spec)
-            want = _per_node_mean(lambda z: _parent_phi_values(args[0], z), lam, spec)
-        else:
-            got = gamma_contour(*args, lam, spec)
-            want = _per_node_mean(lambda z: phifun._gamma_values(*args, z), lam, spec)
-        # float64 exactly when every entry is real and real_symmetry is on
-        all_real = real_symmetry and not lam.imag.any()
-        assert got.dtype == (np.float64 if all_real else np.complex128), (kind, args)
-        assert got.astype(np.complex128).tobytes() == want.tobytes(), (kind, args)
-    real_entries = lam.imag == 0.0
-    if not real_symmetry and real_entries.any():
-        # real entries take the full circle, whose mean keeps the imaginary
-        # roundoff that the half-circle path drops
-        assert np.any(phi_contour(2, lam, spec).imag[real_entries] != 0.0)
-    # eval_phi_expr adds per-term contour arrays in term order
-    clear_eval_cache()
-    e = phi(1) - 3 * phi(2) + 4 * phi(3, 1, Fraction(1, 2))
-    want = np.zeros(lam.shape, dtype=np.complex128)
-    for t in e.terms:
-        z = float(t.scale) * lam
-        want += complex(t.coeff) * _per_node_mean(lambda u: _parent_phi_values(t.index, u), z, spec)
-    assert eval_phi_expr(e, lam, spec).astype(np.complex128).tobytes() == want.tobytes()
-
-
-@pytest.mark.parametrize("real_symmetry", [True, False])
-def test_contour_of_a_lone_centre_equals_per_node_sum(real_symmetry):
-    # one entry, or one real entry beside one complex one, gives a block
-    # of a single centre, whose node sum numpy would otherwise pair up
-    spec = ContourSpec(points=64, real_symmetry=real_symmetry)
-    for lam in ([-3.7], [2.0 - 5j], [-3.7, 2.0 - 5j]):
-        lam = np.array(lam, dtype=np.complex128)
-        for index in (1, 2, 4, 9):
-            got = phi_contour(index, lam, spec)
-            want = _per_node_mean(lambda z: _parent_phi_values(index, z), lam, spec)
-            assert got.astype(np.complex128).tobytes() == want.tobytes(), (lam, index)
-        got = gamma_contour((0, 3), 2, lam, spec)
-        for row, l in zip(got, (0, 3)):
-            want = _per_node_mean(lambda z: phifun._gamma_values(l, 2, z), lam, spec)
-            assert row.astype(np.complex128).tobytes() == want.tobytes(), (lam, l)
-
-
 def test_contour_memory_is_bounded_by_block_budget():
     # 2**16 distinct complex entries, so dedup cannot shrink the diagonal.
-    # Evaluating all (nodes, entries) points at once would trace at least
-    # points * 16 bytes per entry (16 MB here) for the contour points alone;
-    # blocked evaluation needs a fixed multiple of the block budget for the
-    # kernels' temporaries plus a few arrays the size of the output.
+    # The gamma_7 recurrence on the whole diagonal at once would hold eight
+    # long-double rows, 16 times the diagonal's bytes; evaluation in slices
+    # needs a fixed multiple of the block budget for the kernels'
+    # temporaries plus a few arrays the size of the output.
     n = 1 << 16
     rng = np.random.default_rng(5)
     lam = -np.abs(rng.normal(size=n)) * 20 + 1j * rng.normal(size=n) * 20
     assert np.unique(lam).size == n
     tracemalloc.start()
     try:
-        out = gamma_contour(7, 7, lam, ContourSpec(points=16))
+        out = gamma_values(7, 7, lam)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
     assert np.all(np.isfinite(out))
     bound = 40 * phifun._BLOCK_BYTES + 6 * out.nbytes
-    assert bound < 16 * lam.nbytes  # the unblocked points would not fit
+    assert bound < 16 * lam.nbytes  # the unsliced kernel would not fit
     assert peak < bound, peak
 
 
@@ -426,60 +397,32 @@ def _parent_gamma_values(j, k, z):
     return out
 
 
-def _parent_gamma_mean(j, k, lam, contour):
-    """The contour mean of the parent kernel: one call on every (node,
-    entry) point, whose node rows are summed in node order, which is the
-    per-node sum bit for bit since the kernel acts entrywise."""
-    lam = np.asarray(lam, dtype=np.complex128)
-    out = np.empty(lam.shape, dtype=np.complex128)
-    real = (lam.imag == 0.0) if contour.real_symmetry else np.zeros(lam.shape, bool)
-    M = contour.points
-    for mask, half in ((real, True), (~real, False)):
-        if not mask.any():
-            continue
-        nodes = CONTOUR_RADIUS * np.exp((1j if half else 2j) * np.pi * (np.arange(M) + 0.5) / M)
-        values = _parent_gamma_values(j, k, nodes[:, None] + lam[mask])
-        acc = np.zeros(np.count_nonzero(mask), dtype=np.float64 if half else np.complex128)
-        for row in values.real if half else values:
-            acc += row
-        out[mask] = acc / M
-    return out
-
-
 def _gamma_table_diagonals():
     full = _blocking_diagonals()
     diagonals = {"real": full["real"][::3], "complex": full["complex"][:100],
                  "mixed": full["mixed"][:120]}
-    # 600 entries, 120 distinct: the contour mean runs on the unique ones
+    # 600 entries, 120 distinct: the kernel runs on the unique ones
     diagonals["dedup"] = np.tile(diagonals["mixed"], 5)
     assert np.unique(diagonals["dedup"]).size == 120
     return diagonals
 
 
-@pytest.mark.parametrize("points", [32, 64])
-@pytest.mark.parametrize("real_symmetry", [True, False])
 @pytest.mark.parametrize("kind", ["real", "complex", "mixed", "dedup"])
-def test_gamma_table_rows_equal_parent_kernel(kind, real_symmetry, points):
+def test_gamma_table_rows_equal_parent_kernel(kind):
     # every row of a batched table, for q = 2..7 and every k < q, has the
-    # bits (and the dtype) of the per-call contour mean of the one-row
-    # kernel it replaced
-    diagonals = _gamma_table_diagonals()
-    lam = diagonals[kind]
-    spec = ContourSpec(points=points, real_symmetry=real_symmetry)
-    # the parent kernel acts entrywise, so the dedup diagonal's oracle is
-    # that of the diagonal it repeats, repeated
-    distinct, copies = (diagonals["mixed"], 5) if kind == "dedup" else (lam, 1)
-    want = {(l, k): np.tile(_parent_gamma_mean(l, k, distinct, spec), copies)
+    # bits (and the dtype) of the one-row kernel it replaced, run on the
+    # whole diagonal at once
+    lam = _gamma_table_diagonals()[kind]
+    want = {(l, k): _plain(lambda z: _parent_gamma_values(l, k, z)[None], lam)
             for k in range(1, 7) for l in range(7)}
-    all_real = real_symmetry and not lam.imag.any()
+    all_real = not lam.imag.any()
     for q in range(2, 8):
         for k in range(1, q):
-            table = gamma_contour(range(q), k, lam, spec)
+            table = gamma_values(range(q), k, lam)
             assert table.shape == (q, lam.size)
             assert table.dtype == (np.float64 if all_real else np.complex128), (q, k)
             for l in range(q):
-                got = table[l].astype(np.complex128).tobytes()
-                assert got == want[(l, k)].tobytes(), (q, k, l)
+                assert table[l].tobytes() == want[(l, k)][0].tobytes(), (q, k, l)
 
 
 def _repeating_diagonals():
@@ -505,56 +448,50 @@ def _counting(monkeypatch, name):
     return sizes
 
 
-@pytest.mark.parametrize("real_symmetry", [True, False])
 @pytest.mark.parametrize("kind", ["nls", "three"])
-def test_contour_mean_runs_on_distinct_entries_at_any_size(monkeypatch, kind, real_symmetry):
+def test_contour_mean_runs_on_distinct_entries_at_any_size(monkeypatch, kind):
     # far below any size threshold, a repeated entry is evaluated once: the
-    # kernels see M points per distinct entry, and every entry still gets
-    # the bits of the plain per-node mean
+    # kernels see each distinct entry once, and every entry still gets the
+    # bits of the plain per-entry kernel
     lam = _repeating_diagonals()[kind]
     distinct = np.unique(lam).size
     assert distinct < lam.size
-    spec = ContourSpec(points=32, real_symmetry=real_symmetry)
     q, k = 5, 3
-    want_phi = {l: _per_node_mean(lambda z: _parent_phi_values(l, z), lam, spec) for l in (1, 4)}
-    want_gamma = [_per_node_mean(lambda z: _parent_gamma_values(l, k, z), lam, spec)
-                  for l in range(q)]
+    want_phi = {l: _plain(lambda z: _parent_phi_values(l, z)[None], lam) for l in (1, 4)}
+    want_gamma = _plain(lambda z: phifun._gamma_rows(range(q), k, z), lam)
     phi_points = _counting(monkeypatch, "_phi_rows")
     gamma_points = _counting(monkeypatch, "_gamma_rows")
     for l, want in want_phi.items():
         phi_points.clear()
-        got = phi_contour(l, lam, spec)
-        assert sum(phi_points) == spec.points * distinct, l
-        assert got.astype(np.complex128).tobytes() == want.tobytes(), l
-    table = gamma_contour(range(q), k, lam, spec)
-    assert sum(gamma_points) == spec.points * distinct
-    for l in range(q):
-        assert table[l].astype(np.complex128).tobytes() == want_gamma[l].tobytes(), l
+        got = phi_values(l, lam)
+        assert sum(phi_points) == distinct, l
+        assert got.tobytes() == want[0].tobytes(), l
+    table = gamma_values(range(q), k, lam)
+    assert sum(gamma_points) == distinct
+    assert table.tobytes() == want_gamma.tobytes()
 
 
-@pytest.mark.parametrize("real_symmetry", [True, False])
 @pytest.mark.parametrize("kind", ["real", "complex", "mixed", "long"])
-def test_phi_rows_equal_their_one_index_calls_and_the_parent_kernel(kind, real_symmetry):
-    # one contour pass over several indices shares each block's exp(z) and
+def test_phi_rows_equal_their_one_index_calls_and_the_parent_kernel(kind):
+    # one pass over several indices shares each slice's exp(z) and
     # recurrence; every row keeps the bits and dtype of its own call, and
-    # of the per-node mean of the one-index kernel it replaced
+    # of the one-index kernel it replaced run on the whole diagonal at once
     lam = _blocking_diagonals()[kind]
-    spec = ContourSpec(points=32, real_symmetry=real_symmetry)
     cases = [range(MAX_INDEX + 1), range(1, 4), (3, 1, 3)]
     if kind == "long":
         cases = [range(1, 4), (5, 2)]
     for rows in cases:
-        table = phi_contour(rows, lam, spec)
+        table = phi_values(rows, lam)
         assert table.shape == (len(rows), lam.size)
         for row, l in zip(table, rows):
-            one = phi_contour(l, lam, spec)
+            one = phi_values(l, lam)
             assert (row.dtype, row.tobytes()) == (one.dtype, one.tobytes()), (kind, rows, l)
-            want = _per_node_mean(lambda z: _parent_phi_values(l, z), lam, spec)
-            assert row.astype(np.complex128).tobytes() == want.tobytes(), (kind, rows, l)
-    split = phifun._split(lam, False)
-    table = phi_contour(range(1, 4), split, spec)
+            want = _plain(lambda z: _parent_phi_values(l, z)[None], lam)
+            assert row.tobytes() == want[0].tobytes(), (kind, rows, l)
+    split = phifun._split(lam.astype(np.complex128), False)
+    table = phi_values(range(1, 4), split)
     assert table.shape == (3, split.distinct.size)
-    assert split.scatter(table).tobytes() == phi_contour(range(1, 4), lam, spec).tobytes()
+    assert split.scatter(table).tobytes() == phi_values(range(1, 4), lam).tobytes()
 
 
 def test_phi_rows_kernel_equals_the_parent_kernel_and_reports_nothing():
@@ -572,40 +509,39 @@ def test_phi_rows_kernel_equals_the_parent_kernel_and_reports_nothing():
         table = phifun._phi_rows(range(MAX_INDEX + 1), z)
     for l, row in enumerate(table):
         assert row.tobytes() == _parent_phi_values(l, z).tobytes(), l
-        assert phifun._phi_values(l, z).tobytes() == row.tobytes(), l
+        assert phifun._phi_rows((l,), z)[0].tobytes() == row.tobytes(), l
 
 
 def test_phi_contour_rejects_bad_index_sequences():
     for bad in ((), (1, MAX_INDEX + 1), (-1,)):
         with pytest.raises(ValueError, match="phi index"):
-            phi_contour(bad, np.array([-1.0]))
+            phi_values(bad, np.array([-1.0]))
 
 
 def test_eval_phi_terms_fills_the_cache_with_one_pass_per_scale(monkeypatch):
     lam = _blocking_diagonals()["mixed"]
-    spec = ContourSpec(points=32)
     exprs = [phi(1) - 3 * phi(2) + phi(3), psi(1, Fraction(1, 2)), exp_term(1, Fraction(1, 2)),
              phi(2, 1, 0.5) + phi(4, 2), const_term(2), phi(1, 1j)]
     clear_eval_cache()
-    want = [eval_phi_expr(e, lam, spec) for e in exprs]  # term by term
+    want = [eval_phi_expr(e, lam) for e in exprs]  # term by term
     clear_eval_cache()
     diag = phifun.KeyedDiagonal(lam)
     calls = []
-    plain = phifun.phi_contour
+    plain = phifun.phi_values
 
-    def counting(index, lam, contour=ContourSpec()):
+    def counting(index, lam):
         calls.append(index if isinstance(index, int) else tuple(index))
-        return plain(index, lam, contour)
+        return plain(index, lam)
 
-    monkeypatch.setattr(phifun, "phi_contour", counting)
-    phifun.eval_phi_terms(exprs, diag, spec)
+    monkeypatch.setattr(phifun, "phi_values", counting)
+    phifun.eval_phi_terms(exprs, diag)
     # scale 1 takes phi_1..phi_4, scale 1/2 phi_1 and phi_2
     assert sorted(calls) == [(1, 2), (1, 2, 3, 4)]
-    got = [eval_phi_expr(e, diag, spec) for e in exprs]
+    got = [eval_phi_expr(e, diag) for e in exprs]
     assert len(calls) == 2  # every term was in the cache
     for e, g, w in zip(exprs, got, want):
         assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), e
-    phifun.eval_phi_terms(exprs, diag, spec)  # the expressions are cached
+    phifun.eval_phi_terms(exprs, diag)  # the expressions are cached
     assert len(calls) == 2
     clear_eval_cache()
 
@@ -620,7 +556,7 @@ def test_gamma_table_memory_is_bounded_by_block_budget():
     assert np.unique(lam).size == n
     tracemalloc.start()
     try:
-        table = gamma_contour(range(q), 5, lam, ContourSpec(points=16))
+        table = gamma_values(range(q), 5, lam)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -632,25 +568,24 @@ def test_gamma_table_memory_is_bounded_by_block_budget():
 def test_gamma_tables_are_cached_and_evicted_with_phi_arrays(monkeypatch):
     n, q = 256, 4
     diag = phifun.KeyedDiagonal(-np.linspace(0.0, 40.0, n) + 0.5j)
-    spec = ContourSpec(points=32)
     table_bytes = q * n * 16
     monkeypatch.setattr(phifun._EVAL_CACHE, "budget", 2 * table_bytes)
     clear_eval_cache()
     try:
-        first = phifun.gamma_table(q, 1, diag, spec)
+        first = phifun.gamma_table(q, 1, diag)
         assert not first.flags.writeable
-        assert first.tobytes() == gamma_contour(range(q), 1, diag.values, spec).tobytes()
-        assert phifun.gamma_table(q, 1, diag, spec) is first  # a hit
+        assert first.tobytes() == gamma_values(range(q), 1, diag.values).tobytes()
+        assert phifun.gamma_table(q, 1, diag) is first  # a hit
         for k in (2, 3):
-            phifun.gamma_table(q, k, diag, spec)
+            phifun.gamma_table(q, k, diag)
         # least recently used first out, under the one byte budget
         assert [key[:3] for key, _ in phifun._EVAL_CACHE.items()] == [
             ("gamma", q, 2), ("gamma", q, 3)]
         assert phifun._EVAL_CACHE.nbytes == 2 * table_bytes
-        eval_phi_expr(phi(1), diag, spec)  # a phi array and the expression
+        eval_phi_expr(phi(1), diag)  # a phi array and the expression
         assert [key[0] for key, _ in phifun._EVAL_CACHE.items()] == ["gamma", "phi", "expr"]
         assert phifun._EVAL_CACHE.nbytes <= 2 * table_bytes
-        again = phifun.gamma_table(q, 1, diag, spec)  # evicted, so evaluated anew
+        again = phifun.gamma_table(q, 1, diag)  # evicted, so evaluated anew
         assert again is not first and again.tobytes() == first.tobytes()
     finally:
         clear_eval_cache()
@@ -717,12 +652,11 @@ def test_keyed_diagonal_splits_once_and_keeps_the_identity_split():
     assert distinct.split.distinct.base is distinct.values  # no copy
 
 
-def _plain_expr(expr, lam, contour):
+def _plain_expr(expr, lam):
     """eval_phi_expr without any split: every term at every entry, the
-    phi terms by the per-node mean, added in term order."""
+    phi terms by the plain per-entry kernel, added in term order."""
     lam = np.asarray(lam, dtype=np.complex128)
-    all_real = contour.real_symmetry and not lam.imag.any()
-    real = all_real and all(complex(t.coeff).imag == 0 for t in expr.terms)
+    real = not lam.imag.any() and all(complex(t.coeff).imag == 0 for t in expr.terms)
     out = np.zeros(lam.shape, dtype=np.float64 if real else np.complex128)
     for t in expr.terms:
         coeff = complex(t.coeff).real if real else complex(t.coeff)
@@ -733,8 +667,7 @@ def _plain_expr(expr, lam, contour):
             vals = np.exp(z)
             out += coeff * (vals.real if real else vals)
         else:
-            vals = _per_node_mean(lambda u: _parent_phi_values(t.index, u), z, contour)
-            out += coeff * (vals.real if all_real else vals)
+            out += coeff * _plain(lambda u: _parent_phi_values(t.index, u)[None], z)[0]
     return out
 
 
@@ -756,29 +689,26 @@ _SPLIT_EXPRS = [
 ]
 
 
-@pytest.mark.parametrize("real_symmetry", [True, False])
 @pytest.mark.parametrize("kind", ["real", "complex", "mixed"])
-def test_keyed_expressions_and_gamma_tables_equal_the_plain_path(kind, real_symmetry):
+def test_keyed_expressions_and_gamma_tables_equal_the_plain_path(kind):
     # evaluated on the distinct entries and scattered once, every entry
     # keeps the bits (and the whole array the dtype) of the plain path
     lam = _split_diagonals()[kind]
-    spec = ContourSpec(points=32, real_symmetry=real_symmetry)
     clear_eval_cache()
     try:
         diag = phifun.KeyedDiagonal(lam)
         assert diag.split.distinct.size < lam.size
         for expr in _SPLIT_EXPRS:
-            got, want = eval_phi_expr(expr, diag, spec), _plain_expr(expr, lam, spec)
+            got, want = eval_phi_expr(expr, diag), _plain_expr(expr, lam)
             assert got.shape == lam.shape and got.dtype == want.dtype, expr
             assert got.tobytes() == want.tobytes(), expr
         q, k = 4, 3
-        table = phifun.gamma_table(q, k, diag, spec)
+        table = phifun.gamma_table(q, k, diag)
         assert table.shape == (q, *lam.shape)
-        all_real = real_symmetry and not lam.imag.any()
-        assert table.dtype == (np.float64 if all_real else np.complex128)
+        assert table.dtype == (np.complex128 if lam.imag.any() else np.float64)
         for l in range(q):
-            want = _per_node_mean(lambda z: phifun._gamma_values(l, k, z), lam, spec)
-            assert table[l].astype(np.complex128).tobytes() == want.tobytes(), l
+            want = _plain(lambda z: _parent_gamma_values(l, k, z)[None], lam)[0]
+            assert table[l].tobytes() == want.tobytes(), l
     finally:
         clear_eval_cache()
 
@@ -846,25 +776,6 @@ def test_cached_phi_term_arrays_have_distinct_length():
     assert exprs and all(v.shape == system.lam.shape for v in exprs)
 
 
-def test_contour_spec_validation():
-    with pytest.raises(ValueError):
-        ContourSpec(points=2)
-
-
-@pytest.mark.parametrize("points", [True, 16.5, "64", 64.0, None])
-def test_contour_spec_rejects_points_that_are_not_an_integer(points):
-    # 16.5 once ran as a 16.5-point rule: phi_1(-1) came out 0.6452, not 0.6321
-    with pytest.raises(ValueError, match=f"contour points must be an integer, got {points!r}"):
-        ContourSpec(points=points)
-
-
-def test_contour_spec_takes_numpy_integers_as_ints():
-    spec = ContourSpec(points=np.int64(16))
-    assert spec == ContourSpec(points=16) and type(spec.points) is int
-    got = phi_contour(1, np.array([-1.0, -2.0]), spec)
-    np.testing.assert_allclose(got, [1 - math.exp(-1), (1 - math.exp(-2)) / 2], rtol=1e-12)
-
-
 # ---------------------------------------------------------------------------
 # PhiExpr algebra
 
@@ -925,7 +836,7 @@ def test_expr_evaluation_matches_scalar_combination():
     e = phi(1, Fraction(1, 2)) - phi(3, 2, Fraction(1, 2))  # (1/2)phi1(z) - 2 phi3(z/2)
     lam = np.array([-4.0, -0.3, 2.5])
     got = eval_phi_expr(e, lam)
-    want = 0.5 * phi_contour(1, lam) - 2.0 * phi_contour(3, 0.5 * lam)
+    want = 0.5 * phi_values(1, lam) - 2.0 * phi_values(3, 0.5 * lam)
     assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
@@ -933,7 +844,7 @@ def test_expr_evaluation_constant_term():
     e = const_term(Fraction(1, 6)) + phi(1)
     lam = np.array([-2.0, -1.0])
     got = eval_phi_expr(e, lam)
-    want = 1.0 / 6.0 + phi_contour(1, lam)
+    want = 1.0 / 6.0 + phi_values(1, lam)
     assert np.allclose(got, want, rtol=1e-14, atol=0)
 
 
@@ -962,8 +873,8 @@ def test_exponential_terms_are_np_exp():
         got = eval_phi_expr(exp_term(1, scale), lam)
         want = np.exp(float(scale) * lam.astype(np.complex128))
         assert got.tobytes() == want.tobytes(), scale
-        via_contour = phi_contour(0, float(scale) * lam)
-        assert np.max(np.abs(got - via_contour) / np.abs(got)) <= 1e-13, scale
+        via_kernel = phi_values(0, float(scale) * lam)
+        assert np.max(np.abs(got - via_kernel) / np.abs(got)) <= 1e-13, scale
     real = eval_phi_expr(exp_term(2, Fraction(1, 2)), -np.linspace(0.0, 9.0, 10))
     assert np.all(real.imag == 0.0)
 
@@ -998,11 +909,11 @@ def test_empty_diagonal_gives_empty_tables():
     from phistep.integrator import prepare_scheme
 
     empty = np.array([])
-    row = phi_contour(1, empty)
+    row = phi_values(1, empty)
     assert row.shape == (0,) and row.dtype == np.float64
-    table = gamma_contour(range(3), 2, empty)
+    table = gamma_values(range(3), 2, empty)
     assert table.shape == (3, 0) and table.dtype == np.float64
-    assert gamma_contour(1, 2, empty.astype(complex)).shape == (0,)
+    assert gamma_values(1, 2, empty.astype(complex)).shape == (0,)
     scheme = prepare_scheme("etdrk4", 0.1, empty)
     (row_sum, operand), *stage_terms = scheme.rows[-1][2]
     assert operand == 0  # the output row's sum, on N(u^n)
