@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NoDataError, UnstableError
-from .integrator import integrate, require_steps, step_count
+from .integrator import integrate, require_steps, snap_step
 from .phifun import ArrayCache, digest
 from .problems import Problem, default_grid, discretize, get_problem
 from .spectral import Grid, to_values
@@ -276,7 +276,7 @@ def run_sweep(
         try:
             result = integrate(system, scheme, h, plan.T)
         except UnstableError:
-            h_snap = plan.T / step_count(h, plan.T)
+            h_snap = snap_step(h, plan.T)[1]
             return SweepRecord(
                 scheme=scheme, h=h_snap, h_over_T=h_snap / plan.T,
                 error=None, seconds=None, stable=False, starter_converged=True,

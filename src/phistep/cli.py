@@ -23,6 +23,7 @@ import os
 import sys
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -387,8 +388,7 @@ def _selftest_buffered_step() -> tuple:
     system = discretize(problem, default_grid(problem, size=16))
     # the same system seen through nonlinear alone: the workspace then
     # evaluates through its copying adapter instead of nonlinear_into
-    copying = _ProbeSystem(lam=system.lam, u0=system.u0, func=system.nonlinear,
-                           name="sh2-nonlinear-only")
+    copying = SimpleNamespace(lam=system.lam, u0=system.u0, nonlinear=system.nonlinear)
     h = 0.05
     u0 = np.array(system.u0, dtype=complex)
     same = total = 0

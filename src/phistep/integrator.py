@@ -58,7 +58,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UnstableError
-from .phifun import KeyedDiagonal, PhiExpr, eval_phi_expr, eval_phi_terms, exp_term, gamma_table
+from .phifun import KeyedDiagonal, PhiExpr, eval_phi_expr, eval_phi_exprs, exp_term, gamma_table
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -144,7 +144,7 @@ class PrecomputedScheme:
 
     Coefficient arrays are the bare weight functions (not premultiplied
     by h); `step` supplies the factor h.  They are the read-only arrays
-    of the phi cache, as eval_phi_expr returns them: float64 over a real
+    of the phi cache, as eval_phi_exprs returns them: float64 over a real
     diagonal with real weights, complex128 otherwise.
     """
 
@@ -160,9 +160,6 @@ class PrecomputedScheme:
     @property
     def steps(self) -> int:
         return self.tableau.steps
-
-    def step(self, state: SimState, system) -> SimState:
-        return step(state, self, system)
 
 
 def _lowering(tableau: Tableau) -> tuple:
@@ -219,14 +216,13 @@ def precompute(tableau: Tableau, h: float, lam) -> PrecomputedScheme:
     The symbolic half of the lowering depends on the tableau alone and is
     done once per tableau object (_lowering); each call evaluates its
     distinct expressions at h*lam.  h*lam is keyed (converted to complex
-    and digested) once, and every expression goes through eval_phi_expr
-    with that key, after eval_phi_terms has put their uncached phi terms
-    in the cache with one phi_values pass per argument scale (two for
-    ETDRK4: phi_1..phi_3 at h*lam, phi_1 at h*lam/2); the arrays are
-    those of term-by-term evaluation, bit for bit.  lam may also be a
-    KeyedDiagonal, which must then hold
-    h*lam already (integrate builds one for the scheme and its starter).
-    Requires a complete
+    and digested) once, and all the expressions go through one
+    eval_phi_exprs call, which takes the uncached ones' phi terms from
+    one phi_values pass per argument scale (two for ETDRK4: phi_1..phi_3
+    at h*lam, phi_1 at h*lam/2); the arrays are those of term-by-term
+    evaluation, bit for bit.  lam may also be a KeyedDiagonal, which
+    must then hold h*lam already (integrate builds one for the scheme
+    and its starter).  Requires a complete
     tableau (summation property filled in, or a scheme exempt from it);
     h must be positive.  Deterministic for fixed inputs.
     """
@@ -237,8 +233,7 @@ def precompute(tableau: Tableau, h: float, lam) -> PrecomputedScheme:
         raise ValueError(f"step size must be positive, got {h}")
     diag = lam if isinstance(lam, KeyedDiagonal) else KeyedDiagonal(h * np.asarray(lam))
     exprs, program = _lowering(tableau)
-    eval_phi_terms(exprs, diag)
-    arrays = [eval_phi_expr(expr, diag) for expr in exprs]
+    arrays = eval_phi_exprs(exprs, diag)
     rows = tuple(
         (arrays[propagator], source, tuple((arrays[c], operand) for c, operand in terms))
         for propagator, source, terms in program)
@@ -395,18 +390,20 @@ def prepare_scheme(scheme: SchemeLike, h: float, lam):
     return precompute(_tableau_of(scheme), h, lam)
 
 
-def step_count(h: float, T: float) -> int:
-    """The number of steps spanning T at a step near h, which snaps to T/count."""
-    return max(1, math.ceil(T / h - 1e-9))
+def snap_step(h: float, T: float) -> tuple:
+    """(nsteps, T / nsteps): the number of steps spanning T at a step near
+    h, and the step snapped to it, so that T is an exact multiple."""
+    nsteps = max(1, math.ceil(T / h - 1e-9))
+    return nsteps, T / nsteps
 
 
-def require_steps(tableau: Tableau, h: float, T: float) -> int:
-    """step_count(h, T), checked to leave room for q - 1 starting values."""
-    nsteps = step_count(h, T)
+def require_steps(tableau: Tableau, h: float, T: float) -> tuple:
+    """snap_step(h, T), checked to leave room for q - 1 starting values."""
+    nsteps, snapped = snap_step(h, T)
     if nsteps < tableau.steps - 1:
         raise ValueError(f"{tableau.name} needs at least {tableau.steps - 1} steps "
                          f"but h={h:g} gives only {nsteps} over T={T:g}")
-    return nsteps
+    return nsteps, snapped
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +553,7 @@ def integrate(
 ) -> IntegrationResult:
     """Integrate u' = L u + N(u) from the system's initial data to time T.
 
-    h is snapped to T/step_count(h, T) so the horizon is an exact
+    h is snapped by snap_step, so the horizon is an exact
     multiple of the step (the snapped value is recorded on the result).
     Multistep schemes run the starting procedure first; its cost, like
     coefficient precomputation, is excluded from the reported stepping
@@ -573,8 +570,7 @@ def integrate(
     if not h > 0:
         raise ValueError(f"step size must be positive, got {h}")
     tableau = _tableau_of(scheme)
-    nsteps = require_steps(tableau, h, T)
-    h = T / nsteps
+    nsteps, h = require_steps(tableau, h, T)
     snap_table: dict = {}
     for t in map(float, snapshot_times):
         if not 0 <= t <= T:
@@ -669,8 +665,13 @@ class _ProbeSystem:
     name: str = "scalar-probe"
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        # a new complex array, whatever func returns: `step` overwrites it
+        # a new complex array, whatever func returns
         return np.array(self.func(coeffs), dtype=complex)
+
+    def nonlinear_into(self, coeffs: np.ndarray, out: np.ndarray,
+                       scratch: np.ndarray) -> np.ndarray:
+        np.copyto(out, self.func(coeffs))
+        return out
 
 
 def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h: float = 0.05) -> float:
@@ -690,8 +691,7 @@ def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h:
         func=probe.func,
     )
     tableau = _tableau_of(scheme)
-    nsteps = require_steps(tableau, h, probe.T)
-    h = probe.T / nsteps
+    nsteps, h = require_steps(tableau, h, probe.T)
     prepared = prepare_scheme(tableau, h, lam)
     q = prepared.steps
     values = [np.array([complex(probe.solution(j * h))]) for j in range(q)]
@@ -704,7 +704,8 @@ def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h:
         history=tuple(nl[-2::-1]),
         initial_norm=float(abs(complex(probe.u0))),
     )
+    work = _StepWork(prepared, state.coeffs.shape, system)
     while state.step < nsteps:
-        state = prepared.step(state, system)
+        state = step(state, prepared, system, work=work)
     want = complex(probe.solution(probe.T))
     return abs(complex(state.coeffs[0]) - want) / abs(want)

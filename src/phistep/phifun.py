@@ -31,7 +31,7 @@ A diagonal is split into its distinct entries and the inverse index
 once (_split; on the float64 real parts when every entry is real), the
 kernels run on the distinct entries in slices of bounded size, and the
 result is scattered back to every repeat.  A KeyedDiagonal keeps its
-split for every phi and gamma evaluation over it, so eval_phi_expr and
+split for every phi and gamma evaluation over it, so eval_phi_exprs and
 gamma_table evaluate, scale and accumulate at distinct length and
 scatter each result once.
 
@@ -40,8 +40,8 @@ phi_values also takes a sequence of indices and evaluates those rows in
 one pass, sharing exp(z) and the recurrence (_phi_rows), each with the
 bits of its own one-index call.  Every phi term of a row program that
 shares an argument scale (ETDRK4's phi_1, phi_2 and phi_3 at z) is thus
-one pass: eval_phi_terms groups the uncached terms of many expressions
-by scale and fills the cache that eval_phi_expr reads.
+one pass: eval_phi_exprs takes all of a scheme's expressions at once and
+groups the phi terms of the uncached ones by scale.
 
 The gamma kernels run in long double.  Their series coefficients are
 exact rationals, built once per (j, k) in integer arithmetic and kept as
@@ -50,8 +50,8 @@ yields gamma_0..gamma_j on its way to gamma_j, so gamma_values also
 takes a sequence of indices and evaluates those rows in one pass, each
 with the bits of its own one-index call.  A multistep starter needs the
 table gamma_0..gamma_{q-1}(k, .) for each k < q; gamma_table keeps such
-tables in the same byte-bounded cache as the phi arrays of
-eval_phi_expr, keyed by the diagonal's digest.
+tables in the same byte-bounded cache as the expression arrays of
+eval_phi_exprs, keyed by the diagonal's digest.
 """
 from __future__ import annotations
 
@@ -80,6 +80,7 @@ __all__ = [
     "gamma_scalar",
     "gamma_values",
     "eval_phi_expr",
+    "eval_phi_exprs",
     "clear_eval_cache",
 ]
 
@@ -323,11 +324,12 @@ class Split:
 
 
 def _split(values: np.ndarray, real: bool) -> Split:
-    """The split of a complex128 diagonal, by one np.unique (NaNs stay
-    apart).  real says every imaginary part is zero (of either sign); the
-    split then runs on the float64 real parts, which group as the complex
-    entries do and sort several times faster."""
-    flat = values.reshape(-1)
+    """The split of a diagonal, by one np.unique (NaNs stay apart); its
+    distinct entries are complex128 whatever the dtype of values.  real
+    says every imaginary part is zero (of either sign); the split then
+    runs on the float64 real parts, which group as the complex entries do
+    and sort several times faster."""
+    flat = values.reshape(-1).astype(np.complex128, copy=False)
     distinct, inverse = np.unique(values.real if real else flat,
                                   return_inverse=True, equal_nan=False)
     if distinct.size == flat.size:
@@ -681,82 +683,75 @@ def _expr_key(expr: PhiExpr, diag: KeyedDiagonal) -> tuple:
     return ("expr", expr.fingerprint(), diag.digest)
 
 
-def _term_key(index: int, scale: float, diag: KeyedDiagonal) -> tuple:
-    return ("phi", index, scale, diag.digest)
-
-
 def eval_phi_expr(expr: PhiExpr, diag) -> np.ndarray:
-    """Evaluate a PhiExpr entrywise over an operator diagonal.
+    """eval_phi_exprs on one expression: a read-only array shaped like
+    diag."""
+    return eval_phi_exprs([expr], diag)[0]
+
+
+def eval_phi_exprs(exprs: Sequence[PhiExpr], diag) -> list:
+    """Evaluate PhiExprs entrywise over an operator diagonal, in one walk.
 
     diag is an array-like, digested on entry, or a KeyedDiagonal, which
-    a caller evaluating many expressions over one diagonal (as precompute
-    does) builds once.  Returns a read-only array shaped like diag:
-    float64 when every entry of diag and every term's coefficient is
-    real, complex128 otherwise.
+    a caller evaluating over one diagonal more than once (as integrate
+    does for a scheme and its starter) builds once.  Returns one
+    read-only array per expression, shaped like diag: float64 when every
+    entry of diag and every term's coefficient is real, complex128
+    otherwise.
 
-    The expression is worked out on the diagonal's distinct entries only
-    (KeyedDiagonal.split): exponential terms exp(scale * z) by np.exp,
-    phi terms by phi_values at scale * distinct, each added in term
-    order at distinct length, and the sum is scattered to every entry
-    once.  Each entry sees the operations of a plain entrywise
-    evaluation, so the bits are those of one.  Results are cached on
-    (expression, diagonal digest), and the underlying
-    phi_index(scale * distinct) arrays are cached separately, at distinct
-    length, so expressions sharing terms (every tableau does) are
-    evaluated once; the cache keeps at most _CACHE_BYTES.
+    Expressions already cached on (expression, diagonal digest) come
+    from the cache.  The rest are worked out on the diagonal's distinct
+    entries only (KeyedDiagonal.split): all of their phi terms (index
+    >= 1) that share an argument scale come from one phi_values pass at
+    scale * distinct, whose rows live for this call only, and exponential
+    terms exp(scale * z) from np.exp.  Each expression adds its terms in
+    term order at distinct length, and its sum is scattered to every
+    entry once and cached.  Each entry sees the operations of a plain
+    entrywise evaluation, so the bits are those of one.  The cache keeps
+    at most _CACHE_BYTES.
     """
-    if not isinstance(expr, PhiExpr):
-        raise TypeError(f"expected PhiExpr, got {type(expr).__name__}")
+    for expr in exprs:
+        if not isinstance(expr, PhiExpr):
+            raise TypeError(f"expected PhiExpr, got {type(expr).__name__}")
     if not isinstance(diag, KeyedDiagonal):
         diag = KeyedDiagonal(diag)
-    key = _expr_key(expr, diag)
-    hit = _EVAL_CACHE.get(key)
-    if hit is not None:
-        return hit
+    keys = [_expr_key(expr, diag) for expr in exprs]
+    found = {key: _EVAL_CACHE.get(key) for key in keys}
+    todo = {key: expr for key, expr in zip(keys, exprs) if found[key] is None}
+    if todo:
+        scales: dict = {}
+        for expr in todo.values():
+            for t in expr.terms:
+                if t.index:
+                    scales.setdefault(float(t.scale), set()).add(t.index)
+        terms: dict = {}
+        for scale, indices in scales.items():
+            rows = sorted(indices)
+            table = phi_values(rows, diag.split.scaled(scale))
+            terms.update(((index, scale), values) for index, values in zip(rows, table))
+        for key, expr in todo.items():
+            found[key] = _EVAL_CACHE.put(key, diag.split.scatter(_sum_terms(expr, diag, terms)))
+    return [found[key] for key in keys]
+
+
+def _sum_terms(expr: PhiExpr, diag: KeyedDiagonal, terms: dict) -> np.ndarray:
+    """expr at the distinct entries of diag, its terms added in order;
+    terms maps (index, scale) to each phi term's values there."""
     real = diag.real and all(complex(t.coeff).imag == 0 for t in expr.terms)
-    split = diag.split
-    out = np.zeros(split.distinct.shape, dtype=np.float64 if real else np.complex128)
+    distinct = diag.split.distinct
+    out = np.zeros(distinct.shape, dtype=np.float64 if real else np.complex128)
     for t in expr.terms:
         coeff = complex(t.coeff).real if real else complex(t.coeff)
-        if t.index == 0 and t.scale == 0:
+        if t.index:
+            out += coeff * terms[t.index, float(t.scale)]
+        elif t.scale == 0:
             out += coeff
-            continue
-        if t.index == 0:
+        else:
             # the complex np.exp even on a real diagonal: its real part and
             # the float64 np.exp differ in the last bit on some entries
-            vals = np.exp(float(t.scale) * split.distinct)
+            vals = np.exp(float(t.scale) * distinct)
             out += coeff * (vals.real if real else vals)
-            continue
-        tkey = _term_key(t.index, float(t.scale), diag)
-        vals = _EVAL_CACHE.get(tkey)
-        if vals is None:
-            vals = _EVAL_CACHE.put(tkey, phi_values(t.index, split.scaled(float(t.scale))))
-        out += coeff * vals
-    return _EVAL_CACHE.put(key, split.scatter(out))
-
-
-def eval_phi_terms(exprs: Iterable[PhiExpr], diag: KeyedDiagonal) -> None:
-    """Put in the phi cache every phi term array (index >= 1) that
-    eval_phi_expr will need for exprs over diag and that the cache lacks,
-    with one phi_values pass per argument scale for all of that scale's
-    indices.  Expressions already cached need none.  The arrays are the
-    ones eval_phi_expr would evaluate term by term, bit for bit, so a
-    caller about to evaluate many expressions over one diagonal (as
-    precompute does) calls this first and then eval_phi_expr as usual."""
-    scales: dict = {}
-    for expr in exprs:
-        if _EVAL_CACHE.get(_expr_key(expr, diag)) is not None:
-            continue
-        for t in expr.terms:
-            scale = float(t.scale)
-            if t.index and _EVAL_CACHE.get(_term_key(t.index, scale, diag)) is None:
-                scales.setdefault(scale, set()).add(t.index)
-    for scale, indices in scales.items():
-        rows = sorted(indices)
-        table = phi_values(rows, diag.split.scaled(scale))
-        for index, values in zip(rows, table):
-            # a copy of its own, so evicting one row frees it
-            _EVAL_CACHE.put(_term_key(index, scale, diag), values.copy())
+    return out
 
 
 def gamma_table(q: int, k: int, diag: KeyedDiagonal) -> np.ndarray:

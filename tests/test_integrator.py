@@ -585,6 +585,7 @@ def test_integrate_snaps_step_size():
     result = integrate(system, "etdrk4", 0.3, 1.0)
     assert result.steps == 4
     assert result.h == pytest.approx(0.25)
+    assert integrator.snap_step(0.3, 1.0) == (result.steps, result.h)
 
 
 def test_integrate_snapshots():
@@ -861,7 +862,7 @@ def _reference_starter(q, h, system, u0, delta0_state=False):
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=float(np.max(np.abs(u0))))
     states = [u0]
     for _ in range(q - 1):
-        state = boot.step(state, system)
+        state = step(state, boot, system)
         states.append(state.coeffs)
     gammas = {j: phifun.gamma_table(q, j, diag) for j in range(1, q)}
     propagators = {j: eval_phi_expr(exp_term(1, j), diag) for j in range(1, q)}
@@ -1091,6 +1092,25 @@ def test_nls_mass_drift_is_fourth_order():
 def test_run_scalar_probe_error_positive_and_small():
     err = run_scalar_probe("etdrk4", ScalarProbe(), 0.05)
     assert 0 < err < 1e-6
+
+
+@pytest.mark.parametrize("name", ["etdrk4", "abnorsett4"])
+def test_run_scalar_probe_steps_in_one_workspace_with_the_fresh_bits(monkeypatch, name):
+    plain_step, plain_work = integrator.step, integrator._StepWork
+    works = []
+
+    def counting(scheme, shape, system):
+        works.append((plain_work(scheme, shape, system), system))
+        return works[-1][0]
+
+    monkeypatch.setattr(integrator, "_StepWork", counting)
+    buffered = run_scalar_probe(name, ScalarProbe(), 0.05)
+    assert len(works) == 1
+    work, system = works[0]
+    assert work.evaluate == system.nonlinear_into  # the probe's own, not the adapter
+    monkeypatch.setattr(integrator, "step", lambda state, scheme, system, work=None:
+                        plain_step(state, scheme, system))
+    assert run_scalar_probe(name, ScalarProbe(), 0.05) == buffered
 
 
 def test_probe_rejects_inconsistent_override():

@@ -518,32 +518,36 @@ def test_phi_contour_rejects_bad_index_sequences():
             phi_values(bad, np.array([-1.0]))
 
 
-def test_eval_phi_terms_fills_the_cache_with_one_pass_per_scale(monkeypatch):
+def test_eval_phi_exprs_takes_one_pass_per_scale_across_a_call(monkeypatch):
     lam = _blocking_diagonals()["mixed"]
     exprs = [phi(1) - 3 * phi(2) + phi(3), psi(1, Fraction(1, 2)), exp_term(1, Fraction(1, 2)),
              phi(2, 1, 0.5) + phi(4, 2), const_term(2), phi(1, 1j)]
     clear_eval_cache()
-    want = [eval_phi_expr(e, lam) for e in exprs]  # term by term
+    want = [eval_phi_expr(e, lam) for e in exprs]  # one call per expression
     clear_eval_cache()
     diag = phifun.KeyedDiagonal(lam)
-    calls = []
-    plain = phifun.phi_values
+    calls, plain = [], phifun.phi_values
 
     def counting(index, lam):
-        calls.append(index if isinstance(index, int) else tuple(index))
+        calls.append(tuple(index))
         return plain(index, lam)
 
     monkeypatch.setattr(phifun, "phi_values", counting)
-    phifun.eval_phi_terms(exprs, diag)
-    # scale 1 takes phi_1..phi_4, scale 1/2 phi_1 and phi_2
-    assert sorted(calls) == [(1, 2), (1, 2, 3, 4)]
-    got = [eval_phi_expr(e, diag) for e in exprs]
-    assert len(calls) == 2  # every term was in the cache
-    for e, g, w in zip(exprs, got, want):
-        assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), e
-    phifun.eval_phi_terms(exprs, diag)  # the expressions are cached
-    assert len(calls) == 2
-    clear_eval_cache()
+    try:
+        got = phifun.eval_phi_exprs(exprs, diag)
+        # scale 1 takes phi_1..phi_4, scale 1/2 phi_1 and phi_2
+        assert sorted(calls) == [(1, 2), (1, 2, 3, 4)]
+        for e, g, w in zip(exprs, got, want):
+            assert (g.dtype, g.tobytes()) == (w.dtype, w.tobytes()), e
+            assert not g.flags.writeable
+        again = phifun.eval_phi_exprs(exprs, diag)  # every expression is cached
+        assert len(calls) == 2 and all(a is g for a, g in zip(again, got))
+        # a cached expression beside an uncached one: only the latter's terms
+        mixed = phifun.eval_phi_exprs([exprs[0], phi(5) + phi(2)], diag)
+        assert calls[2:] == [(2, 5)] and mixed[0] is got[0]
+        assert {key[0] for key, _ in phifun._EVAL_CACHE.items()} == {"expr"}
+    finally:
+        clear_eval_cache()
 
 
 def test_gamma_table_memory_is_bounded_by_block_budget():
@@ -582,11 +586,14 @@ def test_gamma_tables_are_cached_and_evicted_with_phi_arrays(monkeypatch):
         assert [key[:3] for key, _ in phifun._EVAL_CACHE.items()] == [
             ("gamma", q, 2), ("gamma", q, 3)]
         assert phifun._EVAL_CACHE.nbytes == 2 * table_bytes
-        eval_phi_expr(phi(1), diag)  # a phi array and the expression
-        assert [key[0] for key, _ in phifun._EVAL_CACHE.items()] == ["gamma", "phi", "expr"]
-        assert phifun._EVAL_CACHE.nbytes <= 2 * table_bytes
+        phifun.gamma_table(q, 2, diag)  # a hit makes it the most recent
+        eval_phi_expr(phi(1), diag)  # the expression alone is cached
+        assert [key[:3] for key, _ in phifun._EVAL_CACHE.items()] == [
+            ("gamma", q, 2), ("expr", ((1, 1.0, 1 + 0j),), diag.digest)]
+        assert phifun._EVAL_CACHE.nbytes == table_bytes + n * 16
         again = phifun.gamma_table(q, 1, diag)  # evicted, so evaluated anew
         assert again is not first and again.tobytes() == first.tobytes()
+        assert [key[0] for key, _ in phifun._EVAL_CACHE.items()] == ["expr", "gamma"]
     finally:
         clear_eval_cache()
 
@@ -639,6 +646,17 @@ def test_real_split_of_empty_and_0d_diagonals():
                 np.array(-0.0 + 0j), np.array(complex(np.nan, -0.0))):
         _check_real_split(lam)
         assert phifun._split(lam, real=True).inverse is None
+
+
+def test_split_of_a_float64_diagonal_has_complex128_distinct_entries():
+    # the identity split of a float64 diagonal keeps the Split contract,
+    # so its phi rows are those of the complex diagonal, bit for bit
+    lam = -np.linspace(0.01, 40.0, 5000)
+    for real in (True, False):
+        split = phifun._split(lam, real)
+        assert split.inverse is None and split.distinct.dtype == np.complex128
+        want = phi_values(range(1, 4), phifun._split(lam.astype(np.complex128), real))
+        assert phi_values(range(1, 4), split).tobytes() == want.tobytes()
 
 
 def test_keyed_diagonal_splits_once_and_keeps_the_identity_split():
@@ -758,21 +776,28 @@ def test_split_memory_is_a_small_multiple_of_the_real_diagonal():
     assert kept <= split.inverse.nbytes + split.distinct.nbytes + 16 * 1024
 
 
-def test_cached_phi_term_arrays_have_distinct_length():
+def test_phi_term_rows_have_distinct_length_and_only_expressions_are_cached(monkeypatch):
     from phistep.integrator import prepare_scheme
 
     system = _desk_sh3()
     distinct = np.unique(0.125 * system.lam).size
     assert distinct * 10 < system.lam.size
+    sizes, plain = [], phifun.phi_values
+
+    def sizing(index, lam):
+        sizes.append(lam.distinct.size)
+        return plain(index, lam)
+
     clear_eval_cache()
+    monkeypatch.setattr(phifun, "phi_values", sizing)
     try:
         prepare_scheme("etdrk4", 0.125, system.lam)
-        terms = [v for key, v in phifun._EVAL_CACHE.items() if key[0] == "phi"]
-        exprs = [v for key, v in phifun._EVAL_CACHE.items() if key[0] == "expr"]
+        kinds = {key[0] for key, _ in phifun._EVAL_CACHE.items()}
+        exprs = [v for _, v in phifun._EVAL_CACHE.items()]
     finally:
         clear_eval_cache()
-    assert len(terms) == 4  # phi_1(z/2), phi_1, phi_2, phi_3
-    assert all(v.shape == (distinct,) for v in terms)
+    assert sizes == [distinct, distinct]  # phi_1..phi_3 at z, phi_1 at z/2
+    assert kinds == {"expr"}
     assert exprs and all(v.shape == system.lam.shape for v in exprs)
 
 
