@@ -32,7 +32,6 @@ from .tableau import (
     build_pec,
     build_pecec,
     complete_summation,
-    empirical_order,
     etd_ab_weights,
     etd_am_weights,
     etd_euler,
@@ -77,6 +76,7 @@ from .integrator import (
     SimState,
     Snapshot,
     StarterResult,
+    empirical_order,
     integrate,
     precompute,
     prepare_scheme,

@@ -24,12 +24,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from .errors import NoDataError, UnstableError
-from .integrator import integrate, require_steps, snap_step
+from .integrator import _loglog_slope, integrate, require_steps, snap_step
 from .phifun import ArrayCache, digest
 from .problems import Problem, default_grid, discretize, get_problem
 from .spectral import Grid, to_values
 from .svgplot import Panel, two_panel_svg
-from .tableau import _loglog_slope, get_scheme
+from .tableau import get_scheme
 
 __all__ = [
     "CSV_HEADER",

@@ -45,6 +45,7 @@ from .integrator import (
     SimState,
     _ProbeSystem,
     _StepWork,
+    empirical_order,
     integrate,
     prepare_scheme,
     start_multistep,
@@ -53,7 +54,7 @@ from .integrator import (
 from .phifun import KeyedDiagonal, const_term, eval_phi_expr, exp_term, gamma_values, phi
 from .problems import NLS_A, NLS_B, default_grid, discretize, get_problem, nls_breather, problem_names
 from .spectral import Grid, to_coeffs, to_values
-from .tableau import REGISTRY, empirical_order, get_scheme, list_schemes
+from .tableau import REGISTRY, get_scheme, list_schemes
 
 ENV_OUT_VAR = "PHISTEP_OUT"
 

@@ -30,12 +30,11 @@ whole loop, whose buffers are allocated once and whose one evaluator
 writes every nonlinear value into a buffer.  `_run_row` is the one
 reader of a row, and it adds every term through `_add_term`, which
 rounds exactly as acc + h * (coeff * value), so buffered and fresh
-stepping give the same bits.  The price is aliasing: a state's
-coefficients are overwritten two steps later, so integrate copies every
+stepping give the same bits.  The price is aliasing, under one rule: a
+state returned by a workspace step stays intact through the next step;
+the step after may reuse its arrays.  So integrate copies every
 snapshot, and a `step` call without a workspace allocates fresh
-buffers.  The nonlinear values a state carries for multistep schemes
-(nl_current and history) are always new arrays, since they outlive the
-step.
+buffers.
 
 Multistep schemes are started by the fixed-point procedure
 `start_multistep`: q - 1 ETDRK2 steps, then iterations of
@@ -74,6 +73,7 @@ __all__ = [
     "start_multistep",
     "integrate",
     "run_scalar_probe",
+    "empirical_order",
     "MAX_AMPLIFICATION",
     "MAX_STARTER_ITERATIONS",
 ]
@@ -91,16 +91,15 @@ STARTER_FLOOR = 1e-14
 class SimState:
     """The integration state after `step` completed steps of size h.
 
-    history holds the most recent past nonlinear evaluations
-    (N(u^{n-1}), ..., N(u^{n-(q-1)})); nl_current caches N(u^n) for
-    schemes that reuse it (any scheme with q >= 2).
+    nonlinear holds the nonlinear values a q-step scheme reads, newest
+    first: (N(u^n), N(u^{n-1}), ..., N(u^{n-q+1})); a one-step scheme
+    reads none, and its steps return it empty.
     """
 
     coeffs: np.ndarray
     time: float
     step: int
-    nl_current: Optional[np.ndarray] = None
-    history: tuple = ()
+    nonlinear: tuple = ()
     initial_norm: float = 0.0
 
 
@@ -280,19 +279,22 @@ class _StepWork:
     history differences N(u^{n-j}) - N(u^n), operands the buffers of
     N(u^n) (when q = 1) and the s - 1 stage differences N(v^i) - N(u^n),
     product the term being added (and the evaluator's scratch, idle
-    during an evaluation), outputs the two arrays the new state is
-    written to in turn (the one that is not the current state), and norm
-    a real array for the stability check; h is the scheme's step as a
-    complex128 scalar (_add_term).  The fields are complex128,
-    shaped like the state's coefficients.  evaluate(coeffs, out, scratch)
-    is the one nonlinear evaluation of the loop: system.nonlinear_into
-    when the system has it, else _copying_evaluator(system).  A workspace
-    belongs to one stepping loop in one thread: each step overwrites the
-    state of two steps before, so a state that must outlive the next step
+    during an evaluation), norm a real array for the stability check,
+    and outputs and ring the arrays of the states it returns: the step
+    that makes state k writes its coefficients into outputs[k % 2] and,
+    for q >= 2, N(u^k) into ring[k % (q + 1)] (ring is empty for q = 1).
+    State m sits in slot m, so a step never writes its input, and a
+    returned state stays intact through the next step; the step after
+    may reuse its arrays.  h is the scheme's step as a complex128 scalar
+    (_add_term).  The fields are complex128, shaped like the state's
+    coefficients.  evaluate(coeffs, out, scratch) is the one nonlinear
+    evaluation of the loop: system.nonlinear_into when the system has
+    it, else _copying_evaluator(system).  A workspace belongs to one
+    stepping loop in one thread; a state that must outlive the next step
     is copied first.
     """
 
-    __slots__ = ("stages", "past", "operands", "product", "outputs", "norm", "h", "evaluate")
+    __slots__ = ("stages", "past", "operands", "product", "outputs", "ring", "norm", "h", "evaluate")
 
     def __init__(self, scheme: PrecomputedScheme, shape: tuple, system):
         def field() -> np.ndarray:
@@ -304,6 +306,7 @@ class _StepWork:
         self.operands = [field() for _ in range(scheme.stages - (scheme.steps > 1))]
         self.product = field()
         self.outputs = (field(), field())
+        self.ring = tuple(field() for _ in range(scheme.steps + 1 if scheme.steps > 1 else 0))
         self.norm = np.empty(shape, dtype=np.float64)
         self.h = np.array(complex(scheme.h))
         self.evaluate = getattr(system, "nonlinear_into", None) or _copying_evaluator(system)
@@ -314,39 +317,40 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     """Advance one step with a precomputed tableau scheme.
 
     Evaluates the nonlinearity once per stage; for schemes with history
-    (q >= 2) the first stage reuses the stored N(u^n) and the evaluation
-    at the new solution is pushed into the history ring, keeping the
-    total at s evaluations (2s transforms) per step.  The rows of
-    scheme.rows run in order through _run_row, each into its stage
-    accumulator and the last into the output array.  Their operands are
-    N(u^n), the history differences, then each stage's N(v^i) - N(u^n):
-    work.evaluate writes N(u^n) (q = 1) and each N(v^i) into
-    work.operands, where the difference is formed in place.
+    (q >= 2) the first stage reuses the stored N(u^n), and the evaluation
+    at the new solution goes into the workspace's ring, keeping the total
+    at s evaluations (2s transforms) per step.  The rows of scheme.rows
+    run in order through _run_row, each into its stage accumulator and
+    the last into the output array.  Their operands are N(u^n), the
+    history differences, then each stage's N(v^i) - N(u^n): work.evaluate
+    writes N(u^n) (q = 1) and each N(v^i) into work.operands, where the
+    difference is formed in place.
 
     Without work, fresh buffers are allocated for this system and the
-    returned state owns its coefficients.  With work (integrate passes
-    one per run; it must match the scheme, the system and the shape of
-    state.coeffs and serve one loop in one thread), the new coefficients
-    are whichever of work.outputs is not state.coeffs, so they are
-    overwritten by the step after next; the nonlinear values in
-    nl_current and history are always new arrays.
+    returned state owns its arrays.  With work (integrate passes one per
+    run; it must match the scheme, the system and the shape of
+    state.coeffs and serve one loop in one thread), the new state's
+    arrays are the workspace's slots for step state.step + 1 (_StepWork):
+    the state stays intact through the next step, and the step after may
+    reuse its arrays.
     """
     q = scheme.steps
-    if q > 1 and (state.nl_current is None or len(state.history) < q - 1):
-        raise ValueError(f"{scheme.name} needs {q - 1} past nonlinear values; "
-                         "run the starting procedure first")
+    if q > 1 and len(state.nonlinear) < q:
+        raise ValueError(f"{scheme.name} needs {q} nonlinear values, N(u^n) and {q - 1} "
+                         "past nonlinear values; run the starting procedure first")
     h = scheme.h
     u = state.coeffs
     if work is None:
         work = _StepWork(scheme, u.shape, system)
     evaluate, product = work.evaluate, work.product
     buffers = iter(work.operands)
-    nl_now = state.nl_current if q > 1 else evaluate(u, next(buffers), product)
-    for value, diff in zip(state.history[: q - 1], work.past):
+    nl_now = state.nonlinear[0] if q > 1 else evaluate(u, next(buffers), product)
+    for value, diff in zip(state.nonlinear[1:q], work.past):
         np.subtract(value, nl_now, diff)
     operands = [nl_now, *work.past]
     sources = (u, *work.stages)
-    out = work.outputs[0] if work.outputs[0] is not u else work.outputs[1]
+    new_step = state.step + 1
+    out = work.outputs[new_step % 2]
     for acc, row in zip((*work.stages, out), scheme.rows):
         _run_row(acc, row, sources, operands, work.h, product)
         if acc is not out:
@@ -354,18 +358,13 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
             np.subtract(nl, nl_now, nl)
             operands.append(nl)
     new_time = state.time + h
-    new_step = state.step + 1
     _check_stable(out, new_time, new_step, state.initial_norm, work.norm)
+    nonlinear = ()
     if q > 1:
-        nl_new = evaluate(out, np.empty(out.shape, dtype=np.complex128), product)
-        new_hist = (state.nl_current, *state.history)[: q - 1]
-    else:
-        nl_new = None
-        new_hist = ()
-    return SimState(
-        coeffs=out, time=new_time, step=new_step, nl_current=nl_new,
-        history=new_hist, initial_norm=state.initial_norm,
-    )
+        nonlinear = (evaluate(out, work.ring[new_step % (q + 1)], product),
+                     *state.nonlinear[: q - 1])
+    return SimState(coeffs=out, time=new_time, step=new_step, nonlinear=nonlinear,
+                    initial_norm=state.initial_norm)
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +501,8 @@ def start_multistep(
         if scale == 0.0 or change <= tol * scale:
             converged = True
             break
-    final = SimState(coeffs=old[-1], time=(q - 1) * h, step=q - 1, nl_current=nl[-1],
-                     history=tuple(nl[-2::-1]), initial_norm=initial_norm)
+    final = SimState(coeffs=old[-1], time=(q - 1) * h, step=q - 1,
+                     nonlinear=tuple(nl[::-1]), initial_norm=initial_norm)
     return StarterResult(state=final, states=(u0, *old), converged=converged,
                          iterations=iterations)
 
@@ -700,8 +699,7 @@ def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h:
         coeffs=values[-1],
         time=(q - 1) * h,
         step=q - 1,
-        nl_current=nl[-1],
-        history=tuple(nl[-2::-1]),
+        nonlinear=tuple(nl[::-1]),
         initial_norm=float(abs(complex(probe.u0))),
     )
     work = _StepWork(prepared, state.coeffs.shape, system)
@@ -709,3 +707,51 @@ def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h:
         state = step(state, prepared, system, work=work)
     want = complex(probe.solution(probe.T))
     return abs(complex(state.coeffs[0]) - want) / abs(want)
+
+
+def empirical_order(scheme, h_set: Optional[Sequence[float]] = None, probe=None) -> float:
+    """Least-squares slope of log error vs log h on a scalar stiff probe.
+
+    scheme may be a registry name, SchemeInfo or Tableau.  The default
+    probe is u' = -u + u^2, u(0) = 1/2, T = 1, whose exact solution
+    1/(1 + e^t) pins the error; h_set defaults to a geometric ladder sized
+    to the declared order so no point sits on the rounding floor.
+    """
+    if probe is None:
+        probe = ScalarProbe()
+    declared = None
+    if isinstance(scheme, Tableau):
+        declared = scheme.order
+    elif isinstance(scheme, (str, SchemeInfo)):
+        info = scheme if isinstance(scheme, SchemeInfo) else get_scheme(scheme)
+        declared = info.order
+    if h_set is None:
+        top = 14 if declared is None else max(8, 2 * declared)
+        h_set = [probe.T / n for n in (top, 2 * top, 4 * top, 8 * top, 16 * top)]
+    errors, steps = [], []
+    for h in h_set:
+        err = run_scalar_probe(scheme, probe, h)
+        if math.isfinite(err) and err > 0:
+            errors.append(err)
+            steps.append(h)
+    if len(errors) < 2:
+        raise ValueError("not enough finite error points to estimate an order")
+    # The error is measured against the probe's exact solution, so the only
+    # contamination is accumulated roundoff; drop points down at that floor.
+    pts = [(h, e) for h, e in zip(steps, errors) if e > 1e-13]
+    if len(pts) < 2:
+        pts = list(zip(steps, errors))
+    return _loglog_slope(pts)
+
+
+def _loglog_slope(points) -> float:
+    """Least-squares slope of log(error) against log(h) over (h, error)
+    pairs: the convergence order that empirical_order and
+    bench.estimate_order report, each over its own points."""
+    xs = [math.log(h) for h, _ in points]
+    ys = [math.log(e) for _, e in points]
+    n = len(xs)
+    xbar, ybar = sum(xs) / n, sum(ys) / n
+    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
+        (x - xbar) ** 2 for x in xs
+    )

@@ -301,17 +301,19 @@ class Split:
     """A diagonal of the given shape as its distinct entries (1-D
     complex128) and the inverse index that puts them back, entry by
     entry in C order; inverse None is the identity split of a diagonal
-    with no repeated entry, whose distinct entries are its own values."""
+    with no repeated entry, whose distinct entries are its own values.
+    real says every imaginary part is zero."""
 
     distinct: np.ndarray
     inverse: Optional[np.ndarray]
     shape: tuple
+    real: bool
 
     def scaled(self, factor: float) -> "Split":
         """The split of factor * diagonal: factor * distinct, same inverse.
         Two distinct entries whose products round together stay apart,
         which changes no bit, since each entry's value is its own."""
-        return Split(factor * self.distinct, self.inverse, self.shape)
+        return Split(factor * self.distinct, self.inverse, self.shape, self.real)
 
     def scatter(self, values: np.ndarray) -> np.ndarray:
         """values over the distinct entries, on the last axis, at every
@@ -326,15 +328,15 @@ class Split:
 def _split(values: np.ndarray, real: bool) -> Split:
     """The split of a diagonal, by one np.unique (NaNs stay apart); its
     distinct entries are complex128 whatever the dtype of values.  real
-    says every imaginary part is zero (of either sign); the split then
-    runs on the float64 real parts, which group as the complex entries do
-    and sort several times faster."""
+    says every imaginary part is zero (of either sign), and the split
+    keeps it; the split then runs on the float64 real parts, which group
+    as the complex entries do and sort several times faster."""
     flat = values.reshape(-1).astype(np.complex128, copy=False)
     distinct, inverse = np.unique(values.real if real else flat,
                                   return_inverse=True, equal_nan=False)
     if distinct.size == flat.size:
-        return Split(flat, None, values.shape)
-    return Split(distinct.astype(np.complex128, copy=False), inverse.reshape(-1), values.shape)
+        return Split(flat, None, values.shape, real)
+    return Split(distinct.astype(np.complex128, copy=False), inverse.reshape(-1), values.shape, real)
 
 
 def _evaluate(values_fn, nrows: int, lam) -> np.ndarray:
@@ -358,12 +360,11 @@ def _evaluate(values_fn, nrows: int, lam) -> np.ndarray:
         arr = np.asarray(lam, dtype=np.complex128)
         split = _split(arr, not arr.imag.any())
     z = split.distinct
-    real = not z.imag.any()
-    out = np.empty((nrows, z.size), dtype=np.float64 if real else np.complex128)
+    out = np.empty((nrows, z.size), dtype=np.float64 if split.real else np.complex128)
     width = _BLOCK_BYTES // z.itemsize
     for start in range(0, z.size, width):
         block = values_fn(z[start : start + width])
-        out[:, start : start + width] = block.real if real else block
+        out[:, start : start + width] = block.real if split.real else block
     return out if split is lam else split.scatter(out)
 
 

@@ -58,7 +58,6 @@ __all__ = [
     "REGISTRY",
     "get_scheme",
     "list_schemes",
-    "empirical_order",
 ]
 
 MAX_STAGES = 12
@@ -739,56 +738,3 @@ def get_scheme(name: str) -> SchemeInfo:
 
 def list_schemes() -> list[SchemeInfo]:
     return list(REGISTRY.values())
-
-
-# ---------------------------------------------------------------------------
-
-
-def empirical_order(scheme, h_set: Optional[Sequence[float]] = None, probe=None) -> float:
-    """Least-squares slope of log error vs log h on a scalar stiff probe.
-
-    scheme may be a registry name, SchemeInfo or Tableau.  The default
-    probe is u' = -u + u^2, u(0) = 1/2, T = 1, whose exact solution
-    1/(1 + e^t) pins the error; h_set defaults to a geometric ladder sized
-    to the declared order so no point sits on the rounding floor.
-    """
-    from .integrator import run_scalar_probe, ScalarProbe
-
-    if probe is None:
-        probe = ScalarProbe()
-    declared = None
-    if isinstance(scheme, Tableau):
-        declared = scheme.order
-    elif isinstance(scheme, (str, SchemeInfo)):
-        info = scheme if isinstance(scheme, SchemeInfo) else get_scheme(scheme)
-        declared = info.order
-    if h_set is None:
-        top = 14 if declared is None else max(8, 2 * declared)
-        h_set = [probe.T / n for n in (top, 2 * top, 4 * top, 8 * top, 16 * top)]
-    errors, steps = [], []
-    for h in h_set:
-        err = run_scalar_probe(scheme, probe, h)
-        if math.isfinite(err) and err > 0:
-            errors.append(err)
-            steps.append(h)
-    if len(errors) < 2:
-        raise ValueError("not enough finite error points to estimate an order")
-    # The error is measured against the probe's exact solution, so the only
-    # contamination is accumulated roundoff; drop points down at that floor.
-    pts = [(h, e) for h, e in zip(steps, errors) if e > 1e-13]
-    if len(pts) < 2:
-        pts = list(zip(steps, errors))
-    return _loglog_slope(pts)
-
-
-def _loglog_slope(points) -> float:
-    """Least-squares slope of log(error) against log(h) over (h, error)
-    pairs: the convergence order that empirical_order and
-    bench.estimate_order report, each over its own points."""
-    xs = [math.log(h) for h, _ in points]
-    ys = [math.log(e) for _, e in points]
-    n = len(xs)
-    xbar, ybar = sum(xs) / n, sum(ys) / n
-    return sum((x - xbar) * (y - ybar) for x, y in zip(xs, ys)) / sum(
-        (x - xbar) ** 2 for x in xs
-    )

@@ -29,7 +29,7 @@ from phistep.bench import (
     run_sweep,
 )
 from phistep.errors import NoDataError, UnstableError
-from phistep.integrator import ScalarProbe, _ProbeSystem
+from phistep.integrator import ScalarProbe, _ProbeSystem, _loglog_slope
 from phistep.problems import default_grid, get_problem
 from phistep.spectral import Grid
 
@@ -348,15 +348,13 @@ def test_estimate_order_needs_three_qualifying_points():
 
 
 def test_estimate_order_and_empirical_order_share_one_fit():
-    from phistep import tableau
-
     points = [(0.1, 3e-4), (0.05, 2e-5), (0.025, 1.3e-6), (0.0125, 8e-8)]
     want = np.polyfit(np.log([h for h, _ in points]), np.log([e for _, e in points]), 1)[0]
-    assert tableau._loglog_slope(points) == pytest.approx(want, rel=1e-12)
-    assert bench._loglog_slope is tableau._loglog_slope
+    assert _loglog_slope(points) == pytest.approx(want, rel=1e-12)
+    assert bench._loglog_slope is _loglog_slope
     records = [SweepRecord("etdrk4", h, h, e, 1.0, True, True) for h, e in points]
     records.append(SweepRecord("etdrk4", 0.00625, 0.00625, 1e-12, 1.0, True, True))  # floor
-    assert estimate_order(records) == tableau._loglog_slope(points)
+    assert estimate_order(records) == _loglog_slope(points)
 
 
 def test_estimate_order_rejects_mixed_schemes():

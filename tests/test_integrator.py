@@ -24,6 +24,7 @@ from phistep.integrator import (
     start_multistep,
     step,
     _StepWork,
+    empirical_order,
 )
 from phistep.phifun import KeyedDiagonal, PhiExpr, eval_phi_expr, exp_term, phi
 from phistep.problems import (
@@ -36,7 +37,7 @@ from phistep.problems import (
     problem_names,
 )
 from phistep.spectral import Grid, to_coeffs, to_values
-from phistep.tableau import empirical_order, etd_euler, get_scheme, list_schemes
+from phistep.tableau import etd_euler, get_scheme, list_schemes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -248,8 +249,7 @@ def test_zero_nonlinearity_steps_exactly(name):
     zero = np.zeros(8, dtype=complex)
     state = SimState(
         coeffs=u0.copy(), time=0.0, step=0,
-        nl_current=zero if info.steps > 1 else None,
-        history=(zero,) * (info.steps - 1),
+        nonlinear=(zero,) * info.steps if info.steps > 1 else (),
         initial_norm=float(np.max(np.abs(u0))),
     )
     out = step(state, scheme, system)
@@ -277,10 +277,14 @@ def test_probe_hundred_steps_vs_analytic():
 
 
 def test_step_requires_history():
+    # a multistep state needs q nonlinear values, N(u^n) and q - 1 past ones
     system = probe_system()
     scheme = prepare_scheme("abnorsett4", 0.01, system.lam)
     with pytest.raises(ValueError, match="past nonlinear values"):
         step(fresh_state(system), scheme, system)
+    short = dataclasses.replace(fresh_state(system), nonlinear=(square(system.u0),) * 3)
+    with pytest.raises(ValueError, match="abnorsett4 needs 4 nonlinear values"):
+        step(short, scheme, system)
 
 
 def test_instability_raises_on_amplification():
@@ -387,8 +391,7 @@ def test_gen_lawson_step_matches_brute_force_transform(q):
     scheme = prepare_scheme(f"genlawson4{q}", h, system.lam)
     state = SimState(
         coeffs=np.array([states[0] + 0j]), time=0.0, step=q,
-        nl_current=np.array([nl_values[0] + 0j]),
-        history=tuple(np.array([v + 0j]) for v in nl_values[1:]),
+        nonlinear=tuple(np.array([v + 0j]) for v in nl_values),
         initial_norm=abs(states[0]),
     )
     out = step(state, scheme, system)
@@ -478,10 +481,10 @@ def test_starter_history_layout():
     state = res.state
     assert state.step == 2
     assert state.time == pytest.approx(0.02)
-    assert len(state.history) == 2
-    # history runs backwards: N(u^1) then N(u^0)
-    np.testing.assert_allclose(state.history[1], square(system.u0), rtol=1e-15)
-    np.testing.assert_allclose(state.nl_current, square(res.states[2]), rtol=1e-15)
+    assert len(state.nonlinear) == 3
+    # newest first: N(u^2), N(u^1), then N(u^0)
+    np.testing.assert_allclose(state.nonlinear[2], square(system.u0), rtol=1e-15)
+    np.testing.assert_allclose(state.nonlinear[0], square(res.states[2]), rtol=1e-15)
 
 
 def test_starter_printed_delta0_variant_differs():
@@ -733,8 +736,8 @@ def _reference_step(state, scheme, system):
     fresh arrays."""
     tab, h, u = scheme.tableau, scheme.h, state.coeffs
     s, q = tab.stages, tab.steps
-    nl_now = state.nl_current if q > 1 else system.nonlinear(u)
-    past = [value - nl_now for value in state.history[: q - 1]]
+    nl_now = state.nonlinear[0] if q > 1 else system.nonlinear(u)
+    past = [value - nl_now for value in state.nonlinear[1:q]]
     diffs, stage_values = [None], [u]
     for i in range(2, s + 1):
         src = tab.stage_source.get(i)
@@ -759,8 +762,7 @@ def _reference_step(state, scheme, system):
             out = out + h * (coeff * value)
     return SimState(
         coeffs=out, time=state.time + h, step=state.step + 1,
-        nl_current=system.nonlinear(out) if q > 1 else None,
-        history=(state.nl_current, *state.history)[: q - 1] if q > 1 else (),
+        nonlinear=(system.nonlinear(out), *state.nonlinear[: q - 1]) if q > 1 else (),
         initial_norm=state.initial_norm,
     )
 
@@ -782,10 +784,8 @@ def _desk_start(key, scheme, h):
 def _same_state(a, b):
     return (a.coeffs.tobytes() == b.coeffs.tobytes()
             and a.time == b.time and a.step == b.step
-            and (a.nl_current is None) == (b.nl_current is None)
-            and (a.nl_current is None or a.nl_current.tobytes() == b.nl_current.tobytes())
-            and len(a.history) == len(b.history)
-            and all(x.tobytes() == y.tobytes() for x, y in zip(a.history, b.history)))
+            and len(a.nonlinear) == len(b.nonlinear)
+            and all(x.tobytes() == y.tobytes() for x, y in zip(a.nonlinear, b.nonlinear)))
 
 
 @pytest.mark.parametrize("case", [*sorted(_BUFFERED_STEP), _NONLINEAR_ONLY])
@@ -812,20 +812,25 @@ def test_buffered_step_equals_fresh_step_bit_for_bit(case, scheme):
     assert any(buffered.coeffs is out for out in work.outputs)
 
 
-def test_buffered_steps_allocate_no_field_of_their_own():
-    # after a warm-up step, the buffered loop's arithmetic between two
-    # evaluations allocates no field (its transforms, rows and differences
-    # write into the workspace), and an evaluation no more than the
-    # problem's own pointwise func makes; tracemalloc marks at each
-    # evaluation's entry and exit keep the two bounds apart
+@pytest.mark.parametrize("scheme", ["etdrk4", "abnorsett4", "pecec736"])
+def test_buffered_steps_allocate_no_field_of_their_own(scheme):
+    # after q + 2 warm-up steps, the buffered loop's arithmetic between
+    # two evaluations allocates no field (its transforms, rows and
+    # differences write into the workspace, and a multistep N(u^{n+1})
+    # into its ring), and an evaluation no more than the problem's own
+    # pointwise func makes; tracemalloc marks at each evaluation's entry
+    # and exit keep the two bounds apart
     problem = get_problem("sh3")
     system = discretize(problem, default_grid(problem, size=40))
-    engine = prepare_scheme("etdrk4", 0.05, system.lam)
+    engine = prepare_scheme(scheme, 0.05, system.lam)
     u0 = np.array(system.u0, dtype=complex)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=float(np.max(np.abs(u0))))
+    if engine.steps > 1:
+        state = start_multistep(engine.steps, 0.05, system, u0).state
     marking = _MarkingSystem(system)
     work = _StepWork(engine, u0.shape, marking)
-    state = step(state, engine, marking, work=work)
+    for _ in range(engine.steps + 2):
+        state = step(state, engine, marking, work=work)
     values = to_values(state.coeffs, system.grid)
     nsteps = 5
     tracemalloc.start()
@@ -850,6 +855,29 @@ def test_buffered_steps_allocate_no_field_of_their_own():
     assert cast + slack <= min(values.nbytes, u0.nbytes) / 2
     assert max(grown[::2]) <= cast + slack, grown
     assert max(grown[1::2]) <= func_peak + slack, (grown, func_peak)
+
+
+@pytest.mark.parametrize("scheme", [info.name for info in list_schemes()])
+def test_workspace_step_keeps_the_previous_state_and_returns_its_own_arrays(scheme):
+    # the reuse rule: a state returned by a workspace step stays intact
+    # through the next step, and once the starter's arrays have left the
+    # state (q steps), every array of a new state is a workspace slot
+    system, engine, _, state = _desk_start("nls", scheme, _BUFFERED_STEP["nls"])
+    q = engine.steps
+    work = _StepWork(engine, state.coeffs.shape, system)
+    for _ in range(q):
+        state = step(state, engine, system, work=work)
+    slots = [*work.outputs, *work.ring]
+    assert len(work.ring) == (q + 1 if q > 1 else 0)
+    for _ in range(q + 3):
+        before = [a.copy() for a in (state.coeffs, *state.nonlinear)]
+        new = step(state, engine, system, work=work)
+        assert [a.tobytes() for a in (state.coeffs, *state.nonlinear)] == [
+            a.tobytes() for a in before], (scheme, new.step)
+        assert len(new.nonlinear) == (q if q > 1 else 0)
+        for arr in (new.coeffs, *new.nonlinear):
+            assert any(arr is slot for slot in slots), (scheme, new.step)
+        state = new
 
 
 def _reference_starter(q, h, system, u0, delta0_state=False):
@@ -894,7 +922,7 @@ def _reference_starter(q, h, system, u0, delta0_state=False):
             break
     return types.SimpleNamespace(
         states=tuple(states), iterations=iterations, converged=converged,
-        nl_current=nl_values[q - 1], history=tuple(nl_values[q - 2 :: -1]))
+        nonlinear=tuple(nl_values[::-1]))
 
 
 @pytest.mark.parametrize("delta0", [False, True])
@@ -910,8 +938,7 @@ def test_starter_equals_reference_starter_bit_for_bit(key, q, delta0):
     assert (got.iterations, got.converged) == (want.iterations, want.converged)
     assert [u.tobytes() for u in got.states] == [u.tobytes() for u in want.states]
     assert got.state.coeffs is got.states[-1]
-    assert got.state.nl_current.tobytes() == want.nl_current.tobytes()
-    assert [v.tobytes() for v in got.state.history] == [v.tobytes() for v in want.history]
+    assert [v.tobytes() for v in got.state.nonlinear] == [v.tobytes() for v in want.nonlinear]
 
 
 class _MarkingSystem:
