@@ -223,13 +223,13 @@ def precompute(tableau: Tableau, h: float, lam) -> PrecomputedScheme:
     must then hold h*lam already (integrate builds one for the scheme
     and its starter).  Requires a complete
     tableau (summation property filled in, or a scheme exempt from it);
-    h must be positive.  Deterministic for fixed inputs.
+    h must be positive and finite.  Deterministic for fixed inputs.
     """
     if not tableau.is_complete:
         raise ValueError(f"tableau {tableau.name!r} has unfilled slots; "
                          "complete the summation property first")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     diag = lam if isinstance(lam, KeyedDiagonal) else KeyedDiagonal(h * np.asarray(lam))
     exprs, program = _lowering(tableau)
     arrays = eval_phi_exprs(exprs, diag)
@@ -391,7 +391,10 @@ def prepare_scheme(scheme: SchemeLike, h: float, lam):
 
 def snap_step(h: float, T: float) -> tuple:
     """(nsteps, T / nsteps): the number of steps spanning T at a step near
-    h, and the step snapped to it, so that T is an exact multiple."""
+    h, and the step snapped to it, so that T is an exact multiple.  h
+    must be positive and finite."""
+    if not 0 < h < math.inf:
+        raise ValueError(f"step size must be positive and finite, got {h}")
     nsteps = max(1, math.ceil(T / h - 1e-9))
     return nsteps, T / nsteps
 
@@ -566,8 +569,6 @@ def integrate(
 
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {T}")
-    if not h > 0:
-        raise ValueError(f"step size must be positive, got {h}")
     tableau = _tableau_of(scheme)
     nsteps, h = require_steps(tableau, h, T)
     snap_table: dict = {}
@@ -598,13 +599,15 @@ def integrate(
                                       initial_norm=initial_norm, diag=diag)
             state, converged, iterations = starter.state, starter.converged, starter.iterations
             starting = starter.states
+            del starter
         else:
             state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
             starting, converged, iterations = (u0,), True, 0
-        for j, coeffs in enumerate(starting):
-            record(j, coeffs)
-        # set-up data only: the copy of h*L is not held while stepping
-        del diag
+        for j in range(q):
+            record(j, starting[j])
+        # set-up data only: neither the copy of h*L nor the starting values
+        # are held while stepping (the state keeps what it still needs)
+        del diag, starting, u0
 
         work = _StepWork(engine, state.coeffs.shape, system)
         fft_start = cell[0]
@@ -719,14 +722,8 @@ def empirical_order(scheme, h_set: Optional[Sequence[float]] = None, probe=None)
     """
     if probe is None:
         probe = ScalarProbe()
-    declared = None
-    if isinstance(scheme, Tableau):
-        declared = scheme.order
-    elif isinstance(scheme, (str, SchemeInfo)):
-        info = scheme if isinstance(scheme, SchemeInfo) else get_scheme(scheme)
-        declared = info.order
     if h_set is None:
-        top = 14 if declared is None else max(8, 2 * declared)
+        top = max(8, 2 * _tableau_of(scheme).order)
         h_set = [probe.T / n for n in (top, 2 * top, 4 * top, 8 * top, 16 * top)]
     errors, steps = [], []
     for h in h_set:

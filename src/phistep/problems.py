@@ -319,20 +319,12 @@ def nls_breather(a: float, b: float, t: float, x) -> np.ndarray:
 # registry
 
 
-def _p1(name, label, interval, T, desk_size, desk_T, symbol, nonlinear, ic,
-        real=True, components=1) -> Problem:
-    return Problem(
-        name=name, label=label, dims=1, components=components, real=real,
-        interval=interval, T=T, paper_size=512, desk_size=desk_size, desk_T=desk_T,
-        symbol=symbol, nonlinear=nonlinear, ic=ic,
-    )
-
-
-def _pnd(name, label, dims, interval, T, desk_size, desk_T, symbol, nonlinear, ic,
-         real=True, components=1) -> Problem:
+def _problem(name, label, dims, interval, T, desk_size, desk_T, symbol, nonlinear, ic,
+             real=True, components=1) -> Problem:
+    """A registry row; the paper's grid is 512 points in 1D and 128 per axis otherwise."""
     return Problem(
         name=name, label=label, dims=dims, components=components, real=real,
-        interval=interval, T=T, paper_size=128,
+        interval=interval, T=T, paper_size=512 if dims == 1 else 128,
         desk_size=desk_size, desk_T=desk_T,
         symbol=symbol, nonlinear=nonlinear, ic=ic,
     )
@@ -344,27 +336,27 @@ def _build_registry() -> dict:
     def add(p: Problem) -> None:
         problems[(p.name, p.dims)] = p
 
-    add(_p1("ac", "second-order diffusive", (0.0, 2 * np.pi), 60.0, 128, 10.0,
-            _ac_symbol, _ac_nonlinear, _ac_ic))
-    add(_p1("ch", "fourth-order diffusive", (-1.0, 1.0), 12.0, 128, 2.0,
-            _ch_symbol, _ch_nonlinear, _ch_ic))
-    add(_p1("kdv", "third-order dispersive", (-np.pi, np.pi), 1e-2, 256, 1e-3,
-            _kdv_symbol, _advective_nonlinear, _kdv_ic))
+    add(_problem("ac", "second-order diffusive", 1, (0.0, 2 * np.pi), 60.0, 128, 10.0,
+                 _ac_symbol, _ac_nonlinear, _ac_ic))
+    add(_problem("ch", "fourth-order diffusive", 1, (-1.0, 1.0), 12.0, 128, 2.0,
+                 _ch_symbol, _ch_nonlinear, _ch_ic))
+    add(_problem("kdv", "third-order dispersive", 1, (-np.pi, np.pi), 1e-2, 256, 1e-3,
+                 _kdv_symbol, _advective_nonlinear, _kdv_ic))
     # The desk horizon must reach the chaotic regime (developed around
     # t ~ 15-20 from this initial condition): that is where the multistep
     # schemes' stability gap versus one-step schemes shows up.
-    add(_p1("ks", "fourth-order diffusive", (0.0, 32 * np.pi), 100.0, 64, 30.0,
-            _ks_symbol, _advective_nonlinear, _ks_ic))
-    add(_p1("nls", "second-order dispersive", (-np.pi, np.pi), 2.0, 128, 0.5,
-            _nls_symbol, _nls_nonlinear, _nls_ic, real=False))
+    add(_problem("ks", "fourth-order diffusive", 1, (0.0, 32 * np.pi), 100.0, 64, 30.0,
+                 _ks_symbol, _advective_nonlinear, _ks_ic))
+    add(_problem("nls", "second-order dispersive", 1, (-np.pi, np.pi), 2.0, 128, 0.5,
+                 _nls_symbol, _nls_nonlinear, _nls_ic, real=False))
     for dims, desk in ((2, 32), (3, 16)):
-        add(_pnd("gl", "second-order diffusive", dims, (0.0, 100.0), 10.0, desk, 2.0,
-                 _gl_symbol, _gl_nonlinear, _gl_ic, real=False))
-        add(_pnd("schnak", "second-order diffusive", dims, (0.0, SCHNAK_G), 20.0,
-                 desk, 2.0, _schnak_symbol, _schnak_nonlinear, _schnak_ic,
-                 components=2))
-        add(_pnd("sh", "fourth-order diffusive", dims, (0.0, 20.0), 20.0, desk, 2.0,
-                 _sh_symbol, _sh_nonlinear, _sh_ic))
+        add(_problem("gl", "second-order diffusive", dims, (0.0, 100.0), 10.0, desk, 2.0,
+                     _gl_symbol, _gl_nonlinear, _gl_ic, real=False))
+        add(_problem("schnak", "second-order diffusive", dims, (0.0, SCHNAK_G), 20.0,
+                     desk, 2.0, _schnak_symbol, _schnak_nonlinear, _schnak_ic,
+                     components=2))
+        add(_problem("sh", "fourth-order diffusive", dims, (0.0, 20.0), 20.0, desk, 2.0,
+                     _sh_symbol, _sh_nonlinear, _sh_ic))
     return problems
 
 

@@ -22,9 +22,12 @@ Phys. 176 (2002); Krogstad, J. Comput. Phys. 203 (2005)), ETD
 Adams-Bashforth schemes (Norsett, Lecture Notes in Math. 109 (1969)),
 ETD predictor-corrector combinations of those, Lawson's integrating
 factor methods (Lawson, SIAM J. Numer. Anal. 4 (1967)) and their
-generalized form (Krogstad, 2005), written as exact tableaux.  All rational
-coefficients are kept exact until evaluation, so each tableau reduces to
-its classical counterpart at z = 0 in exact arithmetic.
+generalized form (Krogstad, 2005), written as exact tableaux by four
+constructions: ETD Runge-Kutta by hand, ETD Adams (_adams: ABNorsett,
+PEC, PECEC), transformed RK4 (_transformed_rk4: Lawson4, GenLawson4q)
+and transformed AB (ablawson4).  All rational coefficients are kept
+exact until evaluation, so each tableau reduces to its classical
+counterpart at z = 0 in exact arithmetic.
 """
 from __future__ import annotations
 
@@ -33,6 +36,7 @@ import re
 import threading
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 from .errors import TableauFileError
@@ -223,18 +227,17 @@ def _lagrange_basis(nodes: Sequence[Fraction]) -> list[list[Fraction]]:
     return basis
 
 
+def _quadrature(coeffs: Sequence[Fraction], a=1) -> PhiExpr:
+    """sum_j c_j j! a^{j+1} phi_{j+1}(a z), which is
+    int_0^a e^{(a-t) z} p(t) dt for the polynomial p(t) = sum_j c_j t^j."""
+    return sum((phi(j + 1, c * math.factorial(j) * a ** (j + 1), a)
+                for j, c in enumerate(coeffs) if c != 0), _ZERO)
+
+
 def _etd_weights(nodes: Sequence[Fraction]) -> list[PhiExpr]:
     """Exponential quadrature weights over [t_n, t_n + h] for the given
-    interpolation nodes (in units of h, relative to t_n), using
-    int_0^1 e^{(1-t) z} t^j dt = j! phi_{j+1}(z)."""
-    weights = []
-    for coeffs in _lagrange_basis(nodes):
-        expr = _ZERO
-        for j, a in enumerate(coeffs):
-            if a != 0:
-                expr = expr + phi(j + 1, a * math.factorial(j))
-        weights.append(expr)
-    return weights
+    interpolation nodes (in units of h, relative to t_n)."""
+    return [_quadrature(coeffs) for coeffs in _lagrange_basis(nodes)]
 
 
 def etd_ab_weights(q: int) -> tuple[PhiExpr, tuple[PhiExpr, ...]]:
@@ -304,18 +307,32 @@ def etdrk4() -> Tableau:
     return complete_summation(t)
 
 
+def _adams(order: int, corrections: int) -> Tableau:
+    """The ETD Adams scheme of the given order p: Adams-Bashforth with no
+    corrections; else the AB(p-1) predictor is stage 2 and the AM(p)
+    corrector runs once per later stage and once more in the output (one
+    correction gives PEC, two give PECEC)."""
+    s, q = corrections + 1, order - (corrections > 0)
+    ab = etd_ab_weights(q)[1]  # the AB(q) weights of N(u^{n-1}), ..., N(u^{n-q+1})
+    A = [[_ZERO] * s for _ in range(s)]
+    U = [tuple(_ZERO for _ in range(q - 1))] * s
+    B, V = [None] + [_ZERO] * (s - 1), ab
+    if corrections:
+        am = etd_am_weights(order)
+        A[1][0], U[1] = None, ab
+        for i in range(2, s):
+            A[i][0], A[i][i - 1], U[i] = None, am[0], am[2:]
+        B[-1], V = am[0], am[2:]
+    name = f"p{'ec' * corrections}{order}{s}{q}" if corrections else f"abnorsett{order}"
+    return complete_summation(Tableau(name=name, order=order, stages=s, steps=q,
+                                      C=(0,) + (1,) * corrections, A=A, B=B, U=U, V=V))
+
+
 def build_abnorsett(q: int) -> Tableau:
     """ETD Adams-Bashforth scheme of order q (one stage, q steps)."""
     if not 4 <= q <= 6:
         raise ValueError(f"order must be in [4, 6], got {q}")
-    _, hist = etd_ab_weights(q)
-    t = Tableau(
-        name=f"abnorsett{q}", order=q, stages=1, steps=q,
-        C=(0,), A=((_ZERO,),), B=(None,),
-        U=(tuple(_ZERO for _ in range(q - 1)),),
-        V=hist,
-    )
-    return complete_summation(t)
+    return _adams(q, 0)
 
 
 def build_pec(p: int) -> Tableau:
@@ -323,80 +340,60 @@ def build_pec(p: int) -> Tableau:
     order p-1 predicts, the order-p ETD Adams-Moulton corrects once."""
     if not 4 <= p <= 7:
         raise ValueError(f"order must be in [4, 7], got {p}")
-    q = p - 1
-    _, pred_hist = etd_ab_weights(p - 1)
-    cw = etd_am_weights(p)
-    t = Tableau(
-        name=f"pec{p}2{q}", order=p, stages=2, steps=q,
-        C=(0, 1),
-        A=((_ZERO, _ZERO), (None, _ZERO)),
-        B=(None, cw[0]),
-        U=(tuple(_ZERO for _ in range(q - 1)), pred_hist),
-        V=tuple(cw[2:]),
-    )
-    return complete_summation(t)
+    return _adams(p, 1)
 
 
 def build_pecec(p: int) -> Tableau:
     """Like build_pec but with the corrector applied twice (PECEC)."""
     if not 4 <= p <= 7:
         raise ValueError(f"order must be in [4, 7], got {p}")
-    q = p - 1
-    _, pred_hist = etd_ab_weights(p - 1)
-    cw = etd_am_weights(p)
-    zrow = tuple(_ZERO for _ in range(q - 1))
-    t = Tableau(
-        name=f"pecec{p}3{q}", order=p, stages=3, steps=q,
-        C=(0, 1, 1),
+    return _adams(p, 2)
+
+
+def _transformed_rk4(name: str, order: int, first: Sequence[PhiExpr],
+                     U: tuple = (), V: tuple = (), summation: bool = True) -> Tableau:
+    """Classical RK4 on an exponentially transformed variable.
+
+    The skeleton is the same for every transform: C = (0, 1/2, 1/2, 1),
+    A32 = 1/2, A43 = e^{z/2}, B2 = B3 = e^{z/2}/3 and B4 = 1/6.  first is
+    (A21, A31, A41, B1), and the history columns U, V (one per past
+    value) give the steps.
+    """
+    half = Fraction(1, 2)
+    a21, a31, a41, b1 = first
+    third = exp_term(Fraction(1, 3), half)
+    return Tableau(
+        name=name, order=order, stages=4, steps=len(V) + 1,
+        C=(0, half, half, 1),
         A=(
-            (_ZERO, _ZERO, _ZERO),
-            (None, _ZERO, _ZERO),
-            (None, cw[0], _ZERO),
+            (_ZERO, _ZERO, _ZERO, _ZERO),
+            (a21, _ZERO, _ZERO, _ZERO),
+            (a31, const_term(half), _ZERO, _ZERO),
+            (a41, _ZERO, exp_term(1, half), _ZERO),
         ),
-        B=(None, _ZERO, cw[0]),
-        U=(zrow, pred_hist, tuple(cw[2:])),
-        V=tuple(cw[2:]),
+        B=(b1, third, third, const_term(Fraction(1, 6))),
+        U=U, V=V, satisfies_summation=summation,
     )
-    return complete_summation(t)
 
 
 def lawson4() -> Tableau:
     """Lawson's integrating-factor RK4: classical RK4 applied to the
     exponentially transformed variable e^{-Lt} u."""
     half = Fraction(1, 2)
-    return Tableau(
-        name="lawson4", order=4, stages=4, steps=1,
-        C=(0, half, half, 1),
-        A=(
-            (_ZERO, _ZERO, _ZERO, _ZERO),
-            (exp_term(half, half), _ZERO, _ZERO, _ZERO),
-            (_ZERO, const_term(half), _ZERO, _ZERO),
-            (_ZERO, _ZERO, exp_term(1, half), _ZERO),
-        ),
-        B=(
-            exp_term(Fraction(1, 6), 1),
-            exp_term(Fraction(1, 3), half),
-            exp_term(Fraction(1, 3), half),
-            const_term(Fraction(1, 6)),
-        ),
-        satisfies_summation=False,
+    return _transformed_rk4(
+        "lawson4", 4, (exp_term(half, half), _ZERO, _ZERO, exp_term(Fraction(1, 6), 1)),
+        summation=False,
     )
 
 
 def ablawson4() -> Tableau:
-    """Integrating-factor Adams-Bashforth 4: classical AB4 weights carried
-    through the exponential transform."""
+    """Integrating-factor Adams-Bashforth 4: classical AB4 weights (the
+    ETD weights at z = 0) carried through the exponential transform."""
+    b1, hist = etd_ab_weights(4)
+    weights = [exp_term(w.at_zero(), m + 1) for m, w in enumerate((b1, *hist))]
     return Tableau(
-        name="ablawson4", order=4, stages=1, steps=4,
-        C=(0,), A=((_ZERO,),),
-        B=(exp_term(Fraction(55, 24), 1),),
-        U=(tuple(_ZERO for _ in range(3)),),
-        V=(
-            exp_term(Fraction(-59, 24), 2),
-            exp_term(Fraction(37, 24), 3),
-            exp_term(Fraction(-9, 24), 4),
-        ),
-        satisfies_summation=False,
+        name="ablawson4", order=4, stages=1, steps=4, C=(0,), A=((_ZERO,),),
+        B=weights[:1], V=weights[1:], satisfies_summation=False,
     )
 
 
@@ -429,39 +426,18 @@ def build_gen_lawson(q: int) -> Tableau:
     if not 1 <= q <= MAX_STEPS - 1:
         raise ValueError(f"q must be in [1, {MAX_STEPS - 1}], got {q}")
     half = Fraction(1, 2)
-    basis = _lagrange_basis([Fraction(-m) for m in range(q + 1)])
 
-    def omega(a: Fraction, coeffs: list) -> PhiExpr:
-        return sum(
-            (phi(j + 1, c * math.factorial(j) * a ** (j + 1), a)
-             for j, c in enumerate(coeffs) if c != 0),
-            _ZERO,
-        )
+    def column(coeffs: list) -> tuple:  # column m of stage 2, stage 3, stage 4, output
+        mid, end = (sum((c * theta**j for j, c in enumerate(coeffs)), Fraction(0))
+                    for theta in (half, Fraction(1)))
+        w_half, w_full = _quadrature(coeffs, half), _quadrature(coeffs, Fraction(1))
+        return (w_half, w_half - const_term(mid / 2), w_full - exp_term(mid, half),
+                w_full - exp_term(mid * Fraction(2, 3), half) - const_term(end / 6))
 
-    def ell(coeffs: list, theta: Fraction) -> Fraction:
-        return sum((c * theta**j for j, c in enumerate(coeffs)), Fraction(0))
-
-    stage2, stage3, stage4, out = [], [], [], []  # column m of each row
-    for c in basis:
-        mid, end = ell(c, half), ell(c, Fraction(1))
-        w_half, w_full = omega(half, c), omega(Fraction(1), c)
-        stage2.append(w_half)
-        stage3.append(w_half - const_term(mid / 2))
-        stage4.append(w_full - exp_term(mid, half))
-        out.append(w_full - exp_term(mid * Fraction(2, 3), half) - const_term(end / 6))
-    return Tableau(
-        name=f"genlawson4{q}", order=max(4, q + 1), stages=4, steps=q + 1,
-        C=(0, half, half, 1),
-        A=(
-            (_ZERO, _ZERO, _ZERO, _ZERO),
-            (stage2[0], _ZERO, _ZERO, _ZERO),
-            (stage3[0], const_term(half), _ZERO, _ZERO),
-            (stage4[0], _ZERO, exp_term(1, half), _ZERO),
-        ),
-        B=(out[0], exp_term(Fraction(1, 3), half), exp_term(Fraction(1, 3), half),
-           const_term(Fraction(1, 6))),
-        U=(tuple(_ZERO for _ in range(q)), stage2[1:], stage3[1:], stage4[1:]),
-        V=out[1:],
+    rows = list(zip(*map(column, _lagrange_basis([Fraction(-m) for m in range(q + 1)]))))
+    return _transformed_rk4(
+        f"genlawson4{q}", max(4, q + 1), [row[0] for row in rows],
+        U=((_ZERO,) * q, *(row[1:] for row in rows[:3])), V=rows[3][1:],
     )
 
 
@@ -650,15 +626,28 @@ def load_tableau_file(path) -> Tableau:
 
 @dataclass(frozen=True)
 class SchemeInfo:
-    """Catalog row: how to display a scheme and how to build/run it."""
+    """Catalog row: how to display a scheme and how to build/run it.
+
+    order, stages and steps are read from the scheme's tableau.
+    """
 
     name: str
     display: str
     family: str
-    order: int
-    stages: int
-    steps: int  # the paper's q; GenLawson4q's tableau keeps q + 1 values
     build: Callable[[], Tableau]
+
+    @property
+    def order(self) -> int:
+        return self.tableau().order
+
+    @property
+    def stages(self) -> int:
+        return self.tableau().stages
+
+    @property
+    def steps(self) -> int:
+        """The paper's q; GenLawson4q's tableau keeps q + 1 values."""
+        return self.tableau().steps - (self.family == "Gen. Lawson")
 
     @property
     def engine(self) -> str:
@@ -686,40 +675,21 @@ _BUILT_LOCK = threading.Lock()
 
 
 def _registry() -> dict[str, SchemeInfo]:
-    rows: list[SchemeInfo] = [
-        SchemeInfo("etdeuler", "ETD Euler", "ETD Runge–Kutta", 1, 1, 1, etd_euler),
-        SchemeInfo("etdrk2", "ETDRK2", "ETD Runge–Kutta", 2, 2, 1, etdrk2),
-        SchemeInfo("etdrk4", "ETDRK4", "ETD Runge–Kutta", 4, 4, 1, etdrk4),
+    rk, pc = "ETD Runge–Kutta", "Exp. Predictor-Corrector"
+    rows = [
+        SchemeInfo("etdeuler", "ETD Euler", rk, etd_euler),
+        SchemeInfo("etdrk2", "ETDRK2", rk, etdrk2),
+        SchemeInfo("etdrk4", "ETDRK4", rk, etdrk4),
+        *(SchemeInfo(f"abnorsett{q}", f"ABNørsett{q}", "ETD Adams–Bashforth",
+                     partial(build_abnorsett, q)) for q in (4, 5, 6)),
+        SchemeInfo("ablawson4", "ABLawson4", "Lawson", ablawson4),
+        SchemeInfo("lawson4", "Lawson4", "Lawson", lawson4),
+        *(SchemeInfo(f"genlawson4{q}", f"GenLawson4{q}", "Gen. Lawson",
+                     partial(build_gen_lawson, q)) for q in range(1, 6)),
     ]
-    for q in (4, 5, 6):
-        rows.append(
-            SchemeInfo(
-                f"abnorsett{q}", f"ABNørsett{q}", "ETD Adams–Bashforth",
-                q, 1, q, lambda q=q: build_abnorsett(q),
-            )
-        )
-    rows.append(SchemeInfo("ablawson4", "ABLawson4", "Lawson", 4, 1, 4, ablawson4))
-    rows.append(SchemeInfo("lawson4", "Lawson4", "Lawson", 4, 4, 1, lawson4))
-    for q, order in ((1, 4), (2, 4), (3, 4), (4, 5), (5, 6)):
-        rows.append(
-            SchemeInfo(
-                f"genlawson4{q}", f"GenLawson4{q}", "Gen. Lawson",
-                order, 4, q, lambda q=q: build_gen_lawson(q),
-            )
-        )
     for p in (4, 5, 6, 7):
-        rows.append(
-            SchemeInfo(
-                f"pec{p}2{p - 1}", f"PEC{p}2{p - 1}", "Exp. Predictor-Corrector",
-                p, 2, p - 1, lambda p=p: build_pec(p),
-            )
-        )
-        rows.append(
-            SchemeInfo(
-                f"pecec{p}3{p - 1}", f"PECEC{p}3{p - 1}", "Exp. Predictor-Corrector",
-                p, 3, p - 1, lambda p=p: build_pecec(p),
-            )
-        )
+        rows += [SchemeInfo(f"pec{p}2{p - 1}", f"PEC{p}2{p - 1}", pc, partial(build_pec, p)),
+                 SchemeInfo(f"pecec{p}3{p - 1}", f"PECEC{p}3{p - 1}", pc, partial(build_pecec, p))]
     return {row.name: row for row in rows}
 
 

@@ -65,6 +65,7 @@ def test_run_without_step_exits_2(capsys):
      "abnorsett6 needs at least 5 steps but h=100 gives only 1 over T=1"),
     (["--size", "7", "--h", "0.5"], "bad run settings: axis sizes must be even and positive, got 7"),
     (["--size", "0", "--h", "0.5"], "bad run settings: axis sizes must be even and positive, got 0"),
+    (["--h", "inf"], "step size must be positive and finite, got inf"),
 ])
 def test_run_rejected_settings_exit_2_naming_cause(flags, cause, tmp_path, capsys):
     assert main(["run", "ks", "--desk", *flags, "--out", str(tmp_path)]) == 2

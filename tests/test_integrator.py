@@ -6,6 +6,7 @@ import dataclasses
 import math
 import tracemalloc
 import types
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -589,6 +590,46 @@ def test_integrate_snaps_step_size():
     assert result.steps == 4
     assert result.h == pytest.approx(0.25)
     assert integrator.snap_step(0.3, 1.0) == (result.steps, result.h)
+
+
+@pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
+def test_step_size_must_be_positive_and_finite(h):
+    message = "step size must be positive and finite"
+    with pytest.raises(ValueError, match=message):
+        integrator.snap_step(h, 1.0)
+    with pytest.raises(ValueError, match=message):
+        precompute(etd_euler(), h, np.array([-1.0]))
+    with pytest.raises(ValueError, match=message):
+        integrate(probe_system(), "etdrk4", h, 1.0)
+
+
+@pytest.mark.parametrize("scheme", ["abnorsett4", "pecec736"])
+def test_integrate_frees_the_starting_values_while_stepping(scheme, monkeypatch):
+    # once the state has stepped past them, the starter's values u^0..u^{q-1}
+    # and its N(u) history are held by nothing
+    refs = []
+    plain = integrator.start_multistep
+
+    def watched(*args, **kwargs):
+        result = plain(*args, **kwargs)
+        refs.extend(weakref.ref(a) for a in (*result.states, *result.state.nonlinear))
+        return result
+
+    monkeypatch.setattr(integrator, "start_multistep", watched)
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem, size=16))
+    alive = []
+
+    class Watching:
+        lam, u0 = system.lam, system.u0
+
+        def nonlinear_into(self, coeffs, out, scratch):
+            alive.append(sum(ref() is not None for ref in refs))
+            return system.nonlinear_into(coeffs, out, scratch)
+
+    integrate(Watching(), scheme, 0.005, 1.0)
+    assert len(refs) == 2 * get_scheme(scheme).steps
+    assert len(alive) >= 150 and alive[149] == 0, alive[149]
 
 
 def test_integrate_snapshots():

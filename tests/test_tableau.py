@@ -1,5 +1,6 @@
 """Tests for the scheme catalog: exact classical reductions at z = 0,
 symbolic summation identities, and the tableau file format."""
+import dataclasses
 from fractions import Fraction as F
 
 import mpmath as mp
@@ -28,7 +29,7 @@ from phistep.tableau import (
     summation_residuals,
 )
 
-from _oracles import classical_ab_weights, classical_am_weights, phi_reference
+from _oracles import classical_ab_weights, classical_am_weights, frozen_catalog, phi_reference
 
 ZERO = PhiExpr()
 
@@ -322,6 +323,18 @@ def test_registry_rows_match_reference_table():
     for name, (family, order, s, q) in expected.items():
         info = REGISTRY[name]
         assert (info.family, info.order, info.stages, info.steps) == (family, order, s, q)
+
+
+def test_catalog_tableaux_equal_the_frozen_builders():
+    # the family constructions give, field for field, the tableaux that
+    # the scheme-by-scheme builders gave
+    frozen = frozen_catalog()
+    assert sorted(frozen) == sorted(REGISTRY)
+    compared = [f.name for f in dataclasses.fields(Tableau) if f.compare]
+    for name, info in REGISTRY.items():
+        got, want = info.tableau(), frozen[name]
+        for slot in compared:
+            assert getattr(got, slot) == getattr(want, slot), (name, slot)
 
 
 def test_registry_tableau_consistency():
