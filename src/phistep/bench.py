@@ -188,17 +188,33 @@ def clear_reference_cache() -> None:
 
 
 def _system_key(system) -> tuple:
+    """A reference's key: the system's name, grid, diagonal, initial data
+    and nonlinearity (its op's func and outer symbol, else its own func,
+    else its type).  A function with hashable closure values and defaults
+    counts by those, its module and its code, so a problem discretized
+    twice (a new lambda each time) keeps one key; any other func counts by
+    identity, and the key holds it, so that its id is not reused."""
     grid = getattr(system, "grid", None)
-    grid_key = None if grid is None else (grid.sizes, grid.domain)
-    return (getattr(system, "name", type(system).__name__), grid_key,
-            digest(np.asarray(system.lam), np.asarray(system.u0)))
+    op = getattr(system, "op", None)
+    func = getattr(op, "func", getattr(system, "func", type(system)))
+    try:  # hash(values) raises TypeError if a value is unhashable
+        values = (*(cell.cell_contents for cell in func.__closure__ or ()),
+                  *(func.__defaults__ or ()), *(func.__kwdefaults__ or {}).values())
+        func = (func.__module__, func.__code__, values, hash(values))
+    except (AttributeError, TypeError, ValueError):
+        pass
+    arrays = (system.lam, system.u0, getattr(op, "outer", None))
+    return (getattr(system, "name", type(system).__name__),
+            None if grid is None else (grid.sizes, grid.domain),
+            digest(*(np.asarray(a) for a in arrays if a is not None)), func)
 
 
 def reference_solution(system, T: float, h_min: float) -> np.ndarray:
     """Final coefficients of a reference solve at half the smallest sweep step.
 
     Uses the highest-order catalog scheme at h_min/2 and caches the
-    result per (system, T, h_min): a second call with the same key
+    result per (system, T, h_min), the system keyed by its name, grid,
+    diagonal, initial data and nonlinearity: a second call with the same key
     returns the identical (read-only) array without re-solving.  The
     cache is the byte-bounded LRU of the phi cache, with its own budget of
     the same size, so the least recently used references are dropped

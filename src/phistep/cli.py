@@ -318,7 +318,7 @@ def _selftest_gamma_table() -> tuple:
     return same == q, f"{same}/{q} rows of gamma_l({k}, .) bit for bit on a mixed diagonal"
 
 
-def _selftest_keyed_split() -> tuple:
+def _selftest_keyed_distinct() -> tuple:
     k = np.fft.fftfreq(12, 1 / 12)
     lam = -0.05 * (k[:, None] ** 2 + k[None, :7] ** 2)  # repeats, -0.0 at the origin
     lam[5, 6] = 0.0
@@ -427,7 +427,7 @@ def _selftest_orders() -> tuple:
 def cmd_selftest(args: argparse.Namespace) -> int:
     stages = [
         ("γ tables (batched vs per-row)", _selftest_gamma_table),
-        ("φ on distinct entries (vs alone)", _selftest_keyed_split),
+        ("φ on distinct entries (vs alone)", _selftest_keyed_distinct),
         ("classical reductions at z=0", _selftest_reductions),
         ("linear exactness (N == 0)", _selftest_linear),
         ("real fields on the half spectrum", _selftest_real_layout),

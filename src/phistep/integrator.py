@@ -57,7 +57,7 @@ from typing import Callable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import UnstableError
-from .phifun import KeyedDiagonal, PhiExpr, eval_phi_expr, eval_phi_exprs, exp_term, gamma_table
+from .phifun import KeyedDiagonal, PhiExpr, eval_phi_exprs, exp_term, gamma_table
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -217,7 +217,7 @@ def precompute(tableau: Tableau, h: float, lam) -> PrecomputedScheme:
     distinct expressions at h*lam.  h*lam is keyed (converted to complex
     and digested) once, and all the expressions go through one
     eval_phi_exprs call, which takes the uncached ones' phi terms from
-    one phi_values pass per argument scale (two for ETDRK4: phi_1..phi_3
+    one phifun._rows pass per argument scale (two for ETDRK4: phi_1..phi_3
     at h*lam, phi_1 at h*lam/2); the arrays are those of term-by-term
     evaluation, bit for bit.  lam may also be a KeyedDiagonal, which
     must then hold h*lam already (integrate builds one for the scheme
@@ -451,10 +451,10 @@ def start_multistep(
     arrays.  The returned arrays are the starter's own.
 
     diag is h*system.lam keyed once (integrate passes the one it keyed
-    for the scheme), or None to key it here.  Each
-    gamma_0..gamma_{q-1}(j, hL) comes from one cached phifun.gamma_table
-    per j, so schemes with the same q at the same h (abnorsett4 and
-    genlawson43, or a repeated integration) share their tables.
+    for the scheme), or None to key it here.  The e^{jhL} come from one
+    eval_phi_exprs call, each gamma_0..gamma_{q-1}(j, hL) from one cached
+    phifun.gamma_table per j, so schemes with the same q at the same h
+    (abnorsett4 and genlawson43, or a repeated integration) share tables.
 
     delta0_state reproduces a printed variant in which the l = 0 term
     uses the state u^0 itself instead of N(u^0) (operand 0 is u^0); it is
@@ -474,9 +474,10 @@ def start_multistep(
     for _ in range(q - 1):
         state = step(state, boot, system, work=work)
         old.append(state.coeffs.copy())
-    rows = [(eval_phi_expr(exp_term(1, j), diag), 0,
+    propagators = eval_phi_exprs([exp_term(1, j) for j in range(1, q)], diag)
+    rows = [(propagator, 0,
              tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag))))
-            for j in range(1, q)]
+            for j, propagator in enumerate(propagators, start=1)]
     evaluate, product, norm = work.evaluate, work.product, work.norm
     nl = [evaluate(u, np.empty_like(product), product) for u in (u0, *old)]
     operands = [u0 if delta0_state else nl[0], *(np.empty_like(product) for _ in old)]

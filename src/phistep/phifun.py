@@ -27,13 +27,11 @@ keep phi_1..phi_7 within 1e-13 and gamma within 1e-14 relative error,
 so no contour mean is taken: a diagonal's values are the kernels'
 values at its entries.
 
-A diagonal is split into its distinct entries and the inverse index
-once (_split; on the float64 real parts when every entry is real), the
-kernels run on the distinct entries in slices of bounded size, and the
-result is scattered back to every repeat.  A KeyedDiagonal keeps its
-split for every phi and gamma evaluation over it, so eval_phi_exprs and
-gamma_table evaluate, scale and accumulate at distinct length and
-scatter each result once.
+A KeyedDiagonal is keyed, tested for realness and split into its
+distinct entries once; the kernels run on the distinct entries in
+slices of bounded size (_rows), so eval_phi_exprs and gamma_table
+evaluate, scale and accumulate at distinct length and scatter each
+result back to every repeat once.
 
 The phi recurrence yields phi_0..phi_l on its way to phi_l, so
 phi_values also takes a sequence of indices and evaluates those rows in
@@ -61,7 +59,7 @@ import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, partial
 from numbers import Rational
 from typing import Iterable, Optional, Sequence, Union
 
@@ -296,81 +294,85 @@ def _gamma_rows(rows: Sequence[int], k: int, z: np.ndarray) -> np.ndarray:
 _BLOCK_BYTES = 1 << 16
 
 
-@dataclass(frozen=True, eq=False)
-class Split:
-    """A diagonal of the given shape as its distinct entries (1-D
-    complex128) and the inverse index that puts them back, entry by
-    entry in C order; inverse None is the identity split of a diagonal
-    with no repeated entry, whose distinct entries are its own values.
-    real says every imaginary part is zero."""
-
-    distinct: np.ndarray
-    inverse: Optional[np.ndarray]
-    shape: tuple
-    real: bool
-
-    def scaled(self, factor: float) -> "Split":
-        """The split of factor * diagonal: factor * distinct, same inverse.
-        Two distinct entries whose products round together stay apart,
-        which changes no bit, since each entry's value is its own."""
-        return Split(factor * self.distinct, self.inverse, self.shape, self.real)
-
-    def scatter(self, values: np.ndarray) -> np.ndarray:
-        """values over the distinct entries, on the last axis, at every
-        entry of the diagonal: shaped (*values.shape[:-1], *shape).  The
-        identity split reshapes without a copy."""
-        lead = values.shape[:-1]
-        if self.inverse is not None:
-            values = np.take(values, self.inverse, axis=-1)
-        return values.reshape((*lead, *self.shape))
+def digest(*arrays: np.ndarray) -> str:
+    """SHA-1 over the shape, dtype and bytes of each array: a cache key
+    that names the arrays without holding them."""
+    sha = hashlib.sha1()
+    for arr in map(np.ascontiguousarray, arrays):
+        sha.update(repr((arr.shape, arr.dtype.str)).encode())
+        sha.update(arr)
+    return sha.hexdigest()
 
 
-def _split(values: np.ndarray, real: bool) -> Split:
-    """The split of a diagonal, by one np.unique (NaNs stay apart); its
-    distinct entries are complex128 whatever the dtype of values.  real
-    says every imaginary part is zero (of either sign), and the split
-    keeps it; the split then runs on the float64 real parts, which group
-    as the complex entries do and sort several times faster."""
-    flat = values.reshape(-1).astype(np.complex128, copy=False)
-    distinct, inverse = np.unique(values.real if real else flat,
-                                  return_inverse=True, equal_nan=False)
-    if distinct.size == flat.size:
-        return Split(flat, None, values.shape, real)
-    return Split(distinct.astype(np.complex128, copy=False), inverse.reshape(-1), values.shape, real)
+class KeyedDiagonal:
+    """An operator diagonal keyed, tested for realness and split once for
+    every phi and gamma evaluation over it.
 
-
-def _evaluate(values_fn, nrows: int, lam) -> np.ndarray:
-    """values_fn's rows at a scalar or ndarray of diagonal entries, shaped
-    (nrows, *np.shape(lam)), or at the distinct entries of a Split,
-    shaped (nrows, distinct.size) and left for the caller to scatter.
-
-    An array is split first (_split) and the values scattered back, so
-    values_fn runs once per distinct entry at any size; operator
-    diagonals repeat heavily (a 2D Laplacian has O(N) distinct values on
-    an N^2 grid).  values_fn must act entrywise on a 1-D complex array
-    and return its nrows rows stacked on a new leading axis; it is
-    called on slices of at most _BLOCK_BYTES of entries, so its working
-    memory is bounded whatever the diagonal's length, and the slicing
-    changes no bit.  The result is float64, the real parts, when every
-    entry is real, and complex128 otherwise.
+    values: the entries as contiguous complex128 (diag itself if it
+    already is, which must then stay unchanged); shape: np.shape(diag), 0-d
+    for a scalar; real: every imaginary part is zero (of either sign).
+    digest, distinct (1-D complex128) and inverse (the index that puts
+    distinct back, in C order) are worked out on first use and kept.  The
+    split is one np.unique (NaNs stay apart), on the float64 real parts
+    when real, which group as the complex entries do and sort several
+    times faster; without a repeated entry inverse is None and distinct
+    is values, not a copy.
     """
-    if isinstance(lam, Split):
-        split = lam
-    else:
-        arr = np.asarray(lam, dtype=np.complex128)
-        split = _split(arr, not arr.imag.any())
-    z = split.distinct
-    out = np.empty((nrows, z.size), dtype=np.float64 if split.real else np.complex128)
+
+    def __init__(self, diag):
+        self.shape = np.shape(diag)
+        self.values = np.ascontiguousarray(diag, dtype=np.complex128)
+        self.real = not self.values.imag.any()
+
+    @cached_property
+    def digest(self) -> str:
+        return digest(self.values)
+
+    @cached_property
+    def _unique(self) -> tuple:
+        flat = self.values.reshape(-1)
+        distinct, inverse = np.unique(flat.real if self.real else flat,
+                                      return_inverse=True, equal_nan=False)
+        if distinct.size == flat.size:
+            return flat, None
+        return distinct.astype(np.complex128, copy=False), inverse.reshape(-1)
+
+    @property
+    def distinct(self) -> np.ndarray:
+        return self._unique[0]
+
+    @property
+    def inverse(self) -> Optional[np.ndarray]:
+        return self._unique[1]
+
+    def scatter(self, rows: np.ndarray) -> np.ndarray:
+        """rows over the distinct entries (last axis) at every entry, shaped
+        (*rows.shape[:-1], *shape); without an inverse, a view."""
+        lead = rows.shape[:-1]
+        if self.inverse is not None:
+            rows = np.take(rows, self.inverse, axis=-1)
+        return rows.reshape((*lead, *self.shape))
+
+
+def _rows(kernel, nrows: int, diag: KeyedDiagonal, scale: Optional[float] = None) -> np.ndarray:
+    """kernel's nrows rows at scale * diag.distinct (diag.distinct itself
+    for scale None), shaped (nrows, distinct.size), left for diag.scatter.
+
+    kernel acts entrywise on a 1-D complex array and stacks its rows on a
+    new leading axis.  It runs once per distinct entry (a 2D Laplacian
+    has O(N) distinct values on an N^2 grid), on slices of at most
+    _BLOCK_BYTES, so its working memory is bounded whatever the
+    diagonal's length; the slicing changes no bit.  The rows are float64,
+    the real parts, when diag is real, and complex128 otherwise.
+    """
+    # no product for scale None: 1.0 * z can flip the sign of a zero part
+    z = diag.distinct if scale is None else scale * diag.distinct
+    out = np.empty((nrows, z.size), dtype=np.float64 if diag.real else np.complex128)
     width = _BLOCK_BYTES // z.itemsize
     for start in range(0, z.size, width):
-        block = values_fn(z[start : start + width])
-        out[:, start : start + width] = block.real if split.real else block
-    return out if split is lam else split.scatter(out)
-
-
-def _one_row(table: np.ndarray):
-    """Row 0 of a one-row table; a complex for a scalar diagonal."""
-    return complex(table[0]) if table.ndim == 1 else table[0]
+        block = kernel(z[start : start + width])
+        out[:, start : start + width] = block.real if diag.real else block
+    return out
 
 
 def _indices(index, what: str) -> tuple:
@@ -383,23 +385,31 @@ def _indices(index, what: str) -> tuple:
     return single, rows
 
 
+def _values(single: bool, rows: tuple, kernel, lam):
+    """kernel's rows at every entry of a scalar or ndarray lam, shaped
+    (len(rows), *np.shape(lam)); row 0 alone when single, a complex for
+    a scalar lam."""
+    diag = KeyedDiagonal(lam)
+    table = diag.scatter(_rows(kernel, len(rows), diag))
+    if not single:
+        return table
+    return complex(table[0]) if table.ndim == 1 else table[0]
+
+
 def phi_values(index, lam):
     """phi_index at a scalar or ndarray of diagonal entries.
 
     An ndarray gives float64 when all its entries are real, complex128
-    otherwise; a scalar gives a complex.  lam may also be a Split: the
-    values at its distinct entries are then returned, 1-D and
-    unscattered (Split.scatter puts them back).
+    otherwise; a scalar gives a complex.
 
     index may also be a sequence of indices, e.g. range(1, 4): the rows
     are then evaluated in one pass, sharing exp(z) and the recurrence
     (_phi_rows), and returned stacked as an ndarray of shape
-    (len(index), *np.shape(lam)), or (len(index), distinct.size) for a
-    Split.  Every row has the bits of its own one-index call.
+    (len(index), *np.shape(lam)).  Every row has the bits of its own
+    one-index call.
     """
     single, rows = _indices(index, "phi")
-    table = _evaluate(lambda z: _phi_rows(rows, z), len(rows), lam)
-    return _one_row(table) if single else table
+    return _values(single, rows, partial(_phi_rows, rows), lam)
 
 
 def phi_scalar(index: int, z: complex) -> complex:
@@ -419,8 +429,7 @@ def gamma_values(j, k: int, lam):
     single, rows = _indices(j, "gamma")
     if not 1 <= k <= MAX_INDEX:
         raise ValueError(f"gamma step multiplier must be in [1, {MAX_INDEX}], got {k}")
-    table = _evaluate(lambda z: _gamma_rows(rows, k, z), len(rows), lam)
-    return _one_row(table) if single else table
+    return _values(single, rows, partial(_gamma_rows, rows, k), lam)
 
 
 def gamma_scalar(j: int, k: int, z: complex) -> complex:
@@ -643,36 +652,6 @@ class ArrayCache:
         return value
 
 
-def digest(*arrays: np.ndarray) -> str:
-    """SHA-1 over the shape, dtype and bytes of each array: a cache key
-    that names the arrays without holding them."""
-    sha = hashlib.sha1()
-    for arr in map(np.ascontiguousarray, arrays):
-        sha.update(repr((arr.shape, arr.dtype.str)).encode())
-        sha.update(arr)
-    return sha.hexdigest()
-
-
-class KeyedDiagonal:
-    """An operator diagonal keyed once for every phi evaluation over it:
-    contiguous complex128 values (diag itself if it already is, which must
-    then stay unchanged), their digest, whether every entry is real, and
-    its split into distinct entries (_split, on float64 when real),
-    worked out on first use and kept."""
-
-    def __init__(self, diag):
-        self.values = np.ascontiguousarray(diag, dtype=np.complex128)
-        self.digest = digest(self.values)
-        self.real = not self.values.imag.any()
-        self._split: Optional[Split] = None
-
-    @property
-    def split(self) -> Split:
-        if self._split is None:
-            self._split = _split(self.values, self.real)
-        return self._split
-
-
 _EVAL_CACHE = ArrayCache()
 
 
@@ -693,7 +672,7 @@ def eval_phi_expr(expr: PhiExpr, diag) -> np.ndarray:
 def eval_phi_exprs(exprs: Sequence[PhiExpr], diag) -> list:
     """Evaluate PhiExprs entrywise over an operator diagonal, in one walk.
 
-    diag is an array-like, digested on entry, or a KeyedDiagonal, which
+    diag is an array-like, keyed on entry, or a KeyedDiagonal, which
     a caller evaluating over one diagonal more than once (as integrate
     does for a scheme and its starter) builds once.  Returns one
     read-only array per expression, shaped like diag: float64 when every
@@ -702,14 +681,14 @@ def eval_phi_exprs(exprs: Sequence[PhiExpr], diag) -> list:
 
     Expressions already cached on (expression, diagonal digest) come
     from the cache.  The rest are worked out on the diagonal's distinct
-    entries only (KeyedDiagonal.split): all of their phi terms (index
-    >= 1) that share an argument scale come from one phi_values pass at
-    scale * distinct, whose rows live for this call only, and exponential
-    terms exp(scale * z) from np.exp.  Each expression adds its terms in
-    term order at distinct length, and its sum is scattered to every
-    entry once and cached.  Each entry sees the operations of a plain
-    entrywise evaluation, so the bits are those of one.  The cache keeps
-    at most _CACHE_BYTES.
+    entries only: all of their phi terms (index >= 1) that share an
+    argument scale come from one _rows pass at scale * distinct, whose
+    rows live for this call only, and exponential terms exp(scale * z)
+    from np.exp.  Each expression adds its terms in term order at
+    distinct length, and its sum is scattered to every entry once and
+    cached.  Each entry sees the operations of a plain entrywise
+    evaluation, so the bits are those of one.  The cache keeps at most
+    _CACHE_BYTES.
     """
     for expr in exprs:
         if not isinstance(expr, PhiExpr):
@@ -728,10 +707,10 @@ def eval_phi_exprs(exprs: Sequence[PhiExpr], diag) -> list:
         terms: dict = {}
         for scale, indices in scales.items():
             rows = sorted(indices)
-            table = phi_values(rows, diag.split.scaled(scale))
+            table = _rows(partial(_phi_rows, rows), len(rows), diag, scale)
             terms.update(((index, scale), values) for index, values in zip(rows, table))
         for key, expr in todo.items():
-            found[key] = _EVAL_CACHE.put(key, diag.split.scatter(_sum_terms(expr, diag, terms)))
+            found[key] = _EVAL_CACHE.put(key, diag.scatter(_sum_terms(expr, diag, terms)))
     return [found[key] for key in keys]
 
 
@@ -739,7 +718,7 @@ def _sum_terms(expr: PhiExpr, diag: KeyedDiagonal, terms: dict) -> np.ndarray:
     """expr at the distinct entries of diag, its terms added in order;
     terms maps (index, scale) to each phi term's values there."""
     real = diag.real and all(complex(t.coeff).imag == 0 for t in expr.terms)
-    distinct = diag.split.distinct
+    distinct = diag.distinct
     out = np.zeros(distinct.shape, dtype=np.float64 if real else np.complex128)
     for t in expr.terms:
         coeff = complex(t.coeff).real if real else complex(t.coeff)
@@ -758,12 +737,12 @@ def _sum_terms(expr: PhiExpr, diag: KeyedDiagonal, terms: dict) -> np.ndarray:
 def gamma_table(q: int, k: int, diag: KeyedDiagonal) -> np.ndarray:
     """gamma_0..gamma_{q-1}(k, .) over a keyed diagonal, stacked on a
     leading axis: gamma_values(range(q), k, diag.values), evaluated on
-    the diagonal's split and scattered once; read only, cached on
-    (q, k, diagonal digest) in the phi cache and evicted with the other
-    arrays under its byte budget."""
+    the diagonal's distinct entries and scattered once; read only, cached
+    on (q, k, diagonal digest) in the phi cache and evicted with the
+    other arrays under its byte budget."""
     key = ("gamma", q, k, diag.digest)
     table = _EVAL_CACHE.get(key)
     if table is None:
-        split = diag.split
-        table = _EVAL_CACHE.put(key, split.scatter(gamma_values(range(q), k, split)))
+        rows = _rows(partial(_gamma_rows, range(q), k), q, diag)
+        table = _EVAL_CACHE.put(key, diag.scatter(rows))
     return table

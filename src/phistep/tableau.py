@@ -141,13 +141,13 @@ class Tableau:
                 if j >= i and e is not None and not e.is_zero():
                     raise ValueError(f"A[{i + 1}][{j + 1}] must be zero: stages are explicit")
                 if e is None and j != 0:
-                    raise ValueError("only first-column A entries may await summation")
+                    raise ValueError(f"A[{i + 1}][{j + 1}] cannot await summation: not in column 1")
         for i in range(s):
             for j in range(q - 1):
                 if self.U[i][j] is None:
-                    raise ValueError("U entries cannot await summation")
+                    raise ValueError(f"U[{i + 1}][{j + 1}] cannot await summation")
                 if i == 0 and not self.U[i][j].is_zero():
-                    raise ValueError("stage 1 is u^n itself and takes no history terms")
+                    raise ValueError(f"U[1][{j + 1}] must be zero: stage 1 is u^n itself")
         if any(v is None for v in self.V):
             raise ValueError("V entries cannot await summation")
         if any(b is None for b in self.B[1:]):
@@ -483,14 +483,17 @@ def _parse_expr(text: str, lineno: int) -> PhiExpr:
             raise TableauFileError(f"line {lineno}: cannot parse term {piece!r}")
         coeff = sign * _parse_rational(m.group("coeff") or "1", lineno)
         sign = 1
-        if m.group("const") is not None:
-            terms.append(const_term(coeff * _parse_rational(m.group("const"), lineno)))
-        else:
-            scale = _parse_rational(m.group("scale") or "1", lineno)
-            if m.group("kind") == "exp":
-                terms.append(exp_term(coeff, scale))
+        try:  # PhiTerm rejects an index above MAX_INDEX and a zero scale
+            if m.group("const") is not None:
+                terms.append(const_term(coeff * _parse_rational(m.group("const"), lineno)))
             else:
-                terms.append(phi(int(m.group("index")), coeff, scale))
+                scale = _parse_rational(m.group("scale") or "1", lineno)
+                if m.group("kind") == "exp":
+                    terms.append(exp_term(coeff, scale))
+                else:
+                    terms.append(phi(int(m.group("index")), coeff, scale))
+        except ValueError as exc:
+            raise TableauFileError(f"line {lineno}: {exc}") from None
     return sum(terms, _ZERO)
 
 

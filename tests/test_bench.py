@@ -1,6 +1,7 @@
 """Benchmark-harness tests: reference caching, the relative L2 metric,
 sweep execution with instability recording, order estimation with its
 error-floor rule, and CSV/SVG/JSON export round-trips."""
+import dataclasses
 import json
 import math
 import re
@@ -30,8 +31,8 @@ from phistep.bench import (
 )
 from phistep.errors import NoDataError, UnstableError
 from phistep.integrator import ScalarProbe, _ProbeSystem, _loglog_slope
-from phistep.problems import default_grid, get_problem
-from phistep.spectral import Grid
+from phistep.problems import default_grid, discretize, get_problem
+from phistep.spectral import Grid, NonlinearOp
 
 
 @pytest.fixture(autouse=True)
@@ -118,6 +119,24 @@ def test_reference_cache_distinguishes_systems_with_same_name():
     ra = reference_solution(a, 1.0, 1e-2)
     rb = reference_solution(b, 1.0, 1e-2)
     assert abs(complex(ra[0]) - complex(rb[0])) > 1e-3
+
+
+def test_reference_cache_distinguishes_systems_with_another_nonlinearity():
+    # the same name, grid, diagonal and initial data, but N(u) halved
+    problem = get_problem("ac")
+    plain = discretize(problem, default_grid(problem))
+    halved = dataclasses.replace(plain, op=NonlinearOp(lambda u: 0.5 * (u * u * u)))
+    ra = reference_solution(plain, 1.0, 0.05)
+    rb = reference_solution(halved, 1.0, 0.05)
+    assert rb is not ra
+    assert np.max(np.abs(ra - rb)) > 1e-2
+
+
+def test_reference_cache_is_shared_by_two_discretizations_of_a_problem():
+    problem = get_problem("ac")
+    first, second = (discretize(problem, default_grid(problem)) for _ in range(2))
+    assert first.op is not second.op and first.op.func is not second.op.func
+    assert reference_solution(second, 1.0, 0.05) is reference_solution(first, 1.0, 0.05)
 
 
 def test_unstable_reference_raises():

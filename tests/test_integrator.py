@@ -1061,13 +1061,13 @@ def test_prepare_then_integrate_evaluates_no_contour_twice(monkeypatch):
     system = discretize(problem, default_grid(problem))
     phifun.clear_eval_cache()
     calls = []
-    plain = phifun.phi_values
+    plain = phifun._rows
 
     def counting(*args, **kwargs):
         calls.append(1)
         return plain(*args, **kwargs)
 
-    monkeypatch.setattr(phifun, "phi_values", counting)
+    monkeypatch.setattr(phifun, "_rows", counting)
     prepare_scheme("etdrk4", 0.125, system.lam)
     # one pass per argument scale: phi_1..phi_3 at z, phi_1 at z/2
     assert len(calls) == 2

@@ -4,7 +4,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 import pytest
@@ -488,10 +488,10 @@ def test_phi_rows_equal_their_one_index_calls_and_the_parent_kernel(kind):
             assert (row.dtype, row.tobytes()) == (one.dtype, one.tobytes()), (kind, rows, l)
             want = _plain(lambda z: _parent_phi_values(l, z)[None], lam)
             assert row.tobytes() == want[0].tobytes(), (kind, rows, l)
-    split = phifun._split(lam.astype(np.complex128), not lam.imag.any())
-    table = phi_values(range(1, 4), split)
-    assert table.shape == (3, split.distinct.size)
-    assert split.scatter(table).tobytes() == phi_values(range(1, 4), lam).tobytes()
+    diag = phifun.KeyedDiagonal(lam)
+    table = phifun._rows(partial(phifun._phi_rows, range(1, 4)), 3, diag)
+    assert table.shape == (3, diag.distinct.size)
+    assert diag.scatter(table).tobytes() == phi_values(range(1, 4), lam).tobytes()
 
 
 def test_phi_rows_kernel_equals_the_parent_kernel_and_reports_nothing():
@@ -526,13 +526,13 @@ def test_eval_phi_exprs_takes_one_pass_per_scale_across_a_call(monkeypatch):
     want = [eval_phi_expr(e, lam) for e in exprs]  # one call per expression
     clear_eval_cache()
     diag = phifun.KeyedDiagonal(lam)
-    calls, plain = [], phifun.phi_values
+    calls, plain = [], phifun._rows
 
-    def counting(index, lam):
-        calls.append(tuple(index))
-        return plain(index, lam)
+    def counting(kernel, nrows, diag, scale=None):
+        calls.append(tuple(kernel.args[0]))  # the phi indices of the pass
+        return plain(kernel, nrows, diag, scale)
 
-    monkeypatch.setattr(phifun, "phi_values", counting)
+    monkeypatch.setattr(phifun, "_rows", counting)
     try:
         got = phifun.eval_phi_exprs(exprs, diag)
         # scale 1 takes phi_1..phi_4, scale 1/2 phi_1 and phi_2
@@ -616,14 +616,15 @@ def _groups(inverse, n):
 def _check_real_split(lam):
     """The float64 split of a real diagonal groups its entries as the
     complex np.unique does, and scatters its distinct entries back."""
-    split = phifun._split(lam, real=True)
+    diag = phifun.KeyedDiagonal(lam)
+    assert diag.real
     want, want_inverse = np.unique(lam.reshape(-1), return_inverse=True, equal_nan=False)
-    assert split.distinct.dtype == np.complex128 and split.distinct.ndim == 1
-    assert split.distinct.size == want.size and split.shape == lam.shape
-    assert np.array_equal(_groups(split.inverse, lam.size), _groups(want_inverse, lam.size))
-    assert np.array_equal(split.scatter(split.distinct), lam, equal_nan=True)
-    if split.inverse is None and lam.size:  # the identity split is the diagonal itself
-        assert np.shares_memory(split.distinct, lam)
+    assert diag.distinct.dtype == np.complex128 and diag.distinct.ndim == 1
+    assert diag.distinct.size == want.size and diag.shape == lam.shape
+    assert np.array_equal(_groups(diag.inverse, lam.size), _groups(want_inverse, lam.size))
+    assert np.array_equal(diag.scatter(diag.distinct), lam, equal_nan=True)
+    if diag.inverse is None and lam.size:  # the identity split is the diagonal itself
+        assert np.shares_memory(diag.distinct, lam)
 
 
 _SPLIT_POOL = [0.0, -0.0, 1.5, -1.5, -40.0, 5e-324, -2.5e-7, np.nan, np.inf, -np.inf]
@@ -645,29 +646,29 @@ def test_real_split_of_empty_and_0d_diagonals():
     for lam in (np.zeros(0, complex), np.zeros((0, 3), complex),
                 np.array(-0.0 + 0j), np.array(complex(np.nan, -0.0))):
         _check_real_split(lam)
-        assert phifun._split(lam, real=True).inverse is None
+        assert phifun.KeyedDiagonal(lam).inverse is None
 
 
 def test_split_of_a_float64_diagonal_has_complex128_distinct_entries():
-    # the identity split of a float64 diagonal keeps the Split contract,
-    # so its phi rows are those of the complex diagonal, bit for bit
+    # the identity split of a float64 diagonal has complex128 distinct
+    # entries, so its phi rows are those of the complex diagonal, bit for bit
     lam = -np.linspace(0.01, 40.0, 5000)
-    for real in (True, False):
-        split = phifun._split(lam, real)
-        assert split.inverse is None and split.distinct.dtype == np.complex128
-        want = phi_values(range(1, 4), phifun._split(lam.astype(np.complex128), real))
-        assert phi_values(range(1, 4), split).tobytes() == want.tobytes()
+    diag, want = phifun.KeyedDiagonal(lam), phifun.KeyedDiagonal(lam.astype(np.complex128))
+    assert diag.real and diag.inverse is None and diag.distinct.dtype == np.complex128
+    kernel = partial(phifun._phi_rows, range(1, 4))
+    assert phifun._rows(kernel, 3, diag).tobytes() == phifun._rows(kernel, 3, want).tobytes()
 
 
 def test_keyed_diagonal_splits_once_and_keeps_the_identity_split():
     lam = -np.array([[0.0, 1.0, 4.0], [1.0, 2.0, 5.0]]) * 0.1 + 0j
     diag = phifun.KeyedDiagonal(lam)
-    split = diag.split
-    assert diag.split is split and split.distinct.size == 5
-    assert split.scatter(split.distinct[None]).shape == (1, 2, 3)
+    assert "_unique" not in vars(diag) and "digest" not in vars(diag)  # both lazy
+    first = diag.distinct
+    assert diag.distinct is first and first.size == 5
+    assert diag.scatter(first[None]).shape == (1, 2, 3)
     distinct = phifun.KeyedDiagonal(np.array([-1.0, 2.0 - 1j, 3j]))
-    assert distinct.split.inverse is None
-    assert distinct.split.distinct.base is distinct.values  # no copy
+    assert distinct.inverse is None
+    assert distinct.distinct.base is distinct.values  # no copy
 
 
 def _plain_expr(expr, lam):
@@ -715,7 +716,7 @@ def test_keyed_expressions_and_gamma_tables_equal_the_plain_path(kind):
     clear_eval_cache()
     try:
         diag = phifun.KeyedDiagonal(lam)
-        assert diag.split.distinct.size < lam.size
+        assert diag.distinct.size < lam.size
         for expr in _SPLIT_EXPRS:
             got, want = eval_phi_expr(expr, diag), _plain_expr(expr, lam)
             assert got.shape == lam.shape and got.dtype == want.dtype, expr
@@ -767,13 +768,13 @@ def test_split_memory_is_a_small_multiple_of_the_real_diagonal():
     real_bytes = 8 * diag.values.size
     tracemalloc.start()
     try:
-        split = diag.split
+        distinct = diag.distinct
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert split.distinct.size * 10 < diag.values.size
+    assert distinct.size * 10 < diag.values.size
     assert peak <= 6 * real_bytes, peak / real_bytes
-    assert kept <= split.inverse.nbytes + split.distinct.nbytes + 16 * 1024
+    assert kept <= diag.inverse.nbytes + distinct.nbytes + 16 * 1024
 
 
 def test_phi_term_rows_have_distinct_length_and_only_expressions_are_cached(monkeypatch):
@@ -782,14 +783,14 @@ def test_phi_term_rows_have_distinct_length_and_only_expressions_are_cached(monk
     system = _desk_sh3()
     distinct = np.unique(0.125 * system.lam).size
     assert distinct * 10 < system.lam.size
-    sizes, plain = [], phifun.phi_values
+    sizes, plain = [], phifun._rows
 
-    def sizing(index, lam):
-        sizes.append(lam.distinct.size)
-        return plain(index, lam)
+    def sizing(kernel, nrows, diag, scale=None):
+        sizes.append(diag.distinct.size)
+        return plain(kernel, nrows, diag, scale)
 
     clear_eval_cache()
-    monkeypatch.setattr(phifun, "phi_values", sizing)
+    monkeypatch.setattr(phifun, "_rows", sizing)
     try:
         prepare_scheme("etdrk4", 0.125, system.lam)
         kinds = {key[0] for key, _ in phifun._EVAL_CACHE.items()}

@@ -373,6 +373,49 @@ def test_tableau_validation():
         )
 
 
+_VALID = dict(
+    name="x", order=1, stages=2, steps=2, C=(0, 1),
+    A=((ZERO, ZERO), (phi(1), ZERO)), B=(phi(1) - phi(2), phi(2)),
+    U=((ZERO,), (phi(2),)), V=(exp_term(1, 2),),
+)
+
+
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"stages": 0}, r"stages must be in \[1, 12\], got 0"),
+        ({"stages": 13}, r"stages must be in \[1, 12\], got 13"),
+        ({"steps": 0}, r"steps must be in \[1, 8\], got 0"),
+        ({"steps": 9}, r"steps must be in \[1, 8\], got 9"),
+        ({"order": 0}, r"order must be positive, got 0"),
+        ({"C": (0,)}, r"C must have one node per stage \(2\), got 1"),
+        ({"C": (1, 1)}, r"C\[0\] must be 0, got 1"),
+        ({"A": ((ZERO, ZERO),)}, r"A must be 2x2"),
+        ({"A": ((ZERO,), (phi(1),))}, r"A must be 2x2"),
+        ({"B": (phi(1),)}, r"B must have 2 entries"),
+        ({"U": ((ZERO,),)}, r"U must be 2x1"),
+        ({"U": ((ZERO, ZERO), (ZERO, ZERO))}, r"U must be 2x1"),
+        ({"V": (ZERO, ZERO)}, r"V must have 1 entries"),
+        ({"A": ((ZERO, phi(1)), (phi(1), ZERO))}, r"A\[1\]\[2\] must be zero"),
+        ({"A": ((ZERO, ZERO), (phi(1), None))}, r"A\[2\]\[2\] cannot await summation"),
+        ({"U": ((ZERO,), (None,))}, r"U\[2\]\[1\] cannot await summation"),
+        ({"U": ((phi(2),), (ZERO,))}, r"U\[1\]\[1\] must be zero"),
+        ({"V": (None,)}, r"V entries cannot await summation"),
+        ({"B": (phi(1), None)}, r"only B\[1\] may await summation"),
+        ({"stage_source": {2: 2}}, r"stage source 2 <- 2 out of range"),
+        ({"stage_source_coeffs": {(2, 1): phi(1)}},
+         r"source coefficient \(2,1\) without a stage source"),
+    ],
+    ids=["stages-0", "stages-13", "steps-0", "steps-9", "order-0", "C-length", "C0", "A-rows",
+         "A-cols", "B-length", "U-rows", "U-cols", "V-length", "A-upper", "A-sum-column-2",
+         "U-sum", "U-stage-1", "V-sum", "B-sum", "stage-source", "source-coeff"],
+)
+def test_tableau_rejects_each_bad_input_naming_its_slot(changes, message):
+    Tableau(**_VALID)  # the unchanged coefficients are valid
+    with pytest.raises(ValueError, match=message):
+        Tableau(**{**_VALID, **changes})
+
+
 def test_incomplete_tableau_rejects_residuals():
     t = Tableau("x", 2, 2, 1, C=(0, 1), A=((ZERO, ZERO), (phi(1), ZERO)), B=(None, phi(2)))
     assert not t.is_complete
@@ -484,6 +527,54 @@ def test_file_errors(tmp_path, mutation, fragment):
     with pytest.raises(TableauFileError) as err:
         _load(tmp_path, text)
     assert fragment in str(err.value)
+
+
+MULTISTEP_FILE = """name: x
+order: 1
+stages: 2
+steps: 2
+summation: no
+C: 0 1
+A[2][1] = phi1(z)
+B[1] = phi1(z) - phi2(z)
+B[2] = phi2(z)
+U[2][1] = 1/2*phi2(z)
+V[1] = exp(2*z)
+"""
+
+
+def test_file_multistep_entries(tmp_path):
+    t = _load(tmp_path, MULTISTEP_FILE)
+    assert t.U == ((ZERO,), (phi(2, F(1, 2)),)) and t.V == (exp_term(1, 2),)
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("C: 0 1", "C: 0 x", r"line 6: not a rational number: 'x'"),
+        ("B[2] = phi2(z)", "B[2] =", r"line 9: empty coefficient expression"),
+        ("B[2] = phi2(z)", "X[2] = phi2(z)", r"line 9: bad entry slot 'X\[2\]'"),
+        ("B[2] = phi2(z)", "B[2] phi2(z)", r"line 9: expected 'key: value' or 'SLOT = expr'"),
+        ("order: 1", "order: one", r"order, stages and steps must be integers"),
+        ("stages: 2", "stages: 2.0", r"order, stages and steps must be integers"),
+        ("steps: 2", "steps: two", r"order, stages and steps must be integers"),
+        ("summation: no", "summation: maybe", r"line 5: summation must be yes or no"),
+        ("B[2] = phi2(z)", "B[2][1] = phi2(z)", r"line 9: wrong number of indices for B"),
+        ("U[2][1] =", "U[2] =", r"line 10: wrong number of indices for U"),
+        ("B[2] = phi2(z)", "B[2] = sum\nsummation: yes", r"line 9: only B\[1\] and A\[i\]\[1\]"),
+        ("steps: 2", "steps: 9", r"steps must be in \[1, 8\], got 9"),
+        ("B[2] = phi2(z)", "B[2] = phi13(z)",
+         r"line 9: phi index must be an int in \[0, 12\], got 13"),
+        ("B[2] = phi2(z)", "B[2] = phi1(0*z)",
+         r"line 9: scale 0 is only allowed for the constant term"),
+    ],
+    ids=["rational", "empty", "slot", "statement", "order", "stages", "steps", "summation",
+         "B-indices", "U-indices", "sum-slot", "tableau-error", "phi13", "scale-0"],
+)
+def test_file_input_errors_name_their_line_or_slot(tmp_path, old, new, message):
+    assert MULTISTEP_FILE.count(old) == 1
+    with pytest.raises(TableauFileError, match=message):
+        _load(tmp_path, MULTISTEP_FILE.replace(old, new))
 
 
 def test_file_error_lineno(tmp_path):
