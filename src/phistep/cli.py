@@ -384,6 +384,30 @@ def _selftest_real_layout() -> tuple:
     return worst <= 1e-13, f"max abs {worst:.2e} in 1D, 2D and 3D"
 
 
+def _selftest_numpy_transforms() -> tuple:
+    # to_coeffs/to_values call numpy's private pocketfft kernels directly;
+    # a numpy whose kernels changed shows here
+    rng = np.random.default_rng(2026)
+    same = total = 0
+    for sizes in ((16,), (8, 12), (6, 8, 10)):
+        grid = Grid(sizes, ((0.0, 1.0),) * len(sizes))
+        axes = tuple(range(-len(sizes), 0))
+        for real in (True, False):
+            u = rng.standard_normal((2, *sizes))
+            if not real:
+                u = u + 1j * rng.standard_normal(u.shape)
+            forward, inverse = (np.fft.rfftn, np.fft.irfftn) if real else (np.fft.fftn, np.fft.ifftn)
+            want = forward(u, axes=axes, norm="forward")
+            back = inverse(want, *((sizes,) if real else ()), axes=axes, norm="forward")
+            coeffs = to_coeffs(u, grid, real=real)
+            got = (coeffs, to_coeffs(u, grid, real=real, out=np.empty_like(want)),
+                   to_values(coeffs, grid),
+                   to_values(coeffs, grid, out=np.empty_like(back), work=np.empty_like(coeffs)))
+            total += len(got)
+            same += sum(a.tobytes() == b.tobytes() for a, b in zip(got, (want, want, back, back)))
+    return same == total, f"bit for bit: {same}/{total} in 1D, 2D and 3D, half and full layouts"
+
+
 def _selftest_buffered_step() -> tuple:
     problem = get_problem("sh2")
     system = discretize(problem, default_grid(problem, size=16))
@@ -431,6 +455,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ("classical reductions at z=0", _selftest_reductions),
         ("linear exactness (N == 0)", _selftest_linear),
         ("real fields on the half spectrum", _selftest_real_layout),
+        ("transforms match numpy.fft", _selftest_numpy_transforms),
         ("buffered step (workspace vs fresh)", _selftest_buffered_step),
         ("order certification (scalar probe)", _selftest_orders),
     ]

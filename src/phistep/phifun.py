@@ -267,18 +267,20 @@ def _gamma_rows(rows: Sequence[int], k: int, z: np.ndarray) -> np.ndarray:
     One long-double recurrence runs rows 0..max(rows) on all of z; each
     requested row then takes its own truncated series where |z| is below
     its switch radius.  Each entry gets the bits of a one-row evaluation,
-    since every operation acts entrywise.
+    since every operation acts entrywise.  Only the entries the series
+    does not replace are cast from long double: near z = 0 the
+    recurrence can exceed the complex128 range, and the cast would warn.
     """
     recurrence = _gamma_recurrence(max(rows), k, z)
-    out = np.empty((len(rows), *z.shape), dtype=np.complex128)
-    for row, j in zip(out, rows):
-        row[...] = recurrence[j]
-    del recurrence  # freed before the series' temporaries arrive
     size = np.abs(z)
-    for row, j in zip(out, rows):
-        near = size < _gamma_series_radius(j, k)
-        if near.any():
-            row[near] = _gamma_series(j, k, z[near])
+    near = [size < _gamma_series_radius(j, k) for j in rows]
+    out = np.empty((len(rows), *z.shape), dtype=np.complex128)
+    for row, j, close in zip(out, rows, near):
+        np.copyto(row, recurrence[j], where=~close)
+    del recurrence  # freed before the series' temporaries arrive
+    for row, j, close in zip(out, rows, near):
+        if close.any():
+            row[close] = _gamma_series(j, k, z[close])
     return out
 
 

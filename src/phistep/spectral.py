@@ -25,12 +25,19 @@ by shape.  On grids whose last axis has two points the two layouts
 coincide (such arrays are read as full).  Max norms agree between the
 layouts, because conjugate modes have equal modulus.
 
-The multi-axis transforms run axis after axis in place in one array
-instead of allocating a copy per axis, with the same bits as numpy's
-fftn/ifftn/rfftn/irfftn.  The forward transforms and the full-layout
-inverse transform in their output array.  The half-layout inverse runs
-its leading-axis inverse FFTs in a complex work array shaped like the
-coefficients and then the last-axis irfft into its real output.
+The transforms call numpy's pocketfft gufuncs (numpy.fft's own
+kernels, in numpy.fft._pocketfft_umath) directly, one axis at a time and
+in numpy's order, so for float64 and complex128 fields their bits are
+those of numpy's fftn/ifftn/rfftn/irfftn without its Python wrappers
+(the forward 1/N factor is a double, so other precisions may differ
+from numpy's in the last bit): the forward transforms run the last
+grid axis first (rfft on it for the half layout) and then fft on the
+other axes in descending order, in place in their output; the
+full-layout inverse runs ifft the same way; the half-layout inverse runs
+its leading-axis inverse FFTs in ascending order in a complex work array
+shaped like the coefficients and then the last-axis irfft into its real
+output.  Each axis's gufunc axes argument and forward 1/N factor are
+fixed on the Grid.
 
 Callers that evaluate nonlinearities in a loop can hand every array in:
 to_coeffs and to_values take out= (and to_values work=, the complex
@@ -51,6 +58,16 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
+
+from .errors import PhistepError
+
+try:
+    from numpy.fft import _pocketfft_umath as _pocketfft
+except ImportError as exc:
+    raise PhistepError(
+        f"numpy {np.__version__} has no numpy.fft._pocketfft_umath, whose FFT kernels "
+        "the transforms call; phistep needs numpy>=2.0,<3 and was tested with numpy 2.4"
+    ) from exc
 
 __all__ = [
     "Grid",
@@ -73,11 +90,17 @@ class Grid:
 
     half_shape is the grid part of the half layout, (*shape[:-1], N/2 + 1),
     fixed at construction so that a layout check is a tuple comparison.
+    So are the transforms' per-axis arguments: axis_args[i] is the axes
+    argument of a pocketfft gufunc over grid axis i (counted from the
+    end, so leading component axes pass through) and forward_scales[i]
+    its forward 1/N factor, numpy's norm="forward" value.
     """
 
     sizes: tuple
     domain: tuple
     half_shape: tuple = field(init=False, repr=False, compare=False)
+    axis_args: tuple = field(init=False, repr=False, compare=False)
+    forward_scales: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for n in self.sizes:
@@ -98,6 +121,9 @@ class Grid:
             if not (np.isfinite(a) and np.isfinite(b) and a < b):
                 raise ValueError(f"degenerate interval [{a}, {b})")
         object.__setattr__(self, "half_shape", (*sizes[:-1], sizes[-1] // 2 + 1))
+        axes = range(-len(sizes), 0)
+        object.__setattr__(self, "axis_args", tuple([(a,), (), (a,)] for a in axes))
+        object.__setattr__(self, "forward_scales", tuple(1.0 / n for n in sizes))
 
     @classmethod
     def uniform(cls, dims: int, size: int, interval) -> "Grid":
@@ -233,10 +259,6 @@ def _count_fft() -> None:
         cell[0] += 1
 
 
-def _grid_axes(grid: Grid) -> tuple:
-    return tuple(range(-grid.dims, 0))
-
-
 def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
     """Whether a coefficient array is in the half layout (shape checked)."""
     tail = coeffs.shape[-grid.dims:]
@@ -258,7 +280,9 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     the values are taken as real (an imaginary part is dropped) and the
     result is in the half layout.  out, when given, is the complex array
     of the result's shape that receives it and is returned; it must not
-    overlap values.
+    overlap values.  For float64 or complex128 values the bits are
+    numpy's rfftn (real) or fftn with norm="forward": the last axis
+    first, then the others in place in descending order.
     """
     values = np.asarray(values)
     if values.shape[-grid.dims:] != grid.shape:
@@ -269,11 +293,12 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     if out is None:
         shape = (*values.shape[:-grid.dims], *grid.half_shape) if real else values.shape
         out = np.empty(shape, dtype=np.result_type(values.dtype, 1j))
-    if grid.dims == 1:
-        transform = np.fft.rfft if real else np.fft.fft
-        return transform(values, norm="forward", out=out)
-    transform = np.fft.rfftn if real else np.fft.fftn
-    return transform(values, axes=_grid_axes(grid), norm="forward", out=out)
+    args, scales = grid.axis_args, grid.forward_scales
+    last = _pocketfft.rfft_n_even if real else _pocketfft.fft
+    last(values, scales[-1], axes=args[-1], out=out)
+    for axis in range(grid.dims - 2, -1, -1):
+        _pocketfft.fft(out, scales[axis], axes=args[axis], out=out)
+    return out
 
 
 def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
@@ -291,28 +316,30 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
     and may be strided.  work is a complex array shaped like coeffs in
     which a multi-axis half-layout inverse runs its leading axes; it is
     overwritten, and allocated here when not given.  Neither may overlap
-    coeffs, which is left untouched.
+    coeffs, which is left untouched.  For complex128 coefficients the
+    bits are numpy's irfftn (leading axes in ascending order, then the
+    last-axis irfft) or ifftn (the last axis first) with norm="forward".
     """
     coeffs = np.asarray(coeffs)
     half = _is_half(coeffs, grid)
     _count_fft()
+    args = grid.axis_args
     if half:
         if grid.dims > 1:
-            # irfftn's steps, leading axes in order, but in place in work
             if work is None:
                 work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
-            axes = _grid_axes(grid)
-            np.fft.ifft(coeffs, axis=axes[0], norm="forward", out=work)
-            for axis in axes[1:-1]:
-                np.fft.ifft(work, axis=axis, norm="forward", out=work)
-            coeffs = work
-        return np.fft.irfft(coeffs, grid.sizes[-1], norm="forward", out=out)
+            for axis in range(grid.dims - 1):
+                _pocketfft.ifft(coeffs, 1.0, axes=args[axis], out=work)
+                coeffs = work
+        if out is None:
+            shape = (*coeffs.shape[:-1], grid.sizes[-1])
+            out = np.empty(shape, dtype=np.result_type(coeffs.real.dtype, 1.0))
+        return _pocketfft.irfft(coeffs, 1.0, axes=args[-1], out=out)
     if out is None:
         out = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
-    if grid.dims == 1:
-        np.fft.ifft(coeffs, norm="forward", out=out)
-    else:
-        np.fft.ifftn(coeffs, axes=_grid_axes(grid), norm="forward", out=out)
+    _pocketfft.ifft(coeffs, 1.0, axes=args[-1], out=out)
+    for axis in range(grid.dims - 2, -1, -1):
+        _pocketfft.ifft(out, 1.0, axes=args[axis], out=out)
     return out.real if real else out
 
 

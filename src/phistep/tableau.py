@@ -500,6 +500,13 @@ def _parse_expr(text: str, lineno: int) -> PhiExpr:
 _SLOT_RE = re.compile(r"^(?P<mat>[ABUV])\s*\[\s*(?P<i>\d+)\s*\](?:\s*\[\s*(?P<j>\d+)\s*\])?$")
 
 
+def _header_int(key: str, value: str, lineno: int) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise TableauFileError(f"line {lineno}: {key} must be an integer, got {value!r}") from None
+
+
 def load_tableau_file(path) -> Tableau:
     """Parse a plain-text tableau file.
 
@@ -547,12 +554,7 @@ def load_tableau_file(path) -> Tableau:
         if required not in headers:
             raise TableauFileError(f"missing required header {required!r}")
     name = headers["name"][0]
-    try:
-        order = int(headers["order"][0])
-        s = int(headers["stages"][0])
-        q = int(headers["steps"][0])
-    except ValueError:
-        raise TableauFileError("order, stages and steps must be integers")
+    order, s, q = (_header_int(key, *headers[key]) for key in ("order", "stages", "steps"))
     summation = True
     if "summation" in headers:
         val, lineno = headers["summation"]

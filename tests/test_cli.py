@@ -435,6 +435,7 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
     assert "selftest: PASS" in out
     assert "buffered step (workspace vs fresh)  PASS  20/20" in out
+    assert "transforms match numpy.fft          PASS  bit for bit: 24/24" in out
 
 
 # ---------------------------------------------------------------------------

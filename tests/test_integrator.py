@@ -3,6 +3,7 @@ oracle, linear exactness, classical reductions, transform budgets,
 instability detection, the multistep starter, and end-to-end runs
 against closed-form solutions."""
 import dataclasses
+import functools
 import math
 import tracemalloc
 import types
@@ -11,6 +12,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import _oracles
 from phistep import integrator, phifun
@@ -851,6 +853,32 @@ def test_buffered_step_equals_fresh_step_bit_for_bit(case, scheme):
         assert _same_state(fresh, reference), (scheme, key, fresh.step)
     assert np.all(np.isfinite(buffered.coeffs))
     assert any(buffered.coeffs is out for out in work.outputs)
+
+
+@functools.lru_cache(maxsize=None)
+def _desk_work(key):
+    problem = get_problem(key)
+    system = discretize(problem, default_grid(problem))
+    engine = prepare_scheme("etdrk4", problem.desk_T / 64, system.lam)
+    return system, _StepWork(engine, system.u0.shape, system)
+
+
+@pytest.mark.parametrize("key", problem_names())
+@settings(max_examples=6, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1e-3, 0.1, 1.0]))
+def test_workspace_evaluator_equals_nonlinear_bit_for_bit(key, seed, spread):
+    # the workspace's evaluator, nonlinear_into with the workspace's
+    # product as its scratch, gives the plain path's bits at fields near
+    # u^0 for every registry problem
+    system, work = _desk_work(key)
+    values = to_values(system.u0, system.grid)
+    rng = np.random.default_rng(seed)
+    values = values * (1.0 + spread * rng.standard_normal(values.shape))
+    coeffs = to_coeffs(values, system.grid, real=values.dtype.kind != "c")
+    assert coeffs.shape == system.u0.shape
+    out = np.full_like(coeffs, np.nan)
+    assert work.evaluate(coeffs, out, work.product) is out
+    assert out.tobytes() == system.nonlinear(coeffs).tobytes()
 
 
 @pytest.mark.parametrize("scheme", ["etdrk4", "abnorsett4", "pecec736"])

@@ -81,6 +81,17 @@ def test_gamma_zero_argument_matches_series_constant():
     assert gamma_scalar(2, 1, 0.0) == pytest.approx(-1.0 / 12.0, rel=1e-15)
 
 
+def test_gamma_near_zero_casts_no_overflowing_recurrence_entry():
+    # at 1e-300 the long-double recurrence is far beyond complex128, but
+    # the series replaces it there, so no overflowing entry is cast
+    with np.errstate(over="raise"):
+        got = gamma_values(range(5), 4, np.array([1e-300, -1.0]))
+    want = [[4.0, 0.9816843611112658], [8.0, 3.018315638888734],
+            [6.666666666666667, 3.4725265416668987], [2.6666666666666665, 1.7094031574070465],
+            [0.3111111111111111, 0.266175990741308]]
+    assert got.dtype == np.float64 and got.tolist() == want
+
+
 def test_index_bounds_raise():
     with pytest.raises(ValueError):
         phi_scalar(13, 1.0)

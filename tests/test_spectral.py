@@ -1,8 +1,12 @@
 """Grid, wavenumber, symbol, and transform tests with closed-form oracles."""
 import concurrent.futures
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from phistep.spectral import (
     Grid,
@@ -276,6 +280,21 @@ def test_transform_shape_validation():
         to_values(np.zeros((8, 4)), g)
 
 
+
+def test_numpy_without_the_pocketfft_kernels_fails_the_import_by_name():
+    # the transforms call numpy's private kernels; a numpy without them
+    # fails `import phistep` with a PhistepError naming them
+    import phistep
+    src = os.path.dirname(os.path.dirname(phistep.__file__))
+    code = ("import sys; sys.modules['numpy.fft._pocketfft_umath'] = None\n"
+            "try:\n    import phistep\n"
+            "except Exception as exc:\n    print(type(exc).__name__, exc)")
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120).stdout
+    assert out.startswith("PhistepError numpy ")
+    assert "numpy.fft._pocketfft_umath" in out and "numpy>=2.0,<3" in out
+
 _LAYOUT_GRIDS = [
     Grid((16,), ((0.0, TWO_PI),)),
     Grid((8, 12), ((0.0, 1.0), (0.0, 2.0))),
@@ -289,42 +308,54 @@ def _field(grid, real, seed=0):
     return values if real else values + 1j * rng.standard_normal(values.shape)
 
 
+def _check_transforms_match_numpy(values, grid, real):
+    # to_coeffs and to_values run numpy's pocketfft kernels axis by axis;
+    # with and without out/work their bits are those of the public
+    # np.fft n-D transforms.  A last axis of 2 has coinciding layouts, so
+    # its coefficients are read as full.
+    axes = tuple(range(-grid.dims, 0))
+    want = (np.fft.rfftn if real else np.fft.fftn)(values, axes=axes, norm="forward")
+    coeffs = to_coeffs(values, grid, real=real)
+    assert coeffs.tobytes() == want.tobytes()
+    out = np.empty_like(want)
+    assert to_coeffs(values, grid, real=real, out=out) is out
+    assert out.tobytes() == want.tobytes()
+    half = real and grid.sizes[-1] > 2
+    if half:
+        inverse = np.fft.irfftn(coeffs, grid.shape, axes=axes, norm="forward")
+    else:
+        inverse = np.fft.ifftn(coeffs, axes=axes, norm="forward")
+    kept = coeffs.copy()
+    assert to_values(coeffs, grid).tobytes() == inverse.tobytes()
+    if not half:
+        assert to_values(coeffs, grid, real=True).tobytes() == inverse.real.tobytes()
+    # out may be a strided view or a row-strided front of a wider array;
+    # work receives a half-layout inverse's leading axes
+    n = inverse.shape[-1]
+    wide = np.empty((*inverse.shape[:-1], 2 * n), inverse.dtype)
+    for into in (wide[..., ::2], wide[..., :n]):
+        work = np.empty_like(coeffs)
+        assert to_values(coeffs, grid, out=into, work=work) is into
+        assert into.tobytes() == inverse.tobytes()
+    assert coeffs.tobytes() == kept.tobytes()
+
+
 @pytest.mark.parametrize("grid", _LAYOUT_GRIDS, ids=lambda g: f"{g.dims}d")
 @pytest.mark.parametrize("real", [True, False], ids=["half", "full"])
 def test_transforms_match_numpy_bit_for_bit(grid, real):
-    axes = tuple(range(-grid.dims, 0))
-    values = _field(grid, real)
-    if real:
-        want_coeffs = np.fft.rfftn(values, axes=axes, norm="forward")
-        want_values = np.fft.irfftn(want_coeffs, grid.shape, axes=axes, norm="forward")
-    else:
-        want_coeffs = np.fft.fftn(values, axes=axes, norm="forward")
-        want_values = np.fft.ifftn(want_coeffs, axes=axes, norm="forward")
-    coeffs = to_coeffs(values, grid, real=real)
-    assert coeffs.tobytes() == want_coeffs.tobytes()
-    assert to_values(coeffs, grid).tobytes() == want_values.tobytes()
+    _check_transforms_match_numpy(_field(grid, real), grid, real)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.sampled_from(range(2, 17, 2)), min_size=1, max_size=3),
+       components=st.integers(1, 2), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_transforms_equal_public_numpy_fft_on_random_grids(sizes, components, real, seed):
+    grid = Grid(sizes, ((0.0, 1.0),) * len(sizes))
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((components, *grid.shape))
     if not real:
-        assert to_values(coeffs, grid, real=True).tobytes() == want_values.real.tobytes()
-    # the same bits into given arrays: out for the result, work for the
-    # leading axes of a half-layout inverse, the coefficients untouched
-    kept = coeffs.copy()
-    out = np.empty_like(coeffs)
-    assert to_coeffs(values, grid, real=real, out=out) is out
-    assert out.tobytes() == want_coeffs.tobytes()
-    scratch, work = np.empty_like(coeffs), np.empty_like(coeffs)
-    # real values may go to a strided view, here over a complex array
-    into = scratch.view(np.float64)[..., : grid.shape[-1]] if real else scratch
-    assert to_values(coeffs, grid, out=into, work=work) is into
-    assert into.tobytes() == want_values.tobytes()
-    assert coeffs.tobytes() == kept.tobytes()
-    if real:
-        assert not into.flags.c_contiguous
-        contiguous = np.empty_like(want_values)
-        assert to_values(coeffs, grid, out=contiguous).tobytes() == want_values.tobytes()
-        again = np.fft.rfftn(want_values, axes=axes, norm="forward")
-        assert to_coeffs(into, grid, real=True, out=out).tobytes() == again.tobytes()
-    else:
-        assert to_values(coeffs, grid, real=True, out=into).tobytes() == want_values.real.tobytes()
+        values = values + 1j * rng.standard_normal(values.shape)
+    _check_transforms_match_numpy(values, grid, real)
 
 
 # ---------------------------------------------------------------------------

@@ -555,9 +555,9 @@ def test_file_multistep_entries(tmp_path):
         ("B[2] = phi2(z)", "B[2] =", r"line 9: empty coefficient expression"),
         ("B[2] = phi2(z)", "X[2] = phi2(z)", r"line 9: bad entry slot 'X\[2\]'"),
         ("B[2] = phi2(z)", "B[2] phi2(z)", r"line 9: expected 'key: value' or 'SLOT = expr'"),
-        ("order: 1", "order: one", r"order, stages and steps must be integers"),
-        ("stages: 2", "stages: 2.0", r"order, stages and steps must be integers"),
-        ("steps: 2", "steps: two", r"order, stages and steps must be integers"),
+        ("order: 1", "order: one", r"line 2: order must be an integer, got 'one'"),
+        ("stages: 2", "stages: 2.0", r"line 3: stages must be an integer, got '2\.0'"),
+        ("steps: 2", "steps: two", r"line 4: steps must be an integer, got 'two'"),
         ("summation: no", "summation: maybe", r"line 5: summation must be yes or no"),
         ("B[2] = phi2(z)", "B[2][1] = phi2(z)", r"line 9: wrong number of indices for B"),
         ("U[2][1] =", "U[2] =", r"line 10: wrong number of indices for U"),
