@@ -169,7 +169,7 @@ def make_plan(
     return SweepPlan(
         problem=problem,
         grid=grid,
-        schemes=tuple(schemes) if schemes else _DEFAULT_SCHEMES,
+        schemes=_DEFAULT_SCHEMES if schemes is None else tuple(schemes),
         ladder=rungs,
         T=horizon,
         out_dir=out_dir,

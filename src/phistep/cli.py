@@ -227,6 +227,10 @@ _BENCH_REPLACES = {"size": "grid", "ladder": "count", "count": "ladder"}
 
 def cmd_bench(args: argparse.Namespace) -> int:
     settings = _settings(args, _BENCH_KEYS)
+    if args.desk:
+        if args.paper_scale:
+            raise CliError("--desk and --paper-scale are mutually exclusive")
+        settings["paper_scale"] = False
     for key, other in _BENCH_REPLACES.items():
         if getattr(args, key) is not None:
             settings.pop(other, None)
@@ -279,7 +283,10 @@ def _certify_order(info) -> tuple:
 
 def cmd_order(args: argparse.Namespace) -> int:
     if args.csv:
-        records = read_records(args.csv)
+        try:
+            records = read_records(args.csv)
+        except (OSError, ValueError) as exc:
+            raise CliError(str(exc)) from exc
         by_scheme: dict = {}
         for record in records:
             by_scheme.setdefault(record.scheme, []).append(record)
@@ -291,9 +298,12 @@ def cmd_order(args: argparse.Namespace) -> int:
                 print(f"  {scheme}  n/a ({exc})")
         return 0
     try:
-        names = [get_scheme(s).name for s in args.schemes] if args.schemes else sorted(REGISTRY)
+        names = (sorted(REGISTRY) if args.schemes is None
+                 else [get_scheme(s).name for s in args.schemes])
     except KeyError as exc:
         raise CliError(exc.args[0]) from exc
+    if not names:
+        raise CliError("--schemes names no scheme")
     print("scheme  declared  measured  verdict")
     all_ok = True
     for name in names:
@@ -508,7 +518,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("problem", nargs="?", help="problem registry name")
     p_bench.add_argument("--schemes", type=_comma_list, help="comma-separated scheme names")
     p_bench.add_argument("--desk", action="store_true",
-                         help="desk-scale settings (the default)")
+                         help="desk-scale grid and horizon (the default); "
+                              "overrides a manifest's paper_scale")
     p_bench.add_argument("--paper-scale", action="store_true", default=None,
                          help="full-resolution grids and horizons")
     p_bench.add_argument("--ladder", type=_comma_list,
@@ -537,9 +548,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if getattr(args, "command", None) == "bench" and args.desk and args.paper_scale:
-        print("--desk and --paper-scale are mutually exclusive", file=sys.stderr)
-        return 2
     try:
         return args.func(args)
     except CliError as exc:

@@ -109,7 +109,9 @@ def _max_norm(arr: np.ndarray, scratch: Optional[np.ndarray] = None) -> float:
 
 
 def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: float,
-                  scratch: np.ndarray) -> None:
+                  scratch: np.ndarray) -> float:
+    """max |coeffs| (moduli in scratch); UnstableError at step and time
+    if it is not finite or exceeds MAX_AMPLIFICATION * initial_norm > 0."""
     top = _max_norm(coeffs, scratch)
     if not math.isfinite(top):
         raise UnstableError(
@@ -120,6 +122,7 @@ def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: floa
             f"field grew by {top / initial_norm:.3g}x after step {step} "
             f"(t = {time:.6g})", time=time, step=step,
         )
+    return top
 
 
 # ---------------------------------------------------------------------------
@@ -130,12 +133,14 @@ def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: floa
 class PrecomputedScheme:
     """A tableau lowered over the diagonal h*L into a row program.
 
-    rows holds one (propagator, source, terms) row for each stage
-    2..s, then one for the output.  A row starts from propagator times
-    sources[source], where the sources are u^n, v^2, ..., v^s, so a
-    stage-source override is a row whose source is not 0.  terms is a
-    tuple of (coeff, operand) pairs in the order: the row sum, then the
-    A or B terms by ascending j, then the U or V terms.  The operands are
+    Stepping reads only its name, its step h, steps (q, the nonlinear
+    values a state carries) and rows, which holds one (propagator,
+    source, terms) row per stage 2..s, then one for the output, so s is
+    len(rows).  A row starts from propagator times sources[source],
+    where the sources are u^n, v^2, ..., v^s, so a stage-source
+    override is a row whose source is not 0.  terms is a tuple of
+    (coeff, operand) pairs in the order: the row sum, then the A or B
+    terms by ascending j, then the U or V terms.  The operands are
     N(u^n) (index 0), the q - 1 history differences N(u^{n-j}) - N(u^n)
     (index j), then the stage differences N(v^j) - N(u^n) (index
     q + j - 2).  Stage 1's weight enters only through the row sum, and
@@ -148,17 +153,9 @@ class PrecomputedScheme:
     """
 
     name: str
-    tableau: Tableau
     h: float
+    steps: int
     rows: tuple
-
-    @property
-    def stages(self) -> int:
-        return self.tableau.stages
-
-    @property
-    def steps(self) -> int:
-        return self.tableau.steps
 
 
 def _lowering(tableau: Tableau) -> tuple:
@@ -236,7 +233,7 @@ def precompute(tableau: Tableau, h: float, lam) -> PrecomputedScheme:
     rows = tuple(
         (arrays[propagator], source, tuple((arrays[c], operand) for c, operand in terms))
         for propagator, source, terms in program)
-    return PrecomputedScheme(name=tableau.name, tableau=tableau, h=h, rows=rows)
+    return PrecomputedScheme(name=tableau.name, h=h, steps=tableau.steps, rows=rows)
 
 
 def _add_term(acc: np.ndarray, h: np.ndarray, coeff: np.ndarray, value: np.ndarray,
@@ -300,13 +297,14 @@ class _StepWork:
         def field() -> np.ndarray:
             return np.empty(shape, dtype=np.complex128)
 
-        self.stages = [field() for _ in range(scheme.stages - 1)]
-        self.past = [field() for _ in range(scheme.steps - 1)]
+        s, q = len(scheme.rows), scheme.steps
+        self.stages = [field() for _ in range(s - 1)]
+        self.past = [field() for _ in range(q - 1)]
         # N(u^n) of a multistep scheme comes with the state
-        self.operands = [field() for _ in range(scheme.stages - (scheme.steps > 1))]
+        self.operands = [field() for _ in range(s - (q > 1))]
         self.product = field()
         self.outputs = (field(), field())
-        self.ring = tuple(field() for _ in range(scheme.steps + 1 if scheme.steps > 1 else 0))
+        self.ring = tuple(field() for _ in range(q + 1 if q > 1 else 0))
         self.norm = np.empty(shape, dtype=np.float64)
         self.h = np.array(complex(scheme.h))
         self.evaluate = getattr(system, "nonlinear_into", None) or _copying_evaluator(system)
@@ -441,7 +439,9 @@ def start_multistep(
     where the forward differences run over the current iterate's
     nonlinear values.  Stops when successive iterates agree to a
     relative max-norm below h^q (or the rounding floor), or after 50
-    iterations with converged=False.
+    iterations with converged=False.  Each new iterate u^j passes the
+    step's stability check at step j, t = j*h (its max-norm is the
+    iterate's scale), so UnstableError names the first iterate that fails.
 
     The map is q - 1 rows (e^{jhL}, source u^0, terms (gamma_l(j, hL), l))
     run by _run_row in buffers allocated once: operand l is
@@ -492,13 +492,8 @@ def start_multistep(
             level = operands
         for acc, row in zip(new, rows):
             _run_row(acc, row, (u0,), operands, work.h, product)
-        scale = max(_max_norm(u, norm) for u in new)
+        scale = max(_check_stable(u, j * h, j, initial_norm, norm) for j, u in enumerate(new, 1))
         change = max(_max_norm(np.subtract(a, b, product), norm) for a, b in zip(new, old))
-        if not math.isfinite(scale) or not math.isfinite(change):
-            raise UnstableError(
-                "starting procedure produced non-finite values",
-                time=(q - 1) * h, step=q - 1,
-            )
         old, new = new, old
         for u, out in zip(old, nl[1:]):
             evaluate(u, out, product)

@@ -84,7 +84,7 @@ class DiscreteSystem:
     u0: np.ndarray
 
     def nonlinear(self, coeffs: np.ndarray) -> np.ndarray:
-        """N(coeffs) as a new array (spectral.apply_nonlinear)."""
+        """N(coeffs) as a new array: apply_nonlinear in two fresh buffers."""
         return apply_nonlinear(coeffs, self.op, self.grid)
 
     def nonlinear_into(self, coeffs: np.ndarray, out: np.ndarray,

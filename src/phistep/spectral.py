@@ -42,12 +42,12 @@ fixed on the Grid.
 Callers that evaluate nonlinearities in a loop can hand every array in:
 to_coeffs and to_values take out= (and to_values work=, the complex
 array above) and then allocate nothing field-sized.  apply_nonlinear
-takes two complex arrays shaped like the coefficients: out receives
-N(coeffs) and also serves as the inverse transform's work array, and
-scratch holds the values that func sees.  For the half layout those
-values are a contiguous real array over the first bytes of scratch
-(which has room for them, since N/2 + 1 complex numbers hold N + 2
-reals), so func receives a view that lives only for the call.
+takes two complex arrays shaped like the coefficients, or allocates
+them: out receives N(coeffs) and also serves as the inverse transform's
+work array, and scratch holds the values that func sees.  For the half
+layout those values are a contiguous real array over the first bytes
+of scratch (N/2 + 1 complex numbers hold N + 2 reals), so func
+receives a view that lives only for the call.
 """
 from __future__ import annotations
 
@@ -357,9 +357,9 @@ class NonlinearOp:
     -u u_x = -(1/2)(u^2)_x) and must be in the layout of the coefficients
     the op is applied to.  The layout also decides what func sees: real
     values for half-layout coefficients, complex values for full-layout
-    ones.  With buffers (apply_nonlinear's scratch) the values are a view
-    into scratch that lives only for the call, so func must keep no
-    reference to its argument.
+    ones.  The values are a view into apply_nonlinear's scratch (given by
+    the caller or allocated for the call) that lives only for the call,
+    so func must keep no reference to its argument.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -372,27 +372,24 @@ def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid,
     """Evaluate F(N(F^{-1} coeffs)): transform to value space, apply the
     pointwise map, transform back, then apply the outer symbol if any.
 
-    The result is in the layout of coeffs, which is left untouched.
-    Without buffers it is a new array that shares no memory with coeffs.
-    Otherwise out and scratch are C-contiguous complex128 arrays shaped
-    like coeffs, distinct from it and from each other: out receives the
-    result (and is returned) and first serves as to_values' work array;
-    the values func sees are written into scratch, for the half layout as
-    a contiguous real array over its first bytes.  func must not keep its
-    argument past the call.  The two transforms and the bits are those of
-    the plain path either way: half-layout coefficients give real values,
-    full-layout ones complex values."""
+    The result is in the layout of coeffs, which is left untouched.  out
+    and scratch are C-contiguous complex arrays shaped like coeffs,
+    distinct from it and from each other, each allocated here when not
+    given (out of coeffs' complex type, scratch like out), so a plain
+    call returns a new array.  out receives the result (and is
+    returned) and first serves as to_values' work array.  func sees the
+    values in scratch, for half-layout coefficients as real ones of
+    scratch's precision over its first bytes, and must not keep them."""
     half = _is_half(coeffs, grid)
-    if scratch is None:
-        values = to_values(coeffs, grid)
-    else:
-        values = scratch
-        if half:
-            # the real values fill the front of scratch, contiguous: func
-            # runs faster on them than on a strided view
-            shape = (*coeffs.shape[:-1], grid.sizes[-1])
-            values = scratch.reshape(-1).view(np.float64)[: math.prod(shape)].reshape(shape)
-        to_values(coeffs, grid, out=values, work=out)
+    out = np.empty(coeffs.shape, np.result_type(coeffs.dtype, 1j)) if out is None else out
+    scratch = np.empty_like(out) if scratch is None else scratch
+    values = scratch
+    if half:
+        # the real values fill the front of scratch, contiguous: func
+        # runs faster on them than on a strided view
+        shape = (*coeffs.shape[:-1], grid.sizes[-1])
+        values = scratch.reshape(-1).view(scratch.real.dtype)[: math.prod(shape)].reshape(shape)
+    to_values(coeffs, grid, out=values, work=out)
     out = to_coeffs(op.func(values), grid, real=half, out=out)
     if op.outer is not None:
         np.multiply(out, op.outer, out)

@@ -259,6 +259,12 @@ def test_make_plan_uses_registry_defaults():
     assert len(plan.ladder) == 7
 
 
+def test_make_plan_defaults_only_an_absent_scheme_list():
+    assert make_plan("ks").schemes == ("etdrk4", "lawson4", "abnorsett4", "pecec534")
+    with pytest.raises(ValueError, match="a sweep needs at least one scheme"):
+        make_plan("ks", [])
+
+
 # ---------------------------------------------------------------------------
 # running sweeps
 

@@ -12,6 +12,7 @@ from phistep import cli
 from phistep.bench import (clear_reference_cache, load_field, make_plan, plan_from_manifest,
                            plan_to_manifest, read_records)
 from phistep.cli import main
+from phistep.problems import default_grid, get_problem
 
 
 @pytest.fixture(autouse=True)
@@ -397,6 +398,36 @@ def test_bench_desk_and_paper_scale_conflict(capsys, tmp_path):
     assert main(["bench", "ks", "--desk", "--paper-scale", "--out", str(tmp_path)]) == 2
 
 
+def test_bench_desk_overrides_a_manifests_paper_scale(tmp_path, capsys):
+    # at paper scale the reference solve of this sweep is unstable (exit 3)
+    manifest = tmp_path / "ac.json"
+    manifest.write_text(json.dumps(
+        {"problem": "ac", "paper_scale": True, "count": 1, "schemes": ["etdrk4"]}))
+    out = tmp_path / "desk"
+    assert main(["bench", "--manifest", str(manifest), "--desk", "--reps", "1",
+                 "--jobs", "1", "--out", str(out)]) == 0
+    problem = get_problem("ac")
+    echo = json.loads((out / "ac.json").read_text())
+    assert (echo["T"], echo["grid"]) == (problem.desk_T, list(default_grid(problem).sizes))
+    assert main(["bench", "--manifest", str(manifest), "--desk", "--paper-scale",
+                 "--out", str(out)]) == 2
+    assert "--desk and --paper-scale are mutually exclusive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("source", ["flag", "manifest"])
+def test_bench_empty_scheme_list_exits_2(tmp_path, capsys, source):
+    if source == "flag":
+        argv = ["bench", "ks", "--schemes", ","]
+    else:
+        manifest = tmp_path / "ks.json"
+        manifest.write_text(json.dumps({"problem": "ks", "schemes": []}))
+        argv = ["bench", "--manifest", str(manifest)]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert "a sweep needs at least one scheme" in captured.err
+    assert captured.out == ""  # nothing ran
+
+
 def test_bench_without_problem_or_manifest_exits_2(capsys):
     assert main(["bench"]) == 2
 
@@ -422,6 +453,26 @@ def test_order_from_csv(tmp_path, capsys):
 def test_order_unknown_scheme_exits_2(capsys):
     assert main(["order", "--schemes", "bogus"]) == 2
     assert "bogus" in capsys.readouterr().err
+
+
+def test_order_empty_scheme_list_exits_2(capsys):
+    assert main(["order", "--schemes", ","]) == 2
+    captured = capsys.readouterr()
+    assert "--schemes names no scheme" in captured.err
+    assert captured.out == ""
+
+
+def test_order_missing_csv_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing.csv"
+    assert main(["order", "--csv", str(path)]) == 2
+    assert f"No such file or directory: {str(path)!r}" in capsys.readouterr().err
+
+
+def test_order_csv_with_another_header_exits_2(tmp_path, capsys):
+    path = tmp_path / "other.csv"
+    path.write_text("scheme,h\netdrk4,0.1\n")
+    assert main(["order", "--csv", str(path)]) == 2
+    assert f"{path} has header ['scheme', 'h']; expected" in capsys.readouterr().err
 
 
 # ---------------------------------------------------------------------------

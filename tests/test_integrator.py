@@ -310,6 +310,24 @@ def test_instability_raises_on_nan():
         integrate(system, "etdrk4", 0.1, 1.0)
 
 
+@pytest.mark.parametrize("q", [3, 4, 6])
+def test_starter_names_the_first_iterate_that_turns_non_finite(q):
+    # N is finite through the q - 1 ETDRK2 steps (two evaluations each)
+    # and NaN from the fixed-point map on, so its first iterate u^1
+    # fails: the error names step 1 at t = h, not the last starting value
+    calls = []
+
+    def turns_nan(u):
+        calls.append(1)
+        return u * u if len(calls) <= 2 * (q - 1) else np.full_like(u, np.nan)
+
+    h = 0.05
+    system = DirectSystem(lam=np.array([-1.0 + 0j]), u0=np.array([0.5 + 0j]), func=turns_nan)
+    with pytest.raises(UnstableError, match=r"non-finite field after step 1 \(t = 0\.05\)") as err:
+        start_multistep(q, h, system, np.array(system.u0))
+    assert (err.value.step, err.value.time) == (1, h)
+
+
 def test_etdrk4_stage_source_matches_strict_form():
     # replacing the stage-4 override with its algebraically equal strict
     # row must not change the trajectory beyond roundoff
@@ -766,18 +784,18 @@ def _slot_tables(tableau, h, lam):
     V = {j: ev(tableau.V[j - 1]) for j in range(1, q) if not tableau.V[j - 1].is_zero()}
     total = sum(tableau.B, zero) + sum(tableau.V, zero)
     return types.SimpleNamespace(
-        tableau=tableau, h=h,
+        h=h,
         propagator=exp_of(Fraction(1)), stage_propagators=stage_props,
         source_propagators=source_props, stage_sums=stage_sums,
         output_sum=None if total.is_zero() else ev(total), A=A, U=U, B=B, V=V,
     )
 
 
-def _reference_step(state, scheme, system):
-    """One step in the arithmetic the buffered step must reproduce, from
-    the _slot_tables scheme: every term as acc + h * (coeff * value) on
-    fresh arrays."""
-    tab, h, u = scheme.tableau, scheme.h, state.coeffs
+def _reference_step(state, tab, scheme, system):
+    """One step of the tableau tab in the arithmetic the buffered step
+    must reproduce, from its _slot_tables scheme: every term as
+    acc + h * (coeff * value) on fresh arrays."""
+    h, u = scheme.h, state.coeffs
     s, q = tab.stages, tab.steps
     nl_now = state.nonlinear[0] if q > 1 else system.nonlinear(u)
     past = [value - nl_now for value in state.nonlinear[1:q]]
@@ -839,7 +857,8 @@ def test_buffered_step_equals_fresh_step_bit_for_bit(case, scheme):
     # system.nonlinear, the plain path
     key, _, view = case.partition(":")
     system, engine, _, start = _desk_start(key, scheme, _BUFFERED_STEP[key])
-    tables = _slot_tables(engine.tableau, engine.h, system.lam)
+    tab = get_scheme(scheme).tableau()
+    tables = _slot_tables(tab, engine.h, system.lam)
     if view:
         system = NonlinearOnlySystem(system.lam, system.u0, system.nonlinear)
     work = _StepWork(engine, start.coeffs.shape, system)
@@ -848,7 +867,7 @@ def test_buffered_step_equals_fresh_step_bit_for_bit(case, scheme):
     for _ in range(20):
         fresh = step(fresh, engine, system)
         buffered = step(buffered, engine, system, work=work)
-        reference = _reference_step(reference, tables, system)
+        reference = _reference_step(reference, tab, tables, system)
         assert _same_state(buffered, fresh), (scheme, key, fresh.step)
         assert _same_state(fresh, reference), (scheme, key, fresh.step)
     assert np.all(np.isfinite(buffered.coeffs))
@@ -915,7 +934,7 @@ def test_buffered_steps_allocate_no_field_of_their_own(scheme):
         tracemalloc.stop()
     assert np.all(np.isfinite(state.coeffs))
     marks = marking.marks
-    assert len(marks) == 2 + 2 * nsteps * engine.stages
+    assert len(marks) == 2 + 2 * nsteps * len(engine.rows)
     grown = [b[1] - a[0] for a, b in zip(marks, marks[1:])]
     slack = 16 * 1024
     # numpy's cast buffer, of at most bufsize entries, for a real

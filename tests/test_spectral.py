@@ -358,6 +358,16 @@ def test_transforms_equal_public_numpy_fft_on_random_grids(sizes, components, re
     _check_transforms_match_numpy(values, grid, real)
 
 
+@pytest.mark.parametrize("grid", _LAYOUT_GRIDS, ids=lambda g: f"{g.dims}d")
+def test_to_coeffs_real_drops_the_imaginary_part_of_complex_values(grid):
+    # real=True on complex values transforms their real part: the bits of
+    # the same call on values.real
+    values = _field(grid, real=False)
+    got = to_coeffs(values, grid, real=True)
+    assert got.shape == (2, *grid.half_shape)
+    assert got.tobytes() == to_coeffs(values.real, grid, real=True).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # nonlinear evaluation
 
@@ -405,6 +415,28 @@ def test_apply_nonlinear_returns_a_new_array_from_two_transforms(grid, real, fun
     assert apply_nonlinear(coeffs, NonlinearOp(func), grid, out=into,
                            scratch=scratch).tobytes() == plain.tobytes()
     assert coeffs.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("grid", _LAYOUT_GRIDS, ids=lambda g: f"{g.dims}d")
+@pytest.mark.parametrize("real", [True, False], ids=["half", "full"])
+def test_apply_nonlinear_keeps_single_precision(grid, real):
+    # the buffers a plain call allocates are of the coefficients' complex
+    # type, so complex64 coefficients give float32 or complex64 values and
+    # a complex64 result with the bits of the two transforms in that type
+    coeffs = to_coeffs(_field(grid, real), grid, real=real).astype(np.complex64)
+    seen = []
+
+    def square(u):
+        seen.append(u.dtype)
+        return u * u
+
+    out = apply_nonlinear(coeffs, NonlinearOp(square), grid)
+    assert seen == [np.dtype(np.float32 if real else np.complex64)]
+    assert out.dtype == np.complex64 and out.shape == coeffs.shape
+    values = to_values(coeffs, grid)
+    want = to_coeffs(values * values, grid, real=real)
+    assert want.dtype == np.complex64
+    assert out.tobytes() == want.tobytes()
 
 
 def test_cube_of_constant():
