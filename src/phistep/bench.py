@@ -444,30 +444,41 @@ def export(
     return paths
 
 
+# how read_records parses each CSV column, in CSV_HEADER's order
+_CSV_PARSERS = (str, float, float, _parse_optional_float, _parse_optional_float,
+                _parse_bool, _parse_bool)
+
+
 def read_records(csv_path) -> List[SweepRecord]:
-    """Parse a sweep CSV written by ``export`` back into records."""
+    """Parse a sweep CSV written by ``export`` back into records.
+
+    A bad row raises ValueError naming the file, its line and the first
+    column that is unreadable, missing or extra."""
     path = Path(csv_path)
+    names = CSV_HEADER.split(",")
     with path.open(newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise ValueError(f"{path} is empty; expected header {CSV_HEADER!r}") from None
-        if header != CSV_HEADER.split(","):
+        if header != names:
             raise ValueError(f"{path} has header {header}; expected {CSV_HEADER!r}")
         records = []
         for row in reader:
-            if len(row) != 7:
-                raise ValueError(f"{path}: expected 7 fields, got {row}")
-            records.append(SweepRecord(
-                scheme=row[0],
-                h=float(row[1]),
-                h_over_T=float(row[2]),
-                error=_parse_optional_float(row[3]),
-                seconds=_parse_optional_float(row[4]),
-                stable=_parse_bool(row[5]),
-                starter_converged=_parse_bool(row[6]),
-            ))
+            where = f"{path}, line {reader.line_num}, column"
+            if len(row) != len(names):
+                column = min(len(row), len(names))
+                label = f" ({names[column]})" if column < len(names) else ""
+                raise ValueError(f"{where} {column + 1}{label}: expected {len(names)} "
+                                 f"fields, got {len(row)}: {row}")
+            fields = []
+            for column, (name, parse, text) in enumerate(zip(names, _CSV_PARSERS, row), start=1):
+                try:
+                    fields.append(parse(text))
+                except ValueError as exc:
+                    raise ValueError(f"{where} {column} ({name}): {exc}") from None
+            records.append(SweepRecord(*fields))
     return records
 
 

@@ -418,11 +418,30 @@ def _selftest_numpy_transforms() -> tuple:
     return same == total, f"bit for bit: {same}/{total} in 1D, 2D and 3D, half and full layouts"
 
 
+def _selftest_cast_free() -> tuple:
+    # a workspace runs small float64 rows as complex128 copies, which is
+    # exact only if numpy's float64 x complex128 product is its cast
+    # followed by the complex loop; a numpy whose loops differ shows here
+    rng = np.random.default_rng(2027)
+    same = 0
+    sizes = (1, 257, 8192)
+    for n in sizes:
+        c = rng.standard_normal(n)
+        v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        copy, out, cast_out = c.astype(complex), np.empty_like(v), np.empty_like(v)
+        np.multiply(copy, v, out)
+        np.multiply(c, v, cast_out)
+        same += (np.multiply(copy, v).tobytes() == np.multiply(c, v).tobytes()
+                 == out.tobytes() == cast_out.tobytes())
+    return same == len(sizes), (f"match numpy's cast bit for bit: {same}/{len(sizes)} "
+                                "at 1, 257 and 8192 entries")
+
+
 def _selftest_buffered_step() -> tuple:
     problem = get_problem("sh2")
     system = discretize(problem, default_grid(problem, size=16))
     # the same system seen through nonlinear alone: the workspace then
-    # evaluates through its copying adapter instead of nonlinear_into
+    # evaluates through its copying adapter instead of the system's evaluator
     copying = SimpleNamespace(lam=system.lam, u0=system.u0, nonlinear=system.nonlinear)
     h = 0.05
     u0 = np.array(system.u0, dtype=complex)
@@ -466,6 +485,7 @@ def cmd_selftest(args: argparse.Namespace) -> int:
         ("linear exactness (N == 0)", _selftest_linear),
         ("real fields on the half spectrum", _selftest_real_layout),
         ("transforms match numpy.fft", _selftest_numpy_transforms),
+        ("cast-free products (vs numpy cast)", _selftest_cast_free),
         ("buffered step (workspace vs fresh)", _selftest_buffered_step),
         ("order certification (scalar probe)", _selftest_orders),
     ]

@@ -26,15 +26,25 @@ exactly zero, so schemes with the summation property keep fixed points
 to rounding instead of summing large cancelling terms.
 
 A run steps in place: `integrate` gives `step` one `_StepWork` for the
-whole loop, whose buffers are allocated once and whose one evaluator
-writes every nonlinear value into a buffer.  `_run_row` is the one
-reader of a row, and it adds every term through `_add_term`, which
-rounds exactly as acc + h * (coeff * value), so buffered and fresh
-stepping give the same bits.  The price is aliasing, under one rule: a
-state returned by a workspace step stays intact through the next step;
-the step after may reuse its arrays.  So integrate copies every
-snapshot, and a `step` call without a workspace allocates fresh
-buffers.
+whole loop, whose buffers are allocated once and whose one evaluation,
+bound over its buffers once, writes every nonlinear value into a
+buffer.  `_run_row` is the one reader of a row, and it adds every term
+through `_add_term`, which rounds exactly as acc + h * (coeff * value),
+so buffered and fresh stepping give the same bits.  The price is
+aliasing, under one rule: a state returned by a workspace step stays
+intact through the next step; the step after may reuse its arrays.  So
+integrate copies every snapshot, and a `step` call without a workspace
+allocates fresh buffers.
+
+The rows a workspace runs are cast-free (`_cast_free`): a float64
+coefficient array of at most np.getbufsize() entries (8192 by default)
+is run as its complex128 copy, a larger one as the phi cache's array
+itself.  numpy multiplies a float64 array by a complex128 one by casting
+the former, through buffers of that size, and then running the complex
+loop, so the copy gives the same bits; it saves the fixed cost of the
+cast on small fields, where that cost is a large share of each product,
+while on larger fields the cast costs no more than the copy's loop and
+the copy would only add memory.
 
 Multistep schemes are started by the fixed-point procedure
 `start_multistep`: q - 1 ETDRK2 steps, then iterations of
@@ -259,45 +269,73 @@ def _run_row(acc: np.ndarray, row: tuple, sources: Sequence[np.ndarray],
         _add_term(acc, h, coeff, operands[operand], product)
 
 
+def _cast_free(rows: Sequence[tuple]) -> tuple:
+    """rows with every float64 array of at most np.getbufsize() entries
+    replaced by its complex128 copy, made once per distinct array: the
+    operand numpy's cast would give each product, so _run_row gets the
+    same bits without the cast.  Larger arrays, and complex ones, are
+    the rows' own."""
+    limit = np.getbufsize()
+    copies: dict = {}
+
+    def lay(coeff: np.ndarray) -> np.ndarray:
+        if coeff.dtype != np.float64 or coeff.size > limit:
+            return coeff
+        if id(coeff) not in copies:
+            copies[id(coeff)] = coeff.astype(np.complex128)
+        return copies[id(coeff)]
+
+    return tuple((lay(propagator), source, tuple((lay(c), operand) for c, operand in terms))
+                 for propagator, source, terms in rows)
+
+
 def _copying_evaluator(system) -> Callable:
-    """nonlinear_into for a system that only has nonlinear: a copy of its
-    new array into out (scratch is not needed)."""
-    def nonlinear_into(coeffs: np.ndarray, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The evaluation for a system that only has nonlinear: a copy of its
+    new array into out."""
+    def evaluate(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
         np.copyto(out, system.nonlinear(coeffs))
         return out
-    return nonlinear_into
+    return evaluate
 
 
 class _StepWork:
     """The buffers of `step` for one scheme, one coefficient shape and one
     system.
 
+    rows is the scheme's row program made cast-free (_cast_free, with
+    np.getbufsize() as it is when the workspace is made): its float64
+    arrays of at most that many entries are complex128 copies, and
+    larger ones the phi cache's own, so a 3D field's rows add no memory.
     stages holds the s - 1 stage accumulators v^2..v^s, past the q - 1
     history differences N(u^{n-j}) - N(u^n), operands the buffers of
     N(u^n) (when q = 1) and the s - 1 stage differences N(v^i) - N(u^n),
-    product the term being added (and the evaluator's scratch, idle
-    during an evaluation), norm a real array for the stability check,
-    and outputs and ring the arrays of the states it returns: the step
-    that makes state k writes its coefficients into outputs[k % 2] and,
-    for q >= 2, N(u^k) into ring[k % (q + 1)] (ring is empty for q = 1).
+    product the term being added (and, idle during an evaluation, the
+    evaluation's values array), norm a real array for the stability
+    check, and outputs and ring the arrays of the states it returns: the
+    step that makes state k writes its coefficients into outputs[k % 2]
+    and, for q >= 2, N(u^k) into ring[k % (q + 1)] (ring is empty for
+    q = 1).
     State m sits in slot m, so a step never writes its input, and a
     returned state stays intact through the next step; the step after
     may reuse its arrays.  h is the scheme's step as a complex128 scalar
     (_add_term).  The fields are complex128, shaped like the state's
-    coefficients.  evaluate(coeffs, out, scratch) is the one nonlinear
-    evaluation of the loop: system.nonlinear_into when the system has
-    it, else _copying_evaluator(system).  A workspace belongs to one
-    stepping loop in one thread; a state that must outlive the next step
-    is copied first.
+    coefficients.  evaluate(coeffs, out) is the one nonlinear evaluation
+    of the loop, which writes N(coeffs) into out and returns it:
+    system.evaluator(product), bound once here, when the system has an
+    evaluator, else _copying_evaluator(system).  A workspace belongs to
+    one stepping loop in one thread; a state that must outlive the next
+    step is copied first.
     """
 
-    __slots__ = ("stages", "past", "operands", "product", "outputs", "ring", "norm", "h", "evaluate")
+    __slots__ = ("rows", "stages", "past", "operands", "product", "outputs", "ring", "norm", "h",
+                 "evaluate")
 
     def __init__(self, scheme: PrecomputedScheme, shape: tuple, system):
         def field() -> np.ndarray:
             return np.empty(shape, dtype=np.complex128)
 
         s, q = len(scheme.rows), scheme.steps
+        self.rows = _cast_free(scheme.rows)
         self.stages = [field() for _ in range(s - 1)]
         self.past = [field() for _ in range(q - 1)]
         # N(u^n) of a multistep scheme comes with the state
@@ -307,7 +345,8 @@ class _StepWork:
         self.ring = tuple(field() for _ in range(q + 1 if q > 1 else 0))
         self.norm = np.empty(shape, dtype=np.float64)
         self.h = np.array(complex(scheme.h))
-        self.evaluate = getattr(system, "nonlinear_into", None) or _copying_evaluator(system)
+        bind = getattr(system, "evaluator", None)
+        self.evaluate = _copying_evaluator(system) if bind is None else bind(self.product)
 
 
 def step(state: SimState, scheme: PrecomputedScheme, system, *,
@@ -317,11 +356,12 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     Evaluates the nonlinearity once per stage; for schemes with history
     (q >= 2) the first stage reuses the stored N(u^n), and the evaluation
     at the new solution goes into the workspace's ring, keeping the total
-    at s evaluations (2s transforms) per step.  The rows of scheme.rows
-    run in order through _run_row, each into its stage accumulator and
-    the last into the output array.  Their operands are N(u^n), the
-    history differences, then each stage's N(v^i) - N(u^n): work.evaluate
-    writes N(u^n) (q = 1) and each N(v^i) into work.operands, where the
+    at s evaluations (2s transforms) per step.  The rows of work.rows
+    (scheme.rows made cast-free, with the same bits) run in order
+    through _run_row, each into its stage accumulator and the last into
+    the output array.  Their operands are N(u^n), the history
+    differences, then each stage's N(v^i) - N(u^n): work.evaluate writes
+    N(u^n) (q = 1) and each N(v^i) into work.operands, where the
     difference is formed in place.
 
     Without work, fresh buffers are allocated for this system and the
@@ -342,24 +382,24 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
         work = _StepWork(scheme, u.shape, system)
     evaluate, product = work.evaluate, work.product
     buffers = iter(work.operands)
-    nl_now = state.nonlinear[0] if q > 1 else evaluate(u, next(buffers), product)
+    nl_now = state.nonlinear[0] if q > 1 else evaluate(u, next(buffers))
     for value, diff in zip(state.nonlinear[1:q], work.past):
         np.subtract(value, nl_now, diff)
     operands = [nl_now, *work.past]
     sources = (u, *work.stages)
     new_step = state.step + 1
     out = work.outputs[new_step % 2]
-    for acc, row in zip((*work.stages, out), scheme.rows):
+    for acc, row in zip((*work.stages, out), work.rows):
         _run_row(acc, row, sources, operands, work.h, product)
         if acc is not out:
-            nl = evaluate(acc, next(buffers), product)
+            nl = evaluate(acc, next(buffers))
             np.subtract(nl, nl_now, nl)
             operands.append(nl)
     new_time = state.time + h
     _check_stable(out, new_time, new_step, state.initial_norm, work.norm)
     nonlinear = ()
     if q > 1:
-        nonlinear = (evaluate(out, work.ring[new_step % (q + 1)], product),
+        nonlinear = (evaluate(out, work.ring[new_step % (q + 1)]),
                      *state.nonlinear[: q - 1])
     return SimState(coeffs=out, time=new_time, step=new_step, nonlinear=nonlinear,
                     initial_norm=state.initial_norm)
@@ -443,11 +483,12 @@ def start_multistep(
     step's stability check at step j, t = j*h (its max-norm is the
     iterate's scale), so UnstableError names the first iterate that fails.
 
-    The map is q - 1 rows (e^{jhL}, source u^0, terms (gamma_l(j, hL), l))
-    run by _run_row in buffers allocated once: operand l is
+    The map is q - 1 rows (e^{jhL}, source u^0, terms (gamma_l(j, hL), l)),
+    made cast-free as a workspace's rows are (_cast_free), run by
+    _run_row in buffers allocated once: operand l is
     Delta^l N(u^0), formed in place from the top index down, the new
     iterates go into q - 1 buffers that swap with the old ones, and the
-    ETDRK2 steps' workspace lends its evaluator, product and norm
+    ETDRK2 steps' workspace lends its evaluation, product and norm
     arrays.  The returned arrays are the starter's own.
 
     diag is h*system.lam keyed once (integrate passes the one it keyed
@@ -475,11 +516,11 @@ def start_multistep(
         state = step(state, boot, system, work=work)
         old.append(state.coeffs.copy())
     propagators = eval_phi_exprs([exp_term(1, j) for j in range(1, q)], diag)
-    rows = [(propagator, 0,
-             tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag))))
-            for j, propagator in enumerate(propagators, start=1)]
+    rows = _cast_free([(propagator, 0,
+                        tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag))))
+                       for j, propagator in enumerate(propagators, start=1)])
     evaluate, product, norm = work.evaluate, work.product, work.norm
-    nl = [evaluate(u, np.empty_like(product), product) for u in (u0, *old)]
+    nl = [evaluate(u, np.empty_like(product)) for u in (u0, *old)]
     operands = [u0 if delta0_state else nl[0], *(np.empty_like(product) for _ in old)]
     new = [np.empty_like(product) for _ in old]
     converged, iterations = False, 0
@@ -496,7 +537,7 @@ def start_multistep(
         change = max(_max_norm(np.subtract(a, b, product), norm) for a, b in zip(new, old))
         old, new = new, old
         for u, out in zip(old, nl[1:]):
-            evaluate(u, out, product)
+            evaluate(u, out)
         if scale == 0.0 or change <= tol * scale:
             converged = True
             break
@@ -666,10 +707,12 @@ class _ProbeSystem:
         # a new complex array, whatever func returns
         return np.array(self.func(coeffs), dtype=complex)
 
-    def nonlinear_into(self, coeffs: np.ndarray, out: np.ndarray,
-                       scratch: np.ndarray) -> np.ndarray:
-        np.copyto(out, self.func(coeffs))
-        return out
+    def evaluator(self, buffer: np.ndarray) -> Callable:
+        # func makes its own array; the buffer is not needed
+        def evaluate(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.copyto(out, self.func(coeffs))
+            return out
+        return evaluate
 
 
 def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h: float = 0.05) -> float:

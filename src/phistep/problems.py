@@ -24,7 +24,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .spectral import Grid, NonlinearOp, apply_nonlinear, diff_symbol, laplacian_symbol, to_coeffs
+from .spectral import (Grid, NonlinearOp, apply_nonlinear, diff_symbol, laplacian_symbol,
+                       to_coeffs, value_view)
 
 __all__ = [
     "Problem",
@@ -87,12 +88,19 @@ class DiscreteSystem:
         """N(coeffs) as a new array: apply_nonlinear in two fresh buffers."""
         return apply_nonlinear(coeffs, self.op, self.grid)
 
-    def nonlinear_into(self, coeffs: np.ndarray, out: np.ndarray,
-                       scratch: np.ndarray) -> np.ndarray:
-        """N(coeffs) written into out and returned, the bits of nonlinear;
-        out and scratch are complex arrays shaped like coeffs that
-        apply_nonlinear overwrites."""
-        return apply_nonlinear(coeffs, self.op, self.grid, out=out, scratch=scratch)
+    def evaluator(self, buffer: np.ndarray) -> Callable[[np.ndarray, np.ndarray], np.ndarray]:
+        """The evaluation of a stepping loop, bound once over buffer, a
+        C-contiguous complex array shaped like the coefficients: the
+        returned evaluate(coeffs, out) writes N(coeffs) into out, with
+        the bits of nonlinear, and returns it.  func's values are laid
+        over buffer here (value_view), so every call overwrites buffer
+        and allocates no field of its own outside func."""
+        op, grid, values = self.op, self.grid, value_view(buffer, self.grid)
+
+        def evaluate(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
+            return apply_nonlinear(coeffs, op, grid, out, values)
+
+        return evaluate
 
 
 def _stack(*arrays) -> np.ndarray:

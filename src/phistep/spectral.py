@@ -42,12 +42,13 @@ fixed on the Grid.
 Callers that evaluate nonlinearities in a loop can hand every array in:
 to_coeffs and to_values take out= (and to_values work=, the complex
 array above) and then allocate nothing field-sized.  apply_nonlinear
-takes two complex arrays shaped like the coefficients, or allocates
-them: out receives N(coeffs) and also serves as the inverse transform's
-work array, and scratch holds the values that func sees.  For the half
-layout those values are a contiguous real array over the first bytes
-of scratch (N/2 + 1 complex numbers hold N + 2 reals), so func
-receives a view that lives only for the call.
+takes out, a complex array shaped like the coefficients that receives
+N(coeffs) and first serves as the inverse transform's work array, and
+values, the array func sees; either is allocated for the call when not
+given.  value_view lays that values array over a complex buffer shaped
+like the coefficients once, so a loop can keep it: the buffer itself
+for the full layout, and for the half layout a contiguous real array
+over its first bytes (N/2 + 1 complex numbers hold N + 2 reals).
 """
 from __future__ import annotations
 
@@ -78,6 +79,7 @@ __all__ = [
     "to_coeffs",
     "to_values",
     "apply_nonlinear",
+    "value_view",
     "fft_counter",
     "install_fft_counter",
     "remove_fft_counter",
@@ -357,40 +359,48 @@ class NonlinearOp:
     -u u_x = -(1/2)(u^2)_x) and must be in the layout of the coefficients
     the op is applied to.  The layout also decides what func sees: real
     values for half-layout coefficients, complex values for full-layout
-    ones.  The values are a view into apply_nonlinear's scratch (given by
-    the caller or allocated for the call) that lives only for the call,
-    so func must keep no reference to its argument.
+    ones.  The values are apply_nonlinear's values array, allocated for
+    the call or, in a stepping loop, laid once over a workspace buffer
+    (value_view) that the next evaluation overwrites, so func must keep
+    no reference to its argument.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
     outer: Optional[np.ndarray] = None
 
 
+def value_view(buffer: np.ndarray, grid: Grid) -> np.ndarray:
+    """The values array of apply_nonlinear laid over buffer, a
+    C-contiguous complex array shaped like the coefficients: buffer
+    itself for the full layout; for the half layout the contiguous real
+    array of buffer's precision, shaped like the field, over buffer's
+    first bytes.  It shares buffer's memory for as long as both live."""
+    if not _is_half(buffer, grid):
+        return buffer
+    shape = (*buffer.shape[:-1], grid.sizes[-1])
+    return buffer.reshape(-1).view(buffer.real.dtype)[: math.prod(shape)].reshape(shape)
+
+
 def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid,
                     out: Optional[np.ndarray] = None,
-                    scratch: Optional[np.ndarray] = None) -> np.ndarray:
+                    values: Optional[np.ndarray] = None) -> np.ndarray:
     """Evaluate F(N(F^{-1} coeffs)): transform to value space, apply the
     pointwise map, transform back, then apply the outer symbol if any.
 
     The result is in the layout of coeffs, which is left untouched.  out
-    and scratch are C-contiguous complex arrays shaped like coeffs,
-    distinct from it and from each other, each allocated here when not
-    given (out of coeffs' complex type, scratch like out), so a plain
-    call returns a new array.  out receives the result (and is
-    returned) and first serves as to_values' work array.  func sees the
-    values in scratch, for half-layout coefficients as real ones of
-    scratch's precision over its first bytes, and must not keep them."""
-    half = _is_half(coeffs, grid)
-    out = np.empty(coeffs.shape, np.result_type(coeffs.dtype, 1j)) if out is None else out
-    scratch = np.empty_like(out) if scratch is None else scratch
-    values = scratch
-    if half:
-        # the real values fill the front of scratch, contiguous: func
-        # runs faster on them than on a strided view
-        shape = (*coeffs.shape[:-1], grid.sizes[-1])
-        values = scratch.reshape(-1).view(scratch.real.dtype)[: math.prod(shape)].reshape(shape)
-    to_values(coeffs, grid, out=values, work=out)
-    out = to_coeffs(op.func(values), grid, real=half, out=out)
+    is a C-contiguous complex array shaped like coeffs that receives the
+    result (and is returned) and first serves as to_values' work array.
+    values is the array func sees, which to_values fills: for half-layout
+    coefficients a contiguous real array shaped like the field, for
+    full-layout ones a complex array shaped like coeffs (value_view lays
+    either over a buffer).  Each is allocated here when not given (out of
+    coeffs' complex type, values by to_values), so a plain call returns a
+    new array; given ones must be distinct from coeffs and from each
+    other, and they hold nothing the caller needs afterwards."""
+    if out is None:
+        out = np.empty(coeffs.shape, np.result_type(coeffs.dtype, 1j))
+    values = to_values(coeffs, grid, out=values, work=out)
+    out = to_coeffs(op.func(values), grid, values.dtype.kind == "f", out)
     if op.outer is not None:
         np.multiply(out, op.outer, out)
     return out

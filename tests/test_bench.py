@@ -461,6 +461,23 @@ def test_read_records_rejects_foreign_header(tmp_path):
         read_records(bad)
 
 
+@pytest.mark.parametrize("row, where", [
+    ("etdrk4,abc,0.1,,,true,true", "column 2 (h): could not convert string to float: 'abc'"),
+    ("etdrk4,0.1,0.01,1e-3,0.1,maybe,true",
+     "column 6 (stable): expected 'true' or 'false', got 'maybe'"),
+    ("etdrk4,0.1,0.01,1e-3,0.1,true,yes", "column 7 (starter_converged): expected"),
+    ("etdrk4,0.1,0.01,x,0.1,true,true", "column 4 (error): could not convert"),
+    ("etdrk4,0.1,0.01,1e-3,0.1,true", "column 7 (starter_converged): expected 7 fields, got 6"),
+    ("etdrk4,0.1,0.01,1e-3,0.1,true,true,x", "column 8: expected 7 fields, got 8"),
+], ids=["h", "stable", "starter_converged", "error", "short", "long"])
+def test_read_records_names_the_file_line_and_column_of_a_bad_row(tmp_path, row, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"{CSV_HEADER}\netdrk4,0.5,0.05,0.01,0.1,true,true\n{row}\n")
+    with pytest.raises(ValueError) as caught:
+        read_records(bad)
+    assert str(caught.value).startswith(f"{bad}, line 3, {where}"), str(caught.value)
+
+
 def test_svg_is_well_formed_with_curves_and_gap(tmp_path):
     paths = export(_mixed_records(), tmp_path, title="demo")
     tree = ET.parse(paths["svg"])  # raises on malformed XML

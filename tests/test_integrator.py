@@ -29,7 +29,7 @@ from phistep.integrator import (
     _StepWork,
     empirical_order,
 )
-from phistep.phifun import KeyedDiagonal, PhiExpr, eval_phi_expr, exp_term, phi
+from phistep.phifun import KeyedDiagonal, PhiExpr, eval_phi_expr, eval_phi_exprs, exp_term, phi
 from phistep.problems import (
     DiscreteSystem,
     default_grid,
@@ -643,9 +643,13 @@ def test_integrate_frees_the_starting_values_while_stepping(scheme, monkeypatch)
     class Watching:
         lam, u0 = system.lam, system.u0
 
-        def nonlinear_into(self, coeffs, out, scratch):
-            alive.append(sum(ref() is not None for ref in refs))
-            return system.nonlinear_into(coeffs, out, scratch)
+        def evaluator(self, buffer):
+            evaluate = system.evaluator(buffer)
+
+            def watched(coeffs, out):
+                alive.append(sum(ref() is not None for ref in refs))
+                return evaluate(coeffs, out)
+            return watched
 
     integrate(Watching(), scheme, 0.005, 1.0)
     assert len(refs) == 2 * get_scheme(scheme).steps
@@ -717,18 +721,31 @@ def test_integrate_deterministic_on_pde():
 # buffered stepping
 
 
-# steps stable for 20 steps of every scheme on the desk grids: real 1D,
-# complex 1D, real 2D, the half layout over two leading axes (sh3) and a
-# complex n-D field (gl2)
-_BUFFERED_STEP = {"ks": 0.1, "nls": 0.005, "sh2": 0.05, "sh3": 0.05, "gl2": 0.05}
-# one more input: a desk system that offers nonlinear alone, so the
-# workspace evaluates it through the copying adapter
+# steps stable for 20 steps of every scheme on the desk grids: real 1D
+# (ks, ac, ch), complex 1D, real 2D (sh2, and schnak2 with two
+# components), the half layout over two leading axes (sh3) and a complex
+# n-D field (gl2)
+_BUFFERED_STEP = {"ks": 0.1, "ac": 0.1, "ch": 0.001, "nls": 0.005, "sh2": 0.05,
+                  "schnak2": 0.05, "sh3": 0.05, "gl2": 0.05}
+# two more inputs: a desk system that offers nonlinear alone, so the
+# workspace evaluates it through the copying adapter, and a desk system
+# stepped with numpy's buffer below its field size, so the workspace
+# runs the phi cache's float64 rows through numpy's cast
 _NONLINEAR_ONLY = "ks:nonlinear-only"
+_ABOVE_BUFFER = "ks:above-buffer"
+# a ufunc buffer size below the entries of the desk ks field (33)
+_LOW_BUFSIZE = 16
+
+
+def _bufsize_below(entries: int) -> int:
+    """The largest ufunc buffer size below entries (numpy takes
+    multiples of 16)."""
+    return 16 * ((entries - 1) // 16)
 
 
 @dataclasses.dataclass(frozen=True)
 class NonlinearOnlySystem:
-    """A system with nonlinear and without nonlinear_into."""
+    """A system with nonlinear and without an evaluator."""
 
     lam: np.ndarray
     u0: np.ndarray
@@ -849,29 +866,148 @@ def _same_state(a, b):
             and all(x.tobytes() == y.tobytes() for x, y in zip(a.nonlinear, b.nonlinear)))
 
 
-@pytest.mark.parametrize("case", [*sorted(_BUFFERED_STEP), _NONLINEAR_ONLY])
+def _is_binding(evaluate, system) -> bool:
+    """Whether a workspace evaluates through the system's own evaluator
+    binding rather than the copying adapter."""
+    return evaluate.__qualname__.startswith(f"{type(system).__name__}.evaluator.")
+
+
+@pytest.mark.parametrize("case", [*sorted(_BUFFERED_STEP), _NONLINEAR_ONLY, _ABOVE_BUFFER])
 @pytest.mark.parametrize("scheme", [info.name for info in list_schemes()])
 def test_buffered_step_equals_fresh_step_bit_for_bit(case, scheme):
-    # fresh and buffered steps evaluate through the workspace's evaluator
-    # (nonlinear_into, or the copying adapter); the reference through
-    # system.nonlinear, the plain path
+    # fresh and buffered steps run the workspace's cast-free rows and
+    # evaluate through its binding (the system's evaluator, or the
+    # copying adapter); the reference runs the float64 slot tables in
+    # fresh arithmetic and evaluates through system.nonlinear, the plain
+    # path
     key, _, view = case.partition(":")
-    system, engine, _, start = _desk_start(key, scheme, _BUFFERED_STEP[key])
-    tab = get_scheme(scheme).tableau()
-    tables = _slot_tables(tab, engine.h, system.lam)
-    if view:
-        system = NonlinearOnlySystem(system.lam, system.u0, system.nonlinear)
-    work = _StepWork(engine, start.coeffs.shape, system)
-    assert (work.evaluate == getattr(system, "nonlinear_into", None)) != bool(view)
-    fresh = buffered = reference = start
-    for _ in range(20):
-        fresh = step(fresh, engine, system)
-        buffered = step(buffered, engine, system, work=work)
-        reference = _reference_step(reference, tab, tables, system)
-        assert _same_state(buffered, fresh), (scheme, key, fresh.step)
-        assert _same_state(fresh, reference), (scheme, key, fresh.step)
+    with np.errstate():
+        if view == "above-buffer":
+            np.setbufsize(_LOW_BUFSIZE)
+        system, engine, _, start = _desk_start(key, scheme, _BUFFERED_STEP[key])
+        tab = get_scheme(scheme).tableau()
+        tables = _slot_tables(tab, engine.h, system.lam)
+        if view == "nonlinear-only":
+            system = NonlinearOnlySystem(system.lam, system.u0, system.nonlinear)
+        work = _StepWork(engine, start.coeffs.shape, system)
+        assert _is_binding(work.evaluate, system) != (view == "nonlinear-only")
+        laid = _row_arrays(work)
+        if view == "above-buffer":
+            assert all(a.dtype == np.float64 for a in laid)
+        else:
+            assert all(a.dtype == np.complex128 for a in laid)
+        fresh = buffered = reference = start
+        for _ in range(20):
+            fresh = step(fresh, engine, system)
+            buffered = step(buffered, engine, system, work=work)
+            reference = _reference_step(reference, tab, tables, system)
+            assert _same_state(buffered, fresh), (scheme, key, fresh.step)
+            assert _same_state(fresh, reference), (scheme, key, fresh.step)
     assert np.all(np.isfinite(buffered.coeffs))
     assert any(buffered.coeffs is out for out in work.outputs)
+
+
+def _check_laid_rows(laid, own, copies: bool) -> None:
+    """laid.rows are own.rows made cast-free: the same sources and
+    operands; with copies, every float64 array run as one complex128
+    copy of it (shared where the array is) and every complex array as
+    itself; without, every array as itself."""
+    assert [(source, [op for _, op in terms]) for _, source, terms in laid.rows] == [
+        (source, [op for _, op in terms]) for _, source, terms in own.rows]
+    laid_of: dict = {}
+    for ran, mine in zip(_row_arrays(laid), _row_arrays(own), strict=True):
+        if copies and mine.dtype == np.float64:
+            assert ran.dtype == np.complex128
+            assert ran.tobytes() == mine.astype(np.complex128).tobytes()
+            assert laid_of.setdefault(id(mine), ran) is ran
+        else:
+            assert ran is mine
+
+
+# the workspaces whose rows test_workspace_rows_follow_the_buffer_rule checks
+_RULE_SCHEMES = ("etdrk4", "lawson4", "abnorsett4", "genlawson43", "pecec736")
+
+
+@pytest.mark.parametrize("key", problem_names())
+def test_workspace_rows_follow_the_buffer_rule(key):
+    # every registry problem's desk field fits in numpy's ufunc buffer,
+    # so its workspace rows are complex128 (copies of the real ones);
+    # with the buffer below the field size they are the phi cache's own
+    # arrays, so a large field's rows add no memory
+    problem = get_problem(key)
+    system = discretize(problem, default_grid(problem))
+    assert system.lam.size <= np.getbufsize()
+    h = problem.desk_T / 64
+    for name in _RULE_SCHEMES:
+        engine = prepare_scheme(name, h, system.lam)
+        work = _StepWork(engine, system.u0.shape, system)
+        _check_laid_rows(work, engine, copies=True)
+        assert all(a.dtype == np.complex128 for a in _row_arrays(work))
+        with np.errstate():
+            np.setbufsize(_bufsize_below(system.lam.size))
+            above = _StepWork(engine, system.u0.shape, system)
+        _check_laid_rows(above, engine, copies=False)
+
+
+def test_3d_workspace_rows_are_the_phi_cache_arrays():
+    # sh3 at 32^3 has 17,408 entries per row, above numpy's default buffer
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem, size=32))
+    assert system.lam.size > np.getbufsize()
+    for name in _RULE_SCHEMES:
+        engine = prepare_scheme(name, 0.05, system.lam)
+        work = _StepWork(engine, system.u0.shape, system)
+        _check_laid_rows(work, engine, copies=False)
+        assert all(a.dtype == np.float64 for a in _row_arrays(work))
+
+
+def _starter_rows(monkeypatch, system, q, h, bufsize=None):
+    """The gamma rows the starter runs for q at h, recorded at _run_row,
+    and its keyed diagonal; the starter runs under bufsize when given."""
+    recorded = []
+    plain = integrator._run_row
+
+    def recording(acc, row, sources, operands, h, product):
+        if len(sources) == 1:  # the fixed-point map's rows start from u^0 alone
+            recorded.append(row)
+        return plain(acc, row, sources, operands, h, product)
+
+    monkeypatch.setattr(integrator, "_run_row", recording)
+    diag = KeyedDiagonal(h * np.asarray(system.lam))
+    u0 = np.array(system.u0, dtype=complex)
+    with np.errstate():
+        if bufsize is not None:
+            np.setbufsize(bufsize)
+        result = start_multistep(q, h, system, u0, diag=diag)
+    assert result.iterations >= 1
+    return recorded[: q - 1], diag
+
+
+@pytest.mark.parametrize("size", [None, 32], ids=["desk", "32"])
+@pytest.mark.parametrize("lowered", [False, True], ids=["default-buffer", "lowered-buffer"])
+def test_starter_rows_follow_the_buffer_rule(monkeypatch, size, lowered):
+    # the starter's propagators and gamma rows follow the workspace's
+    # rule: complex128 copies within numpy's buffer, the phi cache's own
+    # arrays (views of its gamma tables) above it
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem, size=size))
+    q, h = 4, 0.05
+    bufsize = _bufsize_below(system.lam.size) if lowered else None
+    rows, diag = _starter_rows(monkeypatch, system, q, h, bufsize)
+    copies = not lowered and system.lam.size <= np.getbufsize()
+    assert copies == (size is None and not lowered)
+    propagators = eval_phi_exprs([exp_term(1, j) for j in range(1, q)], diag)
+    for j, (row, propagator) in enumerate(zip(rows, propagators, strict=True), start=1):
+        table = phifun.gamma_table(q, j, diag)
+        own = (propagator, 0, tuple((gamma, l) for l, gamma in enumerate(table)))
+        if copies:
+            _check_laid_rows(types.SimpleNamespace(rows=[row]),
+                             types.SimpleNamespace(rows=[own]), copies=True)
+        else:
+            assert row[0] is propagator
+            # views of the cached table itself, not copies
+            assert [(gamma.ctypes.data, gamma.dtype) for gamma, _ in row[2]] == [
+                (g.ctypes.data, g.dtype) for g in table]
 
 
 @functools.lru_cache(maxsize=None)
@@ -886,9 +1022,9 @@ def _desk_work(key):
 @settings(max_examples=6, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), spread=st.sampled_from([1e-3, 0.1, 1.0]))
 def test_workspace_evaluator_equals_nonlinear_bit_for_bit(key, seed, spread):
-    # the workspace's evaluator, nonlinear_into with the workspace's
-    # product as its scratch, gives the plain path's bits at fields near
-    # u^0 for every registry problem
+    # the workspace's evaluation, the system's evaluator bound over the
+    # workspace's product, gives the plain path's bits at fields near u^0
+    # for every registry problem
     system, work = _desk_work(key)
     values = to_values(system.u0, system.grid)
     rng = np.random.default_rng(seed)
@@ -896,7 +1032,8 @@ def test_workspace_evaluator_equals_nonlinear_bit_for_bit(key, seed, spread):
     coeffs = to_coeffs(values, system.grid, real=values.dtype.kind != "c")
     assert coeffs.shape == system.u0.shape
     out = np.full_like(coeffs, np.nan)
-    assert work.evaluate(coeffs, out, work.product) is out
+    assert _is_binding(work.evaluate, system)
+    assert work.evaluate(coeffs, out) is out
     assert out.tobytes() == system.nonlinear(coeffs).tobytes()
 
 
@@ -1032,7 +1169,7 @@ def test_starter_equals_reference_starter_bit_for_bit(key, q, delta0):
 class _MarkingSystem:
     """A desk system that records the traced (current, peak) memory and
     resets the peak on entry to and exit from every evaluation, through
-    nonlinear or nonlinear_into, so for consecutive marks a, b the most
+    nonlinear or its evaluator, so for consecutive marks a, b the most
     allocated in between is b[1] - a[0]."""
 
     def __init__(self, system):
@@ -1050,12 +1187,16 @@ class _MarkingSystem:
         finally:
             self._mark()
 
-    def nonlinear_into(self, coeffs, out, scratch):
-        self._mark()
-        try:
-            return self.system.nonlinear_into(coeffs, out, scratch)
-        finally:
+    def evaluator(self, buffer):
+        evaluate = self.system.evaluator(buffer)
+
+        def marked(coeffs, out):
             self._mark()
+            try:
+                return evaluate(coeffs, out)
+            finally:
+                self._mark()
+        return marked
 
 
 def test_starter_loop_allocates_no_field_of_its_own():
@@ -1088,7 +1229,7 @@ def test_starter_loop_allocates_no_field_of_its_own():
     assert max(grown[::2]) <= func_peak + slack, (grown, func_peak)
 
 
-def test_starter_evaluates_through_nonlinear_into(monkeypatch):
+def test_starter_evaluates_through_the_evaluator_binding(monkeypatch):
     calls = []
     plain = DiscreteSystem.nonlinear
 
@@ -1222,7 +1363,7 @@ def test_run_scalar_probe_steps_in_one_workspace_with_the_fresh_bits(monkeypatch
     buffered = run_scalar_probe(name, ScalarProbe(), 0.05)
     assert len(works) == 1
     work, system = works[0]
-    assert work.evaluate == system.nonlinear_into  # the probe's own, not the adapter
+    assert _is_binding(work.evaluate, system)  # the probe's own, not the adapter
     monkeypatch.setattr(integrator, "step", lambda state, scheme, system, work=None:
                         plain_step(state, scheme, system))
     assert run_scalar_probe(name, ScalarProbe(), 0.05) == buffered

@@ -19,6 +19,7 @@ from phistep.spectral import (
     remove_fft_counter,
     to_coeffs,
     to_values,
+    value_view,
     wavenumbers,
 )
 
@@ -393,27 +394,32 @@ def test_apply_nonlinear_returns_a_new_array_from_two_transforms(grid, real, fun
     assert coeffs.tobytes() == kept.tobytes()
     want = to_coeffs(func(to_values(coeffs, grid)), grid, real=real) * outer
     assert out.tobytes() == want.tobytes()
-    # the buffered form: the result in out, the values in scratch, the
-    # same two transforms and the same bits, coeffs untouched
+    # the buffered form: the result in out, the values laid over scratch
+    # once (value_view), the same two transforms and the same bits,
+    # coeffs untouched
     into, scratch = np.full_like(coeffs, np.nan), np.full_like(coeffs, np.nan)
+    values = value_view(scratch, grid)
+    assert values.shape == (2, *grid.shape)
+    assert values.__array_interface__["data"][0] == scratch.__array_interface__["data"][0]
     seen = []
 
     def watched(u):
-        seen.append((np.shares_memory(u, scratch), u.flags.c_contiguous, u.dtype.kind))
+        seen.append((u is values, np.shares_memory(u, scratch), u.flags.c_contiguous,
+                     u.dtype.kind))
         return func(u)
 
     cell, token = install_fft_counter()
     try:
         got = apply_nonlinear(coeffs, NonlinearOp(watched, outer=outer), grid,
-                              out=into, scratch=scratch)
+                              out=into, values=values)
         assert cell[0] == 2
     finally:
         remove_fft_counter(token)
     assert got is into
-    assert seen == [(True, True, "f" if real else "c")]
+    assert seen == [(True, True, True, "f" if real else "c")]
     assert into.tobytes() == out.tobytes()
-    assert apply_nonlinear(coeffs, NonlinearOp(func), grid, out=into,
-                           scratch=scratch).tobytes() == plain.tobytes()
+    assert apply_nonlinear(coeffs, NonlinearOp(func), grid, into,
+                           values).tobytes() == plain.tobytes()
     assert coeffs.tobytes() == kept.tobytes()
 
 
