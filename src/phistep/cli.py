@@ -463,7 +463,8 @@ def _selftest_buffered_step() -> tuple:
             want = fresh.coeffs.tobytes()
             same += buffered.coeffs.tobytes() == want == adapted.coeffs.tobytes()
     return same == total, (f"{same}/{total} etdrk4 and abnorsett4 steps bit for bit on "
-                           "sh2 16x16, through nonlinear_into and the copying adapter")
+                           "sh2 16x16, through the system's evaluator binding and the copying "
+                           "adapter")
 
 
 def _selftest_orders() -> tuple:

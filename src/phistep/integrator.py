@@ -28,9 +28,16 @@ to rounding instead of summing large cancelling terms.
 A run steps in place: `integrate` gives `step` one `_StepWork` for the
 whole loop, whose buffers are allocated once and whose one evaluation,
 bound over its buffers once, writes every nonlinear value into a
-buffer.  `_run_row` is the one reader of a row, and it adds every term
-through `_add_term`, which rounds exactly as acc + h * (coeff * value),
-so buffered and fresh stepping give the same bits.  The price is
+buffer.  The workspace fixes the step's row program as a schedule of
+ops (`_schedule`) and assigns its fields to buffers by liveness: the
+output row starts as soon as u^n is known and adds each term, in its
+fixed order, once the term's operand exists, and a stage accumulator or
+difference gives up its buffer after its last reader, so an ETDRK4 step
+holds 7 complex fields (two of them the returned and the previous
+state).  `step` runs the schedule and `_run_row` a whole row (the
+starter's); both add every term rounded exactly as acc + h * (coeff *
+value) (`_add_term`), and each row's operations keep their order, so
+buffered and fresh stepping give the same bits.  The price is
 aliasing, under one rule: a state returned by a workspace step stays
 intact through the next step; the step after may reuse its arrays.  So
 integrate copies every snapshot, and a `step` call without a workspace
@@ -58,8 +65,10 @@ max-norm below h^q.  The map is q - 1 rows of the same form, which
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time as _time
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -262,17 +271,22 @@ def _add_term(acc: np.ndarray, h: np.ndarray, coeff: np.ndarray, value: np.ndarr
 def _run_row(acc: np.ndarray, row: tuple, sources: Sequence[np.ndarray],
              operands: Sequence[np.ndarray], h: np.ndarray, product: np.ndarray) -> None:
     """acc = propagator * sources[source] plus the row's terms, each added
-    by _add_term: the one reading of a (propagator, source, terms) row."""
+    by _add_term: a whole (propagator, source, terms) row, as the
+    starter runs its rows."""
     propagator, source, terms = row
     np.multiply(propagator, sources[source], acc)
     for coeff, operand in terms:
         _add_term(acc, h, coeff, operands[operand], product)
 
 
+# the op kinds of a step schedule (_schedule)
+_START, _TERM, _DIFF, _EVAL = range(4)
+
+
 def _cast_free(rows: Sequence[tuple]) -> tuple:
     """rows with every float64 array of at most np.getbufsize() entries
     replaced by its complex128 copy, made once per distinct array: the
-    operand numpy's cast would give each product, so _run_row gets the
+    operand numpy's cast would give each product, so the rows give the
     same bits without the cast.  Larger arrays, and complex ones, are
     the rows' own."""
     limit = np.getbufsize()
@@ -298,6 +312,107 @@ def _copying_evaluator(system) -> Callable:
     return evaluate
 
 
+def _real_view(buffer: np.ndarray) -> np.ndarray:
+    """A contiguous float64 array shaped like buffer, a C-contiguous
+    complex128 array, over its first bytes: a norm's moduli laid over a
+    buffer that is idle while they are taken."""
+    return buffer.reshape(-1).view(np.float64)[: buffer.size].reshape(buffer.shape)
+
+
+def _state_slots(q: int) -> int:
+    """The slots a step fills from its state, before the pooled ones:
+    u^n, the output and, for q >= 2, N(u^n), ..., N(u^{n-q+1})."""
+    return q + 2 if q > 1 else 2
+
+
+def _schedule(rows: Sequence[tuple], q: int) -> tuple:
+    """(ops, pooled): the row program of a step as one list of ops over
+    slots, with its fields assigned to pooled buffers by liveness.
+
+    Slot 0 is u^n, slot 1 the output and, for q >= 2, slots 2..q + 1
+    the state's N(u^n), ..., N(u^{n-q+1}); the pooled slots follow.  An
+    op is (kind, c, a, b): _START sets slot b to c * slot a (a row's
+    propagator times its source, as _run_row starts a row), _TERM adds c
+    times slot a to slot b (_add_term), _DIFF sets slot b to slot c -
+    slot a and _EVAL writes N(slot a) into slot b.  The ops are those of
+    the rows in their order: N(u^n) first (q = 1), then each stage row
+    whole, each followed by the evaluation of its stage and the
+    difference from N(u^n), formed in place.  The output row runs
+    interleaved: its start and each of its terms, in the
+    row's order, as soon as the operand exists.  A history difference
+    N(u^{n-j}) - N(u^n) is formed just before its first reader.  A
+    value's slot returns to the pool after its last reader (a stage
+    accumulator's readers are its evaluation and the rows that start
+    from it), and a new value takes a free slot before a new one is
+    added, so the pool holds as many fields as are live at once.  A
+    row's accumulator, and the slot an evaluation writes, are taken
+    while the values they are computed from are still live.
+    """
+    *stage_rows, (out_propagator, out_source, out_terms) = rows
+    base = _state_slots(q)
+    # readers left per value: ("v", i) is source i (u^n, then v^2..v^s)
+    # and ("d", k) operand k; a stage difference is read by its own
+    # in-place subtraction too
+    left: Counter = Counter()
+    for _, source, terms in rows:
+        left["v", source] += 1
+        left.update(("d", k) for _, k in terms)
+    for i in range(1, len(rows)):
+        left["v", i] += 1
+        left["d", q + i - 1] += 1
+    history = {("d", j) for j in range(1, q) if left["d", j]}
+    left["d", 0] += len(stage_rows) + len(history)
+    where = {("v", 0): 0}
+    if q > 1:
+        where["d", 0] = 2
+    ops: list = []
+    free: list = []
+    fresh = itertools.count(base)
+
+    def take(key) -> int:
+        where[key] = free.pop() if free else next(fresh)
+        return where[key]
+
+    def read(key) -> None:
+        left[key] -= 1
+        if not left[key] and where[key] >= base:
+            free.append(where[key])
+
+    def emit(kind: int, c, key, acc: int) -> None:
+        if key not in where:  # a history difference, before its first reader
+            ops.append((_DIFF, 2 + key[1], where["d", 0], take(key)))
+            read(("d", 0))
+        ops.append((kind, c, where[key], acc))
+        read(key)
+
+    pending = [(_START, out_propagator, ("v", out_source))]
+    pending += [(_TERM, coeff, ("d", k)) for coeff, k in out_terms]
+
+    def advance() -> None:  # the output row, as far as its operands exist
+        while pending and (pending[0][2] in where or pending[0][2] in history):
+            emit(*pending.pop(0), 1)
+
+    if q == 1:
+        ops.append((_EVAL, None, 0, take(("d", 0))))
+    advance()
+    for i, (propagator, source, terms) in enumerate(stage_rows, start=1):
+        acc = take(("v", i))
+        emit(_START, propagator, ("v", source), acc)
+        for coeff, k in terms:
+            emit(_TERM, coeff, ("d", k), acc)
+        key = ("d", q + i - 1)
+        diff = take(key)
+        ops.append((_EVAL, None, acc, diff))
+        read(("v", i))
+        ops.append((_DIFF, diff, where["d", 0], diff))
+        read(("d", 0))
+        read(key)
+        advance()
+    if pending:
+        raise ValueError("the output row reads an operand that no stage makes")
+    return tuple(ops), next(fresh) - base
+
+
 class _StepWork:
     """The buffers of `step` for one scheme, one coefficient shape and one
     system.
@@ -306,15 +421,17 @@ class _StepWork:
     np.getbufsize() as it is when the workspace is made): its float64
     arrays of at most that many entries are complex128 copies, and
     larger ones the phi cache's own, so a 3D field's rows add no memory.
-    stages holds the s - 1 stage accumulators v^2..v^s, past the q - 1
-    history differences N(u^{n-j}) - N(u^n), operands the buffers of
-    N(u^n) (when q = 1) and the s - 1 stage differences N(v^i) - N(u^n),
-    product the term being added (and, idle during an evaluation, the
-    evaluation's values array), norm a real array for the stability
-    check, and outputs and ring the arrays of the states it returns: the
-    step that makes state k writes its coefficients into outputs[k % 2]
-    and, for q >= 2, N(u^k) into ring[k % (q + 1)] (ring is empty for
-    q = 1).
+    schedule is that program as the ops of _schedule, fixed here, over
+    slots: the arrays that step sets from the state for each step, then
+    the buffers the schedule pools by liveness, for N(u^n) (when q = 1),
+    the stage accumulators, the stage differences and the history
+    differences, each buffer reused once its value has no reader left.
+    An ETDRK4 step so pools three fields besides N(u^n).  product holds the term being added and,
+    idle during an evaluation, the evaluation's values array; norm, a
+    real view of product's first bytes, takes the stability check's
+    moduli.  outputs and ring hold the states it returns: the step that
+    makes state k writes its coefficients into outputs[k % 2] and, for
+    q >= 2, N(u^k) into ring[k % (q + 1)] (ring is empty for q = 1).
     State m sits in slot m, so a step never writes its input, and a
     returned state stays intact through the next step; the step after
     may reuse its arrays.  h is the scheme's step as a complex128 scalar
@@ -327,23 +444,21 @@ class _StepWork:
     step is copied first.
     """
 
-    __slots__ = ("rows", "stages", "past", "operands", "product", "outputs", "ring", "norm", "h",
+    __slots__ = ("rows", "schedule", "slots", "product", "outputs", "ring", "norm", "h",
                  "evaluate")
 
     def __init__(self, scheme: PrecomputedScheme, shape: tuple, system):
         def field() -> np.ndarray:
             return np.empty(shape, dtype=np.complex128)
 
-        s, q = len(scheme.rows), scheme.steps
+        q = scheme.steps
         self.rows = _cast_free(scheme.rows)
-        self.stages = [field() for _ in range(s - 1)]
-        self.past = [field() for _ in range(q - 1)]
-        # N(u^n) of a multistep scheme comes with the state
-        self.operands = [field() for _ in range(s - (q > 1))]
+        self.schedule, pooled = _schedule(self.rows, q)
+        self.slots = [None] * _state_slots(q) + [field() for _ in range(pooled)]
         self.product = field()
         self.outputs = (field(), field())
         self.ring = tuple(field() for _ in range(q + 1 if q > 1 else 0))
-        self.norm = np.empty(shape, dtype=np.float64)
+        self.norm = _real_view(self.product)
         self.h = np.array(complex(scheme.h))
         bind = getattr(system, "evaluator", None)
         self.evaluate = _copying_evaluator(system) if bind is None else bind(self.product)
@@ -357,12 +472,14 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     (q >= 2) the first stage reuses the stored N(u^n), and the evaluation
     at the new solution goes into the workspace's ring, keeping the total
     at s evaluations (2s transforms) per step.  The rows of work.rows
-    (scheme.rows made cast-free, with the same bits) run in order
-    through _run_row, each into its stage accumulator and the last into
-    the output array.  Their operands are N(u^n), the history
-    differences, then each stage's N(v^i) - N(u^n): work.evaluate writes
-    N(u^n) (q = 1) and each N(v^i) into work.operands, where the
-    difference is formed in place.
+    (scheme.rows made cast-free, with the same bits) run as the ops of
+    work.schedule, in one loop: each stage row into its accumulator,
+    then N(v^i) - N(u^n), formed in place where work.evaluate wrote
+    N(v^i); the output row starts as soon as u^n is known and takes each
+    term, in its order, once the term's operand exists.  Every row
+    therefore runs the operations of a whole-row pass in its order, with
+    the same bits, and each field's buffer is reused once its last
+    reader has run (_schedule).
 
     Without work, fresh buffers are allocated for this system and the
     returned state owns its arrays.  With work (integrate passes one per
@@ -376,26 +493,29 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     if q > 1 and len(state.nonlinear) < q:
         raise ValueError(f"{scheme.name} needs {q} nonlinear values, N(u^n) and {q - 1} "
                          "past nonlinear values; run the starting procedure first")
-    h = scheme.h
     u = state.coeffs
     if work is None:
         work = _StepWork(scheme, u.shape, system)
-    evaluate, product = work.evaluate, work.product
-    buffers = iter(work.operands)
-    nl_now = state.nonlinear[0] if q > 1 else evaluate(u, next(buffers))
-    for value, diff in zip(state.nonlinear[1:q], work.past):
-        np.subtract(value, nl_now, diff)
-    operands = [nl_now, *work.past]
-    sources = (u, *work.stages)
+    slots = work.slots
     new_step = state.step + 1
     out = work.outputs[new_step % 2]
-    for acc, row in zip((*work.stages, out), work.rows):
-        _run_row(acc, row, sources, operands, work.h, product)
-        if acc is not out:
-            nl = evaluate(acc, next(buffers))
-            np.subtract(nl, nl_now, nl)
-            operands.append(nl)
-    new_time = state.time + h
+    slots[0], slots[1] = u, out
+    if q > 1:
+        slots[2:q + 2] = state.nonlinear[:q]
+    evaluate, product, h = work.evaluate, work.product, work.h
+    for kind, c, a, b in work.schedule:
+        if kind == _TERM:  # _add_term inline: a call per term shows on small fields
+            np.multiply(c, slots[a], product)
+            np.multiply(product, h, product)
+            acc = slots[b]
+            np.add(acc, product, acc)
+        elif kind == _START:
+            np.multiply(c, slots[a], slots[b])
+        elif kind == _DIFF:
+            np.subtract(slots[c], slots[a], slots[b])
+        else:
+            evaluate(slots[a], slots[b])
+    new_time = state.time + scheme.h
     _check_stable(out, new_time, new_step, state.initial_norm, work.norm)
     nonlinear = ()
     if q > 1:
@@ -488,8 +608,11 @@ def start_multistep(
     _run_row in buffers allocated once: operand l is
     Delta^l N(u^0), formed in place from the top index down, the new
     iterates go into q - 1 buffers that swap with the old ones, and the
-    ETDRK2 steps' workspace lends its evaluation, product and norm
-    arrays.  The returned arrays are the starter's own.
+    ETDRK2 steps' workspace lends its evaluation, its product and norm
+    arrays, and one of its outputs, idle once the ETDRK2 steps are
+    copied, for the moduli of the change between iterates (norm lies
+    over product, which holds that change).  The returned arrays are the
+    starter's own.
 
     diag is h*system.lam keyed once (integrate passes the one it keyed
     for the scheme), or None to key it here.  The e^{jhL} come from one
@@ -520,6 +643,7 @@ def start_multistep(
                         tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag))))
                        for j, propagator in enumerate(propagators, start=1)])
     evaluate, product, norm = work.evaluate, work.product, work.norm
+    spare = _real_view(work.outputs[0])
     nl = [evaluate(u, np.empty_like(product)) for u in (u0, *old)]
     operands = [u0 if delta0_state else nl[0], *(np.empty_like(product) for _ in old)]
     new = [np.empty_like(product) for _ in old]
@@ -534,7 +658,7 @@ def start_multistep(
         for acc, row in zip(new, rows):
             _run_row(acc, row, (u0,), operands, work.h, product)
         scale = max(_check_stable(u, j * h, j, initial_norm, norm) for j, u in enumerate(new, 1))
-        change = max(_max_norm(np.subtract(a, b, product), norm) for a, b in zip(new, old))
+        change = max(_max_norm(np.subtract(a, b, product), spare) for a, b in zip(new, old))
         old, new = new, old
         for u, out in zip(old, nl[1:]):
             evaluate(u, out)

@@ -14,7 +14,11 @@ data are sampled on the grid and transformed; for real data the Nyquist
 coefficient produced by the FFT already equals the common value of the
 two extreme modes, so no separate halving convention is needed.
 Nonlinearities are written as plain products (u*u*u, not u**3), which
-numpy evaluates without the general power routine.
+numpy evaluates without the general power routine, and they run in place:
+each overwrites the values array it is given and returns it, in the
+operation order of its plain expression (quoted in its docstring), so
+its bits are that expression's.  A cubic map makes one temporary of the
+field's size, the quadratic advective map none.
 """
 from __future__ import annotations
 
@@ -118,8 +122,23 @@ def _axis_coords(grid: Grid) -> tuple:
 
 
 def _abs2(u: np.ndarray) -> np.ndarray:
-    """|u|^2 without the square root of np.abs."""
-    return u.real * u.real + u.imag * u.imag
+    """|u|^2 = u.real * u.real + u.imag * u.imag as a new C-contiguous
+    complex array |u|^2 + 0j, the operand numpy's cast makes of the real
+    |u|^2 in a product with a complex array.  There is no square root,
+    as in np.abs, and for a C-contiguous u no other temporary: the real
+    and imaginary parts are squared as one contiguous array of floats."""
+    out = np.empty(u.shape, u.dtype)
+    floats = np.ascontiguousarray(u).view(u.real.dtype)
+    np.multiply(floats, floats, out.view(floats.dtype))
+    imag = out.imag
+    np.add(out.real, imag, out.real)
+    imag.fill(0)
+    return out
+
+
+def _cube(u: np.ndarray) -> np.ndarray:
+    """u * u * u in place, through one temporary (u * u)."""
+    return np.multiply(np.multiply(u, u), u, u)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +150,10 @@ def _ac_symbol(grid: Grid) -> np.ndarray:
 
 
 def _ac_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: -(u * u * u))
+    def func(u: np.ndarray) -> np.ndarray:
+        """-(u * u * u) in place."""
+        return np.negative(_cube(u), u)
+    return NonlinearOp(func)
 
 
 def _ac_ic(grid: Grid) -> np.ndarray:
@@ -155,7 +177,11 @@ def _ch_symbol(grid: Grid) -> np.ndarray:
 
 def _ch_nonlinear(grid: Grid) -> NonlinearOp:
     outer = _CH_ALPHA * diff_symbol(2, 0, grid)
-    return NonlinearOp(lambda u: u * u * u, outer=outer)
+
+    def func(u: np.ndarray) -> np.ndarray:
+        """u * u * u in place."""
+        return _cube(u)
+    return NonlinearOp(func, outer=outer)
 
 
 def _ch_ic(grid: Grid) -> np.ndarray:
@@ -166,7 +192,11 @@ def _ch_ic(grid: Grid) -> np.ndarray:
 def _advective_nonlinear(grid: Grid) -> NonlinearOp:
     """-u u_x = -(1/2) d/dx (u^2), the convective term of KdV and KS."""
     outer = -0.5 * diff_symbol(1, 0, grid)
-    return NonlinearOp(lambda u: u * u, outer=outer)
+
+    def func(u: np.ndarray) -> np.ndarray:
+        """u * u in place."""
+        return np.multiply(u, u, u)
+    return NonlinearOp(func, outer=outer)
 
 
 def _kdv_symbol(grid: Grid) -> np.ndarray:
@@ -200,7 +230,11 @@ def _nls_symbol(grid: Grid) -> np.ndarray:
 
 
 def _nls_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: 1j * _abs2(u) * u)
+    def func(u: np.ndarray) -> np.ndarray:
+        """1j * |u|^2 * u in place."""
+        factor = _abs2(u)
+        return np.multiply(np.multiply(1j, factor, factor), u, u)
+    return NonlinearOp(func)
 
 
 def _nls_ic(grid: Grid) -> np.ndarray:
@@ -222,7 +256,11 @@ def _gl_symbol(grid: Grid) -> np.ndarray:
 
 
 def _gl_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: -(1 + 1j * GL_B) * u * _abs2(u))
+    def func(u: np.ndarray) -> np.ndarray:
+        """-(1 + 1j * GL_B) * u * |u|^2 in place."""
+        abs2 = _abs2(u)
+        return np.multiply(np.multiply(-(1 + 1j * GL_B), u, u), abs2, u)
+    return NonlinearOp(func)
 
 
 def _gl_ic(grid: Grid) -> np.ndarray:
@@ -241,14 +279,17 @@ def _schnak_symbol(grid: Grid) -> np.ndarray:
     return _stack(SCHNAK_EPS_U * lap - SCHNAK_GAMMA, SCHNAK_EPS_V * lap)
 
 
-def _schnak_func(uv: np.ndarray) -> np.ndarray:
-    u, v = uv[0], uv[1]
-    u2v = u * u * v
-    return _stack(SCHNAK_GAMMA * (SCHNAK_A + u2v), SCHNAK_GAMMA * (SCHNAK_B - u2v))
-
-
 def _schnak_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(_schnak_func)
+    def func(uv: np.ndarray) -> np.ndarray:
+        """(SCHNAK_GAMMA * (SCHNAK_A + u * u * v),
+        SCHNAK_GAMMA * (SCHNAK_B - u * u * v)) in place."""
+        u, v = uv[0], uv[1]
+        u2v = np.multiply(u, u)
+        np.multiply(u2v, v, u2v)
+        np.multiply(SCHNAK_GAMMA, np.add(SCHNAK_A, u2v, u), u)
+        np.multiply(SCHNAK_GAMMA, np.subtract(SCHNAK_B, u2v, v), v)
+        return uv
+    return NonlinearOp(func)
 
 
 def _schnak_ic(grid: Grid) -> np.ndarray:
@@ -270,7 +311,11 @@ def _sh_symbol(grid: Grid) -> np.ndarray:
 
 
 def _sh_nonlinear(grid: Grid) -> NonlinearOp:
-    return NonlinearOp(lambda u: u * u * (SH_G - u))
+    def func(u: np.ndarray) -> np.ndarray:
+        """u * u * (SH_G - u) in place."""
+        square = np.multiply(u, u)
+        return np.multiply(square, np.subtract(SH_G, u, u), u)
+    return NonlinearOp(func)
 
 
 def _sh_ic(grid: Grid) -> np.ndarray:

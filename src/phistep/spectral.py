@@ -362,7 +362,10 @@ class NonlinearOp:
     ones.  The values are apply_nonlinear's values array, allocated for
     the call or, in a stepping loop, laid once over a workspace buffer
     (value_view) that the next evaluation overwrites, so func must keep
-    no reference to its argument.
+    no reference to its argument.  func may overwrite that array and
+    return it, as every registry map does (so a map makes no output
+    array of its own), or return a new array; apply_nonlinear transforms
+    whatever it returns, in one path.
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -396,7 +399,8 @@ def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid,
     either over a buffer).  Each is allocated here when not given (out of
     coeffs' complex type, values by to_values), so a plain call returns a
     new array; given ones must be distinct from coeffs and from each
-    other, and they hold nothing the caller needs afterwards."""
+    other, and they hold nothing the caller needs afterwards (func may
+    overwrite values)."""
     if out is None:
         out = np.empty(coeffs.shape, np.result_type(coeffs.dtype, 1j))
     values = to_values(coeffs, grid, out=values, work=out)

@@ -1105,6 +1105,108 @@ def test_workspace_step_keeps_the_previous_state_and_returns_its_own_arrays(sche
         state = new
 
 
+def _live_at_once(rows, q):
+    """The most workspace fields live at once in one step of rows, from a
+    plain replay of the step's order: N(u^n) (q = 1); the output row's
+    start and each of its terms, in order, once the term's operand
+    exists; each stage row whole, then N(v^i) - N(u^n); a history
+    difference just before its first reader.  A value is live from the
+    op that writes it to its last reader, both included; u^n and the
+    state's nonlinear values are the state's, not the workspace's."""
+    *stages, (_, out_source, out_terms) = rows
+    ops = []  # (written value or None, values read)
+    made = {("v", 0), ("d", 0)}
+
+    def need(k):
+        if ("d", k) not in made:  # a history difference
+            ops.append((("d", k), [("d", 0)]))
+            made.add(("d", k))
+
+    pending = list(out_terms)
+
+    def flush():
+        while pending and (("d", pending[0][1]) in made or pending[0][1] < q):
+            k = pending.pop(0)[1]
+            need(k)
+            ops.append((None, [("d", k)]))
+
+    if q == 1:
+        ops.append((("d", 0), [("v", 0)]))
+    ops.append((None, [("v", out_source)]))
+    flush()
+    for i, (_, source, terms) in enumerate(stages, start=1):
+        for _, k in terms:
+            need(k)
+        ops.append((("v", i), [("v", source), *(("d", k) for _, k in terms)]))
+        ops.append((("d", q + i - 1), [("v", i), ("d", 0)]))
+        made.add(("d", q + i - 1))
+        flush()
+    assert not pending
+    born, last = {}, {}
+    for t, (wrote, read) in enumerate(ops):
+        for value in read:
+            last[value] = t
+        if wrote is not None:
+            born[wrote] = t
+    state = {("v", 0)} | ({("d", 0)} if q > 1 else set())
+    return max(sum(born[v] <= t <= last.get(v, born[v]) for v in born if v not in state)
+               for t in range(len(ops)))
+
+
+def _held_fields(work, shape):
+    """(complex, real): the distinct arrays owning the memory of the
+    field-shaped arrays a fresh workspace holds, its rows aside."""
+    owners = {}
+    for name in type(work).__slots__:
+        if name in ("rows", "schedule"):
+            continue
+        value = getattr(work, name)
+        for arr in value if isinstance(value, (tuple, list)) else (value,):
+            if isinstance(arr, np.ndarray) and arr.shape == shape:
+                while arr.base is not None:
+                    arr = arr.base
+                owners[id(arr)] = arr
+    kinds = [arr.dtype.kind for arr in owners.values()]
+    return kinds.count("c"), len(kinds) - kinds.count("c")
+
+
+@pytest.mark.parametrize("scheme", [info.name for info in list_schemes()])
+def test_workspace_holds_only_the_fields_live_at_once(scheme):
+    # the pooled fields are those live at once in a plain replay of the
+    # step; besides them a workspace holds product (whose first bytes
+    # take the stability check's moduli, so there is no real field), its
+    # two outputs and, for q >= 2, the q + 1 slots of its ring
+    system = discretize(get_problem("sh2"), default_grid(get_problem("sh2")))
+    engine = prepare_scheme(scheme, 0.05, system.lam)
+    q = engine.steps
+    work = _StepWork(engine, system.u0.shape, system)
+    held, real = _held_fields(work, system.u0.shape)
+    assert real == 0
+    assert held <= _live_at_once(engine.rows, q) + 3 + (q + 1 if q > 1 else 0), scheme
+    if scheme == "etdrk4":
+        assert held == 7  # 10 complex and 1 real before the buffers were pooled
+
+
+def test_integrate_peak_in_fields():
+    # ETDRK4 on sh3 at 40^3: the workspace's 7 fields, u^0 until the
+    # second step, the map's temporary and the rows (seven real arrays of
+    # half a field) peak at 12.5 fields; so does the run at 128^3 (17 MB
+    # fields), and the buffers of the plain step engine peaked at 17
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem, size=40))
+    field = system.u0.nbytes
+    integrate(system, "etdrk4", 0.1, 0.2)  # first-call set-up stays out of the trace
+    phifun.clear_eval_cache()
+    tracemalloc.start()
+    try:
+        result = integrate(system, "etdrk4", 0.1, 0.4)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.steps == 4 and np.all(np.isfinite(result.u))
+    assert peak <= 13 * field, peak / field
+
+
 def _reference_starter(q, h, system, u0, delta0_state=False):
     """The fixed-point starter in the arithmetic the buffered one must
     reproduce: fresh ETDRK2 steps, forward differences as lists of new

@@ -564,3 +564,95 @@ def test_initial_data_memory_at_64_cubed(key, fields):
     finally:
         tracemalloc.stop()
     assert peak < (fields + 1 / 16) * field, peak / field
+
+
+# ---------------------------------------------------------------------------
+# pointwise maps in place
+
+
+def _plain_abs2(u):
+    return u.real * u.real + u.imag * u.imag
+
+
+def _plain_schnak(uv):
+    u, v = uv[0], uv[1]
+    u2v = u * u * v
+    return np.stack([problems.SCHNAK_GAMMA * (problems.SCHNAK_A + u2v),
+                     problems.SCHNAK_GAMMA * (problems.SCHNAK_B - u2v)])
+
+
+# each map as the plain expression it evaluated when it returned a new
+# array, frozen here: the in-place maps must give these bits
+_PLAIN_MAPS = {
+    "ac": lambda u: -(u * u * u),
+    "ch": lambda u: u * u * u,
+    "kdv": lambda u: u * u,
+    "ks": lambda u: u * u,
+    "nls": lambda u: 1j * _plain_abs2(u) * u,
+    "gl": lambda u: -(1 + 1j * problems.GL_B) * u * _plain_abs2(u),
+    "schnak": _plain_schnak,
+    "sh": lambda u: u * u * (problems.SH_G - u),
+}
+# signed zeros, subnormals, huge values, infinities and NaN
+_SPECIAL = np.array([0.0, -0.0, 5e-324, -1e-300, 1e300, -1e300, np.inf, -np.inf, np.nan])
+
+
+def _map_values(problem, grid, scale, seed=17):
+    """A values array as the map sees it (real for a real problem), with
+    _SPECIAL in its first entries."""
+    rng = np.random.default_rng(seed)
+    shape = (problem.components, *grid.shape)
+    u = scale * rng.standard_normal(shape)
+    if not problem.real:
+        u = u + 1j * scale * rng.standard_normal(shape)
+    flat, k = u.reshape(-1), len(_SPECIAL)
+    flat[:k] = _SPECIAL
+    if not problem.real:
+        with np.errstate(invalid="ignore"):  # 1j * inf has a NaN real part
+            flat[k:2 * k] = _SPECIAL[::-1] + 1j * _SPECIAL
+    return u
+
+
+@pytest.mark.parametrize("key", problem_names())
+def test_maps_run_in_place_with_the_bits_of_their_plain_expressions(key):
+    # every registry map overwrites its argument, returns it, and gives
+    # the bits of its plain expression, special values included
+    problem = get_problem(key)
+    grid = default_grid(problem)
+    func = problem.nonlinear(grid).func
+    for scale in (1e-3, 1.0, 1e3):
+        u = _map_values(problem, grid, scale)
+        values = u.copy()
+        with np.errstate(all="ignore"):
+            want = _PLAIN_MAPS[problem.name](u)
+            got = func(values)
+        assert got is values, key
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (key, scale)
+
+
+# a size per dimension at which a value field holds at least 64 KiB, so
+# that numpy's small objects (views, shapes; about 2 KiB in all) stay
+# far below one field
+_MAP_TRACE_SIZES = {1: 8192, 2: 128, 3: 32}
+
+
+@pytest.mark.parametrize("key", problem_names())
+def test_maps_make_at_most_one_field_sized_temporary(key):
+    # a cubic map keeps u * u (or |u|^2) beside its argument, the
+    # advective map of ks and kdv nothing
+    problem = get_problem(key)
+    grid = default_grid(problem, size=_MAP_TRACE_SIZES[problem.dims])
+    func = problem.nonlinear(grid).func
+    values = _map_values(problem, grid, 1.0)
+    with np.errstate(all="ignore"):
+        func(values.copy())  # first-call set-up stays out of the trace
+        tracemalloc.start()
+        try:
+            func(values)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    slack = 4096
+    assert values.nbytes >= 16 * slack
+    fields = 0 if problem.name in ("ks", "kdv") else 1
+    assert peak <= fields * values.nbytes + slack, (key, peak / values.nbytes)
