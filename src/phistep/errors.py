@@ -13,7 +13,9 @@ class UnstableError(PhistepError):
 
     Attributes:
         time: simulation time at which the blow-up was detected.
-        step: index of the offending step (0-based).
+        step: n for the field u^n that failed, the number of steps it
+            completes: 1 for the first step, or for the first starter
+            iterate.
     """
 
     def __init__(self, message: str, time: float | None = None, step: int | None = None):

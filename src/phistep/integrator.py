@@ -34,10 +34,10 @@ output row starts as soon as u^n is known and adds each term, in its
 fixed order, once the term's operand exists, and a stage accumulator or
 difference gives up its buffer after its last reader, so an ETDRK4 step
 holds 7 complex fields (two of them the returned and the previous
-state).  `step` runs the schedule and `_run_row` a whole row (the
-starter's); both add every term rounded exactly as acc + h * (coeff *
-value) (`_add_term`), and each row's operations keep their order, so
-buffered and fresh stepping give the same bits.  The price is
+state).  `step` runs the schedule through `_run`, the one op loop,
+which adds every term rounded exactly as acc + h * (coeff * value), and
+each row's operations keep their order, so buffered and fresh stepping
+give the same bits.  The price is
 aliasing, under one rule: a state returned by a workspace step stays
 intact through the next step; the step after may reuse its arrays.  So
 integrate copies every snapshot, and a `step` call without a workspace
@@ -60,8 +60,8 @@ Multistep schemes are started by the fixed-point procedure
 
 with forward differences Delta^l taken over the current iterate's
 nonlinear values, stopping when successive iterates agree to a relative
-max-norm below h^q.  The map is q - 1 rows of the same form, which
-`_run_row` runs in buffers allocated once.
+max-norm below h^q.  The map is q - 1 rows of the same form, run as
+ops through `_run` in buffers allocated once.
 """
 from __future__ import annotations
 
@@ -69,7 +69,7 @@ import itertools
 import math
 import time as _time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
@@ -77,6 +77,7 @@ import numpy as np
 
 from .errors import UnstableError
 from .phifun import KeyedDiagonal, PhiExpr, eval_phi_exprs, exp_term, gamma_table
+from .spectral import install_fft_counter, remove_fft_counter
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -255,32 +256,32 @@ def precompute(tableau: Tableau, h: float, lam) -> PrecomputedScheme:
     return PrecomputedScheme(name=tableau.name, h=h, steps=tableau.steps, rows=rows)
 
 
-def _add_term(acc: np.ndarray, h: np.ndarray, coeff: np.ndarray, value: np.ndarray,
-              product: np.ndarray) -> None:
-    """acc += h * (coeff * value), rounded as written, through product:
-    product = coeff * value; product *= h; acc += product, the operations
-    of the fresh expression in its order, with h the complex128 scalar
-    numpy would convert it to.  The output arrays are passed
-    positionally: numpy parses them faster than out= keywords, which
-    matters on small fields."""
-    np.multiply(coeff, value, product)
-    np.multiply(product, h, product)
-    np.add(acc, product, acc)
-
-
-def _run_row(acc: np.ndarray, row: tuple, sources: Sequence[np.ndarray],
-             operands: Sequence[np.ndarray], h: np.ndarray, product: np.ndarray) -> None:
-    """acc = propagator * sources[source] plus the row's terms, each added
-    by _add_term: a whole (propagator, source, terms) row, as the
-    starter runs its rows."""
-    propagator, source, terms = row
-    np.multiply(propagator, sources[source], acc)
-    for coeff, operand in terms:
-        _add_term(acc, h, coeff, operands[operand], product)
-
-
-# the op kinds of a step schedule (_schedule)
+# the op kinds of a step schedule (_schedule) and of the starter's map
 _START, _TERM, _DIFF, _EVAL = range(4)
+
+
+def _run(ops: Sequence[tuple], slots: Sequence[np.ndarray], product: np.ndarray,
+         h: np.ndarray, evaluate: Callable) -> None:
+    """Run ops (kind, c, a, b) over slots, in their order: _START sets
+    slot b to c * slot a, _TERM adds c times slot a to slot b, _DIFF
+    sets slot b to slot c - slot a and _EVAL writes N(slot a) into slot
+    b by evaluate(coeffs, out).  A term is rounded exactly as acc + h *
+    (c * value), through product: product = c * value; product *= h;
+    acc += product, with h the complex128 scalar numpy would convert it
+    to.  The output arrays are passed positionally: numpy parses them
+    faster than out= keywords, which matters on small fields."""
+    for kind, c, a, b in ops:
+        if kind == _TERM:
+            np.multiply(c, slots[a], product)
+            np.multiply(product, h, product)
+            acc = slots[b]
+            np.add(acc, product, acc)
+        elif kind == _START:
+            np.multiply(c, slots[a], slots[b])
+        elif kind == _DIFF:
+            np.subtract(slots[c], slots[a], slots[b])
+        else:
+            evaluate(slots[a], slots[b])
 
 
 def _cast_free(rows: Sequence[tuple]) -> tuple:
@@ -331,10 +332,10 @@ def _schedule(rows: Sequence[tuple], q: int) -> tuple:
 
     Slot 0 is u^n, slot 1 the output and, for q >= 2, slots 2..q + 1
     the state's N(u^n), ..., N(u^{n-q+1}); the pooled slots follow.  An
-    op is (kind, c, a, b): _START sets slot b to c * slot a (a row's
-    propagator times its source, as _run_row starts a row), _TERM adds c
-    times slot a to slot b (_add_term), _DIFF sets slot b to slot c -
-    slot a and _EVAL writes N(slot a) into slot b.  The ops are those of
+    op is (kind, c, a, b), as _run runs it: _START sets slot b to c *
+    slot a (a row's propagator times its source), _TERM adds c times
+    slot a to slot b, _DIFF sets slot b to slot c - slot a and _EVAL
+    writes N(slot a) into slot b.  The ops are those of
     the rows in their order: N(u^n) first (q = 1), then each stage row
     whole, each followed by the evaluation of its stage and the
     difference from N(u^n), formed in place.  The output row runs
@@ -435,7 +436,7 @@ class _StepWork:
     State m sits in slot m, so a step never writes its input, and a
     returned state stays intact through the next step; the step after
     may reuse its arrays.  h is the scheme's step as a complex128 scalar
-    (_add_term).  The fields are complex128, shaped like the state's
+    (_run).  The fields are complex128, shaped like the state's
     coefficients.  evaluate(coeffs, out) is the one nonlinear evaluation
     of the loop, which writes N(coeffs) into out and returns it:
     system.evaluator(product), bound once here, when the system has an
@@ -473,7 +474,7 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     at the new solution goes into the workspace's ring, keeping the total
     at s evaluations (2s transforms) per step.  The rows of work.rows
     (scheme.rows made cast-free, with the same bits) run as the ops of
-    work.schedule, in one loop: each stage row into its accumulator,
+    work.schedule, in one _run: each stage row into its accumulator,
     then N(v^i) - N(u^n), formed in place where work.evaluate wrote
     N(v^i); the output row starts as soon as u^n is known and takes each
     term, in its order, once the term's operand exists.  Every row
@@ -502,24 +503,12 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     slots[0], slots[1] = u, out
     if q > 1:
         slots[2:q + 2] = state.nonlinear[:q]
-    evaluate, product, h = work.evaluate, work.product, work.h
-    for kind, c, a, b in work.schedule:
-        if kind == _TERM:  # _add_term inline: a call per term shows on small fields
-            np.multiply(c, slots[a], product)
-            np.multiply(product, h, product)
-            acc = slots[b]
-            np.add(acc, product, acc)
-        elif kind == _START:
-            np.multiply(c, slots[a], slots[b])
-        elif kind == _DIFF:
-            np.subtract(slots[c], slots[a], slots[b])
-        else:
-            evaluate(slots[a], slots[b])
+    _run(work.schedule, slots, work.product, work.h, work.evaluate)
     new_time = state.time + scheme.h
     _check_stable(out, new_time, new_step, state.initial_norm, work.norm)
     nonlinear = ()
     if q > 1:
-        nonlinear = (evaluate(out, work.ring[new_step % (q + 1)]),
+        nonlinear = (work.evaluate(out, work.ring[new_step % (q + 1)]),
                      *state.nonlinear[: q - 1])
     return SimState(coeffs=out, time=new_time, step=new_step, nonlinear=nonlinear,
                     initial_norm=state.initial_norm)
@@ -604,15 +593,15 @@ def start_multistep(
     iterate's scale), so UnstableError names the first iterate that fails.
 
     The map is q - 1 rows (e^{jhL}, source u^0, terms (gamma_l(j, hL), l)),
-    made cast-free as a workspace's rows are (_cast_free), run by
-    _run_row in buffers allocated once: operand l is
-    Delta^l N(u^0), formed in place from the top index down, the new
-    iterates go into q - 1 buffers that swap with the old ones, and the
-    ETDRK2 steps' workspace lends its evaluation, its product and norm
-    arrays, and one of its outputs, idle once the ETDRK2 steps are
-    copied, for the moduli of the change between iterates (norm lies
-    over product, which holds that change).  The returned arrays are the
-    starter's own.
+    made cast-free (_cast_free) and run as ops through _run, the step's
+    loop, in buffers allocated once: operand l >= 1, Delta^l N(u^0), is
+    formed in place over N(u^l), from the top index down, and each u^j
+    goes into a spare buffer that swaps with the old u^j once its
+    stability check and change are taken.  The ETDRK2 steps' workspace
+    lends its evaluation, its product and norm arrays and its two
+    outputs, idle once its steps are copied: the spare, and the moduli
+    of the change (norm lies over product, which holds the change).  The
+    returned arrays are the starter's own.
 
     diag is h*system.lam keyed once (integrate passes the one it keyed
     for the scheme), or None to key it here.  The e^{jhL} come from one
@@ -643,31 +632,34 @@ def start_multistep(
                         tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag))))
                        for j, propagator in enumerate(propagators, start=1)])
     evaluate, product, norm = work.evaluate, work.product, work.norm
-    spare = _real_view(work.outputs[0])
-    nl = [evaluate(u, np.empty_like(product)) for u in (u0, *old)]
-    operands = [u0 if delta0_state else nl[0], *(np.empty_like(product) for _ in old)]
-    new = [np.empty_like(product) for _ in old]
+    moduli = _real_view(work.outputs[0])
+    # slots: u^0, N(u^0), ..., N(u^{q-1}), u^1, ..., u^{q-1}, the iterate being made
+    made = 2 * q
+    slots = [u0, *(evaluate(u, np.empty_like(product)) for u in (u0, *old)), *old,
+             work.outputs[1]]
+    diffs = [(_DIFF, i + 1, i, i + 1) for l in range(1, q) for i in range(q - 1, l - 1, -1)]
+    maps = [[(_START, propagator, 0, made),
+             *((_TERM, gamma, l + 1 if l or not delta0_state else 0, made) for gamma, l in terms)]
+            for propagator, _, terms in rows]
+    evals = [(_EVAL, None, q + j, j + 1) for j in range(1, q)]
     converged, iterations = False, 0
     tol = max(h ** q, STARTER_FLOOR)
     for iterations in range(1, MAX_STARTER_ITERATIONS + 1):
-        level = nl
-        for l in range(1, q):
-            for i in range(q - 1, l - 1, -1):
-                np.subtract(level[i], level[i - 1], operands[i])
-            level = operands
-        for acc, row in zip(new, rows):
-            _run_row(acc, row, (u0,), operands, work.h, product)
-        scale = max(_check_stable(u, j * h, j, initial_norm, norm) for j, u in enumerate(new, 1))
-        change = max(_max_norm(np.subtract(a, b, product), spare) for a, b in zip(new, old))
-        old, new = new, old
-        for u, out in zip(old, nl[1:]):
-            evaluate(u, out)
+        _run(diffs, slots, product, work.h, evaluate)
+        scale = change = 0.0
+        for j, ops in enumerate(maps, start=1):
+            _run(ops, slots, product, work.h, evaluate)
+            new = slots[made]
+            scale = max(scale, _check_stable(new, j * h, j, initial_norm, norm))
+            change = max(change, _max_norm(np.subtract(new, slots[q + j], product), moduli))
+            slots[made], slots[q + j] = slots[q + j], new
+        _run(evals, slots, product, work.h, evaluate)
         if scale == 0.0 or change <= tol * scale:
             converged = True
             break
-    final = SimState(coeffs=old[-1], time=(q - 1) * h, step=q - 1,
-                     nonlinear=tuple(nl[::-1]), initial_norm=initial_norm)
-    return StarterResult(state=final, states=(u0, *old), converged=converged,
+    final = SimState(coeffs=slots[made - 1], time=(q - 1) * h, step=q - 1,
+                     nonlinear=tuple(slots[q:0:-1]), initial_norm=initial_norm)
+    return StarterResult(state=final, states=(u0, *slots[q + 1:made]), converged=converged,
                          iterations=iterations)
 
 
@@ -726,8 +718,6 @@ def integrate(
     coefficient is evaluated.  Instability raises UnstableError carrying
     the failing time.
     """
-    from .spectral import install_fft_counter, remove_fft_counter
-
     if not 0 < T < math.inf:
         raise ValueError(f"horizon must be positive and finite, got {T}")
     tableau = _tableau_of(scheme)
@@ -771,6 +761,11 @@ def integrate(
         del diag, starting, u0
 
         work = _StepWork(engine, state.coeffs.shape, system)
+        # the state's coefficients move into the workspace's slot for them,
+        # so the array they leave is not held through the first step
+        moved = work.outputs[state.step % 2]
+        np.copyto(moved, state.coeffs)
+        state = replace(state, coeffs=moved)
         fft_start = cell[0]
         tic = _time.perf_counter()
         while state.step < nsteps:
