@@ -40,7 +40,7 @@ from phistep.problems import (
     problem_names,
 )
 from phistep.spectral import Grid, to_coeffs, to_values
-from phistep.tableau import etd_euler, get_scheme, list_schemes
+from phistep.tableau import Tableau, complete_summation, etd_euler, get_scheme, list_schemes
 
 
 @dataclasses.dataclass(frozen=True)
@@ -1296,6 +1296,71 @@ def test_starter_equals_reference_starter_bit_for_bit(key, q, delta0):
     assert [u.tobytes() for u in got.states] == [u.tobytes() for u in want.states]
     assert got.state.coeffs is got.states[-1]
     assert [v.tobytes() for v in got.state.nonlinear] == [v.tobytes() for v in want.nonlinear]
+
+
+@st.composite
+def _random_tableaux(draw):
+    """A complete tableau of 1-5 stages and 1-3 steps: nondecreasing
+    nodes, random zero patterns in A, B, U and V, and stages propagated
+    from an earlier stage (stage sources) with coefficient rows of
+    their own."""
+    s, q = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    zero = PhiExpr()
+
+    def weight():  # zero, or a phi or exponential weight of a small coefficient
+        kind = draw(st.sampled_from(["zero", "phi", "exp"]))
+        if kind == "zero":
+            return zero
+        coeff = draw(st.sampled_from([Fraction(-1), Fraction(-1, 2), Fraction(1, 3), Fraction(1)]))
+        scale = draw(st.sampled_from([Fraction(1, 2), Fraction(1)]))
+        if kind == "exp":
+            return exp_term(coeff, scale)
+        return phi(draw(st.integers(1, 3)), coeff, scale)
+
+    nodes = draw(st.lists(st.sampled_from([Fraction(0), Fraction(1, 3), Fraction(1, 2),
+                                           Fraction(1)]), min_size=s - 1, max_size=s - 1))
+    A = tuple(tuple(None if j == 0 < i else weight() if j < i else zero for j in range(s))
+              for i in range(s))
+    U = tuple(tuple(weight() if i else zero for _ in range(q - 1)) for i in range(s))
+    sources = {i: draw(st.integers(1, i - 1)) for i in range(2, s + 1) if draw(st.booleans())}
+    rows = {(i, j): weight() for i in sources for j in range(1, i)}
+    return complete_summation(Tableau(
+        name="random", order=1, stages=s, steps=q, C=(0, *sorted(nodes)), A=A,
+        B=(None, *(weight() for _ in range(s - 1))), U=U,
+        V=tuple(weight() for _ in range(q - 1)), stage_source=sources,
+        stage_source_coeffs={key: w for key, w in rows.items() if not w.is_zero()}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(tab=_random_tableaux(), key=st.sampled_from(["nls", "ks"]),
+       starter_q=st.sampled_from([7, 8]), delta0=st.booleans(),
+       scale=st.sampled_from([0.5, 1.0, 2.0]))
+def test_random_tableaux_step_bit_for_bit_in_the_fields_live_at_once(
+        tab, key, starter_q, delta0, scale):
+    # any explicit tableau, not only the catalog's, steps in its
+    # workspace with the bits of the reference step, on a full-layout
+    # (nls) and a half-layout (ks) desk problem, and pools no more fields
+    # than are live at once; its starting values come from the starter
+    # at a q beyond the catalog's, which equals the reference starter
+    system = _desk_work(key)[0]
+    h = _BUFFERED_STEP[key] * scale
+    u0 = np.array(system.u0, dtype=complex)
+    got = start_multistep(starter_q, h, system, u0, delta0_state=delta0)
+    want = _reference_starter(starter_q, h, system, u0, delta0)
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert [u.tobytes() for u in got.states] == [u.tobytes() for u in want.states]
+    assert [v.tobytes() for v in got.state.nonlinear] == [v.tobytes() for v in want.nonlinear]
+    q = tab.steps
+    engine = precompute(tab, h, system.lam)
+    work = _StepWork(engine, u0.shape, system)
+    assert len(work.slots) - integrator._state_slots(q) <= _live_at_once(work.rows, q)
+    tables = _slot_tables(tab, h, system.lam)
+    buffered = reference = dataclasses.replace(
+        got.state, nonlinear=got.state.nonlinear[:q] if q > 1 else ())
+    for _ in range(3):
+        buffered = step(buffered, engine, system, work=work)
+        reference = _reference_step(reference, tab, tables, system)
+        assert _same_state(buffered, reference), buffered.step
 
 
 class _MarkingSystem:
