@@ -407,17 +407,10 @@ def export(
 
     with paths["csv"].open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_HEADER.split(","))
+        names = CSV_HEADER.split(",")
+        writer.writerow(names)
         for r in records:
-            writer.writerow([
-                r.scheme,
-                _format_field(r.h),
-                _format_field(r.h_over_T),
-                _format_field(r.error),
-                _format_field(r.seconds),
-                _format_field(r.stable),
-                _format_field(r.starter_converged),
-            ])
+            writer.writerow([_format_field(getattr(r, name)) for name in names])
 
     by_scheme: Dict[str, List[SweepRecord]] = {}
     for r in records:

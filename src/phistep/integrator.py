@@ -31,17 +31,17 @@ bound over its buffers once, writes every nonlinear value into a
 buffer.  The workspace fixes the step's row program as a schedule of
 ops (`_schedule`) and assigns its fields to buffers by liveness: the
 output row starts as soon as u^n is known and adds each term, in its
-fixed order, once the term's operand exists, and a stage accumulator or
-difference gives up its buffer after its last reader, so an ETDRK4 step
-holds 7 complex fields (two of them the returned and the previous
-state).  `step` runs the schedule through `_run`, the one op loop,
-which adds every term rounded exactly as acc + h * (coeff * value), and
-each row's operations keep their order, so buffered and fresh stepping
-give the same bits.  The price is
-aliasing, under one rule: a state returned by a workspace step stays
-intact through the next step; the step after may reuse its arrays.  So
-integrate copies every snapshot, and a `step` call without a workspace
-allocates fresh buffers.
+fixed order, once the term's operand exists, and every value the state
+does not hold gives up its buffer after its last reader in that order,
+so an ETDRK4 step holds 7 complex fields (two of them the returned and
+the previous state).  `step` runs the schedule through `_run`, the one
+op loop, which adds every term rounded exactly as acc + h * (coeff *
+value), and each row's operations keep their order, so buffered and
+fresh stepping give the same bits.  The price is aliasing, under one
+rule: a state returned by a workspace step stays intact through the
+next step; the step after may reuse its arrays.  So integrate copies
+every snapshot, and a `step` call without a workspace allocates fresh
+buffers.
 
 The rows a workspace runs are cast-free (`_cast_free`): a float64
 coefficient array of at most np.getbufsize() entries (8192 by default)
@@ -68,7 +68,6 @@ from __future__ import annotations
 import itertools
 import math
 import time as _time
-from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
@@ -328,90 +327,76 @@ def _state_slots(q: int) -> int:
 
 def _schedule(rows: Sequence[tuple], q: int) -> tuple:
     """(ops, pooled): the row program of a step as one list of ops over
-    slots, with its fields assigned to pooled buffers by liveness.
+    slots, and the number of pooled buffers among those slots.
 
     Slot 0 is u^n, slot 1 the output and, for q >= 2, slots 2..q + 1
     the state's N(u^n), ..., N(u^{n-q+1}); the pooled slots follow.  An
     op is (kind, c, a, b), as _run runs it: _START sets slot b to c *
     slot a (a row's propagator times its source), _TERM adds c times
     slot a to slot b, _DIFF sets slot b to slot c - slot a and _EVAL
-    writes N(slot a) into slot b.  The ops are those of
-    the rows in their order: N(u^n) first (q = 1), then each stage row
-    whole, each followed by the evaluation of its stage and the
-    difference from N(u^n), formed in place.  The output row runs
-    interleaved: its start and each of its terms, in the
-    row's order, as soon as the operand exists.  A history difference
-    N(u^{n-j}) - N(u^n) is formed just before its first reader.  A
-    value's slot returns to the pool after its last reader (a stage
-    accumulator's readers are its evaluation and the rows that start
-    from it), and a new value takes a free slot before a new one is
-    added, so the pool holds as many fields as are live at once.  A
-    row's accumulator, and the slot an evaluation writes, are taken
-    while the values they are computed from are still live.
+    writes N(slot a) into slot b.  Two passes over named values make it.
+
+    Order: N(u^n) first (q = 1), then each stage row whole, each followed
+    by the evaluation of its stage and the difference from N(u^n),
+    formed in place.  The output row runs interleaved: its start and
+    each of its terms, in the row's order, as soon as the operand
+    exists.  A history difference N(u^{n-j}) - N(u^n) is formed just
+    before its first reader.
+
+    Pool: every value the state does not hold has a buffer from the op
+    that writes it to its last reader in that order.  The written value
+    takes its buffer before the op's inputs that have no later reader
+    give theirs back, and it takes the buffer given back last, or else a
+    new one, so the pool holds as many fields as are live at once.
     """
-    *stage_rows, (out_propagator, out_source, out_terms) = rows
-    base = _state_slots(q)
-    # readers left per value: ("v", i) is source i (u^n, then v^2..v^s)
-    # and ("d", k) operand k; a stage difference is read by its own
-    # in-place subtraction too
-    left: Counter = Counter()
-    for _, source, terms in rows:
-        left["v", source] += 1
-        left.update(("d", k) for _, k in terms)
-    for i in range(1, len(rows)):
-        left["v", i] += 1
-        left["d", q + i - 1] += 1
-    history = {("d", j) for j in range(1, q) if left["d", j]}
-    left["d", 0] += len(stage_rows) + len(history)
-    where = {("v", 0): 0}
-    if q > 1:
-        where["d", 0] = 2
-    ops: list = []
-    free: list = []
-    fresh = itertools.count(base)
+    out_propagator, out_source, out_terms = rows[-1]
+    # pass 1, order, over named values: ("v", i) is source i (u^n, then
+    # v^2..v^s) and ("v", s) the output, ("d", k) operand k and ("n", j)
+    # the state's N(u^{n-j})
+    out = ("v", len(rows))
+    ops = [(_EVAL, None, ("v", 0), ("d", 0))] if q == 1 else []
+    # whether each value a row may read yet has been written: a history
+    # difference may be read from the start and is formed at its first read
+    made = {("v", 0): True, ("d", 0): True, **{("d", j): False for j in range(1, q)}}
 
-    def take(key) -> int:
-        where[key] = free.pop() if free else next(fresh)
-        return where[key]
+    def add(kind: int, c, key: tuple, acc: tuple) -> None:
+        if not made[key]:
+            ops.append((_DIFF, ("n", key[1]), ("d", 0), key))
+            made[key] = True
+        ops.append((kind, c, key, acc))
 
-    def read(key) -> None:
-        left[key] -= 1
-        if not left[key] and where[key] >= base:
-            free.append(where[key])
-
-    def emit(kind: int, c, key, acc: int) -> None:
-        if key not in where:  # a history difference, before its first reader
-            ops.append((_DIFF, 2 + key[1], where["d", 0], take(key)))
-            read(("d", 0))
-        ops.append((kind, c, where[key], acc))
-        read(key)
-
-    pending = [(_START, out_propagator, ("v", out_source))]
-    pending += [(_TERM, coeff, ("d", k)) for coeff, k in out_terms]
-
-    def advance() -> None:  # the output row, as far as its operands exist
-        while pending and (pending[0][2] in where or pending[0][2] in history):
-            emit(*pending.pop(0), 1)
-
-    if q == 1:
-        ops.append((_EVAL, None, 0, take(("d", 0))))
-    advance()
-    for i, (propagator, source, terms) in enumerate(stage_rows, start=1):
-        acc = take(("v", i))
-        emit(_START, propagator, ("v", source), acc)
-        for coeff, k in terms:
-            emit(_TERM, coeff, ("d", k), acc)
-        key = ("d", q + i - 1)
-        diff = take(key)
-        ops.append((_EVAL, None, acc, diff))
-        read(("v", i))
-        ops.append((_DIFF, diff, where["d", 0], diff))
-        read(("d", 0))
-        read(key)
-        advance()
+    pending = [(_START, out_propagator, ("v", out_source), out),
+               *((_TERM, c, ("d", k), out) for c, k in out_terms)]
+    for i in range(1, len(rows) + 1):
+        while pending and pending[0][2] in made:  # the output row, as far as it can go
+            add(*pending.pop(0))
+        if i < len(rows):
+            propagator, source, terms = rows[i - 1]
+            add(_START, propagator, ("v", source), ("v", i))
+            for c, k in terms:
+                add(_TERM, c, ("d", k), ("v", i))
+            diff = ("d", q + i - 1)
+            ops += [(_EVAL, None, ("v", i), diff), (_DIFF, diff, ("d", 0), diff)]
+            made[("v", i)] = made[diff] = True
     if pending:
         raise ValueError("the output row reads an operand that no stage makes")
-    return tuple(ops), next(fresh) - base
+
+    # pass 2, pool
+    def reads(kind: int, c, a) -> tuple:
+        return (a, c) if kind == _DIFF else (a,)
+
+    last = {key: t for t, (kind, c, a, _) in enumerate(ops) for key in reads(kind, c, a)}
+    slot = {("v", 0): 0, out: 1}
+    if q > 1:
+        slot.update({("d", 0): 2, **{("n", j): 2 + j for j in range(1, q)}})
+    base, free, laid = len(slot), [], []
+    fresh = itertools.count(base)
+    for t, (kind, c, a, b) in enumerate(ops):
+        if b not in slot:
+            slot[b] = free.pop() if free else next(fresh)
+        free += [slot[key] for key in reads(kind, c, a) if last[key] == t and slot[key] >= base]
+        laid.append((kind, slot[c] if kind == _DIFF else c, slot[a], slot[b]))
+    return tuple(laid), next(fresh) - base
 
 
 class _StepWork:
@@ -426,7 +411,7 @@ class _StepWork:
     slots: the arrays that step sets from the state for each step, then
     the buffers the schedule pools by liveness, for N(u^n) (when q = 1),
     the stage accumulators, the stage differences and the history
-    differences, each buffer reused once its value has no reader left.
+    differences, each buffer reused after its value's last reader.
     An ETDRK4 step so pools three fields besides N(u^n).  product holds the term being added and,
     idle during an evaluation, the evaluation's values array; norm, a
     real view of product's first bytes, takes the stability check's
