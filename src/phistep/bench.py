@@ -189,20 +189,15 @@ def clear_reference_cache() -> None:
 
 def _system_key(system) -> tuple:
     """A reference's key: the system's name, grid, diagonal, initial data
-    and nonlinearity (its op's func and outer symbol, else its own func,
-    else its type).  A function with hashable closure values and defaults
-    counts by those, its module and its code, so a problem discretized
-    twice (a new lambda each time) keeps one key; any other func counts by
-    identity, and the key holds it, so that its id is not reused."""
+    and nonlinearity.  N counts by identity: its op's func (with a digest
+    of the op's outer symbol), else its own func, else its nonlinear,
+    which for a method is the system itself.  Every discretization of a
+    registry problem holds the same map function, so a problem
+    discretized twice keeps one key.  The key holds that object, so that
+    its id is not reused."""
     grid = getattr(system, "grid", None)
     op = getattr(system, "op", None)
-    func = getattr(op, "func", getattr(system, "func", type(system)))
-    try:  # hash(values) raises TypeError if a value is unhashable
-        values = (*(cell.cell_contents for cell in func.__closure__ or ()),
-                  *(func.__defaults__ or ()), *(func.__kwdefaults__ or {}).values())
-        func = (func.__module__, func.__code__, values, hash(values))
-    except (AttributeError, TypeError, ValueError):
-        pass
+    func = getattr(op, "func", None) or getattr(system, "func", None) or system.nonlinear
     arrays = (system.lam, system.u0, getattr(op, "outer", None))
     return (getattr(system, "name", type(system).__name__),
             None if grid is None else (grid.sizes, grid.domain),

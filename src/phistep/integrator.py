@@ -811,13 +811,6 @@ class _ProbeSystem:
         # a new complex array, whatever func returns
         return np.array(self.func(coeffs), dtype=complex)
 
-    def evaluator(self, buffer: np.ndarray) -> Callable:
-        # func makes its own array; the buffer is not needed
-        def evaluate(coeffs: np.ndarray, out: np.ndarray) -> np.ndarray:
-            np.copyto(out, self.func(coeffs))
-            return out
-        return evaluate
-
 
 def run_scalar_probe(scheme: SchemeLike, probe: Optional[ScalarProbe] = None, h: float = 0.05) -> float:
     """Relative error of one integration of the scalar probe at step h.

@@ -18,7 +18,8 @@ numpy evaluates without the general power routine, and they run in place:
 each overwrites the values array it is given and returns it, in the
 operation order of its plain expression (quoted in its docstring), so
 its bits are that expression's.  A cubic map makes one temporary of the
-field's size, the quadratic advective map none.
+field's size, the quadratic advective map none.  Each map is a
+module-level function: every discretization of a problem holds it.
 """
 from __future__ import annotations
 
@@ -60,8 +61,13 @@ class Problem:
     desk_size: int
     desk_T: float
     symbol: Callable[[Grid], np.ndarray]
-    nonlinear: Callable[[Grid], NonlinearOp]
+    func: Callable[[np.ndarray], np.ndarray]  # the pointwise map of N
     ic: Callable[[Grid], np.ndarray]
+    outer: Optional[Callable[[Grid], np.ndarray]] = None  # the symbol on func's transform
+
+    def nonlinear(self, grid: Grid) -> NonlinearOp:
+        """N on grid: the problem's one map, with its outer symbol if any."""
+        return NonlinearOp(self.func, None if self.outer is None else self.outer(grid))
 
     @property
     def key(self) -> str:
@@ -149,11 +155,9 @@ def _ac_symbol(grid: Grid) -> np.ndarray:
     return _stack(5e-2 * diff_symbol(2, 0, grid) + 1.0)
 
 
-def _ac_nonlinear(grid: Grid) -> NonlinearOp:
-    def func(u: np.ndarray) -> np.ndarray:
-        """-(u * u * u) in place."""
-        return np.negative(_cube(u), u)
-    return NonlinearOp(func)
+def _ac_map(u: np.ndarray) -> np.ndarray:
+    """-(u * u * u) in place."""
+    return np.negative(_cube(u), u)
 
 
 def _ac_ic(grid: Grid) -> np.ndarray:
@@ -175,13 +179,8 @@ def _ch_symbol(grid: Grid) -> np.ndarray:
     return _stack(_CH_ALPHA * (-d2 - _CH_GAMMA * d4))
 
 
-def _ch_nonlinear(grid: Grid) -> NonlinearOp:
-    outer = _CH_ALPHA * diff_symbol(2, 0, grid)
-
-    def func(u: np.ndarray) -> np.ndarray:
-        """u * u * u in place."""
-        return _cube(u)
-    return NonlinearOp(func, outer=outer)
+def _ch_outer(grid: Grid) -> np.ndarray:
+    return _CH_ALPHA * diff_symbol(2, 0, grid)
 
 
 def _ch_ic(grid: Grid) -> np.ndarray:
@@ -189,14 +188,14 @@ def _ch_ic(grid: Grid) -> np.ndarray:
     return _stack(np.sin(4 * np.pi * x) ** 5 / 5 - 0.8 * np.sin(np.pi * x))
 
 
-def _advective_nonlinear(grid: Grid) -> NonlinearOp:
-    """-u u_x = -(1/2) d/dx (u^2), the convective term of KdV and KS."""
-    outer = -0.5 * diff_symbol(1, 0, grid)
+def _advective_map(u: np.ndarray) -> np.ndarray:
+    """u * u in place: with _advective_outer, -u u_x = -(1/2) d/dx (u^2),
+    the convective term of KdV and KS."""
+    return np.multiply(u, u, u)
 
-    def func(u: np.ndarray) -> np.ndarray:
-        """u * u in place."""
-        return np.multiply(u, u, u)
-    return NonlinearOp(func, outer=outer)
+
+def _advective_outer(grid: Grid) -> np.ndarray:
+    return -0.5 * diff_symbol(1, 0, grid)
 
 
 def _kdv_symbol(grid: Grid) -> np.ndarray:
@@ -229,12 +228,10 @@ def _nls_symbol(grid: Grid) -> np.ndarray:
     return _stack(1j * diff_symbol(2, 0, grid))
 
 
-def _nls_nonlinear(grid: Grid) -> NonlinearOp:
-    def func(u: np.ndarray) -> np.ndarray:
-        """1j * |u|^2 * u in place."""
-        factor = _abs2(u)
-        return np.multiply(np.multiply(1j, factor, factor), u, u)
-    return NonlinearOp(func)
+def _nls_map(u: np.ndarray) -> np.ndarray:
+    """1j * |u|^2 * u in place."""
+    factor = _abs2(u)
+    return np.multiply(np.multiply(1j, factor, factor), u, u)
 
 
 def _nls_ic(grid: Grid) -> np.ndarray:
@@ -255,12 +252,10 @@ def _gl_symbol(grid: Grid) -> np.ndarray:
     return _stack(sym)
 
 
-def _gl_nonlinear(grid: Grid) -> NonlinearOp:
-    def func(u: np.ndarray) -> np.ndarray:
-        """-(1 + 1j * GL_B) * u * |u|^2 in place."""
-        abs2 = _abs2(u)
-        return np.multiply(np.multiply(-(1 + 1j * GL_B), u, u), abs2, u)
-    return NonlinearOp(func)
+def _gl_map(u: np.ndarray) -> np.ndarray:
+    """-(1 + 1j * GL_B) * u * |u|^2 in place."""
+    abs2 = _abs2(u)
+    return np.multiply(np.multiply(-(1 + 1j * GL_B), u, u), abs2, u)
 
 
 def _gl_ic(grid: Grid) -> np.ndarray:
@@ -279,17 +274,15 @@ def _schnak_symbol(grid: Grid) -> np.ndarray:
     return _stack(SCHNAK_EPS_U * lap - SCHNAK_GAMMA, SCHNAK_EPS_V * lap)
 
 
-def _schnak_nonlinear(grid: Grid) -> NonlinearOp:
-    def func(uv: np.ndarray) -> np.ndarray:
-        """(SCHNAK_GAMMA * (SCHNAK_A + u * u * v),
-        SCHNAK_GAMMA * (SCHNAK_B - u * u * v)) in place."""
-        u, v = uv[0], uv[1]
-        u2v = np.multiply(u, u)
-        np.multiply(u2v, v, u2v)
-        np.multiply(SCHNAK_GAMMA, np.add(SCHNAK_A, u2v, u), u)
-        np.multiply(SCHNAK_GAMMA, np.subtract(SCHNAK_B, u2v, v), v)
-        return uv
-    return NonlinearOp(func)
+def _schnak_map(uv: np.ndarray) -> np.ndarray:
+    """(SCHNAK_GAMMA * (SCHNAK_A + u * u * v),
+    SCHNAK_GAMMA * (SCHNAK_B - u * u * v)) in place."""
+    u, v = uv[0], uv[1]
+    u2v = np.multiply(u, u)
+    np.multiply(u2v, v, u2v)
+    np.multiply(SCHNAK_GAMMA, np.add(SCHNAK_A, u2v, u), u)
+    np.multiply(SCHNAK_GAMMA, np.subtract(SCHNAK_B, u2v, v), v)
+    return uv
 
 
 def _schnak_ic(grid: Grid) -> np.ndarray:
@@ -310,12 +303,10 @@ def _sh_symbol(grid: Grid) -> np.ndarray:
     return _stack((SH_R - 1.0) - 2.0 * lap - lap * lap)
 
 
-def _sh_nonlinear(grid: Grid) -> NonlinearOp:
-    def func(u: np.ndarray) -> np.ndarray:
-        """u * u * (SH_G - u) in place."""
-        square = np.multiply(u, u)
-        return np.multiply(square, np.subtract(SH_G, u, u), u)
-    return NonlinearOp(func)
+def _sh_map(u: np.ndarray) -> np.ndarray:
+    """u * u * (SH_G - u) in place."""
+    square = np.multiply(u, u)
+    return np.multiply(square, np.subtract(SH_G, u, u), u)
 
 
 def _sh_ic(grid: Grid) -> np.ndarray:
@@ -372,14 +363,14 @@ def nls_breather(a: float, b: float, t: float, x) -> np.ndarray:
 # registry
 
 
-def _problem(name, label, dims, interval, T, desk_size, desk_T, symbol, nonlinear, ic,
-             real=True, components=1) -> Problem:
+def _problem(name, label, dims, interval, T, desk_size, desk_T, symbol, func, ic,
+             real=True, components=1, outer=None) -> Problem:
     """A registry row; the paper's grid is 512 points in 1D and 128 per axis otherwise."""
     return Problem(
         name=name, label=label, dims=dims, components=components, real=real,
         interval=interval, T=T, paper_size=512 if dims == 1 else 128,
         desk_size=desk_size, desk_T=desk_T,
-        symbol=symbol, nonlinear=nonlinear, ic=ic,
+        symbol=symbol, func=func, ic=ic, outer=outer,
     )
 
 
@@ -390,26 +381,26 @@ def _build_registry() -> dict:
         problems[(p.name, p.dims)] = p
 
     add(_problem("ac", "second-order diffusive", 1, (0.0, 2 * np.pi), 60.0, 128, 10.0,
-                 _ac_symbol, _ac_nonlinear, _ac_ic))
+                 _ac_symbol, _ac_map, _ac_ic))
     add(_problem("ch", "fourth-order diffusive", 1, (-1.0, 1.0), 12.0, 128, 2.0,
-                 _ch_symbol, _ch_nonlinear, _ch_ic))
+                 _ch_symbol, _cube, _ch_ic, outer=_ch_outer))
     add(_problem("kdv", "third-order dispersive", 1, (-np.pi, np.pi), 1e-2, 256, 1e-3,
-                 _kdv_symbol, _advective_nonlinear, _kdv_ic))
+                 _kdv_symbol, _advective_map, _kdv_ic, outer=_advective_outer))
     # The desk horizon must reach the chaotic regime (developed around
     # t ~ 15-20 from this initial condition): that is where the multistep
     # schemes' stability gap versus one-step schemes shows up.
     add(_problem("ks", "fourth-order diffusive", 1, (0.0, 32 * np.pi), 100.0, 64, 30.0,
-                 _ks_symbol, _advective_nonlinear, _ks_ic))
+                 _ks_symbol, _advective_map, _ks_ic, outer=_advective_outer))
     add(_problem("nls", "second-order dispersive", 1, (-np.pi, np.pi), 2.0, 128, 0.5,
-                 _nls_symbol, _nls_nonlinear, _nls_ic, real=False))
+                 _nls_symbol, _nls_map, _nls_ic, real=False))
     for dims, desk in ((2, 32), (3, 16)):
         add(_problem("gl", "second-order diffusive", dims, (0.0, 100.0), 10.0, desk, 2.0,
-                     _gl_symbol, _gl_nonlinear, _gl_ic, real=False))
+                     _gl_symbol, _gl_map, _gl_ic, real=False))
         add(_problem("schnak", "second-order diffusive", dims, (0.0, SCHNAK_G), 20.0,
-                     desk, 2.0, _schnak_symbol, _schnak_nonlinear, _schnak_ic,
+                     desk, 2.0, _schnak_symbol, _schnak_map, _schnak_ic,
                      components=2))
         add(_problem("sh", "fourth-order diffusive", dims, (0.0, 20.0), 20.0, desk, 2.0,
-                     _sh_symbol, _sh_nonlinear, _sh_ic))
+                     _sh_symbol, _sh_map, _sh_ic))
     return problems
 
 

@@ -8,6 +8,7 @@ import re
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -135,8 +136,23 @@ def test_reference_cache_distinguishes_systems_with_another_nonlinearity():
 def test_reference_cache_is_shared_by_two_discretizations_of_a_problem():
     problem = get_problem("ac")
     first, second = (discretize(problem, default_grid(problem)) for _ in range(2))
-    assert first.op is not second.op and first.op.func is not second.op.func
+    assert first.op is not second.op and first.op.func is second.op.func
     assert reference_solution(second, 1.0, 0.05) is reference_solution(first, 1.0, 0.05)
+
+
+def _quadratic_system(alpha):
+    # a system with lam, u0 and nonlinear alone: u' = -u + alpha u^2
+    return SimpleNamespace(lam=np.array([-1.0 + 0j]), u0=np.array([0.5 + 0j]),
+                           nonlinear=lambda c: alpha * c * c)
+
+
+def test_reference_cache_distinguishes_systems_that_offer_nonlinear_alone():
+    # the same lam and u0 and no name, op or func: only N tells them apart
+    first = reference_solution(_quadratic_system(1.0), 1.0, 0.05)
+    second = reference_solution(_quadratic_system(-3.0), 1.0, 0.05)
+    clear_reference_cache()
+    alone = reference_solution(_quadratic_system(-3.0), 1.0, 0.05)
+    assert second.tobytes() == alone.tobytes() != first.tobytes()
 
 
 def test_unstable_reference_raises():
@@ -828,6 +844,42 @@ def test_load_field_names_the_file_and_line_of_a_bad_body(tmp_path, kind, bad):
     with pytest.raises(ValueError, match=what) as info:
         load_field(path)
     assert f"{path}, line {line}:" in str(info.value)
+
+
+# edits of a real 8-value dump's header, each with the words its error
+# names besides the file
+_BAD_HEADERS = {
+    "no tag": (lambda lines: lines[1:], "is not a phistep field dump"),
+    "no sizes": (lambda lines: [line for line in lines if not line.startswith("# sizes")],
+                 "malformed header: 'sizes'"),
+    "unknown kind": (lambda lines: [line.replace("# kind real", "# kind integer")
+                                    for line in lines], "unknown kind 'integer'"),
+}
+
+
+@pytest.mark.parametrize("bad", sorted(_BAD_HEADERS))
+def test_load_field_names_the_file_of_a_bad_header(tmp_path, bad):
+    from phistep.bench import load_field
+
+    edit, what = _BAD_HEADERS[bad]
+    path, lines = _dump_lines(tmp_path, "real")
+    path.write_text("\n".join(edit(lines)) + "\n")
+    with pytest.raises(ValueError, match=re.escape(what)) as info:
+        load_field(path)
+    assert str(info.value).startswith(str(path))
+
+
+@pytest.mark.parametrize("shape, what", [
+    ((2, 8, 4), "field shape (2, 8, 4) does not end in (8, 8)"),
+    ((3, 2, 8, 8), "expected (components, *grid) layout, got (3, 2, 8, 8)"),
+], ids=["grid shape", "leading axes"])
+def test_save_field_names_the_shape_it_rejects(tmp_path, shape, what):
+    from phistep.bench import save_field
+
+    grid = Grid.uniform(2, 8, (0.0, 1.0))
+    with pytest.raises(ValueError, match=re.escape(what)):
+        save_field(tmp_path / "field.txt", np.zeros(shape), grid, 0.0)
+    assert not (tmp_path / "field.txt").exists()
 
 
 def test_load_field_skips_blank_lines(tmp_path):

@@ -120,6 +120,16 @@ def test_run_instability_exits_3_with_time(capsys):
     assert "unstable at t=" in err
 
 
+def test_run_warns_when_the_multistep_starter_does_not_converge(tmp_path, monkeypatch, capsys):
+    from phistep import integrator
+
+    monkeypatch.setattr(integrator, "MAX_STARTER_ITERATIONS", 1)
+    code = main(["run", "nls", "--desk", "--scheme", "abnorsett4", "--h", "0.03125",
+                 "--out", str(tmp_path)])
+    assert code == 0
+    assert "warning: multistep starter did not converge" in capsys.readouterr().err
+
+
 def test_run_from_manifest_file_with_comments(tmp_path, capsys):
     manifest = tmp_path / "run.json"
     manifest.write_text(

@@ -942,6 +942,15 @@ def test_eval_cache_is_bounded_in_bytes(monkeypatch):
         clear_eval_cache()
 
 
+def test_array_cache_put_on_a_held_key_replaces_its_array():
+    cache = phifun.ArrayCache()
+    cache.put("key", np.zeros(8))
+    newer = cache.put("key", np.ones(3))
+    assert cache.nbytes == newer.nbytes == 24
+    assert len(cache.items()) == 1
+    assert cache.get("key") is newer
+
+
 def test_empty_diagonal_gives_empty_tables():
     from phistep.integrator import prepare_scheme
 

@@ -630,6 +630,14 @@ def test_maps_run_in_place_with_the_bits_of_their_plain_expressions(key):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (key, scale)
 
 
+@pytest.mark.parametrize("key", problem_names())
+def test_every_discretization_holds_the_problem_map(key):
+    # the map is one function, so it identifies N wherever it is held
+    problem = get_problem(key)
+    first, second = (discretize(problem, default_grid(problem, size=n)) for n in (8, 16))
+    assert first.op.func is second.op.func is problem.func
+
+
 # a size per dimension at which a value field holds at least 64 KiB, so
 # that numpy's small objects (views, shapes; about 2 KiB in all) stay
 # far below one field
