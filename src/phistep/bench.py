@@ -4,10 +4,12 @@ A sweep integrates one discretized problem with several schemes over a
 descending ladder of step sizes, measures each run's relative L2 error
 against a cached high-order reference solution, times the stepping loop,
 and exports the records as CSV, a two-panel log-log SVG, and a JSON
-manifest echo.  Error measurement runs in parallel across sweep points;
-timing repetitions run sequentially so no co-scheduled work pollutes
-them.  A numerically unstable point is recorded with ``stable=False``
-and never aborts the sweep — only a failed reference solve does.
+manifest echo.  Error measurement runs in parallel across sweep points
+unless jobs is 1.  A point's time is the best of ``repetitions``
+exclusive stepping runs, so no co-scheduled work pollutes it; under
+jobs 1 the error run is the first of them.  A numerically unstable
+point is recorded with ``stable=False`` and never aborts the sweep —
+only a failed reference solve does.
 """
 from __future__ import annotations
 
@@ -266,9 +268,11 @@ def run_sweep(
 
     Phase one solves every (scheme, h) point — in parallel when jobs
     permits — and measures errors against the shared reference solution.
-    Phase two re-runs each stable point ``repetitions`` times
-    sequentially and records the minimum stepping-loop time.  Unstable
-    points are recorded with stable=False and otherwise skipped.
+    A stable point's seconds is the best of ``repetitions`` exclusive
+    stepping runs; when phase one is sequential (jobs == 1, or a single
+    point) the error run is the first of them, and phase two makes the
+    rest.  Unstable points are recorded with stable=False and otherwise
+    skipped.
     """
     if repetitions < 1:
         raise ValueError(f"need at least one timing repetition, got {repetitions}")
@@ -301,23 +305,24 @@ def run_sweep(
             starter_converged=result.starter_converged,
         )
 
-    if jobs == 1 or len(points) == 1:
+    sequential = jobs == 1 or len(points) == 1
+    if sequential:
         records = [solve(p) for p in points]
     else:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             records = list(pool.map(solve, points))
 
-    # Exclusive timing repetitions: one run at a time, keep the minimum.
+    # Exclusive timing runs: one at a time, keep the minimum.  A point's
+    # error run ran alone when the phase was sequential, so it is the first.
     timed: List[SweepRecord] = []
     for record in records:
         if not record.stable:
             timed.append(record)
             continue
-        best = min(
-            integrate(system, record.scheme, record.h, plan.T).seconds
-            for _ in range(repetitions)
-        )
-        timed.append(replace(record, seconds=best))
+        samples = [record.seconds] if sequential else []
+        samples += [integrate(system, record.scheme, record.h, plan.T).seconds
+                    for _ in range(repetitions - len(samples))]
+        timed.append(replace(record, seconds=min(samples)))
     return timed
 
 

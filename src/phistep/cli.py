@@ -551,7 +551,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--size", type=int, help="grid points per axis")
     p_bench.add_argument("--jobs", type=int, help="max parallel workers")
     p_bench.add_argument("--reps", dest="repetitions", type=int,
-                         help="timing repetitions per stable point (default 3)")
+                         help="best of REPS exclusive stepping runs per stable point; "
+                              "under --jobs 1 the error run is the first (default 3)")
     p_bench.add_argument("--out", help="output directory")
     p_bench.add_argument("--manifest", help="rerun from a manifest echo")
     p_bench.set_defaults(func=cmd_bench)

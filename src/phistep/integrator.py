@@ -583,10 +583,11 @@ def start_multistep(
     formed in place over N(u^l), from the top index down, and each u^j
     goes into a spare buffer that swaps with the old u^j once its
     stability check and change are taken.  The ETDRK2 steps' workspace
-    lends its evaluation, its product and norm arrays and its two
-    outputs, idle once its steps are copied: the spare, and the moduli
-    of the change (norm lies over product, which holds the change).  The
-    returned arrays are the starter's own.
+    lends its evaluation, its product and norm arrays, its two outputs
+    and its pooled fields, idle once its steps are copied: the spare,
+    the moduli of the change (norm lies over product, which holds the
+    change) and the first min(q, 3) of the N(u^j).  The workspace dies
+    with the call, so the returned arrays are the starter's own.
 
     diag is h*system.lam keyed once (integrate passes the one it keyed
     for the scheme), or None to key it here.  The e^{jhL} come from one
@@ -618,9 +619,11 @@ def start_multistep(
                        for j, propagator in enumerate(propagators, start=1)])
     evaluate, product, norm = work.evaluate, work.product, work.norm
     moduli = _real_view(work.outputs[0])
+    pooled = work.slots[_state_slots(1):]
+    buffers = [*pooled[:q], *(np.empty_like(product) for _ in range(q - len(pooled)))]
     # slots: u^0, N(u^0), ..., N(u^{q-1}), u^1, ..., u^{q-1}, the iterate being made
     made = 2 * q
-    slots = [u0, *(evaluate(u, np.empty_like(product)) for u in (u0, *old)), *old,
+    slots = [u0, *(evaluate(u, out) for u, out in zip((u0, *old), buffers)), *old,
              work.outputs[1]]
     diffs = [(_DIFF, i + 1, i, i + 1) for l in range(1, q) for i in range(q - 1, l - 1, -1)]
     maps = [[(_START, propagator, 0, made),

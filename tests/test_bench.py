@@ -298,13 +298,15 @@ def test_single_point_plan_yields_one_record():
     assert rec.h_over_T == pytest.approx(0.0625)
 
 
-def test_sweep_records_follow_plan_order_and_instability_is_recorded():
+def _plan_with_an_unstable_point():
+    # abnorsett5 is unstable on ks at T/2^5, every other point is stable
     T = 30.0
-    plan = _tiny_plan(
-        schemes=("etdrk4", "abnorsett5"),
-        ladder=(T / 2**5, T / 2**8),
-        T=T,
-    )
+    return _tiny_plan(schemes=("etdrk4", "abnorsett5"), ladder=(T / 2**5, T / 2**8), T=T)
+
+
+def test_sweep_records_follow_plan_order_and_instability_is_recorded():
+    plan = _plan_with_an_unstable_point()
+    T = plan.T
     with np.errstate(all="ignore"):
         records = run_sweep(plan, repetitions=1)
     assert [(r.scheme, round(r.h, 6)) for r in records] == [
@@ -320,12 +322,44 @@ def test_sweep_records_follow_plan_order_and_instability_is_recorded():
     assert bottom.stable and bottom.error is not None
 
 
-def test_sweep_error_fields_deterministic_across_jobs():
-    plan = _tiny_plan(schemes=("etdrk4", "abnorsett4"), ladder=(0.625, 0.3125))
-    serial = run_sweep(plan, jobs=1, repetitions=1)
-    parallel = run_sweep(plan, jobs=4, repetitions=1)
-    assert [r.error for r in serial] == [r.error for r in parallel]
-    assert [r.stable for r in serial] == [r.stable for r in parallel]
+@pytest.mark.parametrize("jobs, repetitions, stable_runs", [(1, 1, 1), (1, 3, 3), (2, 1, 2)])
+def test_sweep_integration_count(monkeypatch, jobs, repetitions, stable_runs):
+    # a sequential error run is the first timing run; a pooled one is not
+    plan = _plan_with_an_unstable_point()
+    runs = []
+    real_integrate = bench.integrate
+
+    def counting(system, scheme, h, T, **kw):
+        run = {"point": (scheme, round(T / h)), "seconds": None}
+        runs.append(run)
+        result = real_integrate(system, scheme, h, T, **kw)
+        run["seconds"] = result.seconds
+        return result
+
+    monkeypatch.setattr(bench, "integrate", counting)
+    with np.errstate(all="ignore"):
+        records = run_sweep(plan, jobs=jobs, repetitions=repetitions)
+    assert [r.stable for r in records] == [True, True, False, True]
+    reference = [run for run in runs if run["point"][0] == bench.REFERENCE_SCHEME]
+    assert len(reference) == 1
+    for record in records:
+        point = [run for run in runs if run["point"] == (record.scheme, round(plan.T / record.h))]
+        assert len(point) == (stable_runs if record.stable else 1)
+        if record.stable and stable_runs == 1:
+            assert record.seconds == point[0]["seconds"]
+    assert len(runs) == 1 + sum(stable_runs if r.stable else 1 for r in records)
+
+
+def test_sweep_errors_match_across_jobs_and_repetitions():
+    plan = _plan_with_an_unstable_point()
+    with np.errstate(all="ignore"):
+        sweeps = [run_sweep(plan, jobs=jobs, repetitions=repetitions)
+                  for jobs, repetitions in ((1, 1), (1, 3), (2, 1))]
+    # only seconds may differ; every other field must be equal exactly
+    outcomes = [[(r.scheme, r.h, r.error, r.stable, r.starter_converged) for r in sweep]
+                for sweep in sweeps]
+    assert [stable for *_, stable, _ in outcomes[0]] == [True, True, False, True]
+    assert outcomes[1] == outcomes[0] and outcomes[2] == outcomes[0]
 
 
 @pytest.mark.parametrize("bad, match", [({"jobs": 0}, "jobs"), ({"repetitions": 0}, "repetition")])
