@@ -123,8 +123,9 @@ class SimState:
 
 
 def _max_norm(arr: np.ndarray, scratch: Optional[np.ndarray] = None) -> float:
-    """max |arr|, with the moduli written to scratch when given."""
-    return float(np.abs(arr, scratch).max())
+    """max |arr|, with the moduli written to scratch when given (the
+    reduction ndarray.max runs, called without its Python wrapper)."""
+    return float(np.maximum.reduce(np.abs(arr, scratch), axis=None))
 
 
 def _check_stable(coeffs: np.ndarray, time: float, step: int, initial_norm: float,
@@ -268,17 +269,19 @@ def _run(ops: Sequence[tuple], slots: Sequence[np.ndarray], product: np.ndarray,
     (c * value), through product: product = c * value; product *= h;
     acc += product, with h the complex128 scalar numpy would convert it
     to.  The output arrays are passed positionally: numpy parses them
-    faster than out= keywords, which matters on small fields."""
+    faster than out= keywords, and the ufuncs are bound once, which
+    matters on small fields."""
+    multiply, add, subtract = np.multiply, np.add, np.subtract
     for kind, c, a, b in ops:
         if kind == _TERM:
-            np.multiply(c, slots[a], product)
-            np.multiply(product, h, product)
+            multiply(c, slots[a], product)
+            multiply(product, h, product)
             acc = slots[b]
-            np.add(acc, product, acc)
+            add(acc, product, acc)
         elif kind == _START:
-            np.multiply(c, slots[a], slots[b])
+            multiply(c, slots[a], slots[b])
         elif kind == _DIFF:
-            np.subtract(slots[c], slots[a], slots[b])
+            subtract(slots[c], slots[a], slots[b])
         else:
             evaluate(slots[a], slots[b])
 

@@ -33,11 +33,15 @@ those of numpy's fftn/ifftn/rfftn/irfftn without its Python wrappers
 from numpy's in the last bit): the forward transforms run the last
 grid axis first (rfft on it for the half layout) and then fft on the
 other axes in descending order, in place in their output; the
-full-layout inverse runs ifft the same way; the half-layout inverse runs
-its leading-axis inverse FFTs in ascending order in a complex work array
-shaped like the coefficients and then the last-axis irfft into its real
-output.  Each axis's gufunc axes argument and forward 1/N factor are
-fixed on the Grid.
+full-layout inverse runs ifft the same way; the half-layout inverse
+copies the coefficients once into a complex work array shaped like them,
+runs its leading-axis inverse FFTs there in place in ascending order,
+and then the last-axis irfft from it into its real output.  The copy is
+one contiguous pass; without it the first leading-axis FFT would run out
+of place, reading the coefficients along a strided axis (33.8 KB apart
+at 64^3), which costs more than the copy and the in-place FFT together.
+Each axis's gufunc axes argument and forward 1/N factor are fixed on the
+Grid.
 
 Callers that evaluate nonlinearities in a loop can hand every array in:
 to_coeffs and to_values take out= (and to_values work=, the complex
@@ -90,8 +94,9 @@ __all__ = [
 class Grid:
     """Tensor-product periodic grid: per-axis sizes and intervals [a, b).
 
-    half_shape is the grid part of the half layout, (*shape[:-1], N/2 + 1),
-    fixed at construction so that a layout check is a tuple comparison.
+    dims is the number of axes and half_shape the grid part of the half
+    layout, (*shape[:-1], N/2 + 1), both fixed at construction so that a
+    layout check is an attribute read and a tuple comparison.
     So are the transforms' per-axis arguments: axis_args[i] is the axes
     argument of a pocketfft gufunc over grid axis i (counted from the
     end, so leading component axes pass through) and forward_scales[i]
@@ -100,6 +105,7 @@ class Grid:
 
     sizes: tuple
     domain: tuple
+    dims: int = field(init=False, repr=False, compare=False)
     half_shape: tuple = field(init=False, repr=False, compare=False)
     axis_args: tuple = field(init=False, repr=False, compare=False)
     forward_scales: tuple = field(init=False, repr=False, compare=False)
@@ -122,6 +128,7 @@ class Grid:
         for a, b in domain:
             if not (np.isfinite(a) and np.isfinite(b) and a < b):
                 raise ValueError(f"degenerate interval [{a}, {b})")
+        object.__setattr__(self, "dims", len(sizes))
         object.__setattr__(self, "half_shape", (*sizes[:-1], sizes[-1] // 2 + 1))
         axes = range(-len(sizes), 0)
         object.__setattr__(self, "axis_args", tuple([(a,), (), (a,)] for a in axes))
@@ -131,10 +138,6 @@ class Grid:
     def uniform(cls, dims: int, size: int, interval) -> "Grid":
         """A dims-dimensional grid with the same size and interval per axis."""
         return cls((size,) * dims, (tuple(interval),) * dims)
-
-    @property
-    def dims(self) -> int:
-        return len(self.sizes)
 
     @property
     def shape(self) -> tuple:
@@ -255,10 +258,11 @@ def fft_counter() -> Optional[list]:
     return _FFT_COUNTER.get()
 
 
-def _count_fft() -> None:
-    cell = _FFT_COUNTER.get()
-    if cell is not None:
-        cell[0] += 1
+def _layout_error(coeffs: np.ndarray, grid: Grid) -> ValueError:
+    return ValueError(
+        f"coefficient shape {coeffs.shape} ends in neither {grid.shape} "
+        f"nor the half layout {grid.half_shape}"
+    )
 
 
 def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
@@ -268,10 +272,7 @@ def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
         return False
     if tail == grid.half_shape:
         return True
-    raise ValueError(
-        f"coefficient shape {coeffs.shape} ends in neither {grid.shape} "
-        f"nor the half layout {grid.half_shape}"
-    )
+    raise _layout_error(coeffs, grid)
 
 
 def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
@@ -286,10 +287,13 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     numpy's rfftn (real) or fftn with norm="forward": the last axis
     first, then the others in place in descending order.
     """
-    values = np.asarray(values)
+    if type(values) is not np.ndarray:
+        values = np.asarray(values)
     if values.shape[-grid.dims:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
-    _count_fft()
+    cell = _FFT_COUNTER.get()
+    if cell is not None:
+        cell[0] += 1
     if real and values.dtype.kind == "c":
         values = values.real
     if out is None:
@@ -315,24 +319,34 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
 
     out, when given, receives the values (real for the half layout,
     complex for the full layout; real=True then returns its real view)
-    and may be strided.  work is a complex array shaped like coeffs in
-    which a multi-axis half-layout inverse runs its leading axes; it is
-    overwritten, and allocated here when not given.  Neither may overlap
-    coeffs, which is left untouched.  For complex128 coefficients the
-    bits are numpy's irfftn (leading axes in ascending order, then the
-    last-axis irfft) or ifftn (the last axis first) with norm="forward".
+    and may be strided.  work is a complex array shaped like coeffs, of
+    their complex type, into which a multi-axis half-layout inverse
+    copies coeffs once and then runs its leading-axis inverse FFTs in
+    place (out of place, the first would read coeffs along a strided
+    axis, which costs more than the copy); it is overwritten, and
+    allocated here when not given.  Neither may overlap coeffs, which is
+    left untouched.  For complex128 coefficients the bits are numpy's
+    irfftn (leading axes in ascending order, then the last-axis irfft)
+    or ifftn (the last axis first) with norm="forward".
     """
-    coeffs = np.asarray(coeffs)
-    half = _is_half(coeffs, grid)
-    _count_fft()
+    if type(coeffs) is not np.ndarray:
+        coeffs = np.asarray(coeffs)
+    tail = coeffs.shape[-grid.dims:]
+    half = tail != grid.shape
+    if half and tail != grid.half_shape:
+        raise _layout_error(coeffs, grid)
+    cell = _FFT_COUNTER.get()
+    if cell is not None:
+        cell[0] += 1
     args = grid.axis_args
     if half:
         if grid.dims > 1:
             if work is None:
                 work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
+            np.copyto(work, coeffs)
+            coeffs = work
             for axis in range(grid.dims - 1):
-                _pocketfft.ifft(coeffs, 1.0, axes=args[axis], out=work)
-                coeffs = work
+                _pocketfft.ifft(work, 1.0, axes=args[axis], out=work)
         if out is None:
             shape = (*coeffs.shape[:-1], grid.sizes[-1])
             out = np.empty(shape, dtype=np.result_type(coeffs.real.dtype, 1.0))

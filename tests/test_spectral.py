@@ -1,6 +1,8 @@
 """Grid, wavenumber, symbol, and transform tests with closed-form oracles."""
 import concurrent.futures
+import dataclasses
 import os
+import pickle
 import subprocess
 import sys
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from phistep import spectral
 from phistep.spectral import (
     Grid,
     NonlinearOp,
@@ -49,6 +52,26 @@ def test_grid_half_shape():
     assert Grid.uniform(1, 16, (0.0, 1.0)).half_shape == (9,)
     same = Grid([6, 8, 10], [(0, 1)] * 3)
     assert same == g and hash(same) == hash(g)
+
+
+def test_grid_stored_fields_change_nothing_visible():
+    # dims, half_shape and the transform arguments are stored at
+    # construction but take no part in equality, hashing or the repr, and
+    # replace and pickling rebuild or restore them
+    g = Grid((8, 12), ((0.0, 1.0), (0.0, 2.0)))
+    assert [f.name for f in dataclasses.fields(g) if f.compare] == ["sizes", "domain"]
+    assert g == Grid((8, 12), ((0, 1), (0, 2)))
+    assert hash(g) == hash(((8, 12), ((0.0, 1.0), (0.0, 2.0))))
+    assert repr(g) == "Grid(sizes=(8, 12), domain=((0.0, 1.0), (0.0, 2.0)))"
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        g.dims = 3
+    wider = dataclasses.replace(g, sizes=(8, 12, 4), domain=(*g.domain, (0.0, 1.0)))
+    assert (wider.dims, wider.half_shape, len(wider.axis_args)) == (3, (8, 12, 3), 3)
+    assert dataclasses.replace(g) == g and dataclasses.replace(g).dims == 2
+    back = pickle.loads(pickle.dumps(g))
+    assert back == g and hash(back) == hash(g) and repr(back) == repr(g)
+    assert (back.dims, back.half_shape, back.axis_args, back.forward_scales) == (
+        g.dims, g.half_shape, g.axis_args, g.forward_scales)
 
 
 def test_grid_interval_open_at_right_end():
@@ -339,6 +362,16 @@ def _check_transforms_match_numpy(values, grid, real):
         assert to_values(coeffs, grid, out=into, work=work) is into
         assert into.tobytes() == inverse.tobytes()
     assert coeffs.tobytes() == kept.tobytes()
+    # coeffs may be strided too, the front of a wider array: a half-layout
+    # inverse copies it into work and gives the same bits, and the wider
+    # array is left untouched
+    m = coeffs.shape[-1]
+    wider = np.zeros((*coeffs.shape[:-1], m + 3), coeffs.dtype)
+    wider[..., :m] = coeffs
+    front = wider[..., :m]
+    assert to_values(front, grid).tobytes() == inverse.tobytes()
+    assert to_values(front, grid, work=np.empty_like(coeffs)).tobytes() == inverse.tobytes()
+    assert front.tobytes() == kept.tobytes() and not wider[..., m:].any()
 
 
 @pytest.mark.parametrize("grid", _LAYOUT_GRIDS, ids=lambda g: f"{g.dims}d")
@@ -357,6 +390,53 @@ def test_transforms_equal_public_numpy_fft_on_random_grids(sizes, components, re
     if not real:
         values = values + 1j * rng.standard_normal(values.shape)
     _check_transforms_match_numpy(values, grid, real)
+
+
+class _RecordingKernels:
+    """Stands in for spectral._pocketfft: calls its kernels and records
+    each call as (kernel name, input, axes, out)."""
+
+    def __init__(self, kernels):
+        self.kernels, self.calls = kernels, []
+
+    def __getattr__(self, name):
+        kernel = getattr(self.kernels, name)
+
+        def record(a, factor, axes, out):
+            self.calls.append((name, a, axes, out))
+            return kernel(a, factor, axes=axes, out=out)
+        return record
+
+
+@pytest.mark.parametrize("grid", _LAYOUT_GRIDS[1:], ids=lambda g: f"{g.dims}d")
+@pytest.mark.parametrize("given_work", [True, False], ids=["work", "no-work"])
+def test_half_layout_inverse_runs_its_leading_axes_in_place_in_work(
+        grid, given_work, monkeypatch):
+    # the leading-axis iffts of a half-layout inverse read and write work
+    # (one copy of coeffs, then in place), in ascending axis order, and
+    # the last-axis irfft reads work: no ifft reads coeffs along a
+    # strided leading axis
+    coeffs = to_coeffs(_field(grid, real=True), grid, real=True)
+    kept = coeffs.copy()
+    want = np.fft.irfftn(coeffs, grid.shape, axes=tuple(range(-grid.dims, 0)),
+                         norm="forward")
+    work = np.empty_like(coeffs) if given_work else None
+    kernels = _RecordingKernels(spectral._pocketfft)
+    monkeypatch.setattr(spectral, "_pocketfft", kernels)
+    got = to_values(coeffs, grid, work=work)
+    monkeypatch.undo()
+    assert got.tobytes() == want.tobytes()
+    assert coeffs.tobytes() == kept.tobytes()
+    *leading, last = kernels.calls
+    assert [(name, axes) for name, _, axes, _ in leading] == [
+        ("ifft", grid.axis_args[axis]) for axis in range(grid.dims - 1)]
+    inside = leading[0][1]
+    assert not np.shares_memory(inside, coeffs)
+    if given_work:
+        assert inside is work
+    for _, a, _, out in leading:
+        assert a is out is inside
+    assert last[0] == "irfft" and last[1] is inside and last[3] is got
 
 
 @pytest.mark.parametrize("grid", _LAYOUT_GRIDS, ids=lambda g: f"{g.dims}d")
