@@ -53,6 +53,15 @@ cast on small fields, where that cost is a large share of each product,
 while on larger fields the cast costs no more than the copy's loop and
 the copy would only add memory.
 
+On a 3D field of at least lane.MIN_SPLIT_ENTRIES entries the workspace
+cuts its ops at their evaluations (_segments), and each stretch of
+elementwise ops between two evaluations runs on the two halves of the
+first grid axis of every slot, coefficient and product, one half on the
+lane's worker thread (lane.split), while the transforms split their own
+passes (spectral).  Every entry goes through the same ops in the same
+order, so the bits stay.  The pointwise map and the stability check run
+whole in the calling thread: a user's func need not be pointwise.
+
 Multistep schemes are started by the fixed-point procedure
 `start_multistep`: q - 1 ETDRK2 steps, then iterations of
 
@@ -74,6 +83,7 @@ from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
+from . import lane
 from .errors import UnstableError
 from .phifun import KeyedDiagonal, PhiExpr, eval_phi_exprs, exp_term, gamma_table
 from .spectral import install_fft_counter, remove_fft_counter
@@ -286,6 +296,56 @@ def _run(ops: Sequence[tuple], slots: Sequence[np.ndarray], product: np.ndarray,
             evaluate(slots[a], slots[b])
 
 
+def _halves(shape: tuple) -> Optional[tuple]:
+    """The index tuples of the two halves of axis -3 of a field shaped
+    shape, when its row arithmetic runs in halves: a field of four axes
+    (components and three grid axes, as a 3D system's coefficients are)
+    with at least lane.MIN_SPLIT_ENTRIES entries.  Else None."""
+    if len(shape) != 4 or math.prod(shape) < lane.MIN_SPLIT_ENTRIES:
+        return None
+    cut, rest = shape[-3] // 2, (slice(None), slice(None))
+    return (Ellipsis, slice(None, cut), *rest), (Ellipsis, slice(cut, None), *rest)
+
+
+def _segments(ops: Sequence[tuple], halves: tuple) -> tuple:
+    """ops cut at their evaluations into (first, second, evaluation)
+    segments, as _run_halves runs them: the stretch of elementwise ops
+    before each _EVAL op (or before the end), over the first and over
+    the second half (halves) of every coefficient, then that _EVAL op
+    (None at the end).  A coefficient that does not extend along axis -3
+    broadcasts whole to either half."""
+    def part(kind: int, c, index: tuple):
+        if kind == _DIFF or c.ndim < 3 or c.shape[-3] == 1:
+            return c
+        return c[index]
+
+    segments, stretch = [], []
+    for op in (*ops, None):
+        if op is not None and op[0] != _EVAL:
+            stretch.append(op)
+        elif stretch or op is not None:
+            segments.append((*(tuple((kind, part(kind, c, index), a, b) for kind, c, a, b in stretch)
+                               for index in halves), op))
+            stretch = []
+    return tuple(segments)
+
+
+def _run_halves(segments: Sequence[tuple], slots: Sequence[np.ndarray], products: tuple,
+                h: np.ndarray, evaluate: Callable, halves: tuple) -> None:
+    """Run _segments over slots: each stretch through _run on the two
+    halves of every slot and of the product (products), one half on the
+    lane's worker (lane.split), then its evaluation on whole slots.  Each
+    entry goes through the ops of the stretch in their order, so the
+    bits are those of _run over whole slots."""
+    first, second = ([slot[index] for slot in slots] for index in halves)
+    for ops, others, evaluation in segments:
+        if ops:
+            lane.split(_run, (ops, first, products[0], h, None),
+                       (others, second, products[1], h, None))
+        if evaluation is not None:
+            evaluate(slots[evaluation[2]], slots[evaluation[3]])
+
+
 def _cast_free(rows: Sequence[tuple]) -> tuple:
     """rows with every float64 array of at most np.getbufsize() entries
     replaced by its complex128 copy, made once per distinct array: the
@@ -428,13 +488,18 @@ class _StepWork:
     coefficients.  evaluate(coeffs, out) is the one nonlinear evaluation
     of the loop, which writes N(coeffs) into out and returns it:
     system.evaluator(product), bound once here, when the system has an
-    evaluator, else _copying_evaluator(system).  A workspace belongs to
-    one stepping loop in one thread; a state that must outlive the next
-    step is copied first.
+    evaluator, else _copying_evaluator(system).  halves, fixed here by
+    _halves(shape), is None for a field that runs whole, else the index
+    tuples of the two halves of its first grid axis; products then holds
+    product's two halves.  program is the schedule as run runs it
+    (lower).  A workspace belongs to one stepping loop in one thread,
+    which on a field in halves hands the other half of each stretch to
+    the lane's worker and waits for it within the step; a state that
+    must outlive the next step is copied first.
     """
 
     __slots__ = ("rows", "schedule", "slots", "product", "outputs", "ring", "norm", "h",
-                 "evaluate")
+                 "evaluate", "halves", "products", "program")
 
     def __init__(self, scheme: PrecomputedScheme, shape: tuple, system):
         def field() -> np.ndarray:
@@ -451,6 +516,23 @@ class _StepWork:
         self.h = np.array(complex(scheme.h))
         bind = getattr(system, "evaluator", None)
         self.evaluate = _copying_evaluator(system) if bind is None else bind(self.product)
+        self.halves = _halves(shape)
+        self.products = None if self.halves is None else tuple(
+            self.product[index] for index in self.halves)
+        self.program = self.lower(self.schedule)
+
+    def lower(self, ops: Sequence[tuple]) -> tuple:
+        """ops as run runs them: as they are, or cut into _segments when
+        the workspace's field runs in halves."""
+        return tuple(ops) if self.halves is None else _segments(ops, self.halves)
+
+    def run(self, program: tuple, slots: Sequence[np.ndarray]) -> None:
+        """Run a program of lower over slots: through _run, or through
+        _run_halves when the field runs in halves."""
+        if self.halves is None:
+            _run(program, slots, self.product, self.h, self.evaluate)
+        else:
+            _run_halves(program, slots, self.products, self.h, self.evaluate, self.halves)
 
 
 def step(state: SimState, scheme: PrecomputedScheme, system, *,
@@ -462,7 +544,9 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     at the new solution goes into the workspace's ring, keeping the total
     at s evaluations (2s transforms) per step.  The rows of work.rows
     (scheme.rows made cast-free, with the same bits) run as the ops of
-    work.schedule, in one _run: each stage row into its accumulator,
+    work.schedule, in one work.run (one _run, or on a field in halves
+    each stretch between two evaluations as two _runs, one on the lane's
+    worker): each stage row into its accumulator,
     then N(v^i) - N(u^n), formed in place where work.evaluate wrote
     N(v^i); the output row starts as soon as u^n is known and takes each
     term, in its order, once the term's operand exists.  Every row
@@ -473,7 +557,7 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     Without work, fresh buffers are allocated for this system and the
     returned state owns its arrays.  With work (integrate passes one per
     run; it must match the scheme, the system and the shape of
-    state.coeffs and serve one loop in one thread), the new state's
+    state.coeffs and serve one loop in one calling thread), the new state's
     arrays are the workspace's slots for step state.step + 1 (_StepWork):
     the state stays intact through the next step, and the step after may
     reuse its arrays.
@@ -491,7 +575,7 @@ def step(state: SimState, scheme: PrecomputedScheme, system, *,
     slots[0], slots[1] = u, out
     if q > 1:
         slots[2:q + 2] = state.nonlinear[:q]
-    _run(work.schedule, slots, work.product, work.h, work.evaluate)
+    work.run(work.program, slots)
     new_time = state.time + scheme.h
     _check_stable(out, new_time, new_step, state.initial_norm, work.norm)
     nonlinear = ()
@@ -581,8 +665,9 @@ def start_multistep(
     iterate's scale), so UnstableError names the first iterate that fails.
 
     The map is q - 1 rows (e^{jhL}, source u^0, terms (gamma_l(j, hL), l)),
-    made cast-free (_cast_free) and run as ops through _run, the step's
-    loop, in buffers allocated once: operand l >= 1, Delta^l N(u^0), is
+    made cast-free (_cast_free) and run as ops through the ETDRK2
+    workspace's run, the step's loop (so in halves where its steps are),
+    in buffers allocated once: operand l >= 1, Delta^l N(u^0), is
     formed in place over N(u^l), from the top index down, and each u^j
     goes into a spare buffer that swaps with the old u^j once its
     stability check and change are taken.  The ETDRK2 steps' workspace
@@ -628,23 +713,25 @@ def start_multistep(
     made = 2 * q
     slots = [u0, *(evaluate(u, out) for u, out in zip((u0, *old), buffers)), *old,
              work.outputs[1]]
-    diffs = [(_DIFF, i + 1, i, i + 1) for l in range(1, q) for i in range(q - 1, l - 1, -1)]
-    maps = [[(_START, propagator, 0, made),
-             *((_TERM, gamma, l + 1 if l or not delta0_state else 0, made) for gamma, l in terms)]
+    diffs = work.lower([(_DIFF, i + 1, i, i + 1)
+                        for l in range(1, q) for i in range(q - 1, l - 1, -1)])
+    maps = [work.lower([(_START, propagator, 0, made),
+                        *((_TERM, gamma, l + 1 if l or not delta0_state else 0, made)
+                          for gamma, l in terms)])
             for propagator, _, terms in rows]
-    evals = [(_EVAL, None, q + j, j + 1) for j in range(1, q)]
+    evals = work.lower([(_EVAL, None, q + j, j + 1) for j in range(1, q)])
     converged, iterations = False, 0
     tol = max(h ** q, STARTER_FLOOR)
     for iterations in range(1, MAX_STARTER_ITERATIONS + 1):
-        _run(diffs, slots, product, work.h, evaluate)
+        work.run(diffs, slots)
         scale = change = 0.0
         for j, ops in enumerate(maps, start=1):
-            _run(ops, slots, product, work.h, evaluate)
+            work.run(ops, slots)
             new = slots[made]
             scale = max(scale, _check_stable(new, j * h, j, initial_norm, norm))
             change = max(change, _max_norm(np.subtract(new, slots[q + j], product), moduli))
             slots[made], slots[q + j] = slots[q + j], new
-        _run(evals, slots, product, work.h, evaluate)
+        work.run(evals, slots)
         if scale == 0.0 or change <= tol * scale:
             converged = True
             break

@@ -43,6 +43,21 @@ at 64^3), which costs more than the copy and the in-place FFT together.
 Each axis's gufunc axes argument and forward 1/N factor are fixed on the
 Grid.
 
+A 3D transform of at least lane.MIN_SPLIT_ENTRIES coefficient entries
+runs in two phases, each on the two halves of one grid axis, one half
+on the lane's worker thread (lane.split): the passes over the last two
+axes on the halves of the first axis (axis -3; for one component each
+half is one contiguous block), and the pass over the first axis on
+the halves of the second (axis -2), the half-layout inverse's copy into
+work going with it.  A phase is split along an axis that none of its
+passes transforms, so every line stays whole and goes through the same
+kernel, with the same bits; and along the outer of the axes it leaves
+free, so each half is a few long stretches of memory.  Split along the
+last axis instead, the first-axis pass gained little (1.03 ms split
+against 1.09 ms whole at 64^3), while split along axis -2 a 64^3 real
+forward transform took 1.59 ms split against 2.09 ms whole and its
+inverse 1.83 against 2.25 ms, on two cores.
+
 Callers that evaluate nonlinearities in a loop can hand every array in:
 to_coeffs and to_values take out= (and to_values work=, the complex
 array above) and then allocate nothing field-sized.  apply_nonlinear
@@ -64,6 +79,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import lane
 from .errors import PhistepError
 
 try:
@@ -301,6 +317,12 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
         out = np.empty(shape, dtype=np.result_type(values.dtype, 1j))
     args, scales = grid.axis_args, grid.forward_scales
     last = _pocketfft.rfft_n_even if real else _pocketfft.fft
+    if grid.dims == 3 and out.size >= lane.MIN_SPLIT_ENTRIES:
+        fft = _pocketfft.fft
+        _split(grid, (0, ((last, values, scales[2], args[2], out),
+                          (fft, out, scales[1], args[1], out))),
+               (1, ((fft, out, scales[0], args[0], out),)))
+        return out
     last(values, scales[-1], axes=args[-1], out=out)
     for axis in range(grid.dims - 2, -1, -1):
         _pocketfft.fft(out, scales[axis], axes=args[axis], out=out)
@@ -338,6 +360,8 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
     cell = _FFT_COUNTER.get()
     if cell is not None:
         cell[0] += 1
+    if grid.dims == 3 and coeffs.size >= lane.MIN_SPLIT_ENTRIES:
+        return _to_values_in_halves(coeffs, grid, half, real, out, work)
     args = grid.axis_args
     if half:
         if grid.dims > 1:
@@ -357,6 +381,49 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
     for axis in range(grid.dims - 2, -1, -1):
         _pocketfft.ifft(out, 1.0, axes=args[axis], out=out)
     return out.real if real else out
+
+
+def _to_values_in_halves(coeffs: np.ndarray, grid: Grid, half: bool, real: bool,
+                         out: Optional[np.ndarray], work: Optional[np.ndarray]) -> np.ndarray:
+    """to_values of a 3D field as two phases of halves (_split), with the
+    same arrays allocated when not given and the same bits."""
+    args, ifft = grid.axis_args, _pocketfft.ifft
+    if half:
+        if work is None:
+            work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
+        if out is None:
+            shape = (*coeffs.shape[:-1], grid.sizes[-1])
+            out = np.empty(shape, dtype=np.result_type(work.real.dtype, 1.0))
+        _split(grid, (1, ((None, coeffs, None, None, work), (ifft, work, 1.0, args[0], work))),
+               (0, ((ifft, work, 1.0, args[1], work), (_pocketfft.irfft, work, 1.0, args[2], out))))
+        return out
+    if out is None:
+        out = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
+    _split(grid, (0, ((ifft, coeffs, 1.0, args[2], out), (ifft, out, 1.0, args[1], out))),
+           (1, ((ifft, out, 1.0, args[0], out),)))
+    return out.real if real else out
+
+
+def _passes(passes: tuple, index: tuple) -> None:
+    """Run passes (gufunc, src, scale, axes, dst), in order, from
+    src[index] into dst[index]; a None gufunc copies."""
+    for gufunc, src, scale, axes, dst in passes:
+        if gufunc is None:
+            np.copyto(dst[index], src[index])
+        else:
+            gufunc(src[index], scale, axes=axes, out=dst[index])
+
+
+def _split(grid: Grid, *phases: tuple) -> None:
+    """Run a 3D transform as phases (axis, passes), in order, each on the
+    two halves of grid axis axis (0 or 1), one half on the lane's worker
+    (lane.split).  No pass of a phase transforms along its split axis,
+    so each half's lines are whole, and every line goes through the same
+    kernel as in one call, with the same bits."""
+    for axis, passes in phases:
+        cut, rest = grid.sizes[axis] // 2, (slice(None),) * (2 - axis)
+        lane.split(_passes, (passes, (Ellipsis, slice(None, cut), *rest)),
+                   (passes, (Ellipsis, slice(cut, None), *rest)))
 
 
 # ---------------------------------------------------------------------------

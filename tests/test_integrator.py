@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import _oracles
-from phistep import integrator, phifun
+from phistep import integrator, lane, phifun, spectral
 from phistep.errors import UnstableError
 from phistep.integrator import (
     ScalarProbe,
@@ -1050,9 +1050,10 @@ def test_buffered_steps_allocate_no_field_of_their_own(scheme):
     # differences write into the workspace, and a multistep N(u^{n+1})
     # into its ring), and an evaluation no more than the problem's own
     # pointwise func makes; tracemalloc marks at each evaluation's entry
-    # and exit keep the two bounds apart
+    # and exit keep the two bounds apart; at 48^3 the arithmetic runs in
+    # two halves, one on the lane's worker
     problem = get_problem("sh3")
-    system = discretize(problem, default_grid(problem, size=40))
+    system = discretize(problem, default_grid(problem, size=48))
     engine = prepare_scheme(scheme, 0.05, system.lam)
     u0 = np.array(system.u0, dtype=complex)
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=float(np.max(np.abs(u0))))
@@ -1081,10 +1082,10 @@ def test_buffered_steps_allocate_no_field_of_their_own(scheme):
     grown = [b[1] - a[0] for a, b in zip(marks, marks[1:])]
     slack = 16 * 1024
     # numpy's cast buffer, of at most bufsize entries, for a real
-    # coefficient array times a complex field
+    # coefficient array times a complex field: one in each lane
     cast = np.getbufsize() * 16
-    assert cast + slack <= min(values.nbytes, u0.nbytes) / 2
-    assert max(grown[::2]) <= cast + slack, grown
+    assert 2 * cast + slack <= min(values.nbytes, u0.nbytes) / 2
+    assert max(grown[::2]) <= 2 * cast + slack, grown
     assert max(grown[1::2]) <= func_peak + slack, (grown, func_peak)
 
 
@@ -1364,6 +1365,72 @@ def test_random_tableaux_step_bit_for_bit_in_the_fields_live_at_once(
         assert _same_state(buffered, reference), buffered.step
 
 
+def _count_splits(patch) -> list:
+    """Lower the split threshold to 0 through patch (a MonkeyPatch) and
+    record the function of every lane.split call."""
+    calls, plain = [], lane.split
+
+    def counting(fn, first, second):
+        calls.append(fn)
+        plain(fn, first, second)
+
+    patch.setattr(lane, "MIN_SPLIT_ENTRIES", 0)
+    patch.setattr(lane, "split", counting)
+    return calls
+
+
+# desk 3D fields of one component (sh3) and of two (schnak3)
+_SPLIT_KEYS = ("sh3", "schnak3")
+
+
+@settings(max_examples=40, deadline=None)
+@given(tab=_random_tableaux(), key=st.sampled_from(_SPLIT_KEYS),
+       scale=st.sampled_from([0.5, 1.0]))
+def test_random_tableaux_step_in_halves_bit_for_bit(tab, key, scale):
+    # with the threshold lowered, a desk 3D workspace runs its row
+    # arithmetic and its transforms in halves, one on the lane's worker;
+    # its steps keep the bits of the reference step, run whole
+    system = _desk_work(key)[0]
+    h, q = 0.05 * scale, tab.steps
+    u0 = np.array(system.u0, dtype=complex)
+    engine = precompute(tab, h, system.lam)
+    tables = _slot_tables(tab, h, system.lam)
+    start = SimState(coeffs=u0, time=0.0, step=0, initial_norm=float(np.max(np.abs(u0))))
+    if q > 1:
+        start = start_multistep(q, h, system, u0).state
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_splits(patch)
+        work = _StepWork(engine, u0.shape, system)
+        assert work.halves is not None
+        buffered = start
+        for _ in range(3):
+            buffered = step(buffered, engine, system, work=work)
+    assert integrator._run in calls and spectral._passes in calls
+    reference = start
+    for _ in range(3):
+        reference = _reference_step(reference, tab, tables, system)
+    assert _same_state(buffered, reference)
+
+
+@pytest.mark.parametrize("delta0", [False, True])
+@pytest.mark.parametrize("q", sorted({info.steps for info in list_schemes()} - {1}))
+@pytest.mark.parametrize("key", _SPLIT_KEYS)
+def test_starter_in_halves_equals_reference_starter_bit_for_bit(monkeypatch, key, q, delta0):
+    # the starter's differences and maps run in halves on a desk 3D
+    # field with the threshold lowered, and its starting values keep the
+    # bits of the reference starter, run whole
+    problem = get_problem(key)
+    system = discretize(problem, default_grid(problem))
+    u0 = np.array(system.u0, dtype=complex)
+    want = _reference_starter(q, 0.05, system, u0, delta0)
+    calls = _count_splits(monkeypatch)
+    got = start_multistep(q, 0.05, system, u0, delta0_state=delta0)
+    assert integrator._run in calls
+    assert (got.iterations, got.converged) == (want.iterations, want.converged)
+    assert [u.tobytes() for u in got.states] == [u.tobytes() for u in want.states]
+    assert [v.tobytes() for v in got.state.nonlinear] == [v.tobytes() for v in want.nonlinear]
+
+
 class _MarkingSystem:
     """A desk system that records the traced (current, peak) memory and
     resets the peak on entry to and exit from every evaluation, through
@@ -1401,9 +1468,10 @@ def test_starter_loop_allocates_no_field_of_its_own():
     # every iteration of the fixed-point loop evaluates N(u^1..u^{q-1});
     # from the first loop evaluation on, the loop's arithmetic between
     # two evaluations allocates no field, and an evaluation no more than
-    # the problem's own pointwise func makes
+    # the problem's own pointwise func makes; at 48^3 the arithmetic runs
+    # in two halves, one on the lane's worker
     problem = get_problem("sh3")
-    system = discretize(problem, default_grid(problem, size=40))
+    system = discretize(problem, default_grid(problem, size=48))
     u0 = np.array(system.u0, dtype=complex)
     q, h = 4, 0.05
     values = to_values(u0, system.grid)
@@ -1420,10 +1488,10 @@ def test_starter_loop_allocates_no_field_of_its_own():
     grown = [b[1] - a[0] for a, b in zip(loop, loop[1:])]
     slack = 16 * 1024
     # numpy's cast buffer, of at most bufsize entries, for a real
-    # coefficient array times a complex field
+    # coefficient array times a complex field: one in each lane
     cast = np.getbufsize() * 16
-    assert cast + slack <= min(values.nbytes, u0.nbytes) / 2
-    assert max(grown[1::2]) <= cast + slack, grown
+    assert 2 * cast + slack <= min(values.nbytes, u0.nbytes) / 2
+    assert max(grown[1::2]) <= 2 * cast + slack, grown
     assert max(grown[::2]) <= func_peak + slack, (grown, func_peak)
 
 

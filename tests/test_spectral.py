@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phistep import spectral
+from phistep import lane, spectral
 from phistep.spectral import (
     Grid,
     NonlinearOp,
@@ -390,6 +390,49 @@ def test_transforms_equal_public_numpy_fft_on_random_grids(sizes, components, re
     if not real:
         values = values + 1j * rng.standard_normal(values.shape)
     _check_transforms_match_numpy(values, grid, real)
+
+
+def _count_splits(patch) -> list:
+    """Lower the split threshold to 0 through patch (a MonkeyPatch) and
+    record the function of every lane.split call."""
+    calls, plain = [], lane.split
+
+    def counting(fn, first, second):
+        calls.append(fn)
+        plain(fn, first, second)
+
+    patch.setattr(lane, "MIN_SPLIT_ENTRIES", 0)
+    patch.setattr(lane, "split", counting)
+    return calls
+
+
+@pytest.mark.parametrize("components", [1, 2])
+@pytest.mark.parametrize("real", [True, False], ids=["half", "full"])
+def test_3d_transforms_in_halves_match_numpy_bit_for_bit(monkeypatch, real, components):
+    # with the threshold lowered, a 3D transform of either layout runs
+    # its passes in two phases of two halves, one on the lane's worker,
+    # and keeps numpy's bits, also into strided out and from a strided
+    # coeffs view
+    calls = _count_splits(monkeypatch)
+    grid = _LAYOUT_GRIDS[2]
+    _check_transforms_match_numpy(_field(grid, real)[:components], grid, real)
+    assert calls and set(calls) == {spectral._passes}
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.sampled_from(range(2, 17, 2)), min_size=3, max_size=3),
+       components=st.integers(1, 2), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_3d_transforms_in_halves_equal_public_numpy_fft_on_random_grids(
+        sizes, components, real, seed):
+    grid = Grid(sizes, ((0.0, 1.0),) * 3)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((components, *grid.shape))
+    if not real:
+        values = values + 1j * rng.standard_normal(values.shape)
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _count_splits(patch)
+        _check_transforms_match_numpy(values, grid, real)
+    assert calls
 
 
 class _RecordingKernels:
