@@ -59,8 +59,10 @@ elementwise ops between two evaluations runs on the two halves of the
 first grid axis of every slot, coefficient and product, one half on the
 lane's worker thread (lane.split), while the transforms split their own
 passes (spectral).  Every entry goes through the same ops in the same
-order, so the bits stay.  The pointwise map and the stability check run
-whole in the calling thread: a user's func need not be pointwise.
+order, so the bits stay.  Each evaluation's pointwise map runs on the
+halves of the first grid axis inside the forward transform's first
+phase (spectral.to_coeffs); the stability check runs whole in the
+calling thread.
 
 Multistep schemes are started by the fixed-point procedure
 `start_multistep`: q - 1 ETDRK2 steps, then iterations of

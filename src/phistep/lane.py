@@ -4,7 +4,8 @@
 fn(*second) on the calling thread, waits for both and re-raises an
 error from either.  numpy releases the interpreter lock inside its FFT
 and ufunc loops, so two halves of one whole-field pass run on two
-cores.  The transforms (spectral) and the step's row arithmetic
+cores.  The transforms (spectral), with the pointwise map that runs in
+the forward transform's first phase, and the step's row arithmetic
 (integrator) use it on 3D fields whose coefficient arrays have at least
 MIN_SPLIT_ENTRIES entries; below that a hand-off (tens of microseconds)
 costs more than half a pass saves.

@@ -1,8 +1,8 @@
 """Model problem registry: semilinear PDEs u_t = L u + N(u) on periodic boxes.
 
 Each problem splits into a constant-coefficient linear part L (applied
-diagonally in Fourier space) and a pointwise nonlinearity N evaluated in
-value space, with the closed-form initial condition, domain, horizon and
+diagonally in Fourier space) and a nonlinearity N evaluated in value
+space by a map that is pointwise over grid points (spectral.NonlinearOp), with the closed-form initial condition, domain, horizon and
 default grid sizes used by the benchmark harness.  The catalog covers
 five 1D problems (Allen-Cahn, Cahn-Hilliard, Korteweg-de Vries,
 Kuramoto-Sivashinsky, nonlinear Schrodinger) and three problems posed in
@@ -18,7 +18,8 @@ numpy evaluates without the general power routine, and they run in place:
 each overwrites the values array it is given and returns it, in the
 operation order of its plain expression (quoted in its docstring), so
 its bits are that expression's.  A cubic map makes one temporary of the
-field's size, the quadratic advective map none.  Each map is a
+field's size (on a 3D field that runs in halves, one of half that size
+per half, spectral.to_coeffs), the quadratic advective map none.  Each map is a
 module-level function: every discretization of a problem holds it.
 """
 from __future__ import annotations
@@ -61,7 +62,7 @@ class Problem:
     desk_size: int
     desk_T: float
     symbol: Callable[[Grid], np.ndarray]
-    func: Callable[[np.ndarray], np.ndarray]  # the pointwise map of N
+    func: Callable[[np.ndarray], np.ndarray]  # the map of N, pointwise over grid points
     ic: Callable[[Grid], np.ndarray]
     outer: Optional[Callable[[Grid], np.ndarray]] = None  # the symbol on func's transform
 

@@ -58,6 +58,15 @@ against 1.09 ms whole at 64^3), while split along axis -2 a 64^3 real
 forward transform took 1.59 ms split against 2.09 ms whole and its
 inverse 1.83 against 2.25 ms, on two cores.
 
+to_coeffs(values, func=f) transforms f(values).  On a field in halves
+(with out given) the map runs in the forward transform's first phase,
+each half of axis -3 going through f and then the last two axes'
+passes on one thread, so the half that the inverse's last phase just
+wrote is mapped by the core that wrote it and each thread's map
+temporaries are half a field; apply_nonlinear evaluates every
+nonlinearity this way.  Elsewhere f runs once, whole, before the
+transform.
+
 Callers that evaluate nonlinearities in a loop can hand every array in:
 to_coeffs and to_values take out= (and to_values work=, the complex
 array above) and then allocate nothing field-sized.  apply_nonlinear
@@ -292,7 +301,8 @@ def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
 
 
 def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
-              out: Optional[np.ndarray] = None) -> np.ndarray:
+              out: Optional[np.ndarray] = None,
+              func: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
     """Forward transform over the trailing grid axes, scaled by 1/npoints.
 
     Leading axes (e.g. a component axis) are preserved.  With real=True
@@ -302,7 +312,16 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     overlap values.  For float64 or complex128 values the bits are
     numpy's rfftn (real) or fftn with norm="forward": the last axis
     first, then the others in place in descending order.
+
+    func, when given, is a pointwise map (NonlinearOp) applied to values
+    first: the result is to_coeffs(func(values), grid, real, out), bit
+    for bit.  On a field that runs in halves, with out given (out fixes
+    the result's type before func runs), func runs on each half of grid
+    axis -3 in the transform's first phase (_passes) and must return an
+    array of that half's shape; otherwise it runs once, here.
     """
+    if func is not None and (out is None or not _in_halves(out, grid)):
+        values, func = func(values), None
     if type(values) is not np.ndarray:
         values = np.asarray(values)
     if values.shape[-grid.dims:] != grid.shape:
@@ -310,17 +329,17 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     cell = _FFT_COUNTER.get()
     if cell is not None:
         cell[0] += 1
-    if real and values.dtype.kind == "c":
+    if real and values.dtype.kind == "c" and func is None:
         values = values.real
     if out is None:
         shape = (*values.shape[:-grid.dims], *grid.half_shape) if real else values.shape
         out = np.empty(shape, dtype=np.result_type(values.dtype, 1j))
     args, scales = grid.axis_args, grid.forward_scales
     last = _pocketfft.rfft_n_even if real else _pocketfft.fft
-    if grid.dims == 3 and out.size >= lane.MIN_SPLIT_ENTRIES:
+    if _in_halves(out, grid):
         fft = _pocketfft.fft
         _split(grid, (0, ((last, values, scales[2], args[2], out),
-                          (fft, out, scales[1], args[1], out))),
+                          (fft, out, scales[1], args[1], out)), func, real),
                (1, ((fft, out, scales[0], args[0], out),)))
         return out
     last(values, scales[-1], axes=args[-1], out=out)
@@ -360,7 +379,7 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
     cell = _FFT_COUNTER.get()
     if cell is not None:
         cell[0] += 1
-    if grid.dims == 3 and coeffs.size >= lane.MIN_SPLIT_ENTRIES:
+    if _in_halves(coeffs, grid):
         return _to_values_in_halves(coeffs, grid, half, real, out, work)
     args = grid.axis_args
     if half:
@@ -404,26 +423,47 @@ def _to_values_in_halves(coeffs: np.ndarray, grid: Grid, half: bool, real: bool,
     return out.real if real else out
 
 
-def _passes(passes: tuple, index: tuple) -> None:
+def _in_halves(coeffs: np.ndarray, grid: Grid) -> bool:
+    """Whether a transform with coefficient array coeffs runs in halves
+    (_split): a 3D field of at least lane.MIN_SPLIT_ENTRIES entries."""
+    return grid.dims == 3 and coeffs.size >= lane.MIN_SPLIT_ENTRIES
+
+
+def _passes(passes: tuple, index: tuple, func: Optional[Callable] = None,
+            real: bool = False) -> None:
     """Run passes (gufunc, src, scale, axes, dst), in order, from
-    src[index] into dst[index]; a None gufunc copies."""
+    src[index] into dst[index]; a None gufunc copies.  func, when given,
+    is a pointwise map run on the first pass's src[index] first, and
+    that pass reads what it returns (its real part when real).  A half
+    of grid axis -3 holds whole grid points, every component of each, so
+    func gives each point the bits it gives it over the whole field."""
     for gufunc, src, scale, axes, dst in passes:
+        part = src[index]
+        if func is not None:
+            mapped = func(part)
+            if type(mapped) is not np.ndarray:
+                mapped = np.asarray(mapped)
+            if mapped.shape != part.shape:
+                raise ValueError(f"func returned shape {mapped.shape} for a half of the "
+                                 f"field of shape {part.shape}; func must be pointwise")
+            part, func = mapped.real if real and mapped.dtype.kind == "c" else mapped, None
         if gufunc is None:
-            np.copyto(dst[index], src[index])
+            np.copyto(dst[index], part)
         else:
-            gufunc(src[index], scale, axes=axes, out=dst[index])
+            gufunc(part, scale, axes=axes, out=dst[index])
 
 
 def _split(grid: Grid, *phases: tuple) -> None:
-    """Run a 3D transform as phases (axis, passes), in order, each on the
-    two halves of grid axis axis (0 or 1), one half on the lane's worker
-    (lane.split).  No pass of a phase transforms along its split axis,
-    so each half's lines are whole, and every line goes through the same
-    kernel as in one call, with the same bits."""
-    for axis, passes in phases:
+    """Run a 3D transform as phases (axis, passes[, func, real]), in
+    order, each on the two halves of grid axis axis (0 or 1), one half on
+    the lane's worker (lane.split), through _passes.  No pass of a phase
+    transforms along its split axis, so each half's lines are whole, and
+    every line goes through the same kernel as in one call, with the
+    same bits."""
+    for axis, passes, *mapped in phases:
         cut, rest = grid.sizes[axis] // 2, (slice(None),) * (2 - axis)
-        lane.split(_passes, (passes, (Ellipsis, slice(None, cut), *rest)),
-                   (passes, (Ellipsis, slice(cut, None), *rest)))
+        lane.split(_passes, (passes, (Ellipsis, slice(None, cut), *rest), *mapped),
+                   (passes, (Ellipsis, slice(cut, None), *rest), *mapped))
 
 
 # ---------------------------------------------------------------------------
@@ -435,7 +475,13 @@ class NonlinearOp:
     """Value-space pointwise map with an optional diagonal outer symbol.
 
     func maps the (components, *grid.shape) value array to an array of the
-    same shape; outer, when present, multiplies the transformed result in
+    same shape, pointwise over grid points: the values it returns at a
+    point depend only on the values at that point, and may couple the
+    components there.  So func may be applied to any part of the field
+    that holds whole points, each of its components, and gives each
+    point the same bits; on a 3D field that runs in halves, to_coeffs
+    applies it to the two halves of grid axis -3, one on the lane's
+    worker thread. outer, when present, multiplies the transformed result in
     coefficient space (e.g. the -D/2 factor of an advective nonlinearity
     -u u_x = -(1/2)(u^2)_x) and must be in the layout of the coefficients
     the op is applied to.  The layout also decides what func sees: real
@@ -446,7 +492,7 @@ class NonlinearOp:
     no reference to its argument.  func may overwrite that array and
     return it, as every registry map does (so a map makes no output
     array of its own), or return a new array; apply_nonlinear transforms
-    whatever it returns, in one path.
+    whatever it returns, in one path (to_coeffs with func).
     """
 
     func: Callable[[np.ndarray], np.ndarray]
@@ -469,7 +515,9 @@ def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid,
                     out: Optional[np.ndarray] = None,
                     values: Optional[np.ndarray] = None) -> np.ndarray:
     """Evaluate F(N(F^{-1} coeffs)): transform to value space, apply the
-    pointwise map, transform back, then apply the outer symbol if any.
+    pointwise map and transform back (to_coeffs with func, which on a
+    3D field in halves maps each half inside the forward transform's
+    first phase), then apply the outer symbol if any.
 
     The result is in the layout of coeffs, which is left untouched.  out
     is a C-contiguous complex array shaped like coeffs that receives the
@@ -485,7 +533,7 @@ def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid,
     if out is None:
         out = np.empty(coeffs.shape, np.result_type(coeffs.dtype, 1j))
     values = to_values(coeffs, grid, out=values, work=out)
-    out = to_coeffs(op.func(values), grid, values.dtype.kind == "f", out)
+    out = to_coeffs(values, grid, values.dtype.kind == "f", out, op.func)
     if op.outer is not None:
         np.multiply(out, op.outer, out)
     return out

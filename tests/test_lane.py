@@ -15,7 +15,7 @@ import pytest
 from phistep import integrator, lane
 from phistep.integrator import SimState, _StepWork, integrate, prepare_scheme, step
 from phistep.problems import default_grid, discretize, get_problem
-from phistep.spectral import Grid, to_coeffs, to_values
+from phistep.spectral import Grid, NonlinearOp, apply_nonlinear, to_coeffs, to_values
 
 
 @pytest.fixture
@@ -127,6 +127,60 @@ def test_the_worker_half_runs_in_the_callers_errstate(fresh_lane):
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError):
             lane.split(np.multiply, (big, big, out), (np.ones(8), np.ones(8), np.empty(8)))
+
+
+def _square_of_inverse(coeffs, grid):
+    """numpy's rfftn of the square of numpy's irfftn of coeffs."""
+    axes = (-3, -2, -1)
+    values = np.fft.irfftn(coeffs, grid.shape, axes=axes, norm="forward")
+    return np.fft.rfftn(values * values, axes=axes, norm="forward")
+
+
+def test_an_error_in_the_workers_half_of_the_map_reaches_the_caller(fresh_lane, monkeypatch):
+    # the map raises on the worker's half only; the error reaches the
+    # caller, as a map's error does whole, and the next evaluation, in
+    # halves, gives numpy's bits
+    monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", 0)
+    grid, _, coeffs = _transform_pair()
+    here = threading.get_ident()
+
+    def fail_on_the_worker(u):
+        if threading.get_ident() != here:
+            raise KeyError("worker half")
+        return u * u
+
+    with pytest.raises(KeyError, match="worker half"):
+        apply_nonlinear(coeffs, NonlinearOp(fail_on_the_worker), grid)
+    assert fresh_lane.thread is not None and not fresh_lane.claim.locked()
+    got = apply_nonlinear(coeffs, NonlinearOp(lambda u: u * u), grid)
+    assert got.tobytes() == _square_of_inverse(coeffs, grid).tobytes()
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "halves"])
+def test_an_overflowing_map_raises_under_errstate(fresh_lane, monkeypatch, split):
+    # the values overflow when squared in the first half of axis -3 only,
+    # the worker's when the map runs in halves: FloatingPointError reaches
+    # the caller either way, and the next evaluation gives numpy's bits
+    monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", 0 if split else 1 << 62)
+    grid, values, coeffs = _transform_pair()
+    values[:, : grid.sizes[0] // 2] = 1e200
+    out = np.empty_like(coeffs)
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError):
+            to_coeffs(values, grid, real=True, out=out, func=lambda u: u * u)
+        got = apply_nonlinear(coeffs, NonlinearOp(lambda u: u * u), grid)
+    assert (fresh_lane.thread is not None) == split
+    assert got.tobytes() == _square_of_inverse(coeffs, grid).tobytes()
+
+
+def test_a_step_in_halves_makes_eight_transforms():
+    # the map runs inside the forward transform: an ETDRK4 step on
+    # sh3 48^3 still counts 8 transforms, 2 per evaluation
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem, size=48))
+    assert system.u0.size >= lane.MIN_SPLIT_ENTRIES
+    result = integrate(system, "etdrk4", 0.1, 0.3)
+    assert result.steps == 3 and result.fft_total == 8 * 3
 
 
 @dataclasses.dataclass(frozen=True)

@@ -3,14 +3,17 @@ import concurrent.futures
 import dataclasses
 import os
 import pickle
+import re
 import subprocess
 import sys
+import threading
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from phistep import lane, spectral
+from phistep.problems import get_problem
 from phistep.spectral import (
     Grid,
     NonlinearOp,
@@ -566,6 +569,94 @@ def test_apply_nonlinear_keeps_single_precision(grid, real):
     want = to_coeffs(values * values, grid, real=real)
     assert want.dtype == np.complex64
     assert out.tobytes() == want.tobytes()
+
+
+def _double_plus_half(u):
+    """A map that returns a new array."""
+    return u * 2.0 + 0.5
+
+
+def _rotate(u):
+    """A map that returns complex values, also for real ones."""
+    return u * (1.0 + 2.0j)
+
+
+# (func, components, real): each 3D registry map in the layouts it runs
+# in (gl's |u|^2 needs complex values), and two custom maps
+_MAPS_IN_HALVES = {
+    "sh3-half": (get_problem("sh3").func, 1, True),
+    "sh3-full": (get_problem("sh3").func, 1, False),
+    "gl3-full": (get_problem("gl3").func, 1, False),
+    "schnak3-half": (get_problem("schnak3").func, 2, True),
+    "schnak3-full": (get_problem("schnak3").func, 2, False),
+    "new-array-half": (_double_plus_half, 2, True),
+    "complex-for-real-half": (_rotate, 1, True),
+    "complex-full": (_rotate, 2, False),
+}
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=st.sampled_from(sorted(_MAPS_IN_HALVES)),
+       sizes=st.lists(st.sampled_from(range(2, 13, 2)), min_size=3, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+def test_apply_nonlinear_in_halves_equals_the_whole_map_bit_for_bit(case, sizes, seed):
+    # with the threshold lowered, apply_nonlinear maps each half of grid
+    # axis -3 inside the forward transform's first phase, one half on
+    # the lane's worker, and gives the bits of the map and transforms run
+    # whole
+    func, components, real = _MAPS_IN_HALVES[case]
+    grid = Grid(sizes, ((0.0, 1.0),) * 3)
+    coeffs = to_coeffs(_field(grid, real, seed % 1000)[:components], grid, real=real)
+    kept = coeffs.copy()
+    seen = []
+
+    def watched(u):
+        seen.append((u.shape, threading.get_ident()))
+        return func(u)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(lane, "MIN_SPLIT_ENTRIES", 1 << 62)
+        # a last axis of 2 points reads as full, so values are complex there
+        values = to_values(coeffs, grid)
+        want = to_coeffs(func(values), grid, real=values.dtype.kind == "f")
+        patch.setattr(lane, "MIN_SPLIT_ENTRIES", 0)
+        got = apply_nonlinear(coeffs, NonlinearOp(watched), grid)
+    assert got.tobytes() == want.tobytes()
+    assert coeffs.tobytes() == kept.tobytes()
+    n = sizes[0]
+    assert sorted(shape for shape, _ in seen) == [
+        (components, n // 2, *sizes[1:]), (components, n - n // 2, *sizes[1:])]
+    assert {thread for _, thread in seen} == {lane._lane.thread.ident, threading.get_ident()}
+
+
+@pytest.mark.parametrize("split", [False, True], ids=["whole", "halves"])
+def test_a_func_that_is_not_pointwise_fails_loudly(monkeypatch, split):
+    # a map that reduces an axis is rejected by the transform whole, and
+    # in halves by the check that names the half's shape and func's
+    monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", 0 if split else 1 << 62)
+    grid = _LAYOUT_GRIDS[2]
+    coeffs = to_coeffs(_field(grid, real=True), grid, real=True)
+    reduced = NonlinearOp(lambda u: u.sum(axis=-1, keepdims=True))
+    if split:
+        message = (f"func returned shape {(2, 3, 8, 1)} for a half of the field of "
+                   f"shape {(2, 3, 8, 10)}")
+    else:
+        message = f"field shape {(2, 6, 8, 1)} does not end in {grid.shape}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        apply_nonlinear(coeffs, reduced, grid)
+
+
+def test_to_coeffs_applies_func_first(monkeypatch):
+    # to_coeffs(values, func=f) is to_coeffs(f(values)) bit for bit: whole
+    # on 1D, 2D and small 3D fields, and without out (which fixes the
+    # result's type) also on a field that would run in halves
+    monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", 0)
+    for grid in _LAYOUT_GRIDS:
+        for real in (True, False):
+            values = _field(grid, real)
+            want = to_coeffs(_rotate(values), grid, real=real)
+            got = to_coeffs(values, grid, real=real, func=_rotate)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_cube_of_constant():
