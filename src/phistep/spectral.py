@@ -317,13 +317,14 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     first: the result is to_coeffs(func(values), grid, real, out), bit
     for bit.  On a field that runs in halves, with out given (out fixes
     the result's type before func runs), func runs on each half of grid
-    axis -3 in the transform's first phase (_passes) and must return an
-    array of that half's shape; otherwise it runs once, here.
+    axis -3 in the transform's first phase (_passes); otherwise it runs
+    once, here.  Either way what it returns must have its argument's
+    shape (_mapped).
     """
-    if func is not None and (out is None or not _in_halves(out, grid)):
-        values, func = func(values), None
     if type(values) is not np.ndarray:
         values = np.asarray(values)
+    if func is not None and (out is None or not _in_halves(out, grid)):
+        values, func = _mapped(func, values), None
     if values.shape[-grid.dims:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
     cell = _FFT_COUNTER.get()
@@ -429,6 +430,18 @@ def _in_halves(coeffs: np.ndarray, grid: Grid) -> bool:
     return grid.dims == 3 and coeffs.size >= lane.MIN_SPLIT_ENTRIES
 
 
+def _mapped(func: Callable, values: np.ndarray) -> np.ndarray:
+    """func(values) as an ndarray, which must have values' shape: a map
+    that reduces or reshapes fails here, whole or on a half."""
+    mapped = func(values)
+    if type(mapped) is not np.ndarray:
+        mapped = np.asarray(mapped)
+    if mapped.shape != values.shape:
+        raise ValueError(f"func returned shape {mapped.shape} for values of shape "
+                         f"{values.shape}; it must be pointwise")
+    return mapped
+
+
 def _passes(passes: tuple, index: tuple, func: Optional[Callable] = None,
             real: bool = False) -> None:
     """Run passes (gufunc, src, scale, axes, dst), in order, from
@@ -440,13 +453,9 @@ def _passes(passes: tuple, index: tuple, func: Optional[Callable] = None,
     for gufunc, src, scale, axes, dst in passes:
         part = src[index]
         if func is not None:
-            mapped = func(part)
-            if type(mapped) is not np.ndarray:
-                mapped = np.asarray(mapped)
-            if mapped.shape != part.shape:
-                raise ValueError(f"func returned shape {mapped.shape} for a half of the "
-                                 f"field of shape {part.shape}; func must be pointwise")
-            part, func = mapped.real if real and mapped.dtype.kind == "c" else mapped, None
+            part, func = _mapped(func, part), None
+            if real and part.dtype.kind == "c":
+                part = part.real
         if gufunc is None:
             np.copyto(dst[index], part)
         else:

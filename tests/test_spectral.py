@@ -630,20 +630,19 @@ def test_apply_nonlinear_in_halves_equals_the_whole_map_bit_for_bit(case, sizes,
 
 
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "halves"])
-def test_a_func_that_is_not_pointwise_fails_loudly(monkeypatch, split):
-    # a map that reduces an axis is rejected by the transform whole, and
-    # in halves by the check that names the half's shape and func's
+@pytest.mark.parametrize("reduce", [lambda u: u.sum(axis=-1, keepdims=True),
+                                    lambda u: u[:1]], ids=["grid-axis", "component"])
+def test_a_func_that_is_not_pointwise_fails_loudly(monkeypatch, split, reduce):
+    # a map that reduces a grid axis or drops a component (which the
+    # transform would broadcast) is rejected, whole or on each half, by
+    # a check that names the shape func returned and its argument's
     monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", 0 if split else 1 << 62)
     grid = _LAYOUT_GRIDS[2]
     coeffs = to_coeffs(_field(grid, real=True), grid, real=True)
-    reduced = NonlinearOp(lambda u: u.sum(axis=-1, keepdims=True))
-    if split:
-        message = (f"func returned shape {(2, 3, 8, 1)} for a half of the field of "
-                   f"shape {(2, 3, 8, 10)}")
-    else:
-        message = f"field shape {(2, 6, 8, 1)} does not end in {grid.shape}"
+    argument = (2, 3, 8, 10) if split else (2, 6, 8, 10)
+    message = f"func returned shape {reduce(np.empty(argument)).shape} for values of shape {argument}"
     with pytest.raises(ValueError, match=re.escape(message)):
-        apply_nonlinear(coeffs, reduced, grid)
+        apply_nonlinear(coeffs, NonlinearOp(reduce), grid)
 
 
 def test_to_coeffs_applies_func_first(monkeypatch):
