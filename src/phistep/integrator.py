@@ -59,9 +59,9 @@ elementwise ops between two evaluations runs on the two halves of the
 first grid axis of every slot, coefficient and product, one half on the
 lane's worker thread (lane.split), while the transforms split their own
 passes (spectral).  Every entry goes through the same ops in the same
-order, so the bits stay.  Each evaluation's pointwise map runs on the
-halves of the first grid axis inside the forward transform's first
-phase (spectral.to_coeffs); the stability check runs whole in the
+order, so the bits stay.  A DiscreteSystem's evaluation maps the same
+halves of the first grid axis inside its forward transform's first
+phase (spectral.apply_nonlinear); the stability check runs whole in the
 calling thread.
 
 Multistep schemes are started by the fixed-point procedure

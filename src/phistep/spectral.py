@@ -317,14 +317,14 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     first: the result is to_coeffs(func(values), grid, real, out), bit
     for bit.  On a field that runs in halves, with out given (out fixes
     the result's type before func runs), func runs on each half of grid
-    axis -3 in the transform's first phase (_passes); otherwise it runs
-    once, here.  Either way what it returns must have its argument's
-    shape (_mapped).
+    axis -3 in the transform's first phase (_passes), and what it returns
+    must have its argument's shape; otherwise it runs once, here.
     """
+    if func is not None and (grid.dims < 3 or out is None
+                             or out.size < lane.MIN_SPLIT_ENTRIES):
+        values, func = func(values), None
     if type(values) is not np.ndarray:
         values = np.asarray(values)
-    if func is not None and (out is None or not _in_halves(out, grid)):
-        values, func = _mapped(func, values), None
     if values.shape[-grid.dims:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
     cell = _FFT_COUNTER.get()
@@ -337,7 +337,7 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
         out = np.empty(shape, dtype=np.result_type(values.dtype, 1j))
     args, scales = grid.axis_args, grid.forward_scales
     last = _pocketfft.rfft_n_even if real else _pocketfft.fft
-    if _in_halves(out, grid):
+    if grid.dims == 3 and out.size >= lane.MIN_SPLIT_ENTRIES:
         fft = _pocketfft.fft
         _split(grid, (0, ((last, values, scales[2], args[2], out),
                           (fft, out, scales[1], args[1], out)), func, real),
@@ -380,7 +380,7 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
     cell = _FFT_COUNTER.get()
     if cell is not None:
         cell[0] += 1
-    if _in_halves(coeffs, grid):
+    if grid.dims == 3 and coeffs.size >= lane.MIN_SPLIT_ENTRIES:
         return _to_values_in_halves(coeffs, grid, half, real, out, work)
     args = grid.axis_args
     if half:
@@ -424,24 +424,6 @@ def _to_values_in_halves(coeffs: np.ndarray, grid: Grid, half: bool, real: bool,
     return out.real if real else out
 
 
-def _in_halves(coeffs: np.ndarray, grid: Grid) -> bool:
-    """Whether a transform with coefficient array coeffs runs in halves
-    (_split): a 3D field of at least lane.MIN_SPLIT_ENTRIES entries."""
-    return grid.dims == 3 and coeffs.size >= lane.MIN_SPLIT_ENTRIES
-
-
-def _mapped(func: Callable, values: np.ndarray) -> np.ndarray:
-    """func(values) as an ndarray, which must have values' shape: a map
-    that reduces or reshapes fails here, whole or on a half."""
-    mapped = func(values)
-    if type(mapped) is not np.ndarray:
-        mapped = np.asarray(mapped)
-    if mapped.shape != values.shape:
-        raise ValueError(f"func returned shape {mapped.shape} for values of shape "
-                         f"{values.shape}; it must be pointwise")
-    return mapped
-
-
 def _passes(passes: tuple, index: tuple, func: Optional[Callable] = None,
             real: bool = False) -> None:
     """Run passes (gufunc, src, scale, axes, dst), in order, from
@@ -453,9 +435,13 @@ def _passes(passes: tuple, index: tuple, func: Optional[Callable] = None,
     for gufunc, src, scale, axes, dst in passes:
         part = src[index]
         if func is not None:
-            part, func = _mapped(func, part), None
-            if real and part.dtype.kind == "c":
-                part = part.real
+            mapped = func(part)
+            if type(mapped) is not np.ndarray:
+                mapped = np.asarray(mapped)
+            if mapped.shape != part.shape:
+                raise ValueError(f"func returned shape {mapped.shape} for values of shape "
+                                 f"{part.shape}; it must be pointwise")
+            part, func = mapped.real if real and mapped.dtype.kind == "c" else mapped, None
         if gufunc is None:
             np.copyto(dst[index], part)
         else:
@@ -490,8 +476,8 @@ class NonlinearOp:
     that holds whole points, each of its components, and gives each
     point the same bits; on a 3D field that runs in halves, to_coeffs
     applies it to the two halves of grid axis -3, one on the lane's
-    worker thread. outer, when present, multiplies the transformed result in
-    coefficient space (e.g. the -D/2 factor of an advective nonlinearity
+    worker thread.  outer, when present, multiplies the transformed
+    result in coefficient space (e.g. the -D/2 factor of an advective nonlinearity
     -u u_x = -(1/2)(u^2)_x) and must be in the layout of the coefficients
     the op is applied to.  The layout also decides what func sees: real
     values for half-layout coefficients, complex values for full-layout
