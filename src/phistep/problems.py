@@ -2,8 +2,9 @@
 
 Each problem splits into a constant-coefficient linear part L (applied
 diagonally in Fourier space) and a nonlinearity N evaluated in value
-space by a map that is pointwise over grid points (spectral.NonlinearOp), with the closed-form initial condition, domain, horizon and
-default grid sizes used by the benchmark harness.  The catalog covers
+space by a map that is pointwise over grid points (spectral.NonlinearOp),
+with the closed-form initial condition, domain, horizon and default
+grid sizes used by the benchmark harness.  The catalog covers
 five 1D problems (Allen-Cahn, Cahn-Hilliard, Korteweg-de Vries,
 Kuramoto-Sivashinsky, nonlinear Schrodinger) and three problems posed in
 both 2D and 3D (complex Ginzburg-Landau, Schnakenberg, Swift-Hohenberg).
@@ -19,8 +20,9 @@ each overwrites the values array it is given and returns it, in the
 operation order of its plain expression (quoted in its docstring), so
 its bits are that expression's.  A cubic map makes one temporary of the
 field's size (on a 3D field that runs in halves, one of half that size
-per half, spectral.to_coeffs), the quadratic advective map none.  Each map is a
-module-level function: every discretization of a problem holds it.
+per half, spectral.to_coeffs), the quadratic advective map none.  Each
+map is a module-level function: every discretization of a problem
+holds it.
 """
 from __future__ import annotations
 
