@@ -87,7 +87,7 @@ import numpy as np
 
 from . import lane
 from .errors import UnstableError
-from .phifun import KeyedDiagonal, PhiExpr, eval_phi_exprs, exp_term, gamma_table
+from .phifun import KeyedDiagonal, PhiExpr, eval_phi_exprs, exp_term, gamma_tables
 from .spectral import install_fft_counter, remove_fft_counter
 from .tableau import SchemeInfo, Tableau, get_scheme
 
@@ -681,9 +681,11 @@ def start_multistep(
 
     diag is h*system.lam keyed once (integrate passes the one it keyed
     for the scheme), or None to key it here.  The e^{jhL} come from one
-    eval_phi_exprs call, each gamma_0..gamma_{q-1}(j, hL) from one cached
-    phifun.gamma_table per j, so schemes with the same q at the same h
-    (abnorsett4 and genlawson43, or a repeated integration) share tables.
+    eval_phi_exprs call, and the tables gamma_0..gamma_{q-1}(j, hL) for
+    j = 1..q-1 from one phifun.gamma_tables call: each table is cached on
+    its own, and those not cached come from one kernel pass over their j,
+    so schemes with the same q at the same h (abnorsett4 and genlawson43,
+    or a repeated integration) share tables.
 
     delta0_state reproduces a printed variant in which the l = 0 term
     uses the state u^0 itself instead of N(u^0) (operand 0 is u^0); it is
@@ -704,9 +706,9 @@ def start_multistep(
         state = step(state, boot, system, work=work)
         old.append(state.coeffs.copy())
     propagators = eval_phi_exprs([exp_term(1, j) for j in range(1, q)], diag)
-    rows = _cast_free([(propagator, 0,
-                        tuple((gamma, l) for l, gamma in enumerate(gamma_table(q, j, diag))))
-                       for j, propagator in enumerate(propagators, start=1)])
+    tables = gamma_tables(q, range(1, q), diag)
+    rows = _cast_free([(propagator, 0, tuple((gamma, l) for l, gamma in enumerate(table)))
+                       for propagator, table in zip(propagators, tables)])
     evaluate, product, norm = work.evaluate, work.product, work.norm
     moduli = _real_view(work.outputs[0])
     pooled = work.slots[_state_slots(1):]

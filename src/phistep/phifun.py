@@ -29,27 +29,31 @@ values at its entries.
 
 A KeyedDiagonal is keyed, tested for realness and split into its
 distinct entries once; the kernels run on the distinct entries in
-slices of bounded size (_rows), so eval_phi_exprs and gamma_table
+slices of bounded size (_rows), so eval_phi_exprs and gamma_tables
 evaluate, scale and accumulate at distinct length and scatter each
 result back to every repeat once.
 
-The phi recurrence yields phi_0..phi_l on its way to phi_l, so
-phi_values also takes a sequence of indices and evaluates those rows in
-one pass, sharing exp(z) and the recurrence (_phi_rows), each with the
-bits of its own one-index call.  Every phi term of a row program that
-shares an argument scale (ETDRK4's phi_1, phi_2 and phi_3 at z) is thus
-one pass: eval_phi_exprs takes all of a scheme's expressions at once and
-groups the phi terms of the uncached ones by scale.
+Every kernel call does all of its rows at once, each row with the bits
+of its own one-row evaluation.  The phi recurrence yields phi_0..phi_l
+on its way to phi_l, so phi_values also takes a sequence of indices and
+evaluates those rows in one pass (_phi_rows): exp(z) and the recurrence
+are shared, and so is one series loop over the entries near zero for
+any row, in which each row stops at its own last term.  Every phi term
+of a row program that shares an argument scale (ETDRK4's phi_1, phi_2
+and phi_3 at z) is thus one pass: eval_phi_exprs takes all of a
+scheme's expressions at once and groups the phi terms of the uncached
+ones by scale.
 
 The gamma kernels run in long double.  Their series coefficients are
 exact rationals, built once per (j, k) in integer arithmetic and kept as
-long-double scalars for an in-place Horner loop.  The gamma recurrence
-yields gamma_0..gamma_j on its way to gamma_j, so gamma_values also
-takes a sequence of indices and evaluates those rows in one pass, each
-with the bits of its own one-index call.  A multistep starter needs the
-table gamma_0..gamma_{q-1}(k, .) for each k < q; gamma_table keeps such
-tables in the same byte-bounded cache as the expression arrays of
-eval_phi_exprs, keyed by the diagonal's digest.
+long-double scalars for an in-place Horner loop.  A multistep starter
+needs the table gamma_0..gamma_{q-1}(k, .) for each k < q: one gamma
+pass (_gamma_rows) runs the recurrence for every k at once and one
+Horner loop over all q * (q - 1) rows, so a starter's tables take one
+pass per (q, diagonal).  gamma_tables keeps each table in the same
+byte-bounded cache as the expression arrays of eval_phi_exprs, keyed by
+(q, k) and the diagonal's digest, and makes the missing ones in one
+pass; gamma_values (one k, one or several j) runs the same kernel.
 """
 from __future__ import annotations
 
@@ -103,30 +107,22 @@ def _series_radius(index: int) -> float:
 # scalar / vectorized kernels
 
 
-def _phi_series(index: int, z: np.ndarray) -> np.ndarray:
-    """Truncated power series sum_j z^j / (j + index)! on an ndarray."""
-    term = np.full(z.shape, 1.0 / math.factorial(index), dtype=np.complex128)
-    total = term.copy()
-    for j in range(1, _SERIES_MAX_TERMS + 1):
-        term = term * z / (index + j)
-        total += term
-        if np.all(np.abs(term) <= _SERIES_TOL * np.abs(total)):
-            break
-    return total
-
-
 def _phi_rows(rows: Sequence[int], z: np.ndarray) -> np.ndarray:
     """phi_l for each l in rows at every entry of a complex ndarray,
     stacked on a leading axis.
 
     exp(z) and the upward recurrence phi_{l+1} = (phi_l - 1/l!) / z run
     once, on all of z, up to the top index; each requested index >= 1
-    then takes its own truncated series where |z| is below its switch
-    radius, where the recurrence is unstable (Kassam & Trefethen 2005).
-    The recurrence there, overflow and division by z = 0 included, is
-    discarded, so its warnings are not reported.  Every step is
-    entrywise and in place, so each row has the bits of a one-index
-    evaluation.
+    then takes the truncated series sum_j z^j / (j + l)! where |z| is
+    below its switch radius, where the recurrence is unstable (Kassam &
+    Trefethen 2005).  The recurrence there, overflow and division by
+    z = 0 included, is discarded, so its warnings are not reported.
+
+    One series loop serves every row, on the entries near for any of
+    them.  Each row tests convergence on its own near entries only and
+    is frozen once converged, so it stops at the term of a one-row
+    series over those entries; every step is entrywise and in place, so
+    each row has the bits of a one-index evaluation.
     """
     out = np.empty((len(rows), *z.shape), dtype=np.complex128)
     with np.errstate(all="ignore"):
@@ -139,13 +135,27 @@ def _phi_rows(rows: Sequence[int], z: np.ndarray) -> np.ndarray:
                 if index == l:
                     row[...] = p
     del p  # freed before the series' temporaries arrive
-    size = np.abs(z)
-    for row, index in zip(out, rows):
-        if not index:
-            continue
-        near = size < _series_radius(index)
-        if near.any():
-            row[near] = _phi_series(index, z[near])
+    series = [(row, index) for row, index in zip(out, rows) if index]
+    indices = np.array([index for _, index in series])[:, None]
+    near = np.abs(z) < np.array([_series_radius(index) for _, index in series])[:, None]
+    union = near.any(axis=0)
+    if not union.any():
+        return out
+    zn, own = z[union], near[:, union]
+    term = np.empty(own.shape, dtype=np.complex128)
+    term[...] = 1.0 / np.array([math.factorial(index) for _, index in series])[:, None]
+    total = term.copy()
+    active, far = own.any(axis=1)[:, None], ~own
+    for j in range(1, _SERIES_MAX_TERMS + 1):
+        term *= zn
+        term /= indices + j
+        np.add(total, term, out=total, where=active)
+        converged = far | (np.abs(term) <= _SERIES_TOL * np.abs(total))
+        active &= ~converged.all(axis=1, keepdims=True)
+        if not active.any():
+            break
+    for (row, _), close, keep, values in zip(series, near, own, total):
+        row[close] = values[keep]
     return out
 
 
@@ -215,16 +225,18 @@ def _gamma_horner(j: int, k: int) -> tuple:
     return tuple(_LD(hi) + _LD(lo) for hi, lo in reversed(_gamma_series_coeffs(j, k)))
 
 
-def _gamma_series(j: int, k: int, z: np.ndarray) -> np.ndarray:
-    """The truncated series of gamma_j(k, .) by Horner's rule in long
-    double, in place: out = out * z + c, with the bits of the plain
-    expression."""
-    zl = z.astype(_CLD)
-    out = np.zeros(z.shape, dtype=_CLD)
-    for c in _gamma_horner(j, k):
-        out *= zl
-        out += c
-    return out.astype(np.complex128)
+def _gamma_horner_rows(rows: Sequence[int], ks: Sequence[int]) -> np.ndarray:
+    """_gamma_horner(j, k) for each k in ks and j in rows (k-major) as
+    long-double columns, shaped (terms, len(ks) * len(rows), 1).  A row
+    with fewer terms is padded with leading zeros: Horner's rule from a
+    zero start maps a finite z's zero back to +0 at each of them, so the
+    row keeps the bits of its own terms."""
+    coeffs = [_gamma_horner(j, k) for k in ks for j in rows]
+    terms = max(map(len, coeffs))
+    out = np.zeros((terms, len(coeffs), 1), dtype=_LD)
+    for r, c in enumerate(coeffs):
+        out[terms - len(c):, r, 0] = c
+    return out
 
 
 def _gamma_series_radius(j: int, k: int) -> float:
@@ -234,53 +246,65 @@ def _gamma_series_radius(j: int, k: int) -> float:
     return max(0.5, min(0.7 * max(j, 1), 7.0 / max(k, 1)))
 
 
-def _gamma_recurrence(top: int, k: int, z: np.ndarray) -> list:
-    """gamma_0..gamma_top(k, .) by the upward recurrence, in long double.
+def _gamma_recurrence(top: int, ks: Sequence[int], z: np.ndarray) -> list:
+    """gamma_0..gamma_top(k, .) by the upward recurrence, in long double,
+    for every k in ks at once: row jj has shape (len(ks), z.size).
 
     Every step is in place, which keeps the bits of the plain expressions
-    and holds the temporaries to two arrays.  The recurrence is discarded
-    wherever a row's series takes over, so its overflow or division by
-    z = 0 there is harmless and not reported.
+    for each k and holds the temporaries to two arrays per row.  The
+    recurrence is discarded wherever a row's series takes over, so its
+    overflow or division by z = 0 there is harmless and not reported.
     """
     zl = z.astype(_CLD)
     with np.errstate(all="ignore"):
-        gamma0 = k * zl
+        gamma0 = np.array(ks, dtype=_LD)[:, None] * zl
         np.exp(gamma0, out=gamma0)
         gamma0 -= _LD(1)
         gamma0 /= zl
         rows = [gamma0]
-        scratch = np.empty_like(zl)
+        scratch = np.empty_like(gamma0)
         for jj in range(1, top + 1):
-            acc = np.zeros(z.shape, dtype=_CLD)
+            acc = np.zeros_like(gamma0)
             for m in range(1, jj + 1):
                 acc += np.multiply(_LD((-1) ** (m - 1)) / _LD(m), rows[jj - m], out=scratch)
-            acc -= _LD(math.comb(k, jj))
+            acc -= np.array([math.comb(k, jj) for k in ks], dtype=_LD)[:, None]
             acc /= zl
             rows.append(acc)
     return rows
 
 
-def _gamma_rows(rows: Sequence[int], k: int, z: np.ndarray) -> np.ndarray:
-    """gamma_j(k, .) for each j in rows at every entry of z, stacked on a
-    leading axis.
+def _gamma_rows(rows: Sequence[int], ks: Sequence[int], z: np.ndarray) -> np.ndarray:
+    """gamma_j(k, .) for each k in ks and j in rows at every entry of z,
+    stacked on a leading axis, k-major: row i * len(rows) + r is
+    gamma_{rows[r]}(ks[i], .).
 
-    One long-double recurrence runs rows 0..max(rows) on all of z; each
-    requested row then takes its own truncated series where |z| is below
-    its switch radius.  Each entry gets the bits of a one-row evaluation,
-    since every operation acts entrywise.  Only the entries the series
-    does not replace are cast from long double: near z = 0 the
-    recurrence can exceed the complex128 range, and the cast would warn.
+    One long-double recurrence runs rows 0..max(rows) for every k on all
+    of z; each (k, j) row then takes its own truncated series where |z|
+    is below its switch radius.  The series is one Horner loop over all
+    rows, on the entries near for any of them, each row with its own
+    coefficients (_gamma_horner_rows); a row keeps its own near entries
+    only.  Each entry gets the bits of a one-row evaluation, since every
+    operation acts entrywise.  Only the entries the series does not
+    replace are cast from the recurrence: near z = 0 it can exceed the
+    complex128 range, and the cast would warn.
     """
-    recurrence = _gamma_recurrence(max(rows), k, z)
-    size = np.abs(z)
-    near = [size < _gamma_series_radius(j, k) for j in rows]
-    out = np.empty((len(rows), *z.shape), dtype=np.complex128)
-    for row, j, close in zip(out, rows, near):
-        np.copyto(row, recurrence[j], where=~close)
+    recurrence = _gamma_recurrence(max(rows), ks, z)
+    radii = [_gamma_series_radius(j, k) for k in ks for j in rows]
+    near = np.abs(z) < np.array(radii)[:, None]
+    out = np.empty((len(radii), *z.shape), dtype=np.complex128)
+    parts = (recurrence[j][i] for i in range(len(ks)) for j in rows)
+    for row, part, close in zip(out, parts, near):
+        np.copyto(row, part, where=~close)
     del recurrence  # freed before the series' temporaries arrive
-    for row, j, close in zip(out, rows, near):
-        if close.any():
-            row[close] = _gamma_series(j, k, z[close])
+    union = near.any(axis=0)
+    if union.any():
+        zl = z[union].astype(_CLD)
+        acc = np.zeros((len(radii), zl.size), dtype=_CLD)
+        for c in _gamma_horner_rows(rows, ks):
+            acc *= zl
+            acc += c
+        for row, close, values in zip(out, near, acc):
+            row[close] = values[close[union]]
     return out
 
 
@@ -290,8 +314,9 @@ def _gamma_rows(rows: Sequence[int], k: int, z: np.ndarray) -> np.ndarray:
 
 # Byte budget of the entries handed to a kernel in one call (4096
 # complex128 entries).  A kernel's temporaries are a fixed multiple of its
-# input (the gamma recurrence holds up to MAX_INDEX + 1 long-double copies),
-# so this bounds the working memory of an evaluation whatever the
+# input (the gamma recurrence holds up to MAX_INDEX + 1 long-double copies
+# per k, and a gamma pass over several k takes a slice narrowed by their
+# number), so this bounds the working memory of an evaluation whatever the
 # diagonal's length.
 _BLOCK_BYTES = 1 << 16
 
@@ -356,25 +381,40 @@ class KeyedDiagonal:
         return rows.reshape((*lead, *self.shape))
 
 
-def _rows(kernel, nrows: int, diag: KeyedDiagonal, scale: Optional[float] = None) -> np.ndarray:
-    """kernel's nrows rows at scale * diag.distinct (diag.distinct itself
-    for scale None), shaped (nrows, distinct.size), left for diag.scatter.
+def _tables(kernel, size: int, count: int, diag: KeyedDiagonal,
+            scale: Optional[float] = None) -> list:
+    """kernel's rows at scale * diag.distinct (diag.distinct itself for
+    scale None) as count tables of size rows, each its own array shaped
+    (size, distinct.size), so that the cache frees one without the
+    others, and left for diag.scatter.
 
-    kernel acts entrywise on a 1-D complex array and stacks its rows on a
-    new leading axis.  It runs once per distinct entry (a 2D Laplacian
-    has O(N) distinct values on an N^2 grid), on slices of at most
-    _BLOCK_BYTES, so its working memory is bounded whatever the
-    diagonal's length; the slicing changes no bit.  The rows are float64,
-    the real parts, when diag is real, and complex128 otherwise.
+    kernel acts entrywise on a 1-D complex array and stacks its
+    count * size rows, table by table, on a new leading axis.  It runs
+    once per distinct entry (a 2D Laplacian has O(N) distinct values on
+    an N^2 grid), on slices of at most _BLOCK_BYTES // count, so its
+    working memory is bounded whatever the diagonal's length: the
+    temporaries of a kernel that fills several tables (the gamma pass,
+    one per k) grow with their number.  The slicing changes no bit of a
+    kernel without a data-dependent stop; the phi series stops on the
+    entries of its slice, so the phi kernel fills one table.  The rows
+    are float64, the real parts, when diag is real, and complex128
+    otherwise.
     """
     # no product for scale None: 1.0 * z can flip the sign of a zero part
     z = diag.distinct if scale is None else scale * diag.distinct
-    out = np.empty((nrows, z.size), dtype=np.float64 if diag.real else np.complex128)
-    width = _BLOCK_BYTES // z.itemsize
+    dtype = np.float64 if diag.real else np.complex128
+    out = [np.empty((size, z.size), dtype=dtype) for _ in range(count)]
+    width = _BLOCK_BYTES // z.itemsize // count
     for start in range(0, z.size, width):
         block = kernel(z[start : start + width])
-        out[:, start : start + width] = block.real if diag.real else block
+        for table, rows in zip(out, block.reshape(count, size, -1)):
+            table[:, start : start + width] = rows.real if diag.real else rows
     return out
+
+
+def _rows(kernel, nrows: int, diag: KeyedDiagonal, scale: Optional[float] = None) -> np.ndarray:
+    """_tables' one table of nrows rows."""
+    return _tables(kernel, nrows, 1, diag, scale)[0]
 
 
 def _indices(index, what: str) -> tuple:
@@ -426,12 +466,12 @@ def gamma_values(j, k: int, lam):
     j may also be a sequence of indices, e.g. range(q): the rows are then
     evaluated in one pass, sharing the recurrence, and returned stacked
     as in phi_values.  Every row has the bits of its own one-index call.
-    gamma_table keeps such tables in the phi cache.
+    gamma_tables keeps such tables in the phi cache.
     """
     single, rows = _indices(j, "gamma")
     if not 1 <= k <= MAX_INDEX:
         raise ValueError(f"gamma step multiplier must be in [1, {MAX_INDEX}], got {k}")
-    return _values(single, rows, partial(_gamma_rows, rows, k), lam)
+    return _values(single, rows, partial(_gamma_rows, rows, (k,)), lam)
 
 
 def gamma_scalar(j: int, k: int, z: complex) -> complex:
@@ -736,15 +776,26 @@ def _sum_terms(expr: PhiExpr, diag: KeyedDiagonal, terms: dict) -> np.ndarray:
     return out
 
 
+def gamma_tables(q: int, ks: Sequence[int], diag: KeyedDiagonal) -> list:
+    """gamma_0..gamma_{q-1}(k, .) over a keyed diagonal for each k in
+    ks, each stacked on a leading axis: gamma_values(range(q), k,
+    diag.values), evaluated on the diagonal's distinct entries and
+    scattered once; read only, cached on (q, k, diagonal digest) in the
+    phi cache and evicted with the other arrays under its byte budget.
+
+    The tables not cached come from one kernel pass over all their k
+    (_gamma_rows), on slices narrowed by their number, so the pass holds
+    the working memory of one k."""
+    keys = [("gamma", q, k, diag.digest) for k in ks]
+    tables = [_EVAL_CACHE.get(key) for key in keys]
+    todo = [i for i, table in enumerate(tables) if table is None]
+    if todo:
+        made = _tables(partial(_gamma_rows, range(q), [ks[i] for i in todo]), q, len(todo), diag)
+        for i, rows in zip(todo, made):
+            tables[i] = _EVAL_CACHE.put(keys[i], diag.scatter(rows))
+    return tables
+
+
 def gamma_table(q: int, k: int, diag: KeyedDiagonal) -> np.ndarray:
-    """gamma_0..gamma_{q-1}(k, .) over a keyed diagonal, stacked on a
-    leading axis: gamma_values(range(q), k, diag.values), evaluated on
-    the diagonal's distinct entries and scattered once; read only, cached
-    on (q, k, diagonal digest) in the phi cache and evicted with the
-    other arrays under its byte budget."""
-    key = ("gamma", q, k, diag.digest)
-    table = _EVAL_CACHE.get(key)
-    if table is None:
-        rows = _rows(partial(_gamma_rows, range(q), k), q, diag)
-        table = _EVAL_CACHE.put(key, diag.scatter(rows))
-    return table
+    """gamma_tables for the one k."""
+    return gamma_tables(q, (k,), diag)[0]

@@ -545,9 +545,9 @@ def _count_gamma_passes(monkeypatch) -> list:
     passes = []
     kernel = phifun._gamma_rows
 
-    def counting_kernel(rows, k, z):
-        passes.append((tuple(rows), k))
-        return kernel(rows, k, z)
+    def counting_kernel(rows, ks, z):
+        passes.append((tuple(rows), tuple(ks)))
+        return kernel(rows, ks, z)
 
     monkeypatch.setattr(phifun, "_gamma_rows", counting_kernel)
     return passes
@@ -558,8 +558,8 @@ def test_repeated_integration_makes_no_gamma_passes(monkeypatch):
     phifun.clear_eval_cache()
     passes = _count_gamma_passes(monkeypatch)
     first = integrate(system, "pecec736", 0.01, 0.1)
-    # q = 6: one batched pass per k = 1..5 and block, each for rows 0..5
-    assert set(passes) == {(tuple(range(6)), k) for k in range(1, 6)}
+    # q = 6: one pass over k = 1..5 per block, for rows 0..5
+    assert set(passes) == {(tuple(range(6)), tuple(range(1, 6)))}
     passes.clear()
     second = integrate(system, "pecec736", 0.01, 0.1)
     assert passes == []

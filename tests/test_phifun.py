@@ -260,16 +260,28 @@ def _parent_phi_recurrence(index, z):
     return p
 
 
+def _parent_phi_series(index: int, z: np.ndarray) -> np.ndarray:
+    """The one-row phi series that the series loop of _phi_rows
+    replaced, verbatim."""
+    term = np.full(z.shape, 1.0 / math.factorial(index), dtype=np.complex128)
+    total = term.copy()
+    for j in range(1, phifun._SERIES_MAX_TERMS + 1):
+        term = term * z / (index + j)
+        total += term
+        if np.all(np.abs(term) <= phifun._SERIES_TOL * np.abs(total)):
+            break
+    return total
+
+
 def _parent_phi_values(index, z):
     """The one-index phi kernel that _phi_rows replaced, verbatim but for
-    its recurrence, which is the frozen one above (the series is
-    unchanged)."""
+    its recurrence and series, which are the frozen ones above."""
     if index == 0:
         return np.exp(z)
     out = np.empty(z.shape, dtype=np.complex128)
     near = np.abs(z) < phifun._series_radius(index)
     if near.any():
-        out[near] = phifun._phi_series(index, z[near])
+        out[near] = _parent_phi_series(index, z[near])
     if not near.all():
         out[~near] = _parent_phi_recurrence(index, z[~near])
     return out
@@ -436,6 +448,138 @@ def test_gamma_table_rows_equal_parent_kernel(kind):
                 assert table[l].tobytes() == want[(l, k)][0].tobytes(), (q, k, l)
 
 
+_SWITCH_RADII = sorted({phifun._series_radius(l) for l in range(1, MAX_INDEX + 1)}
+                       | {phifun._gamma_series_radius(j, k) for j in range(MAX_INDEX + 1)
+                          for k in range(1, MAX_INDEX + 1)})
+
+
+def _at_radius(radius, side, turn):
+    """An entry of modulus radius or one of its neighbouring doubles, in
+    direction turn * pi / 4."""
+    size = np.nextafter(radius, (0.0, radius, 2 * radius)[side + 1])
+    return complex(size * np.exp(1j * np.pi * turn / 4))
+
+
+_ENTRIES = st.one_of(
+    st.builds(complex, st.floats(-80.0, 8.0), st.just(0.0)),
+    st.builds(complex, st.floats(-80.0, 8.0), st.floats(-80.0, 80.0)),
+    st.builds(complex, st.just(0.0), st.floats(-80.0, 80.0)),
+    st.builds(complex, st.floats(-8.0, 8.0), st.floats(-1e-12, 1e-12)),
+    st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(-0.0, -0.0),
+                     5e-324 + 0j, 1e-300j]),
+    st.builds(_at_radius, st.sampled_from(_SWITCH_RADII), st.sampled_from([-1, 0, 1]),
+              st.integers(0, 7)),
+)
+
+
+@st.composite
+def _kernel_diagonals(draw):
+    """Diagonals of mixed entries (real, complex, imaginary, tiny
+    imaginary parts, either sign of zero, at and beside every switch
+    radius), all real or not, with every entry repeated 1..3 times."""
+    lam = np.array(draw(st.lists(_ENTRIES, min_size=1, max_size=30)), dtype=np.complex128)
+    if draw(st.booleans()):
+        lam = lam.real.astype(np.complex128)
+    return np.tile(lam, draw(st.integers(1, 3)))
+
+
+def _through_split(kernel, nrows, lam):
+    """kernel's rows at every entry of lam through the split, slicing and
+    scatter that phi_values and gamma_values run their kernels through:
+    equal entries, a complex diagonal's +0 and -0 parts among them, share
+    one evaluation."""
+    diag = phifun.KeyedDiagonal(lam)
+    return diag.scatter(phifun._rows(kernel, nrows, diag))
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=_kernel_diagonals(), q=st.integers(2, 7))
+def test_gamma_pass_over_every_k_equals_the_parent_kernel(lam, q):
+    # the q * (q - 1) rows of one pass over k = 1..q-1 have the bits of the
+    # one-row kernel they replaced, each sign of zero kept; the tables of
+    # one pass and single-k gamma_values (all rows and one row) keep them,
+    # and the parent's dtype, through the diagonal's split
+    ks = range(1, q)
+    batched = phifun._gamma_rows(range(q), ks, lam)
+    assert batched.shape == (q * (q - 1), lam.size)
+    for (k, l), row in zip([(k, l) for k in ks for l in range(q)], batched, strict=True):
+        assert row.tobytes() == _parent_gamma_values(l, k, lam).tobytes(), (k, l)
+    clear_eval_cache()
+    try:
+        tables = phifun.gamma_tables(q, ks, phifun.KeyedDiagonal(lam))
+    finally:
+        clear_eval_cache()
+    dtype = np.complex128 if lam.imag.any() else np.float64
+    for k, table in zip(ks, tables, strict=True):
+        want = _through_split(lambda z: np.stack([_parent_gamma_values(l, k, z) for l in range(q)]),
+                             q, lam)
+        assert want.dtype == dtype and want.shape == (q, lam.size)
+        for got in (table, gamma_values(range(q), k, lam)):
+            assert (got.dtype, got.shape, got.tobytes()) == (dtype, want.shape, want.tobytes()), k
+        for l in range(q):
+            one = gamma_values(l, k, lam)
+            assert (one.dtype, one.tobytes()) == (dtype, want[l].tobytes()), (k, l)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lam=_kernel_diagonals(),
+       rows=st.one_of(st.sampled_from([range(1, MAX_INDEX + 1), (2, 7, 12), range(MAX_INDEX + 1)]),
+                      st.lists(st.integers(0, MAX_INDEX), min_size=1, max_size=MAX_INDEX)))
+def test_phi_pass_over_rows_equals_the_parent_kernel(lam, rows):
+    # each row of one pass, frozen at its own last series term, has the
+    # bits of the one-index kernel it replaced, each sign of zero kept,
+    # and keeps them and the parent's dtype through the diagonal's split
+    batched = phifun._phi_rows(rows, lam)
+    for l, row in zip(rows, batched, strict=True):
+        assert row.tobytes() == _parent_phi_values(l, lam).tobytes(), l
+    table = phi_values(rows, lam)
+    assert table.shape == (len(rows), lam.size)
+    for l, row in zip(rows, table, strict=True):
+        want = _through_split(lambda z: _parent_phi_values(l, z)[None], 1, lam)[0]
+        assert (row.dtype, row.tobytes()) == (want.dtype, want.tobytes()), l
+
+
+def test_gamma_pass_over_every_k_in_narrowed_slices_equals_the_parent_kernel():
+    # on a diagonal of more than two slices the pass over k = 1..4 runs on
+    # slices a quarter as wide, ragged at the end; every table keeps the
+    # bits of the one-row kernel run on the whole diagonal at once
+    lam, q = _blocking_diagonals()["long"], 5
+    assert lam.size % (phifun._BLOCK_BYTES // 16 // (q - 1))
+    clear_eval_cache()
+    try:
+        tables = phifun.gamma_tables(q, range(1, q), phifun.KeyedDiagonal(lam))
+    finally:
+        clear_eval_cache()
+    for k, table in zip(range(1, q), tables, strict=True):
+        for l in range(q):
+            want = _plain(lambda z: _parent_gamma_values(l, k, z)[None], lam)[0]
+            assert table[l].tobytes() == want.tobytes(), (k, l)
+
+
+def test_gamma_pass_over_every_k_is_bounded_by_block_budget():
+    # q = 6 tables for k = 1..5 on 2**14 distinct complex entries: the
+    # tables themselves plus a fixed multiple of the block budget, as for
+    # one k, since the pass narrows its slices by its number of k; each
+    # table is its own array, so evicting one from the cache frees it
+    n, q = 1 << 14, 6
+    rng = np.random.default_rng(8)
+    lam = -np.abs(rng.normal(size=n)) * 20 + 1j * rng.normal(size=n) * 20
+    diag = phifun.KeyedDiagonal(lam)
+    assert diag.distinct.size == n  # split before the measurement
+    clear_eval_cache()
+    tracemalloc.start()
+    try:
+        tables = phifun.gamma_tables(q, range(1, q), diag)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        clear_eval_cache()
+    assert all(t.shape == (q, n) and np.all(np.isfinite(t)) for t in tables)
+    assert not any(np.shares_memory(a, b) for i, a in enumerate(tables) for b in tables[i + 1:])
+    bound = 32 * phifun._BLOCK_BYTES + sum(t.nbytes for t in tables)
+    assert peak < bound, (peak, bound)
+
+
 def _repeating_diagonals():
     from phistep import problems
 
@@ -469,7 +613,7 @@ def test_contour_mean_runs_on_distinct_entries_at_any_size(monkeypatch, kind):
     assert distinct < lam.size
     q, k = 5, 3
     want_phi = {l: _plain(lambda z: _parent_phi_values(l, z)[None], lam) for l in (1, 4)}
-    want_gamma = _plain(lambda z: phifun._gamma_rows(range(q), k, z), lam)
+    want_gamma = _plain(lambda z: phifun._gamma_rows(range(q), (k,), z), lam)
     phi_points = _counting(monkeypatch, "_phi_rows")
     gamma_points = _counting(monkeypatch, "_gamma_rows")
     for l, want in want_phi.items():
@@ -605,6 +749,28 @@ def test_gamma_tables_are_cached_and_evicted_with_phi_arrays(monkeypatch):
         again = phifun.gamma_table(q, 1, diag)  # evicted, so evaluated anew
         assert again is not first and again.tobytes() == first.tobytes()
         assert [key[0] for key, _ in phifun._EVAL_CACHE.items()] == ["expr", "gamma"]
+    finally:
+        clear_eval_cache()
+
+
+def test_gamma_tables_take_cached_ones_and_make_the_rest_in_one_pass(monkeypatch):
+    n, q = 64, 5
+    diag = phifun.KeyedDiagonal(-np.linspace(0.0, 40.0, n) + 0.5j)
+    want = [gamma_values(range(q), k, diag.values).tobytes() for k in range(1, q)]
+    clear_eval_cache()
+    try:
+        cached = phifun.gamma_table(q, 2, diag)
+        passes, kernel = [], phifun._gamma_rows
+        monkeypatch.setattr(phifun, "_gamma_rows",
+                            lambda rows, ks, z: passes.append(tuple(ks)) or kernel(rows, ks, z))
+        tables = phifun.gamma_tables(q, range(1, q), diag)
+        again = phifun.gamma_tables(q, range(1, q), diag)
+        assert passes == [(1, 3, 4)]  # one pass, for the tables not cached
+        assert tables[1] is cached and all(a is b for a, b in zip(again, tables, strict=True))
+        assert sorted(key[:3] for key, _ in phifun._EVAL_CACHE.items()) == [
+            ("gamma", q, k) for k in range(1, q)]
+        assert not any(table.flags.writeable for table in tables)
+        assert [table.tobytes() for table in tables] == want
     finally:
         clear_eval_cache()
 
