@@ -318,12 +318,17 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     for bit.  On a field that runs in halves, with out given (out fixes
     the result's type before func runs), func runs on each half of grid
     axis -3 in the transform's first phase (_passes), and what it returns
-    must have its argument's shape; otherwise it runs once, here.
+    must have its argument's shape; otherwise it runs once, here, on the
+    ndarray values, and what it returns must have their shape too.
     """
     if func is not None and (grid.dims < 3 or out is None
                              or out.size < lane.MIN_SPLIT_ENTRIES):
-        values, func = func(values), None
-    if type(values) is not np.ndarray:
+        shape, values, func = values.shape, np.asarray(func(values)), None
+        # a wrong grid shape is named by the check below, as without func
+        if values.shape != shape and values.shape[-grid.dims:] == grid.shape:
+            raise ValueError(f"func returned shape {values.shape} for values of shape {shape}; "
+                             "it must be pointwise")
+    elif type(values) is not np.ndarray:
         values = np.asarray(values)
     if values.shape[-grid.dims:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")

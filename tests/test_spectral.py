@@ -650,6 +650,17 @@ def test_a_func_that_is_not_pointwise_fails_loudly(monkeypatch, split):
             apply_nonlinear(coeffs, NonlinearOp(lambda u: u[:1]), grid)
 
 
+def test_a_func_that_drops_a_component_fails_whole():
+    # run whole, a map that drops a component is not broadcast into every
+    # component of the result: the check names both shapes, as in halves
+    grid = Grid((8, 8), ((0.0, 1.0),) * 2)
+    coeffs = to_coeffs(_field(grid, real=True), grid, real=True)
+    assert coeffs.shape == (2, 8, 5)
+    message = f"func returned shape {(1, 8, 8)} for values of shape {(2, 8, 8)}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        apply_nonlinear(coeffs, NonlinearOp(lambda u: u[:1]), grid)
+
+
 def test_to_coeffs_applies_func_first(monkeypatch):
     # to_coeffs(values, func=f) is to_coeffs(f(values)) bit for bit: whole
     # on 1D, 2D and small 3D fields, and without out (which fixes the
