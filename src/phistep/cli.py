@@ -51,7 +51,8 @@ from .integrator import (
     start_multistep,
     step,
 )
-from .phifun import KeyedDiagonal, const_term, eval_phi_expr, exp_term, gamma_values, phi
+from .phifun import (KeyedDiagonal, const_term, eval_phi_expr, exp_term, gamma_tables, gamma_values,
+                     phi)
 from .problems import NLS_A, NLS_B, default_grid, discretize, get_problem, nls_breather, problem_names
 from .spectral import Grid, to_coeffs, to_values
 from .tableau import REGISTRY, get_scheme, list_schemes
@@ -318,14 +319,27 @@ def cmd_order(args: argparse.Namespace) -> int:
 # selftest
 
 
-def _selftest_gamma_table() -> tuple:
-    lam = np.concatenate([
+def _selftest_mixed_diagonal() -> np.ndarray:
+    return np.concatenate([
         -np.logspace(-4, 4, 17), 1j * np.logspace(-3, 3, 7), [0.0, -2.0 + 0.5j, 3.0 - 40j],
     ])
+
+
+def _selftest_gamma_table() -> tuple:
+    lam = _selftest_mixed_diagonal()
     q, k = 6, 5
     table = gamma_values(range(q), k, lam)
     same = sum(table[l].tobytes() == gamma_values(l, k, lam).tobytes() for l in range(q))
     return same == q, f"{same}/{q} rows of gamma_l({k}, .) bit for bit on a mixed diagonal"
+
+
+def _selftest_gamma_tables() -> tuple:
+    lam, q = _selftest_mixed_diagonal(), 6
+    tables = gamma_tables(q, range(1, q), KeyedDiagonal(lam))
+    same = sum(table.tobytes() == gamma_values(range(q), k, lam).tobytes()
+               for k, table in enumerate(tables, start=1))
+    return same == q - 1, (f"{same}/{q - 1} tables gamma_0..gamma_{q - 1}(k, .) of one pass "
+                           "bit for bit against each k alone")
 
 
 def _selftest_keyed_distinct() -> tuple:
@@ -481,6 +495,7 @@ def _selftest_orders() -> tuple:
 def cmd_selftest(args: argparse.Namespace) -> int:
     stages = [
         ("γ tables (batched vs per-row)", _selftest_gamma_table),
+        ("γ tables over every k in one pass", _selftest_gamma_tables),
         ("φ on distinct entries (vs alone)", _selftest_keyed_distinct),
         ("classical reductions at z=0", _selftest_reductions),
         ("linear exactness (N == 0)", _selftest_linear),
