@@ -53,16 +53,17 @@ cast on small fields, where that cost is a large share of each product,
 while on larger fields the cast costs no more than the copy's loop and
 the copy would only add memory.
 
-On a 3D field of at least lane.MIN_SPLIT_ENTRIES entries the workspace
-cuts its ops at their evaluations (_segments), and each stretch of
-elementwise ops between two evaluations runs on the two halves of the
-first grid axis of every slot, coefficient and product, one half on the
-lane's worker thread (lane.split), while the transforms split their own
-passes (spectral).  Every entry goes through the same ops in the same
-order, so the bits stay.  A DiscreteSystem's evaluation maps the same
-halves of the first grid axis inside its forward transform's first
-phase (spectral.apply_nonlinear); the stability check runs whole in the
-calling thread.
+On a 3D field that lane.halves splits (the one rule, which the
+transforms follow too: at least lane.MIN_SPLIT_ENTRIES coefficient
+entries) the workspace cuts its ops at their evaluations (_segments),
+and each stretch of elementwise ops between two evaluations runs on the
+two halves of the first grid axis of every slot, coefficient and
+product, one half on the lane's worker thread (lane.split), while the
+transforms run their own plans in halves (spectral).  Every entry goes
+through the same ops in the same order, so the bits stay.  A
+DiscreteSystem's evaluation maps the same halves of the first grid axis
+inside its forward transform's first phase (spectral.apply_nonlinear);
+the stability check runs whole in the calling thread.
 
 Multistep schemes are started by the fixed-point procedure
 `start_multistep`: q - 1 ETDRK2 steps, then iterations of
@@ -298,17 +299,6 @@ def _run(ops: Sequence[tuple], slots: Sequence[np.ndarray], product: np.ndarray,
             evaluate(slots[a], slots[b])
 
 
-def _halves(shape: tuple) -> Optional[tuple]:
-    """The index tuples of the two halves of axis -3 of a field shaped
-    shape, when its row arithmetic runs in halves: a field of four axes
-    (components and three grid axes, as a 3D system's coefficients are)
-    with at least lane.MIN_SPLIT_ENTRIES entries.  Else None."""
-    if len(shape) != 4 or math.prod(shape) < lane.MIN_SPLIT_ENTRIES:
-        return None
-    cut, rest = shape[-3] // 2, (slice(None), slice(None))
-    return (Ellipsis, slice(None, cut), *rest), (Ellipsis, slice(cut, None), *rest)
-
-
 def _segments(ops: Sequence[tuple], halves: tuple) -> tuple:
     """ops cut at their evaluations into (first, second, evaluation)
     segments, as _run_halves runs them: the stretch of elementwise ops
@@ -491,13 +481,13 @@ class _StepWork:
     of the loop, which writes N(coeffs) into out and returns it:
     system.evaluator(product), bound once here, when the system has an
     evaluator, else _copying_evaluator(system).  halves, fixed here by
-    _halves(shape), is None for a field that runs whole, else the index
-    tuples of the two halves of its first grid axis; products then holds
-    product's two halves.  program is the schedule as run runs it
-    (lower).  A workspace belongs to one stepping loop in one thread,
-    which on a field in halves hands the other half of each stretch to
-    the lane's worker and waits for it within the step; a state that
-    must outlive the next step is copied first.
+    lane.halves on a 3D field, is None for a field that runs whole, else
+    the index tuples of the two halves of its first grid axis; products
+    then holds product's two halves.  program is the schedule as run
+    runs it (lower).  A workspace belongs to one stepping loop in one
+    thread, which on a field in halves hands the other half of each
+    stretch to the lane's worker and waits for it within the step; a
+    state that must outlive the next step is copied first.
     """
 
     __slots__ = ("rows", "schedule", "slots", "product", "outputs", "ring", "norm", "h",
@@ -518,7 +508,8 @@ class _StepWork:
         self.h = np.array(complex(scheme.h))
         bind = getattr(system, "evaluator", None)
         self.evaluate = _copying_evaluator(system) if bind is None else bind(self.product)
-        self.halves = _halves(shape)
+        # four axes: components and three grid axes, a 3D system's coefficients
+        self.halves = lane.halves(shape, -3) if len(shape) == 4 else None
         self.products = None if self.halves is None else tuple(
             self.product[index] for index in self.halves)
         self.program = self.lower(self.schedule)

@@ -8,7 +8,8 @@ cores.  The transforms (spectral), with the pointwise map that runs in
 the forward transform's first phase, and the step's row arithmetic
 (integrator) use it on 3D fields whose coefficient arrays have at least
 MIN_SPLIT_ENTRIES entries; below that a hand-off (tens of microseconds)
-costs more than half a pass saves.
+costs more than half a pass saves.  `halves(shape, axis)` is that rule,
+the one place that reads MIN_SPLIT_ENTRIES, and the cut of the axis.
 
 The lane is one process-wide worker, started by the first split and
 held by this module; importing the module starts nothing.  Each call:
@@ -31,12 +32,13 @@ worker does not exist there.
 from __future__ import annotations
 
 import contextvars
+import math
 import os
 import queue
 import threading
-from typing import Callable
+from typing import Callable, Optional
 
-__all__ = ["MIN_SPLIT_ENTRIES", "split"]
+__all__ = ["MIN_SPLIT_ENTRIES", "halves", "split"]
 
 # the coefficient entries from which a 3D field's passes run in two
 # halves.  An ETDRK4 step in halves against whole, on a 2-core VM: sh3
@@ -44,6 +46,17 @@ __all__ = ["MIN_SPLIT_ENTRIES", "split"]
 # 40^3 (33,600); gl3 1.06x at 24^3 (13,824) and 0.94x at 32^3 (32,768);
 # schnak3 1.00x at 32^3 (34,816)
 MIN_SPLIT_ENTRIES = 32768
+
+
+def halves(shape: tuple, axis: int) -> Optional[tuple]:
+    """The index tuples of the two halves of axis (-3 or -2) of an array
+    shaped shape, the 3D field's coefficients (the caller knows it is
+    3D), when it has at least MIN_SPLIT_ENTRIES entries; else None, and
+    the field runs whole."""
+    if math.prod(shape) < MIN_SPLIT_ENTRIES:
+        return None
+    cut, rest = shape[axis] // 2, (slice(None),) * (-1 - axis)
+    return (Ellipsis, slice(None, cut), *rest), (Ellipsis, slice(cut, None), *rest)
 
 
 class _Lane:

@@ -795,7 +795,3 @@ def gamma_tables(q: int, ks: Sequence[int], diag: KeyedDiagonal) -> list:
             tables[i] = _EVAL_CACHE.put(keys[i], diag.scatter(rows))
     return tables
 
-
-def gamma_table(q: int, k: int, diag: KeyedDiagonal) -> np.ndarray:
-    """gamma_tables for the one k."""
-    return gamma_tables(q, (k,), diag)[0]

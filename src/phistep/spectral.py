@@ -30,26 +30,30 @@ kernels, in numpy.fft._pocketfft_umath) directly, one axis at a time and
 in numpy's order, so for float64 and complex128 fields their bits are
 those of numpy's fftn/ifftn/rfftn/irfftn without its Python wrappers
 (the forward 1/N factor is a double, so other precisions may differ
-from numpy's in the last bit): the forward transforms run the last
-grid axis first (rfft on it for the half layout) and then fft on the
-other axes in descending order, in place in their output; the
-full-layout inverse runs ifft the same way; the half-layout inverse
-copies the coefficients once into a complex work array shaped like them,
-runs its leading-axis inverse FFTs there in place in ascending order,
-and then the last-axis irfft from it into its real output.  The copy is
-one contiguous pass; without it the first leading-axis FFT would run out
-of place, reading the coefficients along a strided axis (33.8 KB apart
-at 64^3), which costs more than the copy and the in-place FFT together.
-Each axis's gufunc axes argument and forward 1/N factor are fixed on the
-Grid.
+from numpy's in the last bit).  Each transform is written once, as a
+plan fixed on the Grid (Grid.plans, under numpy's name for it): passes
+(gufunc, source, scale, axes, destination) over the roles input, output
+and work.  The forward transforms run the last grid axis first (rfft on
+it for the half layout) and then fft on the other axes in descending
+order, in place in their output; the full-layout inverse runs ifft the
+same way; the half-layout inverse copies the coefficients once into a
+complex work array shaped like them, runs its leading-axis inverse FFTs
+there in place in ascending order, and then the last-axis irfft from it
+into its real output.  The copy is one contiguous pass; without it the
+first leading-axis FFT would run out of place, reading the coefficients
+along a strided axis (33.8 KB apart at 64^3), which costs more than the
+copy and the in-place FFT together.
 
-A 3D transform of at least lane.MIN_SPLIT_ENTRIES coefficient entries
-runs in two phases, each on the two halves of one grid axis, one half
-on the lane's worker thread (lane.split): the passes over the last two
-axes on the halves of the first axis (axis -3; for one component each
-half is one contiguous block), and the pass over the first axis on
-the halves of the second (axis -2), the half-layout inverse's copy into
-work going with it.  A phase is split along an axis that none of its
+One runner (_run) runs every plan: whole, in the calling thread, or,
+on a 3D field that lane.halves splits (at least lane.MIN_SPLIT_ENTRIES
+coefficient entries), as the plan's two phases, each on the two halves
+of one grid axis, one half on the lane's worker thread (lane.split).
+The forward transforms and the full-layout inverse split their passes
+over the last two axes along the first axis (axis -3; for one component
+each half is one contiguous block) and their pass over the first axis
+along the second (axis -2); the half-layout inverse splits its copy
+into work and its first-axis pass along axis -2, then its last two
+passes along axis -3.  A phase is split along an axis that none of its
 passes transforms, so every line stays whole and goes through the same
 kernel, with the same bits; and along the outer of the axes it leaves
 free, so each half is a few long stretches of memory.  Split along the
@@ -58,14 +62,15 @@ against 1.09 ms whole at 64^3), while split along axis -2 a 64^3 real
 forward transform took 1.59 ms split against 2.09 ms whole and its
 inverse 1.83 against 2.25 ms, on two cores.
 
-to_coeffs(values, func=f) transforms f(values).  On a field in halves
-(with out given) the map runs in the forward transform's first phase,
-each half of axis -3 going through f and then the last two axes'
-passes on one thread, so the half that the inverse's last phase just
-wrote is mapped by the core that wrote it and each thread's map
-temporaries are half a field; apply_nonlinear evaluates every
-nonlinearity this way.  Elsewhere f runs once, whole, before the
-transform.
+to_coeffs(values, func=f) transforms f(values): f runs in the forward
+plan's first pass, on the whole field or, in halves, on each half of
+axis -3 before that half's passes over the last two axes on the same
+thread, so the half that the inverse's last phase just wrote is mapped
+by the core that wrote it and each thread's map temporaries are half a
+field; apply_nonlinear evaluates every nonlinearity this way.  Without
+out, f runs first, because the result's type is that of what f returns.
+Either way one check (_mapped) rejects a result whose shape is not its
+argument's.
 
 Callers that evaluate nonlinearities in a loop can hand every array in:
 to_coeffs and to_values take out= (and to_values work=, the complex
@@ -125,7 +130,9 @@ class Grid:
     So are the transforms' per-axis arguments: axis_args[i] is the axes
     argument of a pocketfft gufunc over grid axis i (counted from the
     end, so leading component axes pass through) and forward_scales[i]
-    its forward 1/N factor, numpy's norm="forward" value.
+    its forward 1/N factor, numpy's norm="forward" value; and the
+    transforms themselves: plans maps "fftn", "rfftn", "ifftn" and
+    "irfftn" to the plan that _run runs for it (_plans).
     """
 
     sizes: tuple
@@ -134,6 +141,7 @@ class Grid:
     half_shape: tuple = field(init=False, repr=False, compare=False)
     axis_args: tuple = field(init=False, repr=False, compare=False)
     forward_scales: tuple = field(init=False, repr=False, compare=False)
+    plans: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         for n in self.sizes:
@@ -158,6 +166,7 @@ class Grid:
         axes = range(-len(sizes), 0)
         object.__setattr__(self, "axis_args", tuple([(a,), (), (a,)] for a in axes))
         object.__setattr__(self, "forward_scales", tuple(1.0 / n for n in sizes))
+        object.__setattr__(self, "plans", _plans(len(sizes), self.axis_args, self.forward_scales))
 
     @classmethod
     def uniform(cls, dims: int, size: int, interval) -> "Grid":
@@ -300,6 +309,98 @@ def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
     raise _layout_error(coeffs, grid)
 
 
+# the roles of a plan's arrays: the transform's input, its output and
+# the half-layout inverse's work array
+_IN, _OUT, _WORK = 0, 1, 2
+
+
+def _plans(dims: int, args: tuple, scales: tuple) -> dict:
+    """Grid.plans of a grid of dims axes, whose gufunc axes arguments are
+    args and forward factors scales (Grid.axis_args, forward_scales).
+
+    A plan is (passes, phases).  passes are (gufunc, src, scale, axes,
+    dst), run in order from the array in role src into the one in role
+    dst; a None gufunc copies.  On a 3D grid phases are the same passes
+    as two phases (axis, passes), the first two passes and the other
+    two, each of which may run on the two halves of axis axis of the
+    field (_run); on other grids phases is ()."""
+    fft, ifft, irfft = _pocketfft.fft, _pocketfft.ifft, _pocketfft.irfft
+
+    def plan(passes: tuple, axes: tuple) -> tuple:
+        return passes, (((axes[0], passes[:2]), (axes[1], passes[2:])) if dims == 3 else ())
+
+    def last_first(last, kernel, factors: tuple) -> tuple:
+        # last from the input on the last axis, then kernel in place in
+        # the output on the others in descending order
+        return plan(((last, _IN, factors[-1], args[-1], _OUT),
+                     *((kernel, _OUT, factors[a], args[a], _OUT)
+                       for a in range(dims - 2, -1, -1))), (-3, -2))
+
+    if dims == 1:
+        half = ((irfft, _IN, 1.0, args[-1], _OUT),)
+    else:
+        half = ((None, _IN, None, None, _WORK),
+                *((ifft, _WORK, 1.0, args[a], _WORK) for a in range(dims - 1)),
+                (irfft, _WORK, 1.0, args[-1], _OUT))
+    return {"fftn": last_first(fft, fft, scales),
+            "rfftn": last_first(_pocketfft.rfft_n_even, fft, scales),
+            "ifftn": last_first(ifft, ifft, (1.0,) * dims),
+            "irfftn": plan(half, (-2, -3))}
+
+
+def _run(plan: tuple, shape: tuple, arrays: tuple, func: Optional[Callable] = None,
+         real: bool = False) -> None:
+    """Run plan over arrays (input, output, work) of a field whose
+    coefficients are shaped shape: as its phases, in order, each through
+    _passes on the two halves of its axis, one half on the lane's worker
+    (lane.split), when lane.halves cuts them; else whole, here.  No pass
+    of a phase transforms along its split axis, so each half's lines are
+    whole, and every line goes through the same kernel as in one call,
+    with the same bits.  func and real are _passes'."""
+    passes, phases = plan
+    if phases:
+        halves = [lane.halves(shape, axis) for axis, _ in phases]
+        if halves[0] is not None:
+            for (_, phase), (first, second) in zip(phases, halves):
+                lane.split(_passes, (phase, arrays, first, func, real),
+                           (phase, arrays, second, func, real))
+                func = None
+            return
+    _passes(passes, arrays, None, func, real)
+
+
+def _passes(passes: tuple, arrays: tuple, index: Optional[tuple] = None,
+            func: Optional[Callable] = None, real: bool = False) -> None:
+    """Run passes, in order, from their src arrays into their dst
+    arrays, or from and into the parts of them at index.  func, when
+    given, maps the first pass's src (_mapped) and that pass reads what
+    it returns.  A half of grid axis -3 holds whole grid points, every
+    component of each, so func gives each point the bits it gives it
+    over the whole field."""
+    for gufunc, src, scale, axes, dst in passes:
+        part, into = arrays[src], arrays[dst]
+        if index is not None:
+            part, into = part[index], into[index]
+        if func is not None:
+            part, func = _mapped(func, part, real), None
+        if gufunc is None:
+            np.copyto(into, part)
+        else:
+            gufunc(part, scale, axes=axes, out=into)
+
+
+def _mapped(func: Callable, values: np.ndarray, real: bool) -> np.ndarray:
+    """func(values) as an ndarray (its real part when real), which must
+    have values' shape: func must be pointwise."""
+    mapped = func(values)
+    if type(mapped) is not np.ndarray:
+        mapped = np.asarray(mapped)
+    if mapped.shape != values.shape:
+        raise ValueError(f"func returned shape {mapped.shape} for values of shape "
+                         f"{values.shape}; it must be pointwise")
+    return mapped.real if real and mapped.dtype.kind == "c" else mapped
+
+
 def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
               out: Optional[np.ndarray] = None,
               func: Optional[Callable[[np.ndarray], np.ndarray]] = None) -> np.ndarray:
@@ -315,42 +416,26 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
 
     func, when given, is a pointwise map (NonlinearOp) applied to values
     first: the result is to_coeffs(func(values), grid, real, out), bit
-    for bit.  On a field that runs in halves, with out given (out fixes
-    the result's type before func runs), func runs on each half of grid
-    axis -3 in the transform's first phase (_passes), and what it returns
-    must have its argument's shape; otherwise it runs once, here, on the
-    ndarray values, and what it returns must have their shape too.
+    for bit.  It runs in the transform's first pass (on a field in
+    halves, on each half of grid axis -3), or, without out (whose type
+    is that of what func returns), once here; what it returns must have
+    its argument's shape.
     """
-    if func is not None and (grid.dims < 3 or out is None
-                             or out.size < lane.MIN_SPLIT_ENTRIES):
-        shape, values, func = values.shape, np.asarray(func(values)), None
-        # a wrong grid shape is named by the check below, as without func
-        if values.shape != shape and values.shape[-grid.dims:] == grid.shape:
-            raise ValueError(f"func returned shape {values.shape} for values of shape {shape}; "
-                             "it must be pointwise")
-    elif type(values) is not np.ndarray:
+    if type(values) is not np.ndarray:
         values = np.asarray(values)
     if values.shape[-grid.dims:] != grid.shape:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
     cell = _FFT_COUNTER.get()
     if cell is not None:
         cell[0] += 1
-    if real and values.dtype.kind == "c" and func is None:
+    if func is not None and out is None:
+        values, func = _mapped(func, values, real), None
+    elif real and func is None and values.dtype.kind == "c":
         values = values.real
     if out is None:
         shape = (*values.shape[:-grid.dims], *grid.half_shape) if real else values.shape
         out = np.empty(shape, dtype=np.result_type(values.dtype, 1j))
-    args, scales = grid.axis_args, grid.forward_scales
-    last = _pocketfft.rfft_n_even if real else _pocketfft.fft
-    if grid.dims == 3 and out.size >= lane.MIN_SPLIT_ENTRIES:
-        fft = _pocketfft.fft
-        _split(grid, (0, ((last, values, scales[2], args[2], out),
-                          (fft, out, scales[1], args[1], out)), func, real),
-               (1, ((fft, out, scales[0], args[0], out),)))
-        return out
-    last(values, scales[-1], axes=args[-1], out=out)
-    for axis in range(grid.dims - 2, -1, -1):
-        _pocketfft.fft(out, scales[axis], axes=args[axis], out=out)
+    _run(grid.plans["rfftn" if real else "fftn"], out.shape, (values, out, None), func, real)
     return out
 
 
@@ -385,85 +470,18 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
     cell = _FFT_COUNTER.get()
     if cell is not None:
         cell[0] += 1
-    if grid.dims == 3 and coeffs.size >= lane.MIN_SPLIT_ENTRIES:
-        return _to_values_in_halves(coeffs, grid, half, real, out, work)
-    args = grid.axis_args
-    if half:
-        if grid.dims > 1:
-            if work is None:
-                work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
-            np.copyto(work, coeffs)
-            coeffs = work
-            for axis in range(grid.dims - 1):
-                _pocketfft.ifft(work, 1.0, axes=args[axis], out=work)
+    if not half:
         if out is None:
-            shape = (*coeffs.shape[:-1], grid.sizes[-1])
-            out = np.empty(shape, dtype=np.result_type(coeffs.real.dtype, 1.0))
-        return _pocketfft.irfft(coeffs, 1.0, axes=args[-1], out=out)
+            out = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
+        _run(grid.plans["ifftn"], coeffs.shape, (coeffs, out, None))
+        return out.real if real else out
+    if work is None and grid.dims > 1:
+        work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
     if out is None:
-        out = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
-    _pocketfft.ifft(coeffs, 1.0, axes=args[-1], out=out)
-    for axis in range(grid.dims - 2, -1, -1):
-        _pocketfft.ifft(out, 1.0, axes=args[axis], out=out)
-    return out.real if real else out
-
-
-def _to_values_in_halves(coeffs: np.ndarray, grid: Grid, half: bool, real: bool,
-                         out: Optional[np.ndarray], work: Optional[np.ndarray]) -> np.ndarray:
-    """to_values of a 3D field as two phases of halves (_split), with the
-    same arrays allocated when not given and the same bits."""
-    args, ifft = grid.axis_args, _pocketfft.ifft
-    if half:
-        if work is None:
-            work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
-        if out is None:
-            shape = (*coeffs.shape[:-1], grid.sizes[-1])
-            out = np.empty(shape, dtype=np.result_type(work.real.dtype, 1.0))
-        _split(grid, (1, ((None, coeffs, None, None, work), (ifft, work, 1.0, args[0], work))),
-               (0, ((ifft, work, 1.0, args[1], work), (_pocketfft.irfft, work, 1.0, args[2], out))))
-        return out
-    if out is None:
-        out = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
-    _split(grid, (0, ((ifft, coeffs, 1.0, args[2], out), (ifft, out, 1.0, args[1], out))),
-           (1, ((ifft, out, 1.0, args[0], out),)))
-    return out.real if real else out
-
-
-def _passes(passes: tuple, index: tuple, func: Optional[Callable] = None,
-            real: bool = False) -> None:
-    """Run passes (gufunc, src, scale, axes, dst), in order, from
-    src[index] into dst[index]; a None gufunc copies.  func, when given,
-    is a pointwise map run on the first pass's src[index] first, and
-    that pass reads what it returns (its real part when real).  A half
-    of grid axis -3 holds whole grid points, every component of each, so
-    func gives each point the bits it gives it over the whole field."""
-    for gufunc, src, scale, axes, dst in passes:
-        part = src[index]
-        if func is not None:
-            mapped = func(part)
-            if type(mapped) is not np.ndarray:
-                mapped = np.asarray(mapped)
-            if mapped.shape != part.shape:
-                raise ValueError(f"func returned shape {mapped.shape} for values of shape "
-                                 f"{part.shape}; it must be pointwise")
-            part, func = mapped.real if real and mapped.dtype.kind == "c" else mapped, None
-        if gufunc is None:
-            np.copyto(dst[index], part)
-        else:
-            gufunc(part, scale, axes=axes, out=dst[index])
-
-
-def _split(grid: Grid, *phases: tuple) -> None:
-    """Run a 3D transform as phases (axis, passes[, func, real]), in
-    order, each on the two halves of grid axis axis (0 or 1), one half on
-    the lane's worker (lane.split), through _passes.  No pass of a phase
-    transforms along its split axis, so each half's lines are whole, and
-    every line goes through the same kernel as in one call, with the
-    same bits."""
-    for axis, passes, *mapped in phases:
-        cut, rest = grid.sizes[axis] // 2, (slice(None),) * (2 - axis)
-        lane.split(_passes, (passes, (Ellipsis, slice(None, cut), *rest), *mapped),
-                   (passes, (Ellipsis, slice(cut, None), *rest), *mapped))
+        shape, inner = (*coeffs.shape[:-1], grid.sizes[-1]), coeffs if work is None else work
+        out = np.empty(shape, dtype=np.result_type(inner.real.dtype, 1.0))
+    _run(grid.plans["irfftn"], coeffs.shape, (coeffs, out, work))
+    return out
 
 
 # ---------------------------------------------------------------------------

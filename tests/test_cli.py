@@ -496,7 +496,8 @@ def test_selftest_passes(capsys):
     assert "FAIL" not in out
     assert "selftest: PASS" in out
     assert "buffered step (workspace vs fresh)  PASS  20/20" in out
-    assert "transforms match numpy.fft          PASS  bit for bit: 24/24" in out
+    assert ("transforms match numpy.fft          PASS  bit for bit: 32/32 in 1D, 2D and 3D "
+            "(8 in halves)") in out
 
 
 # ---------------------------------------------------------------------------

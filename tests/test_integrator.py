@@ -1003,7 +1003,7 @@ def test_starter_rows_follow_the_buffer_rule(monkeypatch, size, lowered):
     assert copies == (size is None and not lowered)
     propagators = eval_phi_exprs([exp_term(1, j) for j in range(1, q)], diag)
     for j, (row, propagator) in enumerate(zip(rows, propagators, strict=True), start=1):
-        table = phifun.gamma_table(q, j, diag)
+        table = phifun.gamma_tables(q, (j,), diag)[0]
         # slot 0 holds u^0 and slot l + 1 Delta^l N(u^0)
         own = (propagator, 0, tuple((gamma, l + 1) for l, gamma in enumerate(table)))
         if copies:
@@ -1251,7 +1251,7 @@ def _reference_starter(q, h, system, u0, delta0_state=False):
     for _ in range(q - 1):
         state = step(state, boot, system)
         states.append(state.coeffs)
-    gammas = {j: phifun.gamma_table(q, j, diag) for j in range(1, q)}
+    gammas = {j: phifun.gamma_tables(q, (j,), diag)[0] for j in range(1, q)}
     propagators = {j: eval_phi_expr(exp_term(1, j), diag) for j in range(1, q)}
     nl_values = [system.nonlinear(u) for u in states]
     converged, iterations = False, 0

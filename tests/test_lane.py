@@ -11,8 +11,10 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from phistep import integrator, lane
+from phistep import integrator, lane, spectral
 from phistep.integrator import SimState, _StepWork, integrate, prepare_scheme, step
 from phistep.problems import default_grid, discretize, get_problem
 from phistep.spectral import Grid, NonlinearOp, apply_nonlinear, to_coeffs, to_values
@@ -242,6 +244,62 @@ def test_a_forked_child_runs_a_split_step(monkeypatch):
             pytest.fail("the forked child did not finish its split step")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status) == 0
+
+
+def _record_splits(patch) -> list:
+    """Record the function of every lane.split call, through patch (a
+    MonkeyPatch)."""
+    calls, plain = [], lane.split
+
+    def recording(fn, first, second):
+        calls.append(fn)
+        plain(fn, first, second)
+
+    patch.setattr(lane, "split", recording)
+    return calls
+
+
+@pytest.mark.parametrize("short", [0, 1], ids=["at", "one-short"])
+def test_a_field_at_the_threshold_splits_its_transforms_and_its_rows(monkeypatch, short):
+    # one rule (lane.halves) decides for the transforms and the row
+    # arithmetic: with the threshold at a sh3 field's coefficient count
+    # both run in halves, one entry short of it both run whole, and the
+    # bits are those of the whole path
+    problem = get_problem("sh3")
+    system = discretize(problem, default_grid(problem))
+    monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", 1 << 62)
+    want = integrate(system, "etdrk4", 0.1, 0.3).u
+    calls = _record_splits(monkeypatch)
+    monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", system.u0.size + short)
+    got = integrate(system, "etdrk4", 0.1, 0.3).u
+    assert got.tobytes() == want.tobytes()
+    assert set(calls) == (set() if short else {spectral._passes, integrator._run})
+
+
+@settings(max_examples=40, deadline=None)
+@given(sizes=st.lists(st.sampled_from(range(2, 13, 2)), min_size=3, max_size=3),
+       real=st.booleans(), short=st.integers(0, 1), seed=st.integers(0, 2**32 - 1))
+def test_a_3d_transform_without_a_component_axis_follows_the_same_rule(sizes, real, short, seed):
+    # a field shaped like the grid, with no component axis, runs in
+    # halves from the threshold at its coefficient count on, and whole one
+    # entry short of it, with numpy's bits either way
+    grid = Grid(sizes, ((0.0, 1.0),) * 3)
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal(grid.shape)
+    if not real:
+        values = values + 1j * rng.standard_normal(grid.shape)
+    axes = (-3, -2, -1)
+    want = (np.fft.rfftn if real else np.fft.fftn)(values, axes=axes, norm="forward")
+    half = real and sizes[-1] > 2
+    back = (np.fft.irfftn(want, grid.shape, axes=axes, norm="forward") if half
+            else np.fft.ifftn(want, axes=axes, norm="forward"))
+    with pytest.MonkeyPatch.context() as patch:
+        calls = _record_splits(patch)
+        patch.setattr(lane, "MIN_SPLIT_ENTRIES", want.size + short)
+        coeffs = to_coeffs(values, grid, real=real)
+        got = to_values(coeffs, grid)
+    assert coeffs.tobytes() == want.tobytes() and got.tobytes() == back.tobytes()
+    assert calls == ([] if short else [spectral._passes] * 4)
 
 
 def test_1d_and_small_runs_start_no_thread(fresh_lane):

@@ -731,22 +731,22 @@ def test_gamma_tables_are_cached_and_evicted_with_phi_arrays(monkeypatch):
     monkeypatch.setattr(phifun._EVAL_CACHE, "budget", 2 * table_bytes)
     clear_eval_cache()
     try:
-        first = phifun.gamma_table(q, 1, diag)
+        first = phifun.gamma_tables(q, (1,), diag)[0]
         assert not first.flags.writeable
         assert first.tobytes() == gamma_values(range(q), 1, diag.values).tobytes()
-        assert phifun.gamma_table(q, 1, diag) is first  # a hit
+        assert phifun.gamma_tables(q, (1,), diag)[0] is first  # a hit
         for k in (2, 3):
-            phifun.gamma_table(q, k, diag)
+            phifun.gamma_tables(q, (k,), diag)[0]
         # least recently used first out, under the one byte budget
         assert [key[:3] for key, _ in phifun._EVAL_CACHE.items()] == [
             ("gamma", q, 2), ("gamma", q, 3)]
         assert phifun._EVAL_CACHE.nbytes == 2 * table_bytes
-        phifun.gamma_table(q, 2, diag)  # a hit makes it the most recent
+        phifun.gamma_tables(q, (2,), diag)[0]  # a hit makes it the most recent
         eval_phi_expr(phi(1), diag)  # the expression alone is cached
         assert [key[:3] for key, _ in phifun._EVAL_CACHE.items()] == [
             ("gamma", q, 2), ("expr", ((1, 1.0, 1 + 0j),), diag.digest)]
         assert phifun._EVAL_CACHE.nbytes == table_bytes + n * 16
-        again = phifun.gamma_table(q, 1, diag)  # evicted, so evaluated anew
+        again = phifun.gamma_tables(q, (1,), diag)[0]  # evicted, so evaluated anew
         assert again is not first and again.tobytes() == first.tobytes()
         assert [key[0] for key, _ in phifun._EVAL_CACHE.items()] == ["expr", "gamma"]
     finally:
@@ -759,7 +759,7 @@ def test_gamma_tables_take_cached_ones_and_make_the_rest_in_one_pass(monkeypatch
     want = [gamma_values(range(q), k, diag.values).tobytes() for k in range(1, q)]
     clear_eval_cache()
     try:
-        cached = phifun.gamma_table(q, 2, diag)
+        cached = phifun.gamma_tables(q, (2,), diag)[0]
         passes, kernel = [], phifun._gamma_rows
         monkeypatch.setattr(phifun, "_gamma_rows",
                             lambda rows, ks, z: passes.append(tuple(ks)) or kernel(rows, ks, z))
@@ -899,7 +899,7 @@ def test_keyed_expressions_and_gamma_tables_equal_the_plain_path(kind):
             assert got.shape == lam.shape and got.dtype == want.dtype, expr
             assert got.tobytes() == want.tobytes(), expr
         q, k = 4, 3
-        table = phifun.gamma_table(q, k, diag)
+        table = phifun.gamma_tables(q, (k,), diag)[0]
         assert table.shape == (q, *lam.shape)
         assert table.dtype == (np.complex128 if lam.imag.any() else np.float64)
         for l in range(q):

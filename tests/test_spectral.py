@@ -461,7 +461,8 @@ def test_half_layout_inverse_runs_its_leading_axes_in_place_in_work(
     # the leading-axis iffts of a half-layout inverse read and write work
     # (one copy of coeffs, then in place), in ascending axis order, and
     # the last-axis irfft reads work: no ifft reads coeffs along a
-    # strided leading axis
+    # strided leading axis.  A Grid binds the kernels of its plans when it
+    # is built, so the recorded one is built after the patch
     coeffs = to_coeffs(_field(grid, real=True), grid, real=True)
     kept = coeffs.copy()
     want = np.fft.irfftn(coeffs, grid.shape, axes=tuple(range(-grid.dims, 0)),
@@ -469,7 +470,7 @@ def test_half_layout_inverse_runs_its_leading_axes_in_place_in_work(
     work = np.empty_like(coeffs) if given_work else None
     kernels = _RecordingKernels(spectral._pocketfft)
     monkeypatch.setattr(spectral, "_pocketfft", kernels)
-    got = to_values(coeffs, grid, work=work)
+    got = to_values(coeffs, Grid(grid.sizes, grid.domain), work=work)
     monkeypatch.undo()
     assert got.tobytes() == want.tobytes()
     assert coeffs.tobytes() == kept.tobytes()
@@ -631,9 +632,9 @@ def test_apply_nonlinear_in_halves_equals_the_whole_map_bit_for_bit(case, sizes,
 
 @pytest.mark.parametrize("split", [False, True], ids=["whole", "halves"])
 def test_a_func_that_is_not_pointwise_fails_loudly(monkeypatch, split):
-    # a map that reduces a grid axis is rejected by the transform whole,
-    # and in halves by a check that names the shape func returned and
-    # its argument's, which also rejects a map that drops a component
+    # a map that reduces a grid axis is rejected, whole and in halves, by
+    # the one check that names the shape func returned and its
+    # argument's, which also rejects a map that drops a component
     monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", 0 if split else 1 << 62)
     grid = _LAYOUT_GRIDS[2]
     coeffs = to_coeffs(_field(grid, real=True), grid, real=True)
@@ -641,7 +642,7 @@ def test_a_func_that_is_not_pointwise_fails_loudly(monkeypatch, split):
     if split:
         message = f"func returned shape {(2, 3, 8, 1)} for values of shape {(2, 3, 8, 10)}"
     else:
-        message = f"field shape {(2, 6, 8, 1)} does not end in {grid.shape}"
+        message = f"func returned shape {(2, 6, 8, 1)} for values of shape {(2, 6, 8, 10)}"
     with pytest.raises(ValueError, match=re.escape(message)):
         apply_nonlinear(coeffs, reduced, grid)
     if split:
