@@ -476,8 +476,12 @@ def discretize(problem: Problem, grid: Grid) -> DiscreteSystem:
     lam = problem.symbol(grid)
     op = problem.nonlinear(grid)
     values = np.asarray(problem.ic(grid))
-    if lam.shape != (problem.components, *grid.shape):
+    shape = (problem.components, *grid.shape)
+    if lam.shape != shape:
         raise ValueError(f"symbol shape {lam.shape} inconsistent with {problem.name}")
+    if values.shape != shape:
+        raise ValueError(f"{problem.name}: initial condition values have shape {values.shape}, "
+                         f"expected (components, *grid.shape) = {shape}")
     if problem.real:
         kept = slice(0, grid.sizes[-1] // 2 + 1)
         lam = np.ascontiguousarray(lam[..., kept])
@@ -486,6 +490,4 @@ def discretize(problem: Problem, grid: Grid) -> DiscreteSystem:
         u0 = to_coeffs(values, grid, real=True)
     else:
         u0 = to_coeffs(values.astype(complex), grid)
-    if u0.shape != lam.shape:
-        raise ValueError(f"initial condition shape {u0.shape} inconsistent")
     return DiscreteSystem(name=problem.key, grid=grid, lam=lam, op=op, u0=u0)

@@ -28,12 +28,18 @@ layouts, because conjugate modes have equal modulus.
 The transforms call numpy's pocketfft gufuncs (numpy.fft's own
 kernels, in numpy.fft._pocketfft_umath) directly, one axis at a time and
 in numpy's order, so for float64 and complex128 fields their bits are
-those of numpy's fftn/ifftn/rfftn/irfftn without its Python wrappers
-(the forward 1/N factor is a double, so other precisions may differ
-from numpy's in the last bit).  Each transform is written once, as a
-plan fixed on the Grid (Grid.plans, under numpy's name for it): passes
-(gufunc, source, scale, axes, destination) over the roles input, output
-and work.  The forward transforms run the last grid axis first (rfft on
+those of numpy's fftn/ifftn/rfftn/irfftn without its Python wrappers.
+The forward 1/N factor is a double, so on single-precision fields the
+forward kernels compute in double and round each axis's result to
+single: numpy's 1D transforms of the double-precision array, axis by
+axis, and not numpy's single-precision fftn.  Each transform is written
+once, as a plan fixed on the Grid (Grid.plans, under numpy's name for
+it): passes (call, source, scale, destination) over the roles input,
+output and work, bound once when the Grid is built, in the form a call
+takes.  A pass on the last grid axis calls the gufunc itself, with no
+axes argument, since the gufunc's default core axis is the last one; a
+pass on another axis calls it with that axis bound.  The forward
+transforms run the last grid axis first (rfft on
 it for the half layout) and then fft on the other axes in descending
 order, in place in their output; the full-layout inverse runs ifft the
 same way; the half-layout inverse copies the coefficients once into a
@@ -44,10 +50,13 @@ first leading-axis FFT would run out of place, reading the coefficients
 along a strided axis (33.8 KB apart at 64^3), which costs more than the
 copy and the in-place FFT together.
 
-One runner (_run) runs every plan: whole, in the calling thread, or,
-on a 3D field that lane.halves splits (at least lane.MIN_SPLIT_ENTRIES
-coefficient entries), as the plan's two phases, each on the two halves
-of one grid axis, one half on the lane's worker thread (lane.split).
+A field runs whole (1D, 2D, and 3D below lane.MIN_SPLIT_ENTRIES
+coefficient entries): to_coeffs and to_values make their checks, count
+the transform and call the plan's passes in order, in the calling
+thread, with no runner between them and the kernels.  A 3D field that
+lane.halves splits, the one rule for it, runs the plan's two phases
+instead (_split), each on the two halves of one grid axis, one half on
+the lane's worker thread (lane.split, through _passes).
 The forward transforms and the full-layout inverse split their passes
 over the last two axes along the first axis (axis -3; for one component
 each half is one contiguous block) and their pass over the first axis
@@ -62,13 +71,14 @@ against 1.09 ms whole at 64^3), while split along axis -2 a 64^3 real
 forward transform took 1.59 ms split against 2.09 ms whole and its
 inverse 1.83 against 2.25 ms, on two cores.
 
-to_coeffs(values, func=f) transforms f(values): f runs in the forward
-plan's first pass, on the whole field or, in halves, on each half of
-axis -3 before that half's passes over the last two axes on the same
-thread, so the half that the inverse's last phase just wrote is mapped
-by the core that wrote it and each thread's map temporaries are half a
-field; apply_nonlinear evaluates every nonlinearity this way.  Without
-out, f runs first, because the result's type is that of what f returns.
+to_coeffs(values, func=f) transforms f(values): on a whole field f
+runs once, before the first pass; in halves it runs in the forward
+plan's first phase, on each half of axis -3 before that half's passes
+over the last two axes on the same thread, so the half that the
+inverse's last phase just wrote is mapped by the core that wrote it and
+each thread's map temporaries are half a field; apply_nonlinear
+evaluates every nonlinearity this way.  Without out, f runs first in
+halves too, because the result's type is that of what f returns.
 Either way one check (_mapped) rejects a result whose shape is not its
 argument's.
 
@@ -86,6 +96,7 @@ over its first bytes (N/2 + 1 complex numbers hold N + 2 reals).
 from __future__ import annotations
 
 import contextvars
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -132,7 +143,8 @@ class Grid:
     end, so leading component axes pass through) and forward_scales[i]
     its forward 1/N factor, numpy's norm="forward" value; and the
     transforms themselves: plans maps "fftn", "rfftn", "ifftn" and
-    "irfftn" to the plan that _run runs for it (_plans).
+    "irfftn" to its plan (_plans), whose passes to_coeffs and to_values
+    call in order, or run in halves (_split).
     """
 
     sizes: tuple
@@ -154,7 +166,8 @@ class Grid:
         if not 1 <= len(sizes) <= 3:
             raise ValueError(f"grids are 1D to 3D, got {len(sizes)} axes")
         if len(domain) != len(sizes):
-            raise ValueError("one interval per axis required")
+            raise ValueError(f"one interval per axis required, got {len(domain)} "
+                             f"for {len(sizes)} axes")
         for n in sizes:
             if n <= 0 or n % 2:
                 raise ValueError(f"axis sizes must be even and positive, got {n}")
@@ -314,17 +327,29 @@ def _is_half(coeffs: np.ndarray, grid: Grid) -> bool:
 _IN, _OUT, _WORK = 0, 1, 2
 
 
+def _copy(values: np.ndarray, _scale: None, out: np.ndarray) -> None:
+    """A plan's copy pass, called as its kernels are."""
+    np.copyto(out, values)
+
+
 def _plans(dims: int, args: tuple, scales: tuple) -> dict:
     """Grid.plans of a grid of dims axes, whose gufunc axes arguments are
     args and forward factors scales (Grid.axis_args, forward_scales).
 
-    A plan is (passes, phases).  passes are (gufunc, src, scale, axes,
-    dst), run in order from the array in role src into the one in role
-    dst; a None gufunc copies.  On a 3D grid phases are the same passes
-    as two phases (axis, passes), the first two passes and the other
-    two, each of which may run on the two halves of axis axis of the
-    field (_run); on other grids phases is ()."""
+    A plan is (passes, phases).  passes are (call, src, scale, dst),
+    each run, in order, as call(arrays[src], scale, out=arrays[dst])
+    over the arrays in the roles input, output and work: on the last
+    grid axis call is the pocketfft gufunc itself, whose default core
+    axis is the last one, on another axis the gufunc with its axes
+    argument bound (functools.partial), and _copy for a copy.  On a 3D
+    grid phases are the same passes as two phases (axis, passes), the
+    first two passes and the other two, each of which may run on the two
+    halves of axis axis of the field (_split); on other grids phases is
+    ()."""
     fft, ifft, irfft = _pocketfft.fft, _pocketfft.ifft, _pocketfft.irfft
+
+    def on(kernel, axis: int) -> Callable:
+        return kernel if axis == dims - 1 else functools.partial(kernel, axes=args[axis])
 
     def plan(passes: tuple, axes: tuple) -> tuple:
         return passes, (((axes[0], passes[:2]), (axes[1], passes[2:])) if dims == 3 else ())
@@ -332,72 +357,69 @@ def _plans(dims: int, args: tuple, scales: tuple) -> dict:
     def last_first(last, kernel, factors: tuple) -> tuple:
         # last from the input on the last axis, then kernel in place in
         # the output on the others in descending order
-        return plan(((last, _IN, factors[-1], args[-1], _OUT),
-                     *((kernel, _OUT, factors[a], args[a], _OUT)
+        return plan(((last, _IN, factors[-1], _OUT),
+                     *((on(kernel, a), _OUT, factors[a], _OUT)
                        for a in range(dims - 2, -1, -1))), (-3, -2))
 
     if dims == 1:
-        half = ((irfft, _IN, 1.0, args[-1], _OUT),)
+        half = ((irfft, _IN, 1.0, _OUT),)
     else:
-        half = ((None, _IN, None, None, _WORK),
-                *((ifft, _WORK, 1.0, args[a], _WORK) for a in range(dims - 1)),
-                (irfft, _WORK, 1.0, args[-1], _OUT))
+        half = ((_copy, _IN, None, _WORK),
+                *((on(ifft, a), _WORK, 1.0, _WORK) for a in range(dims - 1)),
+                (irfft, _WORK, 1.0, _OUT))
     return {"fftn": last_first(fft, fft, scales),
             "rfftn": last_first(_pocketfft.rfft_n_even, fft, scales),
             "ifftn": last_first(ifft, ifft, (1.0,) * dims),
             "irfftn": plan(half, (-2, -3))}
 
 
-def _run(plan: tuple, shape: tuple, arrays: tuple, func: Optional[Callable] = None,
-         real: bool = False) -> None:
-    """Run plan over arrays (input, output, work) of a field whose
-    coefficients are shaped shape: as its phases, in order, each through
-    _passes on the two halves of its axis, one half on the lane's worker
-    (lane.split), when lane.halves cuts them; else whole, here.  No pass
-    of a phase transforms along its split axis, so each half's lines are
-    whole, and every line goes through the same kernel as in one call,
-    with the same bits.  func and real are _passes'."""
-    passes, phases = plan
-    if phases:
-        halves = [lane.halves(shape, axis) for axis, _ in phases]
-        if halves[0] is not None:
-            for (_, phase), (first, second) in zip(phases, halves):
-                lane.split(_passes, (phase, arrays, first, func, real),
-                           (phase, arrays, second, func, real))
-                func = None
-            return
-    _passes(passes, arrays, None, func, real)
+def _split(phases: tuple, shape: tuple, arrays: tuple, func: Optional[Callable] = None,
+           real: bool = False) -> bool:
+    """Run a 3D plan's phases over arrays (input, output, work) in
+    halves, when lane.halves cuts a field whose coefficients are shaped
+    shape, and return True; else run nothing and return False, and the
+    caller runs the plan's passes whole.  Each phase runs, in order,
+    through _passes on the two halves of its axis, one half on the
+    lane's worker (lane.split), func (_passes') mapping in the first.
+    No pass of a phase transforms along its split axis, so each half's
+    lines are whole, and every line goes through the same kernel as in
+    one call, with the same bits."""
+    cuts = [lane.halves(shape, axis) for axis, _ in phases]
+    if cuts[0] is None:
+        return False
+    for (_, phase), (first, second) in zip(phases, cuts):
+        lane.split(_passes, (phase, arrays, first, func, real),
+                   (phase, arrays, second, func, real))
+        func = None
+    return True
 
 
-def _passes(passes: tuple, arrays: tuple, index: Optional[tuple] = None,
-            func: Optional[Callable] = None, real: bool = False) -> None:
-    """Run passes, in order, from their src arrays into their dst
-    arrays, or from and into the parts of them at index.  func, when
-    given, maps the first pass's src (_mapped) and that pass reads what
-    it returns.  A half of grid axis -3 holds whole grid points, every
-    component of each, so func gives each point the bits it gives it
-    over the whole field."""
-    for gufunc, src, scale, axes, dst in passes:
-        part, into = arrays[src], arrays[dst]
-        if index is not None:
-            part, into = part[index], into[index]
+def _passes(passes: tuple, arrays: tuple, index: tuple, func: Optional[Callable] = None,
+            real: bool = False) -> None:
+    """Run passes, in order, from the parts at index of their src arrays
+    into the parts at index of their dst arrays.  func, when given, maps
+    the first pass's part (_mapped) and that pass reads what it returns.
+    A half of grid axis -3 holds whole grid points, every component of
+    each, so func gives each point the bits it gives it over the whole
+    field."""
+    for call, src, scale, dst in passes:
+        part = arrays[src][index]
         if func is not None:
             part, func = _mapped(func, part, real), None
-        if gufunc is None:
-            np.copyto(into, part)
-        else:
-            gufunc(part, scale, axes=axes, out=into)
+        call(part, scale, out=arrays[dst][index])
 
 
 def _mapped(func: Callable, values: np.ndarray, real: bool) -> np.ndarray:
     """func(values) as an ndarray (its real part when real), which must
-    have values' shape: func must be pointwise."""
+    have values' shape: func must be pointwise.  values itself, which a
+    map that overwrites its argument returns, has it."""
     mapped = func(values)
-    if type(mapped) is not np.ndarray:
-        mapped = np.asarray(mapped)
-    if mapped.shape != values.shape:
-        raise ValueError(f"func returned shape {mapped.shape} for values of shape "
-                         f"{values.shape}; it must be pointwise")
+    if mapped is not values:
+        if type(mapped) is not np.ndarray:
+            mapped = np.asarray(mapped)
+        if mapped.shape != values.shape:
+            raise ValueError(f"func returned shape {mapped.shape} for values of shape "
+                             f"{values.shape}; it must be pointwise")
     return mapped.real if real and mapped.dtype.kind == "c" else mapped
 
 
@@ -416,14 +438,14 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
 
     func, when given, is a pointwise map (NonlinearOp) applied to values
     first: the result is to_coeffs(func(values), grid, real, out), bit
-    for bit.  It runs in the transform's first pass (on a field in
-    halves, on each half of grid axis -3), or, without out (whose type
-    is that of what func returns), once here; what it returns must have
-    its argument's shape.
+    for bit.  It runs once, before the first pass, or, on a field in
+    halves with out given, in the first phase, on each half of grid axis
+    -3 (without out, whose type is that of what func returns, it runs
+    first there too); what it returns must have its argument's shape.
     """
     if type(values) is not np.ndarray:
         values = np.asarray(values)
-    if values.shape[-grid.dims:] != grid.shape:
+    if values.shape[-grid.dims:] != grid.sizes:
         raise ValueError(f"field shape {values.shape} does not end in {grid.shape}")
     cell = _FFT_COUNTER.get()
     if cell is not None:
@@ -435,7 +457,14 @@ def to_coeffs(values: np.ndarray, grid: Grid, real: bool = False,
     if out is None:
         shape = (*values.shape[:-grid.dims], *grid.half_shape) if real else values.shape
         out = np.empty(shape, dtype=np.result_type(values.dtype, 1j))
-    _run(grid.plans["rfftn" if real else "fftn"], out.shape, (values, out, None), func, real)
+    passes, phases = grid.plans["rfftn" if real else "fftn"]
+    if phases and _split(phases, out.shape, (values, out, None), func, real):
+        return out
+    if func is not None:
+        values = _mapped(func, values, real)
+    arrays = (values, out, None)
+    for call, src, scale, dst in passes:
+        call(arrays[src], scale, out=arrays[dst])
     return out
 
 
@@ -464,24 +493,28 @@ def to_values(coeffs: np.ndarray, grid: Grid, real: bool = False,
     if type(coeffs) is not np.ndarray:
         coeffs = np.asarray(coeffs)
     tail = coeffs.shape[-grid.dims:]
-    half = tail != grid.shape
+    half = tail != grid.sizes
     if half and tail != grid.half_shape:
         raise _layout_error(coeffs, grid)
     cell = _FFT_COUNTER.get()
     if cell is not None:
         cell[0] += 1
-    if not half:
+    if half:
+        if work is None and grid.dims > 1:
+            work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
+        if out is None:
+            shape, inner = (*coeffs.shape[:-1], grid.sizes[-1]), coeffs if work is None else work
+            out = np.empty(shape, dtype=np.result_type(inner.real.dtype, 1.0))
+        passes, phases = grid.plans["irfftn"]
+    else:
         if out is None:
             out = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
-        _run(grid.plans["ifftn"], coeffs.shape, (coeffs, out, None))
-        return out.real if real else out
-    if work is None and grid.dims > 1:
-        work = np.empty(coeffs.shape, dtype=np.result_type(coeffs.dtype, 1j))
-    if out is None:
-        shape, inner = (*coeffs.shape[:-1], grid.sizes[-1]), coeffs if work is None else work
-        out = np.empty(shape, dtype=np.result_type(inner.real.dtype, 1.0))
-    _run(grid.plans["irfftn"], coeffs.shape, (coeffs, out, work))
-    return out
+        passes, phases = grid.plans["ifftn"]
+    arrays = (coeffs, out, work)
+    if not (phases and _split(phases, coeffs.shape, arrays)):
+        for call, src, scale, dst in passes:
+            call(arrays[src], scale, out=arrays[dst])
+    return out.real if real and not half else out
 
 
 # ---------------------------------------------------------------------------
@@ -550,7 +583,7 @@ def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid,
     overwrite values)."""
     if out is None:
         out = np.empty(coeffs.shape, np.result_type(coeffs.dtype, 1j))
-    values = to_values(coeffs, grid, out=values, work=out)
+    values = to_values(coeffs, grid, False, values, out)
     out = to_coeffs(values, grid, values.dtype.kind == "f", out, op.func)
     if op.outer is not None:
         np.multiply(out, op.outer, out)

@@ -5,6 +5,7 @@ against closed-form solutions."""
 import dataclasses
 import functools
 import math
+import sys
 import tracemalloc
 import types
 import weakref
@@ -358,6 +359,44 @@ def test_fft_budget_two_s_per_step(name, evals):
     stepping_steps = nsteps - (info.tableau().steps - 1)
     assert result.fft_count == 2 * evals * stepping_steps
     assert evals == info.stages
+
+
+def test_each_evaluation_calls_the_traced_names_once(monkeypatch):
+    # perfbench's tracer replaces spectral.apply_nonlinear, to_values and
+    # to_coeffs wherever a phistep module binds them and reads its
+    # transform spans against fft_total.  Counting wrappers, patched the
+    # same way, see each evaluation call apply_nonlinear once, which
+    # calls to_values and then to_coeffs once each, and see one wrapped
+    # call per counted transform: a path that skipped a name would show
+    events = []
+
+    def counting(label, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            events.append(label)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                events.append("/" + label)
+        return wrapper
+
+    modules = [m for key, m in sys.modules.items()
+               if m is not None and (key == "phistep" or key.startswith("phistep."))]
+    for label in ("apply_nonlinear", "to_values", "to_coeffs"):
+        original = getattr(spectral, label)
+        wrapper = counting(label, original)
+        for module in modules:
+            for key, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, key, wrapper)
+    problem = get_problem("ks")
+    system = discretize(problem, default_grid(problem))
+    events.clear()
+    result = integrate(system, "etdrk4", 0.25, 3.0)
+    evaluation = ["apply_nonlinear", "to_values", "/to_values", "to_coeffs", "/to_coeffs",
+                  "/apply_nonlinear"]
+    assert events == evaluation * (4 * result.steps)
+    assert events.count("to_values") + events.count("to_coeffs") == result.fft_total
 
 
 # ---------------------------------------------------------------------------

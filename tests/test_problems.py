@@ -1,6 +1,8 @@
 """Problem-registry tests: closed-form spot values, PDE residuals for the
 analytic reference solutions, and discretization invariants."""
+import dataclasses
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -326,6 +328,19 @@ def test_discretize_shapes_and_dtypes():
 def test_discretize_dims_mismatch():
     with pytest.raises(ValueError):
         discretize(get_problem("ac"), Grid.uniform(2, 8, (0.0, TWO_PI)))
+
+
+def test_discretize_names_an_initial_condition_without_a_component_axis():
+    # ic must return (components, *grid.shape); one that drops the
+    # component axis is refused before the transform, naming the problem
+    # and both shapes
+    p = get_problem("ks")
+    g = default_grid(p)
+    bare = dataclasses.replace(p, ic=lambda grid: p.ic(grid)[0])
+    message = (f"{p.name}: initial condition values have shape {g.shape}, "
+               f"expected (components, *grid.shape) = {(1, *g.shape)}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        discretize(bare, g)
 
 
 def test_symbol_classification():

@@ -95,11 +95,16 @@ def test_grid_interval_open_at_right_end():
         ((4,), ((2.0, 1.0),)),  # reversed interval
         ((4,), ((0.0, np.inf),)),  # non-finite end
         ((4, 4), ((0.0, 1.0),)),  # domain/sizes length mismatch
+        ((4, 4, 4), ((0.0, 1.0),) * 2),  # domain/sizes length mismatch
     ],
 )
 def test_grid_validation(sizes, domain):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError) as caught:
         Grid(sizes, domain)
+    if len(sizes) <= 3 and len(domain) != len(sizes):
+        # a length mismatch names both counts
+        assert str(caught.value) == (
+            f"one interval per axis required, got {len(domain)} for {len(sizes)} axes")
 
 
 @pytest.mark.parametrize("size", [32.5, 32.0, "32", True])
@@ -383,16 +388,67 @@ def test_transforms_match_numpy_bit_for_bit(grid, real):
     _check_transforms_match_numpy(_field(grid, real), grid, real)
 
 
+def _numpy_forward(values, grid, real):
+    """numpy.fft's forward transform (norm="forward") of values, the
+    real part when real: for double precision numpy's rfftn or fftn; for
+    single precision numpy's 1D transforms of each axis in to_coeffs'
+    order, the last first, each run on the double-precision array and
+    rounded to single (to_coeffs' forward factors are doubles, so its
+    kernels compute in double)."""
+    axes = tuple(range(-grid.dims, 0))
+    if real:
+        values = values.real
+    if values.real.dtype == np.float64:
+        return (np.fft.rfftn if real else np.fft.fftn)(values, axes=axes, norm="forward")
+    for axis in reversed(axes):
+        kernel = np.fft.rfft if real and axis == -1 else np.fft.fft
+        values = kernel(values.astype(np.result_type(values.dtype, np.float64)), axis=axis,
+                        norm="forward").astype(np.complex64)
+    return values
+
+
 @settings(max_examples=150, deadline=None)
 @given(sizes=st.lists(st.sampled_from(range(2, 17, 2)), min_size=1, max_size=3),
-       components=st.integers(1, 2), real=st.booleans(), seed=st.integers(0, 2**32 - 1))
-def test_transforms_equal_public_numpy_fft_on_random_grids(sizes, components, real, seed):
+       components=st.integers(1, 2), real=st.booleans(), single=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_transforms_equal_public_numpy_fft_on_random_grids(sizes, components, real, single,
+                                                            seed):
+    # the whole path, with and without given out and work arrays and
+    # with a pointwise func in to_coeffs and in apply_nonlinear (given
+    # out and values), has numpy.fft's bits; single-precision (complex64)
+    # values are checked against _numpy_forward's reference, and their
+    # inverse against numpy's irfftn or ifftn
     grid = Grid(sizes, ((0.0, 1.0),) * len(sizes))
     rng = np.random.default_rng(seed)
     values = rng.standard_normal((components, *grid.shape))
-    if not real:
+    if not real or single:
         values = values + 1j * rng.standard_normal(values.shape)
-    _check_transforms_match_numpy(values, grid, real)
+    if single:
+        values = values.astype(np.complex64)
+    else:
+        _check_transforms_match_numpy(values, grid, real)
+
+    def square(u):
+        return u * u
+
+    want = _numpy_forward(values, grid, real)
+    out = np.empty_like(want)
+    assert to_coeffs(values, grid, real=real, out=out).tobytes() == want.tobytes()
+    assert to_coeffs(values, grid, real=real, out=out, func=square) is out
+    assert out.tobytes() == _numpy_forward(square(values), grid, real).tobytes()
+    assert to_coeffs(values, grid, real, None, square).tobytes() == out.tobytes()
+    axes, half = tuple(range(-grid.dims, 0)), real and grid.sizes[-1] > 2
+    if half:
+        inverse = np.fft.irfftn(want, grid.shape, axes=axes, norm="forward")
+    else:
+        inverse = np.fft.ifftn(want, axes=axes, norm="forward")
+    into = np.empty_like(inverse)
+    assert to_values(want, grid, False, into, np.empty_like(want)) is into
+    assert into.tobytes() == inverse.tobytes()
+    buffer = np.empty_like(want)
+    got = apply_nonlinear(want, NonlinearOp(square), grid, out, value_view(buffer, grid))
+    assert got is out
+    assert out.tobytes() == _numpy_forward(square(inverse), grid, half).tobytes()
 
 
 def _count_splits(patch) -> list:
@@ -440,7 +496,8 @@ def test_3d_transforms_in_halves_equal_public_numpy_fft_on_random_grids(
 
 class _RecordingKernels:
     """Stands in for spectral._pocketfft: calls its kernels and records
-    each call as (kernel name, input, axes, out)."""
+    each call as (kernel name, input, axes, out), axes None for a call
+    on the gufunc's default (last) axis."""
 
     def __init__(self, kernels):
         self.kernels, self.calls = kernels, []
@@ -448,9 +505,9 @@ class _RecordingKernels:
     def __getattr__(self, name):
         kernel = getattr(self.kernels, name)
 
-        def record(a, factor, axes, out):
-            self.calls.append((name, a, axes, out))
-            return kernel(a, factor, axes=axes, out=out)
+        def record(a, factor, out, **axes):
+            self.calls.append((name, a, axes.get("axes"), out))
+            return kernel(a, factor, out=out, **axes)
         return record
 
 
@@ -484,6 +541,7 @@ def test_half_layout_inverse_runs_its_leading_axes_in_place_in_work(
     for _, a, _, out in leading:
         assert a is out is inside
     assert last[0] == "irfft" and last[1] is inside and last[3] is got
+    assert last[2] is None
 
 
 @pytest.mark.parametrize("grid", _LAYOUT_GRIDS, ids=lambda g: f"{g.dims}d")
