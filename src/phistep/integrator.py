@@ -89,7 +89,7 @@ import numpy as np
 from . import lane
 from .errors import UnstableError
 from .phifun import KeyedDiagonal, PhiExpr, eval_phi_exprs, exp_term, gamma_tables
-from .spectral import install_fft_counter, remove_fft_counter
+from .spectral import install_fft_counter, real_view, remove_fft_counter
 from .tableau import SchemeInfo, Tableau, get_scheme
 
 __all__ = [
@@ -367,29 +367,18 @@ def _copying_evaluator(system) -> Callable:
     return evaluate
 
 
-def _real_view(buffer: np.ndarray) -> np.ndarray:
-    """A contiguous float64 array shaped like buffer, a C-contiguous
-    complex128 array, over its first bytes: a norm's moduli laid over a
-    buffer that is idle while they are taken."""
-    return buffer.reshape(-1).view(np.float64)[: buffer.size].reshape(buffer.shape)
-
-
-def _state_slots(q: int) -> int:
-    """The slots a step fills from its state, before the pooled ones:
-    u^n, the output and, for q >= 2, N(u^n), ..., N(u^{n-q+1})."""
-    return q + 2 if q > 1 else 2
-
-
 def _schedule(rows: Sequence[tuple], q: int) -> tuple:
     """(ops, pooled): the row program of a step as one list of ops over
     slots, and the number of pooled buffers among those slots.
 
-    Slot 0 is u^n, slot 1 the output and, for q >= 2, slots 2..q + 1
-    the state's N(u^n), ..., N(u^{n-q+1}); the pooled slots follow.  An
-    op is (kind, c, a, b), as _run runs it: _START sets slot b to c *
-    slot a (a row's propagator times its source), _TERM adds c times
-    slot a to slot b, _DIFF sets slot b to slot c - slot a and _EVAL
-    writes N(slot a) into slot b.  Two passes over named values make it.
+    Slot 0 is u^n, slot 1 the output, slot 2 N(u^n) at every q (the
+    step's own evaluation for q = 1, the state's for q >= 2) and slots
+    3..q + 1 the state's N(u^{n-1}), ..., N(u^{n-q+1}); the pooled slots
+    follow.  An op is (kind, c, a, b), as _run runs it: _START sets slot
+    b to c * slot a (a row's propagator times its source), _TERM adds c
+    times slot a to slot b, _DIFF sets slot b to slot c - slot a and
+    _EVAL writes N(slot a) into slot b.  Two passes over named values
+    make it.
 
     Order: N(u^n) first (q = 1), then each stage row whole, each followed
     by the evaluation of its stage and the difference from N(u^n),
@@ -398,11 +387,12 @@ def _schedule(rows: Sequence[tuple], q: int) -> tuple:
     exists.  A history difference N(u^{n-j}) - N(u^n) is formed just
     before its first reader.
 
-    Pool: every value the state does not hold has a buffer from the op
+    Pool: every value outside slots 0..q + 1 has a buffer from the op
     that writes it to its last reader in that order.  The written value
     takes its buffer before the op's inputs that have no later reader
     give theirs back, and it takes the buffer given back last, or else a
-    new one, so the pool holds as many fields as are live at once.
+    new one, so the pool (with slot 2 for q = 1) holds as many fields as
+    are live at once.
     """
     out_propagator, out_source, out_terms = rows[-1]
     # pass 1, order, over named values: ("v", i) is source i (u^n, then
@@ -441,9 +431,7 @@ def _schedule(rows: Sequence[tuple], q: int) -> tuple:
         return (a, c) if kind == _DIFF else (a,)
 
     last = {key: t for t, (kind, c, a, _) in enumerate(ops) for key in reads(kind, c, a)}
-    slot = {("v", 0): 0, out: 1}
-    if q > 1:
-        slot.update({("d", 0): 2, **{("n", j): 2 + j for j in range(1, q)}})
+    slot = {("v", 0): 0, out: 1, ("d", 0): 2, **{("n", j): 2 + j for j in range(1, q)}}
     base, free, laid = len(slot), [], []
     fresh = itertools.count(base)
     for t, (kind, c, a, b) in enumerate(ops):
@@ -463,16 +451,20 @@ class _StepWork:
     arrays of at most that many entries are complex128 copies, and
     larger ones the phi cache's own, so a 3D field's rows add no memory.
     schedule is that program as the ops of _schedule, fixed here, over
-    slots: the arrays that step sets from the state for each step, then
-    the buffers the schedule pools by liveness, for N(u^n) (when q = 1),
-    the stage accumulators, the stage differences and the history
-    differences, each buffer reused after its value's last reader.
-    An ETDRK4 step so pools three fields besides N(u^n).  product holds the term being added and,
-    idle during an evaluation, the evaluation's values array; norm, a
-    real view of product's first bytes, takes the stability check's
-    moduli.  outputs and ring hold the states it returns: the step that
-    makes state k writes its coefficients into outputs[k % 2] and, for
-    q >= 2, N(u^k) into ring[k % (q + 1)] (ring is empty for q = 1).
+    slots: u^n, the output and N(u^n), ..., N(u^{n-q+1}) in slots
+    0..q + 1, then the buffers the schedule pools by liveness, for the
+    stage accumulators, the stage differences and the history
+    differences, each buffer reused after its value's last reader (an
+    ETDRK4 step pools three fields).  Slot 2 holds N(u^n) at every q:
+    step sets it from the state for q >= 2, while for q = 1 it is
+    ring[0], which the step's first op evaluates N(u^n) into, and a
+    caller may point it at a buffer of its own (start_multistep does).
+    product holds the term being added and, idle during an evaluation,
+    the evaluation's values array; norm, a real view of product's first
+    bytes, takes the stability check's moduli.  outputs and ring hold
+    the states it returns: the step that makes state k writes its
+    coefficients into outputs[k % 2] and, for q >= 2, N(u^k) into
+    ring[k % (q + 1)] (ring is the one field of slot 2 for q = 1).
     State m sits in slot m, so a step never writes its input, and a
     returned state stays intact through the next step; the step after
     may reuse its arrays.  h is the scheme's step as a complex128 scalar
@@ -500,11 +492,12 @@ class _StepWork:
         q = scheme.steps
         self.rows = _cast_free(scheme.rows)
         self.schedule, pooled = _schedule(self.rows, q)
-        self.slots = [None] * _state_slots(q) + [field() for _ in range(pooled)]
+        self.ring = tuple(field() for _ in range(q + 1 if q > 1 else 1))
+        self.slots = [None, None, self.ring[0], *[None] * (q - 1),
+                      *(field() for _ in range(pooled))]
         self.product = field()
         self.outputs = (field(), field())
-        self.ring = tuple(field() for _ in range(q + 1 if q > 1 else 0))
-        self.norm = _real_view(self.product)
+        self.norm = real_view(self.product, shape)
         self.h = np.array(complex(scheme.h))
         bind = getattr(system, "evaluator", None)
         self.evaluate = _copying_evaluator(system) if bind is None else bind(self.product)
@@ -663,12 +656,21 @@ def start_multistep(
     in buffers allocated once: operand l >= 1, Delta^l N(u^0), is
     formed in place over N(u^l), from the top index down, and each u^j
     goes into a spare buffer that swaps with the old u^j once its
-    stability check and change are taken.  The ETDRK2 steps' workspace
-    lends its evaluation, its product and norm arrays, its two outputs
-    and its pooled fields, idle once its steps are copied: the spare,
-    the moduli of the change (norm lies over product, which holds the
-    change) and the first min(q, 3) of the N(u^j).  The workspace dies
-    with the call, so the returned arrays are the starter's own.
+    stability check and change are taken.
+
+    Each N(u^j) is evaluated once.  Before boot step n the workspace's
+    slot 2, where an ETDRK2 step evaluates N(u^n), is pointed at the
+    starter's buffer for N(u^n), so the boot leaves N(u^0), ...,
+    N(u^{q-2}) in place and the starter evaluates N(u^{q-1}) alone: a
+    call makes 2(q - 1) + 1 + (q - 1) * iterations evaluations.  The
+    ETDRK2 workspace lends its evaluation, its product and norm arrays
+    and its fields, each by name: slot 2's own field holds N(u^0), the
+    two pooled fields, idle after the boot, N(u^{q-1}) and the spare,
+    the output of the last boot step is u^{q-1} in place, and the other
+    output takes the moduli of the change (norm lies over product, which
+    holds the change).  The q - 2 other N(u^j) and copies of u^1, ...,
+    u^{q-2} are the starter's own.  The workspace dies with the call, so
+    the returned arrays are the starter's own.
 
     diag is h*system.lam keyed once (integrate passes the one it keyed
     for the scheme), or None to key it here.  The e^{jhL} come from one
@@ -691,23 +693,24 @@ def start_multistep(
 
     boot = prepare_scheme("etdrk2", h, diag)
     work = _StepWork(boot, u0.shape, system)
+    _, _, first, last, spare = work.slots  # N(u^n) and the two pooled fields
+    values = [first, *(np.empty_like(first) for _ in range(q - 2)), last]
     state = SimState(coeffs=u0, time=0.0, step=0, initial_norm=initial_norm)
     old = []
-    for _ in range(q - 1):
+    for n in range(q - 1):
+        work.slots[2] = values[n]  # the boot step evaluates N(u^n) into it
         state = step(state, boot, system, work=work)
-        old.append(state.coeffs.copy())
+        old.append(state.coeffs.copy() if n < q - 2 else state.coeffs)
+    work.evaluate(state.coeffs, last)
     propagators = eval_phi_exprs([exp_term(1, j) for j in range(1, q)], diag)
     tables = gamma_tables(q, range(1, q), diag)
     rows = _cast_free([(propagator, 0, tuple((gamma, l) for l, gamma in enumerate(table)))
                        for propagator, table in zip(propagators, tables)])
-    evaluate, product, norm = work.evaluate, work.product, work.norm
-    moduli = _real_view(work.outputs[0])
-    pooled = work.slots[_state_slots(1):]
-    buffers = [*pooled[:q], *(np.empty_like(product) for _ in range(q - len(pooled)))]
+    product, norm = work.product, work.norm
+    moduli = real_view(work.outputs[q % 2], u0.shape)  # the output the boot left idle
     # slots: u^0, N(u^0), ..., N(u^{q-1}), u^1, ..., u^{q-1}, the iterate being made
     made = 2 * q
-    slots = [u0, *(evaluate(u, out) for u, out in zip((u0, *old), buffers)), *old,
-             work.outputs[1]]
+    slots = [u0, *values, *old, spare]
     diffs = work.lower([(_DIFF, i + 1, i, i + 1)
                         for l in range(1, q) for i in range(q - 1, l - 1, -1)])
     maps = [work.lower([(_START, propagator, 0, made),

@@ -483,7 +483,7 @@ def discretize(problem: Problem, grid: Grid) -> DiscreteSystem:
         raise ValueError(f"{problem.name}: initial condition values have shape {values.shape}, "
                          f"expected (components, *grid.shape) = {shape}")
     if problem.real:
-        kept = slice(0, grid.sizes[-1] // 2 + 1)
+        kept = slice(0, grid.half_shape[-1])
         lam = np.ascontiguousarray(lam[..., kept])
         if op.outer is not None:
             op = replace(op, outer=np.ascontiguousarray(op.outer[..., kept]))

@@ -125,6 +125,7 @@ __all__ = [
     "to_values",
     "apply_nonlinear",
     "value_view",
+    "real_view",
     "fft_counter",
     "install_fft_counter",
     "remove_fft_counter",
@@ -550,16 +551,22 @@ class NonlinearOp:
     outer: Optional[np.ndarray] = None
 
 
+def real_view(buffer: np.ndarray, shape: tuple) -> np.ndarray:
+    """A contiguous real array of buffer's precision, shaped shape, over
+    the first bytes of buffer, a C-contiguous complex array with at
+    least as many entries.  It shares buffer's memory for as long as
+    both live."""
+    return buffer.reshape(-1).view(buffer.real.dtype)[: math.prod(shape)].reshape(shape)
+
+
 def value_view(buffer: np.ndarray, grid: Grid) -> np.ndarray:
     """The values array of apply_nonlinear laid over buffer, a
     C-contiguous complex array shaped like the coefficients: buffer
-    itself for the full layout; for the half layout the contiguous real
-    array of buffer's precision, shaped like the field, over buffer's
-    first bytes.  It shares buffer's memory for as long as both live."""
+    itself for the full layout; for the half layout the real array
+    shaped like the field over buffer's first bytes (real_view)."""
     if not _is_half(buffer, grid):
         return buffer
-    shape = (*buffer.shape[:-1], grid.sizes[-1])
-    return buffer.reshape(-1).view(buffer.real.dtype)[: math.prod(shape)].reshape(shape)
+    return real_view(buffer, (*buffer.shape[:-1], grid.sizes[-1]))
 
 
 def apply_nonlinear(coeffs: np.ndarray, op: NonlinearOp, grid: Grid,

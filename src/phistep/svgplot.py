@@ -9,9 +9,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from html import escape
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple
-from xml.sax.saxutils import escape
 
 __all__ = ["Panel", "two_panel_svg", "PALETTE"]
 
@@ -115,7 +115,8 @@ class _PanelRenderer:
         )
         parts.append(
             f"<text x='{ox + _PLOT_W / 2}' y='{oy - 22}' text-anchor='middle' "
-            f"{_FONT} font-size='15' font-weight='bold'>{escape(self.panel.title)}</text>"
+            f"{_FONT} font-size='15' font-weight='bold'>"
+            f"{escape(self.panel.title, quote=False)}</text>"
         )
         for exp in _tick_exponents(self.x0, self.x1):
             px = self._px(float(exp))
@@ -139,12 +140,12 @@ class _PanelRenderer:
             )
         parts.append(
             f"<text x='{ox + _PLOT_W / 2}' y='{oy + _PLOT_H + 40}' text-anchor='middle' "
-            f"{_FONT} font-size='13'>{escape(self.panel.xlabel)}</text>"
+            f"{_FONT} font-size='13'>{escape(self.panel.xlabel, quote=False)}</text>"
         )
         parts.append(
             f"<text x='{ox - 58}' y='{oy + _PLOT_H / 2}' text-anchor='middle' {_FONT} "
             f"font-size='13' transform='rotate(-90 {ox - 58} {oy + _PLOT_H / 2})'>"
-            f"{escape(self.panel.ylabel)}</text>"
+            f"{escape(self.panel.ylabel, quote=False)}</text>"
         )
         any_points = any(_usable(p) for pts in self.panel.curves.values() for p in pts)
         if not any_points:
@@ -164,7 +165,7 @@ class _PanelRenderer:
             )
             parts.append(
                 f"<text x='{legend_x + 26}' y='{legend_y}' {_FONT} font-size='11'>"
-                f"{escape(label)}</text>"
+                f"{escape(label, quote=False)}</text>"
             )
 
     def _render_curve(self, parts: list, pts: Sequence[Point], color: str) -> None:

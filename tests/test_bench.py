@@ -4,7 +4,10 @@ error-floor rule, and CSV/SVG/JSON export round-trips."""
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tracemalloc
 import xml.etree.ElementTree as ET
 from pathlib import Path
@@ -81,6 +84,13 @@ def test_reference_steps_are_twice_t_over_hmin(monkeypatch):
     reference_solution(system, 1.0, 1e-3)
     assert calls["scheme"] == "pecec736"
     assert calls["steps"] == 2000  # 2 * T / h_min
+
+
+@pytest.mark.parametrize("h_min", [0.0, -1e-3])
+def test_reference_rejects_a_step_that_is_not_positive(h_min):
+    _, system = _probe_system()
+    with pytest.raises(ValueError, match=f"h_min must be positive, got {h_min}"):
+        reference_solution(system, 1.0, h_min)
 
 
 def test_reference_cache_returns_identical_array():
@@ -217,6 +227,7 @@ def test_geometric_ladder_descending_and_endpoints():
     assert ladder[-1] == pytest.approx(1.0 / 64.0)
     ratios = [a / b for a, b in zip(ladder, ladder[1:])]
     assert all(r == pytest.approx(2.0, rel=1e-12) for r in ratios)
+    assert geometric_ladder(0.5, 0.5, 1) == (0.5,)
 
 
 def test_geometric_ladder_rejects_bad_input():
@@ -226,6 +237,8 @@ def test_geometric_ladder_rejects_bad_input():
         geometric_ladder(1.0, 0.0, 3)
     with pytest.raises(ValueError):
         geometric_ladder(1.0, 0.5, 0)
+    with pytest.raises(ValueError, match="a one-rung ladder needs h_min == h_max"):
+        geometric_ladder(1.0, 0.5, 1)
 
 
 def _tiny_plan(**overrides):
@@ -248,6 +261,8 @@ def test_plan_rejects_ascending_ladder():
 def test_plan_rejects_nonpositive_step():
     with pytest.raises(ValueError):
         _tiny_plan(ladder=(0.1, 0.0))
+    with pytest.raises(ValueError, match="a sweep needs at least one step size"):
+        _tiny_plan(ladder=())
 
 
 @pytest.mark.parametrize("T", [0.0, -1.0, math.inf, math.nan])
@@ -420,6 +435,10 @@ def test_estimate_order_needs_three_qualifying_points():
     ]
     with pytest.raises(NoDataError):
         estimate_order(flat)
+    unstable = [SweepRecord("etdrk4", 2.0 ** (-k), 0.1, None, None, False, True)
+                for k in range(5)]
+    with pytest.raises(NoDataError, match="no stable points with positive error"):
+        estimate_order(unstable)
 
 
 def test_estimate_order_and_empirical_order_share_one_fit():
@@ -509,6 +528,10 @@ def test_read_records_rejects_foreign_header(tmp_path):
     bad.write_text("a,b,c\n1,2,3\n")
     with pytest.raises(ValueError, match="header"):
         read_records(bad)
+    empty = tmp_path / "empty.csv"
+    empty.write_text("")
+    with pytest.raises(ValueError, match=re.escape(f"is empty; expected header {CSV_HEADER!r}")):
+        read_records(empty)
 
 
 @pytest.mark.parametrize("row, where", [
@@ -535,6 +558,26 @@ def test_svg_is_well_formed_with_curves_and_gap(tmp_path):
     assert "demo accuracy" in svg and "demo work" in svg
     assert svg.count("<polyline") >= 2
     assert "etdrk4" in svg and "abnorsett4" in svg
+
+
+def test_svg_escapes_markup_in_its_title_and_keeps_quotes(tmp_path):
+    paths = export(_mixed_records(), tmp_path, title="a <b> & 'c' \"d\"")
+    svg = paths["svg"].read_text()
+    assert ">a &lt;b&gt; &amp; 'c' \"d\" accuracy</text>" in svg
+    titles = [el.text for el in ET.parse(paths["svg"]).iter("{http://www.w3.org/2000/svg}text")]
+    assert "a <b> & 'c' \"d\" work" in titles
+
+
+def test_importing_the_package_loads_no_xml_sax():
+    # svgplot escapes through html.escape: xml.sax.saxutils would pull
+    # in urllib.request, a large share of the package's import time
+    import phistep
+    src = os.path.dirname(os.path.dirname(phistep.__file__))
+    code = "import sys, phistep; print([m for m in sys.modules if m.startswith('xml.sax')])"
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": src}, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
 
 
 def test_svg_breaks_line_at_unstable_point(tmp_path):

@@ -150,6 +150,25 @@ def test_run_bad_manifest_json_exits_2(tmp_path, capsys):
     assert "JSON" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, body, cause", [
+    ("run", None, "cannot read manifest {path}: "),
+    ("bench", None, "cannot read manifest {path}: "),
+    ("run", '[{"problem": "nls"}]', "manifest {path} must hold a JSON object"),
+    ("bench", '[{"problem": "ks"}]', "manifest {path} must hold a JSON object"),
+    ("run", '{"h": 0.1}', "run needs a problem name (argument or manifest)"),
+], ids=["run-unreadable", "bench-unreadable", "run-not-an-object", "bench-not-an-object",
+        "run-no-problem"])
+def test_a_manifest_that_cannot_be_used_exits_2_naming_the_cause(tmp_path, capsys, command,
+                                                                  body, cause):
+    path = tmp_path / "manifest.json"  # absent unless a body is given
+    if body is not None:
+        path.write_text(body)
+    assert main([command, "--manifest", str(path), "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert cause.format(path=path) in captured.err
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("key, value", [("h", "abc"), ("T", "x")])
 def test_run_manifest_bad_number_exits_2_naming_it(tmp_path, capsys, key, value):
     manifest = tmp_path / "run.json"

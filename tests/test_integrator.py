@@ -562,6 +562,14 @@ def test_starter_rejects_single_step():
         start_multistep(1, 0.1, system, system.u0)
 
 
+def test_a_scheme_that_is_neither_a_name_an_entry_nor_a_tableau_is_refused():
+    system = probe_system()
+    with pytest.raises(TypeError, match="cannot prepare a scheme from int"):
+        prepare_scheme(42, 0.1, system.lam)
+    with pytest.raises(TypeError, match="cannot prepare a scheme from int"):
+        integrate(system, 42, 0.1, 1.0)
+
+
 def test_starter_instability():
     def cube(u):
         return u ** 3
@@ -1139,7 +1147,7 @@ def test_workspace_step_keeps_the_previous_state_and_returns_its_own_arrays(sche
     for _ in range(q):
         state = step(state, engine, system, work=work)
     slots = [*work.outputs, *work.ring]
-    assert len(work.ring) == (q + 1 if q > 1 else 0)
+    assert len(work.ring) == (q + 1 if q > 1 else 1)
     for _ in range(q + 3):
         before = [a.copy() for a in (state.coeffs, *state.nonlinear)]
         new = step(state, engine, system, work=work)
@@ -1278,6 +1286,21 @@ def test_starter_peak_in_fields(q, bound):
     assert peak <= bound * field, peak / field
 
 
+@pytest.mark.parametrize("q", [2, 4, 6])
+def test_starter_evaluates_each_starting_value_once(q):
+    # the ETDRK2 boot evaluates N(u^0), ..., N(u^{q-2}) into the
+    # starter's buffers (slot 2 of its workspace) and N(v^2) once per
+    # step, so the starter evaluates N(u^{q-1}) alone before it iterates,
+    # and each iteration evaluates the q - 1 new iterates
+    # (_MarkingSystem marks the entry to and the exit from each one)
+    problem = get_problem("nls")
+    system = _MarkingSystem(discretize(problem, default_grid(problem)))
+    u0 = np.array(system.u0, dtype=complex)
+    result = start_multistep(q, _BUFFERED_STEP["nls"], system, u0)
+    assert result.iterations >= 1
+    assert len(system.marks) == 2 * (2 * (q - 1) + 1 + (q - 1) * result.iterations)
+
+
 def _reference_starter(q, h, system, u0, delta0_state=False):
     """The fixed-point starter in the arithmetic the buffered one must
     reproduce: fresh ETDRK2 steps, forward differences as lists of new
@@ -1394,14 +1417,19 @@ def test_random_tableaux_step_bit_for_bit_in_the_fields_live_at_once(
     q = tab.steps
     engine = precompute(tab, h, system.lam)
     work = _StepWork(engine, u0.shape, system)
-    assert len(work.slots) - integrator._state_slots(q) <= _live_at_once(work.rows, q)
+    # slots 0..q + 1 are u^n, the output and N(u^n), ..., N(u^{n-q+1});
+    # for q = 1 slot 2 is the workspace's field, live with the pool
+    assert len(work.slots) - (q + 2) + (q == 1) <= _live_at_once(work.rows, q)
     tables = _slot_tables(tab, h, system.lam)
     buffered = reference = dataclasses.replace(
         got.state, nonlinear=got.state.nonlinear[:q] if q > 1 else ())
     for _ in range(3):
+        before = buffered
         buffered = step(buffered, engine, system, work=work)
         reference = _reference_step(reference, tab, tables, system)
         assert _same_state(buffered, reference), buffered.step
+        if q == 1:  # slot 2 holds N(u^n) of the step's input
+            assert work.slots[2].tobytes() == system.nonlinear(before.coeffs).tobytes()
 
 
 def _count_splits(patch) -> list:

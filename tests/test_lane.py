@@ -219,6 +219,20 @@ def test_an_overflowing_step_raises_under_errstate(monkeypatch, split):
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forget_leaves_a_fresh_lane_that_still_splits(monkeypatch):
+    # what a forked child runs first: a new lane, not started and not
+    # claimed, whose first split starts its own worker for the first half
+    monkeypatch.setattr(lane, "_lane", lane._lane)  # the module's lane comes back after
+    old = lane._lane
+    lane._forget()
+    fresh = lane._lane
+    assert fresh is not old and fresh.thread is None and not fresh.claim.locked()
+    seen = []
+    lane.split(lambda tag: seen.append((tag, threading.get_ident())), ("first",), ("second",))
+    assert dict(seen) == {"first": fresh.thread.ident, "second": threading.get_ident()}
+    assert fresh.thread is not old.thread and not fresh.claim.locked()
+
+
 def test_a_forked_child_runs_a_split_step(monkeypatch):
     monkeypatch.setattr(lane, "MIN_SPLIT_ENTRIES", 0)
     system = discretize(get_problem("sh3"), default_grid(get_problem("sh3")))

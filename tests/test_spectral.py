@@ -310,6 +310,8 @@ def test_transform_shape_validation():
         to_coeffs(np.zeros(8), g)
     with pytest.raises(ValueError, match=layout_error):
         to_values(np.zeros((8, 4)), g)
+    with pytest.raises(ValueError, match=layout_error):
+        value_view(np.zeros((8, 4), complex), g)
 
 
 

@@ -262,6 +262,12 @@ def test_pec_range():
             build_pecec(bad)
 
 
+@pytest.mark.parametrize("q", [0, 8])
+def test_gen_lawson_range(q):
+    with pytest.raises(ValueError, match=rf"q must be in \[1, 7\], got {q}"):
+        build_gen_lawson(q)
+
+
 def test_lawson4_reduces_to_classical_rk4():
     t = lawson4()
     assert not t.satisfies_summation
@@ -515,6 +521,7 @@ B[2] = 0
         ("A[2][2] = phi1(z)", "triangle"),
         ("A[1][1] = phi1(z)", "triangle"),
         ("B[5] = phi1(z)", "out of range"),
+        ("B[9] = phi1(z)", "line 17: B index out of range"),
         ("V[1] = phi1(z)", "out of range"),
         ("B[2] = garbage(z)", "cannot parse"),
         ("B[2] = phi1(z", "cannot parse"),
@@ -561,6 +568,7 @@ def test_file_multistep_entries(tmp_path):
         ("summation: no", "summation: maybe", r"line 5: summation must be yes or no"),
         ("B[2] = phi2(z)", "B[2][1] = phi2(z)", r"line 9: wrong number of indices for B"),
         ("U[2][1] =", "U[2] =", r"line 10: wrong number of indices for U"),
+        ("U[2][1] =", "U[2][2] =", r"line 10: U index out of range"),
         ("B[2] = phi2(z)", "B[2] = sum\nsummation: yes", r"line 9: only B\[1\] and A\[i\]\[1\]"),
         ("steps: 2", "steps: 9", r"steps must be in \[1, 8\], got 9"),
         ("B[2] = phi2(z)", "B[2] = phi13(z)",
@@ -569,7 +577,7 @@ def test_file_multistep_entries(tmp_path):
          r"line 9: scale 0 is only allowed for the constant term"),
     ],
     ids=["rational", "empty", "slot", "statement", "order", "stages", "steps", "summation",
-         "B-indices", "U-indices", "sum-slot", "tableau-error", "phi13", "scale-0"],
+         "B-indices", "U-indices", "U-range", "sum-slot", "tableau-error", "phi13", "scale-0"],
 )
 def test_file_input_errors_name_their_line_or_slot(tmp_path, old, new, message):
     assert MULTISTEP_FILE.count(old) == 1
